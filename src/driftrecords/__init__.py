@@ -84,7 +84,6 @@ from .simulate import (
     SimulationConfig,
     mc_clt_sample,
     mc_record_rate,
-    mc_total_records,
     replication_rng,
     simulate_ldm,
 )
@@ -141,7 +140,6 @@ __all__ = [
     "load_series",
     "mc_clt_sample",
     "mc_record_rate",
-    "mc_total_records",
     "ols_fit",
     "p_delta",
     "p_n_delta",

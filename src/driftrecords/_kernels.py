@@ -1,122 +1,29 @@
-"""Hot loops for record scanning, with numba and pure-numpy backends.
+"""Hot loops for record scanning and lag products, in plain numpy.
 
-The numba kernels are used when available; set the environment variable
-``DRIFT_RECORDS_DISABLE_NUMBA=1`` to force the numpy path.  Both backends
-perform the same floating-point comparisons in the same order, so counts
-and flags are bit-identical between them.  Lag products always go through
-BLAS: it is faster than the compiled loop and keeps the summation order
-independent of the backend choice (the loop variant stays available for
-the benchmark).
+The record scan works along the last axis, so a stack of paths is
+scanned in one call; every row gets exactly the comparisons a 1-D scan
+of that row would make, so stacked and row-by-row flags are identical.
 """
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("DRIFT_RECORDS_DISABLE_NUMBA", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency, but stay importable
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and not _DISABLE
-
-
-def _record_scan_loop(y, delta):
-    n = y.shape[0]
-    flags = np.zeros(n, np.bool_)
-    running_max = np.empty(n, np.float64)
-    flags[0] = True
-    m = y[0]
-    running_max[0] = m
-    for j in range(1, n):
-        if y[j] > m + delta:
-            flags[j] = True
-        if y[j] > m:
-            m = y[j]
-        running_max[j] = m
+def record_scan(y, delta):
+    """delta-record flags and running maxima of ``y`` along its last axis."""
+    running_max = np.maximum.accumulate(y, axis=-1)
+    flags = np.empty(y.shape, np.bool_)
+    flags[..., 0] = True
+    flags[..., 1:] = y[..., 1:] > running_max[..., :-1] + delta
     return flags, running_max
 
 
-def _drift_count_loop(x, c, delta):
-    # y_j = x[j-1] + c*j, 1-based j; returns (count, last 1-based record index)
-    n = x.shape[0]
-    m = x[0] + c
-    count = 1
-    last = 1
-    for j in range(2, n + 1):
-        yj = x[j - 1] + c * j
-        if yj > m + delta:
-            count += 1
-            last = j
-        if yj > m:
-            m = yj
-    return count, last
-
-
-def _lag_products_loop(z, lag_max):
-    # out[k-1] = sum_j z[j] * z[j+k], k = 1..lag_max
-    n = z.shape[0]
-    out = np.zeros(lag_max, np.float64)
-    for k in range(1, lag_max + 1):
-        acc = 0.0
-        for j in range(n - k):
-            acc += z[j] * z[j + k]
-        out[k - 1] = acc
-    return out
-
-
-def record_scan_numpy(y, delta):
-    """delta-record flags and running maxima of ``y`` (numpy backend)."""
-    running_max = np.maximum.accumulate(y)
-    flags = np.empty(y.shape[0], np.bool_)
-    flags[0] = True
-    flags[1:] = y[1:] > running_max[:-1] + delta
-    return flags, running_max
-
-
-def drift_count_numpy(x, c, delta):
-    """Count of delta-records of x_j + c*j and the last record index (numpy)."""
-    y = x + c * np.arange(1, x.shape[0] + 1, dtype=np.float64)
-    flags, _ = record_scan_numpy(y, delta)
-    idx = np.nonzero(flags)[0]
-    return int(flags.sum()), int(idx[-1]) + 1
-
-
-def lag_products_numpy(z, lag_max):
-    """sum_j z[j] z[j+k] for k = 1..lag_max (numpy backend).
+def lag_products(z, lag_max):
+    """sum_j z[j] z[j+k] for k = 1..lag_max, as BLAS dot products.
 
     On 0/1 indicator inputs the products and sums are exact integers, so
-    the summation order cannot matter; on general inputs the BLAS
-    reduction order is fixed by this implementation, not by the backend
-    flag.
+    the summation order cannot matter; on general inputs it is fixed by
+    ``np.dot``.
     """
     out = np.empty(lag_max, np.float64)
     for k in range(1, lag_max + 1):
         out[k - 1] = float(np.dot(z[:-k], z[k:])) if k < z.shape[0] else 0.0
     return out
-
-
-if NUMBA_ENABLED:
-    record_scan_jit = njit(cache=True, nogil=True)(_record_scan_loop)
-    drift_count_jit = njit(cache=True, nogil=True)(_drift_count_loop)
-    lag_products_jit = njit(cache=True, nogil=True)(_lag_products_loop)
-
-    record_scan = record_scan_jit
-    drift_count = drift_count_jit
-    BACKEND = "numba"
-else:
-    record_scan_jit = None
-    drift_count_jit = None
-    lag_products_jit = None
-
-    record_scan = record_scan_numpy
-    drift_count = drift_count_numpy
-    BACKEND = "numpy"
-
-# BLAS beats the compiled loop here and its output is backend-invariant.
-lag_products = lag_products_numpy

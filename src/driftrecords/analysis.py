@@ -8,7 +8,6 @@ optional parametric bootstrap of the record count.
 """
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from ._special import norm_quantile
 from .errors import DriftRecordsError
 from .estimation import gaussian_interval, variance_estimator
 from .records import delta_record_flags, running_rate
-from .simulate import replication_rng
+from .simulate import replicate, replication_rng
 
 FIXTURE_SEED = 165433
 
@@ -313,27 +312,12 @@ def bootstrap_histogram(
     n = len(ts)
     trend = fit.beta0 + fit.beta1 * ts.t.astype(np.float64)
     sig = fit.sigma_eps
-    counts = np.empty(reps, dtype=np.int64)
 
-    def fill(lo: int, hi: int) -> None:
-        for rep in range(lo, hi):
-            rng = replication_rng(seed, rep)
-            noise = sig * norm_quantile(rng.random(n))
-            fl, _ = record_scan(trend + noise, delta)
-            counts[rep] = int(np.sum(fl))
+    def scan(u):
+        fl, _ = record_scan(trend + sig * norm_quantile(u), delta)
+        return fl.sum(axis=1)
 
-    if workers <= 1:
-        fill(0, reps)
-    else:
-        edges = np.linspace(0, reps, workers + 1, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(fill, int(edges[w]), int(edges[w + 1]))
-                for w in range(workers)
-            ]
-            for fut in futures:
-                fut.result()
-
+    counts = np.concatenate(replicate(seed, reps, n, scan, workers))
     histogram = np.bincount(counts, minlength=n + 1)
     q_lo, q_hi = np.quantile(counts, [0.025, 0.975])
     return BootstrapResult(

@@ -23,7 +23,6 @@ from .distributions import parse_spec
 from .errors import DriftRecordsError
 from .estimation import asymptotic_variance_mc, variance_estimator
 from .probability import DEFAULT_TOL, LdmConfig, p_delta, p_n_delta
-from .records import RecordFlags
 from .simulate import SimulationConfig, mc_record_rate
 
 
@@ -131,7 +130,6 @@ def _cmd_simulate(args) -> None:
         n=args.n,
         replications=args.reps,
         seed=args.seed,
-        burn_in=args.burn_in,
     )
     summary = mc_record_rate(cfg, workers=args.workers)
     if args.dump is not None:
@@ -174,10 +172,7 @@ def _parse_flags_arg(text: str) -> np.ndarray:
 
 
 def _cmd_variance(args) -> None:
-    flags_arr = _parse_flags_arg(args.flags)
-    running_max = np.maximum.accumulate(flags_arr.astype(np.float64))
-    flags = RecordFlags(flags=flags_arr, running_max=running_max, delta=float("nan"))
-    est = variance_estimator(flags, args.m)
+    est = variance_estimator(_parse_flags_arg(args.flags), args.m)
     _emit(
         {
             "sigma2": est.sigma2,
@@ -340,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--dump", default=None, help="write per-replication counts CSV")
     p.set_defaults(func=_cmd_simulate)
 

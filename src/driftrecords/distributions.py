@@ -419,24 +419,6 @@ class Exponential(Distribution):
         return f"exp:rate={self.rate}"
 
 
-# Module-level wrappers with the flat (distribution, x) calling convention.
-
-def cdf(d: Distribution, x):
-    return d.cdf(x)
-
-
-def pdf(d: Distribution, x):
-    return d.pdf(x)
-
-
-def sample(d: Distribution, rng, size=None):
-    return d.sample(rng, size)
-
-
-def tail_info(d: Distribution) -> TailInfo:
-    return d.tail_info()
-
-
 _PARAM_DEFAULTS = {
     "dagum": {"b": 1.0, "q": 1.0},
     "normal": {"mu": 0.0, "sigma": 1.0},

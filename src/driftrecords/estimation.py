@@ -6,7 +6,6 @@ estimate that pools stationary-regime indicators across replications.
 Both feed the Gaussian interval for the record count.
 """
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,7 @@ from ._kernels import lag_products, record_scan
 from ._special import norm_quantile
 from .probability import LdmConfig
 from .records import RecordFlags
-from .simulate import replication_rng
+from .simulate import replicate
 
 
 @dataclass(frozen=True)
@@ -33,8 +32,11 @@ class VarianceEstimate:
     floored: bool
 
 
-def variance_estimator(flags: RecordFlags, m: int | None = None) -> VarianceEstimate:
-    """Lag-window long-run variance of the record indicators.
+def variance_estimator(
+    flags: RecordFlags | np.ndarray, m: int | None = None
+) -> VarianceEstimate:
+    """Lag-window long-run variance of the record indicators, given as
+    RecordFlags or as a plain 0/1 array.
 
     Autocovariances use the 1/n normalization,
     gamma(k) = n^{-1} sum_{j=1}^{n-k} (1_j - N/n)(1_{j+k} - N/n),
@@ -43,7 +45,9 @@ def variance_estimator(flags: RecordFlags, m: int | None = None) -> VarianceEsti
     variance  p_hat (1 - p_hat). Negative totals are floored at zero
     with the `floored` flag set, since small samples can produce them.
     """
-    ind = flags.flags.astype(np.float64)
+    if isinstance(flags, RecordFlags):
+        flags = flags.flags
+    ind = np.asarray(flags, dtype=np.float64)
     n = ind.shape[0]
     if m is None:
         m = min(int(math.isqrt(n)), n // 2)
@@ -93,31 +97,24 @@ def asymptotic_variance_mc(
         raise ValueError(
             f"horizon {horizon} must exceed lag_max {lag_max}"
         )
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     c, delta, dist = ldm.c, ldm.delta, ldm.dist
     total = burn_in + horizon
     drift = c * np.arange(1, total + 1, dtype=np.float64)
 
-    def one(rep: int):
-        rng = replication_rng(seed, rep)
-        y = dist.sample(rng, total) + drift
-        fl, _ = record_scan(y, delta)
-        ind = fl[burn_in:].astype(np.float64)
-        return float(ind.sum()), lag_products(ind, lag_max)
+    def scan(u):
+        # sums of 0/1 indicators and their products are exact integers,
+        # so pooling them over blocks cannot depend on the block split
+        fl, _ = record_scan(dist.quantile(u) + drift, delta)
+        ind = fl[:, burn_in:]
+        lagged = [np.count_nonzero(ind[:, :-k] & ind[:, k:]) for k in range(1, lag_max + 1)]
+        return [np.count_nonzero(ind)] + lagged
 
-    if workers <= 1:
-        results = [one(r) for r in range(reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(reps)))
-
-    sum0 = 0.0
-    sums = np.zeros(lag_max, dtype=np.float64)
-    for s0, sk in results:
-        sum0 += s0
-        sums += sk
-    p_hat = sum0 / (reps * horizon)
+    totals = np.sum(replicate(seed, reps, total, scan, workers), axis=0, dtype=np.float64)
+    p_hat = float(totals[0]) / (reps * horizon)
     lags = np.arange(1, lag_max + 1)
-    r_hat = sums / (reps * (horizon - lags))
+    r_hat = totals[1:] / (reps * (horizon - lags))
     baseline = p_hat * p_hat if centered else p_hat
     sigma2 = p_hat - p_hat * p_hat + 2.0 * float(np.sum(r_hat - baseline))
     return max(sigma2, 0.0)

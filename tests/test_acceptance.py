@@ -26,7 +26,6 @@ from driftrecords import (
     gumbel_p_n_delta,
     mc_clt_sample,
     mc_record_rate,
-    mc_total_records,
     p_delta,
     p_n_delta,
     pareto_l_n,
@@ -169,7 +168,7 @@ def test_criterion_07_central_limit_theorem():
 
 
 def test_criterion_08a_stabilization_under_negative_trend_light_tail():
-    s = mc_total_records(
+    s = mc_record_rate(
         SimulationConfig(ldm=ldm("normal", -0.1, 0.0), n=10_000,
                          replications=500, seed=77),
         workers=4,
@@ -197,7 +196,7 @@ def test_criterion_08b_stabilization_under_heavy_tail():
     reps = 500
     band = 4.0 * math.sqrt(math.log(2.0) * (1.0 - math.log(2.0)) / reps)
     for n, seed in ((10_000, 78), (1_000, 79)):
-        s = mc_total_records(
+        s = mc_record_rate(
             SimulationConfig(ldm=ldm("pareto1", -1.0, 0.0), n=n,
                              replications=reps, seed=seed),
             workers=4,

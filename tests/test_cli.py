@@ -140,6 +140,20 @@ class TestSimulate:
         )
         assert base == threaded
 
+    SIM = ("simulate", "--dist", "gumbel", "--c", "0.5", "--delta", "0",
+           "--n", "50", "--reps", "5", "--seed", "1")
+
+    def test_burn_in_flag_is_rejected_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.SIM, "--burn-in", "5"])
+        assert exc.value.code == 2
+        assert "--burn-in" in capsys.readouterr().err
+
+    def test_zero_workers_exits_with_an_error(self, capsys):
+        rc, out, err = run(capsys, *self.SIM, "--workers", "0")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: workers must be >= 1")
+
 
 class TestVariance:
     def test_inline_flags(self, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from driftrecords import (
     LdmConfig,
-    RecordFlags,
     asymptotic_variance_mc,
     delta_record_flags,
     gaussian_interval,
@@ -14,30 +13,20 @@ from driftrecords import (
 )
 
 
-def flags_from(bits):
-    """RecordFlags carrier for a raw indicator pattern."""
-    arr = np.asarray(bits, dtype=bool)
-    return RecordFlags(
-        flags=arr,
-        running_max=np.maximum.accumulate(arr.astype(np.float64)),
-        delta=float("nan"),
-    )
-
-
 class TestVarianceEstimator:
     def test_zero_window_is_bernoulli_variance(self):
         rng = np.random.default_rng(0)
         for n in (5, 64, 997):
             bits = rng.random(n) < 0.3
             bits[0] = True
-            est = variance_estimator(flags_from(bits), m=0)
+            est = variance_estimator(bits, m=0)
             p_hat = bits.mean()
             assert est.sigma2 == pytest.approx(p_hat * (1.0 - p_hat), abs=1e-12)
             assert est.m == 0
             assert est.gammas.shape == (1,)
 
     def test_constant_flags_have_zero_variance(self):
-        est = variance_estimator(flags_from([True] * 40))
+        est = variance_estimator([True] * 40)
         assert est.sigma2 == 0.0
         assert not est.floored
 
@@ -56,13 +45,13 @@ class TestVarianceEstimator:
 
     def test_default_window_is_sqrt_of_length(self):
         bits = [True, False, True, True] * 25
-        est = variance_estimator(flags_from(bits))
+        est = variance_estimator(bits)
         assert est.m == 10
-        small = variance_estimator(flags_from([True, False, True]))
+        small = variance_estimator([True, False, True])
         assert small.m == 1
 
     def test_window_bounds_are_enforced(self):
-        fl = flags_from([True, False] * 5)
+        fl = [True, False] * 5
         with pytest.raises(ValueError):
             variance_estimator(fl, m=6)
         with pytest.raises(ValueError):
@@ -73,13 +62,20 @@ class TestVarianceEstimator:
         rng = np.random.default_rng(42)
         bits = rng.random(200) < 0.4
         bits[0] = True
-        est = variance_estimator(flags_from(bits), m=7)
+        est = variance_estimator(bits, m=7)
         z = bits.astype(np.float64) - bits.mean()
         for k in range(8):
             want = float(z[: 200 - k] @ z[k:]) / 200.0
             assert est.gammas[k] == pytest.approx(want, abs=1e-12)
         want_sigma2 = est.gammas[0] + 2.0 * est.gammas[1:].sum()
         assert est.sigma2 == pytest.approx(max(want_sigma2, 0.0), abs=1e-12)
+
+    def test_plain_array_matches_record_flags(self):
+        y = np.random.default_rng(7).standard_normal(300) + 0.05 * np.arange(300)
+        fl = delta_record_flags(y, delta=0.2)
+        plain, wrapped = variance_estimator(fl.flags, m=9), variance_estimator(fl, m=9)
+        assert plain.sigma2 == wrapped.sigma2
+        np.testing.assert_array_equal(plain.gammas, wrapped.gammas)
 
 
 class TestAsymptoticVarianceMc:
@@ -141,6 +137,13 @@ class TestAsymptoticVarianceMc:
         ldm = LdmConfig(parse_spec("gumbel"), c=1.0, delta=0.0)
         with pytest.raises(ValueError):
             asymptotic_variance_mc(ldm, horizon=50, lag_max=50, reps=2)
+
+    def test_rejects_negative_burn_in(self):
+        # a negative burn-in used to slice indicators from the end of
+        # the path and divide by the full horizon
+        ldm = LdmConfig(parse_spec("gumbel"), c=1.0, delta=0.0)
+        with pytest.raises(ValueError, match="burn_in"):
+            asymptotic_variance_mc(ldm, horizon=400, burn_in=-395, lag_max=5, reps=2)
 
 
 class TestGaussianInterval:

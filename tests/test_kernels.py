@@ -1,71 +1,22 @@
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from driftrecords import _kernels
 
 
-def _random_paths(seed, count=25, max_len=400):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(1, max_len))
-        yield rng.standard_normal(n) * rng.uniform(0.1, 10.0)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="compiled backend inactive")
-class TestBackendParity:
-    def test_record_scan_bit_identical(self):
-        for y in _random_paths(0):
-            for delta in (-1.5, -0.1, 0.0, 0.1, 2.0):
-                f_jit, m_jit = _kernels.record_scan_jit(y, delta)
-                f_np, m_np = _kernels.record_scan_numpy(y, delta)
-                np.testing.assert_array_equal(f_jit, f_np)
-                np.testing.assert_array_equal(m_jit, m_np)
-
-    def test_drift_count_bit_identical(self):
-        for x in _random_paths(1):
-            for c in (-0.5, 0.0, 0.01, 1.0):
-                for delta in (-1.0, 0.0, 0.5):
-                    assert _kernels.drift_count_jit(x, c, delta) == tuple(
-                        _kernels.drift_count_numpy(x, c, delta)
-                    )
-
-    def test_lag_products_loop_matches_blas_on_indicators(self):
-        # 0/1 products and their sums are exact integers, so the two
-        # summation orders must agree bit for bit.
-        rng = np.random.default_rng(2)
-        z = (rng.random(5000) < 0.3).astype(np.float64)
-        np.testing.assert_array_equal(
-            _kernels.lag_products_jit(z, 40), _kernels.lag_products_numpy(z, 40)
-        )
-
-    def test_lag_products_loop_close_on_general_floats(self):
-        rng = np.random.default_rng(3)
-        z = rng.standard_normal(5000)
-        np.testing.assert_allclose(
-            _kernels.lag_products_jit(z, 40),
-            _kernels.lag_products_numpy(z, 40),
-            rtol=1e-10,
-        )
-
-
 class TestKernelSemantics:
-    def test_drift_count_matches_record_scan(self):
+    def test_stacked_scan_matches_row_by_row(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            n = int(rng.integers(1, 300))
-            x = rng.standard_normal(n)
+            rows, n = int(rng.integers(1, 8)), int(rng.integers(1, 300))
             c = float(rng.uniform(-1, 1))
             delta = float(rng.uniform(-1, 1))
-            y = x + c * np.arange(1, n + 1)
-            flags, _ = _kernels.record_scan(y, delta)
-            count, last = _kernels.drift_count(x, c, delta)
-            assert count == int(flags.sum())
-            assert last == int(np.nonzero(flags)[0][-1]) + 1
+            y = rng.standard_normal((rows, n)) + c * np.arange(1, n + 1)
+            flags, running_max = _kernels.record_scan(y, delta)
+            for row, fl, rm in zip(y, flags, running_max):
+                want_fl, want_rm = _kernels.record_scan(row, delta)
+                np.testing.assert_array_equal(fl, want_fl)
+                np.testing.assert_array_equal(rm, want_rm)
 
     def test_lag_products_matches_naive(self):
         rng = np.random.default_rng(5)
@@ -84,32 +35,5 @@ class TestKernelSemantics:
         flags, running_max = _kernels.record_scan(np.array([4.2]), 0.0)
         assert flags.tolist() == [True]
         assert running_max.tolist() == [4.2]
-        assert _kernels.drift_count(np.array([4.2]), 1.0, 0.0) == (1, 1)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, DRIFT_RECORDS_DISABLE_NUMBA="1")
-    code = (
-        "import json, numpy as np\n"
-        "from driftrecords import _kernels\n"
-        "y = np.sin(np.arange(200) * 0.7) + 0.01 * np.arange(200)\n"
-        "flags, rmax = _kernels.record_scan(y, -0.2)\n"
-        "count, last = _kernels.drift_count(y, 0.05, 0.1)\n"
-        "print(json.dumps({'backend': _kernels.BACKEND,"
-        " 'flags': flags.astype(int).tolist(),"
-        " 'rmax_sum': float(rmax.sum()),"
-        " 'count': int(count), 'last': int(last)}))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
-    )
-    got = json.loads(out.stdout)
-    assert got["backend"] == "numpy"
-
-    y = np.sin(np.arange(200) * 0.7) + 0.01 * np.arange(200)
-    flags, rmax = _kernels.record_scan(y, -0.2)
-    count, last = _kernels.drift_count(y, 0.05, 0.1)
-    assert got["flags"] == flags.astype(int).tolist()
-    assert got["rmax_sum"] == float(rmax.sum())
-    assert (got["count"], got["last"]) == (int(count), int(last))
+        flags, _ = _kernels.record_scan(np.array([[4.2], [-1.0]]), 0.0)
+        assert flags.tolist() == [[True], [True]]

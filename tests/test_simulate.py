@@ -8,21 +8,20 @@ from driftrecords import (
     SimulationConfig,
     mc_clt_sample,
     mc_record_rate,
-    mc_total_records,
     parse_spec,
     replication_rng,
     simulate_ldm,
 )
+from driftrecords._kernels import record_scan
+from driftrecords.simulate import _run_replications, replicate
 
 
 def ldm(spec, c, delta):
     return LdmConfig(parse_spec(spec), c=c, delta=delta)
 
 
-def config(spec, c, delta, n, reps, seed=0, burn_in=0):
-    return SimulationConfig(
-        ldm=ldm(spec, c, delta), n=n, replications=reps, seed=seed, burn_in=burn_in
-    )
+def config(spec, c, delta, n, reps, seed=0):
+    return SimulationConfig(ldm=ldm(spec, c, delta), n=n, replications=reps, seed=seed)
 
 
 class TestPathGeneration:
@@ -66,9 +65,51 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             config("gumbel", 0.0, 0.0, 10, 0)
 
-    def test_rejects_negative_burn_in(self):
-        with pytest.raises(ValueError):
-            config("gumbel", 0.0, 0.0, 10, 10, burn_in=-1)
+    @pytest.mark.parametrize("field, value", [
+        ("n", 10.0), ("n", True), ("replications", 2.5), ("replications", True),
+    ])
+    def test_rejects_non_integer_counts(self, field, value):
+        kwargs = dict(ldm=ldm("gumbel", 0.0, 0.0), n=10, replications=10, seed=0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimulationConfig(**kwargs)
+
+    def test_engine_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            mc_record_rate(config("gumbel", 0.0, 0.0, 10, 10), workers=0)
+
+
+LAWS = ["gumbel", "pareto1", "dagum:b=1,q=2", "normal:mu=0.3,sigma=2",
+        "uniform:lo=-1,hi=2", "exp:rate=1.5"]
+
+
+class TestEngine:
+    @pytest.mark.parametrize("spec", LAWS)
+    def test_counts_match_one_replication_at_a_time(self, spec):
+        # 2**16 values per block: 37 replications of 5000 make 3 blocks
+        # of 13, 13 and 11 rows, so the last block is short
+        n, reps, seed = 5000, 37, 19
+        cfg = config(spec, 0.01, 0.2, n, reps, seed=seed)
+        want_counts, want_last = [], []
+        for rep in range(reps):
+            x = cfg.ldm.dist.sample(replication_rng(seed, rep), n)
+            flags, _ = record_scan(x + 0.01 * np.arange(1, n + 1), 0.2)
+            want_counts.append(int(flags.sum()))
+            want_last.append(int(np.nonzero(flags)[0][-1]) + 1)
+        for workers in (1, 2, 3):
+            counts, last = _run_replications(cfg, workers)
+            assert counts.dtype == np.int64
+            np.testing.assert_array_equal(counts, want_counts)
+            np.testing.assert_array_equal(last, want_last)
+        s = mc_record_rate(cfg, workers=2)
+        np.testing.assert_array_equal(s.counts, want_counts)
+        assert s.stabilization_fraction == np.mean(2 * np.array(want_last) <= n)
+
+    def test_blocks_come_back_in_order_and_cover_every_replication(self):
+        for workers in (1, 2, 3, 5):
+            blocks = replicate(3, 7, 1, lambda u: u[:, 0].tolist(), workers)
+            flat = [v for block in blocks for v in block]
+            assert flat == [replication_rng(3, r).random() for r in range(7)]
 
 
 class TestRecordRate:
@@ -117,7 +158,7 @@ class TestTotalRecords:
     def test_classical_mean_count_matches_harmonic_number(self):
         n, reps = 1000, 400
         h_n = float(np.sum(1.0 / np.arange(1, n + 1)))
-        s = mc_total_records(config("gumbel", 0.0, 0.0, n, reps, seed=8))
+        s = mc_record_rate(config("gumbel", 0.0, 0.0, n, reps, seed=8))
         mean_count = s.counts.mean()
         se = s.counts.std(ddof=1) / math.sqrt(reps)
         assert abs(mean_count - h_n) < 4.0 * se
@@ -125,8 +166,8 @@ class TestTotalRecords:
     def test_distribution_free_when_trend_and_threshold_vanish(self):
         # classical record counts do not depend on the noise law
         n, reps = 800, 300
-        a = mc_total_records(config("uniform", 0.0, 0.0, n, reps, seed=21))
-        b = mc_total_records(config("pareto1", 0.0, 0.0, n, reps, seed=22))
+        a = mc_record_rate(config("uniform", 0.0, 0.0, n, reps, seed=21))
+        b = mc_record_rate(config("pareto1", 0.0, 0.0, n, reps, seed=22))
         se = math.hypot(
             a.counts.std(ddof=1) / math.sqrt(reps),
             b.counts.std(ddof=1) / math.sqrt(reps),
@@ -135,10 +176,10 @@ class TestTotalRecords:
 
     def test_stabilization_separates_finite_from_infinite(self):
         # negative trend, light tail: records stop early
-        finite = mc_total_records(config("normal", -0.5, 0.0, 2000, 200, seed=31))
+        finite = mc_record_rate(config("normal", -0.5, 0.0, 2000, 200, seed=31))
         assert finite.stabilization_fraction > 0.9
         # positive trend with light tail: records keep arriving
-        infinite = mc_total_records(config("gumbel", 0.5, 0.0, 2000, 200, seed=32))
+        infinite = mc_record_rate(config("gumbel", 0.5, 0.0, 2000, 200, seed=32))
         assert infinite.stabilization_fraction < 0.1
 
 
