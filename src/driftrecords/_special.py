@@ -4,7 +4,14 @@ The quantile is Wichura's PPND16 rational approximation (algorithm AS 241),
 accurate to about 1e-15 over (0, 1).  We deliberately use the same quantile
 for inverse-transform sampling and for confidence intervals, so every normal
 variate in the package flows through one deterministic code path.
+
+The ``log_ndtr_*`` helpers give g = log Phi its first and third
+derivatives and its antiderivative, which the Euler-Maclaurin tail of the
+record-probability log-product needs for normal noise.
 """
+import functools
+import math
+
 import numpy as np
 from scipy import special as _sc
 
@@ -107,3 +114,117 @@ def norm_log_cdf(x):
 def norm_pdf(x):
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+
+# -- derivatives and antiderivative of g = log Phi ---------------------------
+
+# g'''' vanishes once, at D3_PEAK_Z, where g''' > 0 takes its maximum
+# D3_PEAK (both from a 40-digit mpmath root of g'''').  g''' tends to 0 at
+# both ends, so its variation over an interval follows from the endpoint
+# values and this one peak.
+D3_PEAK_Z = 1.0023693422683706
+D3_PEAK = 0.29571881919312310
+
+# Left of _Z_LEFT the closed forms cancel, and the asymptotic series of the
+# Mills ratio M takes over: log(s M(s)) = sum_k b_k s^(-2k) for s = -z.
+# With 22 terms it is exact to double precision for s >= 12.
+_Z_LEFT = -12.0
+# Right of _Z_RIGHT, log Phi = -Q - Q^2/2 - ... with Q < 7e-16, so
+# int_z^inf -log Phi = phi(z) - z Q(z) to double precision.
+_Z_RIGHT = 8.0
+_PANEL = 0.25
+
+
+def _mills_log_series(terms):
+    """b_1..b_terms of log(1 + sum_k a_k w^k), a_k = (-1)^k (2k-1)!!."""
+    a = [1.0]
+    for k in range(1, terms + 1):
+        a.append(-a[-1] * (2 * k - 1))
+    b = [0.0]
+    for k in range(1, terms + 1):
+        acc = k * a[k] - sum(j * b[j] * a[k - j] for j in range(1, k))
+        b.append(acc / k)
+    return b[1:]
+
+
+_MILLS_LOG = _mills_log_series(22)
+
+
+def log_ndtr_d1(z):
+    """g'(z) = phi(z) / Phi(z), without overflow in either tail."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore"):
+        return math.sqrt(2.0 / math.pi) / _sc.erfcx(-z / math.sqrt(2.0))
+
+
+def log_ndtr_d3(z):
+    """g'''(z); positive everywhere, with one peak at D3_PEAK_Z."""
+    z = np.asarray(z, dtype=float)
+    zc = np.clip(z, _Z_LEFT, 40.0)  # r underflows to 0 beyond 38
+    r = log_ndtr_d1(zc)
+    d = zc + r  # r' = -r d and r'' = r (d (d + r) - 1)
+    inner = r * (d * (d + r) - 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        s = -np.minimum(z, _Z_LEFT)
+        left = 2.0 / s**3 + sum(
+            bk * (2 * k) * (2 * k + 1) * (2 * k + 2) / s ** (2 * k + 3)
+            for k, bk in enumerate(_MILLS_LOG, start=1)
+        )
+    return np.where(z < _Z_LEFT, left, inner)
+
+
+def _right_tail_integral(z):
+    z = np.minimum(z, 40.0)  # phi and Q underflow to 0 beyond
+    return norm_pdf(z) - z * _sc.ndtr(-z)
+
+
+def _left_tail_integral(s0, s):
+    """int_{-s}^{-s0} -log Phi for s >= s0 >= 12, from the series."""
+
+    def prim(v):
+        return (
+            v**3 / 6.0 + v * np.log(v) - v + 0.5 * math.log(2.0 * math.pi) * v
+            - sum(bk * v ** (1 - 2 * k) / (1 - 2 * k)
+                  for k, bk in enumerate(_MILLS_LOG, start=1))
+        )
+
+    return prim(s) - prim(s0)
+
+
+@functools.lru_cache(maxsize=None)
+def _integral_table():
+    """Edges on [_Z_LEFT, _Z_RIGHT], H at each edge, where
+    H(z) = int_z^inf -log Phi, summed panel by panel from the right, and
+    the 10-point Gauss-Legendre rule for the part of a panel."""
+    edges = np.arange(_Z_LEFT, _Z_RIGHT + 0.5 * _PANEL, _PANEL)
+    x, w = np.polynomial.legendre.leggauss(16)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    panels = -0.5 * _PANEL * (_sc.log_ndtr(mid[:, None] + 0.5 * _PANEL * x) @ w)
+    cum = np.empty(edges.shape[0])
+    cum[-1] = _right_tail_integral(_Z_RIGHT)
+    cum[:-1] = cum[-1] + np.cumsum(panels[::-1])[::-1]
+    return edges, cum, np.polynomial.legendre.leggauss(10)
+
+
+def log_ndtr_integral(z):
+    """H(z) = int_z^inf -log Phi(t) dt, so H' = log Phi and H(+inf) = 0.
+
+    A one-time cumulative Gauss-Legendre table covers [-12, 8]; inside a
+    panel the part from z to the panel's right edge gets its own 10-point
+    rule.  Left of the table the Mills-ratio series takes over, right of
+    it phi(z) - z Q(z).
+    """
+    z = np.asarray(z, dtype=float)
+    edges, cum, (x, w) = _integral_table()
+    zt = np.clip(z, _Z_LEFT, _Z_RIGHT)
+    k = np.minimum(((zt - _Z_LEFT) / _PANEL).astype(np.int64), edges.shape[0] - 2)
+    right = edges[k + 1]
+    half = 0.5 * (right - zt)
+    pts = (0.5 * (right + zt))[..., None] + half[..., None] * x
+    table = cum[k + 1] - half * (_sc.log_ndtr(pts) @ w)
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = -np.clip(z, -1e100, _Z_LEFT)
+        left = cum[0] + _left_tail_integral(-_Z_LEFT, s)
+    return np.where(
+        z >= _Z_RIGHT, _right_tail_integral(z), np.where(z < _Z_LEFT, left, table)
+    )

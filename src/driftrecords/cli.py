@@ -381,8 +381,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (DriftRecordsError, ValueError, OSError) as exc:
+    except (DriftRecordsError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # the command line reports, never a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 

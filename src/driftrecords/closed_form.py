@@ -30,13 +30,18 @@ def gumbel_p_n_delta(c: float, delta: float, n: int) -> float:
         (1 - e^(-c)) / (1 - e^(-c) + e^delta (e^(-c) - e^(-nc))),
 
     and for zero trend to 1 / ((n-1) e^delta + 1).  The c < 0 branch
-    evaluates the same ratio scaled by e^(nc) so nothing overflows.
+    evaluates the same ratio scaled by e^((n-1)c), with numerator and
+    denominator both positive, so nothing overflows and an underflowed
+    value is +0.0.
     """
     if n < 1:
         raise DriftRecordsError(f"n must be >= 1, got {n}")
     if n == 1:
         return 1.0
     if c == 0.0:
+        if delta > 0.0:
+            emd = exp(-delta)
+            return emd / ((n - 1) + emd)
         return 1.0 / ((n - 1) * exp(delta) + 1.0)
     if c > 0.0:
         try:
@@ -45,9 +50,9 @@ def gumbel_p_n_delta(c: float, delta: float, n: int) -> float:
             return 0.0
         num = -expm1(-c)
         return num / (num + ed * (exp(-c) - exp(-n * c)))
-    num = exp(n * c) - exp((n - 1) * c)
+    num = exp((n - 1) * c) * -expm1(c)
     try:
-        den = num + exp(delta) * (exp((n - 1) * c) - 1.0)
+        den = num - exp(delta) * expm1((n - 1) * c)
     except OverflowError:
         return 0.0
     return num / den
@@ -74,24 +79,23 @@ def gumbel_l_inf(c: float, delta: float) -> float:
     """
     if c <= 0.0:
         raise DriftRecordsError(f"requires a positive trend, got c={c}")
-    ec = exp(c)
-    if delta < 0.0:
-        ed = exp(delta)
-        return (ec + ed - 1.0) * (ec - ed + 1.0) / (ec * ec + ed - 1.0)
     if delta == 0.0:
         return 1.0
-    if delta <= 300.0:
+    # Both branches divide numerator and denominator by e^(2c), leaving
+    # terms that neither overflow nor cancel for any c > 0.
+    emc = exp(-c)
+    if delta < 0.0:
         ed = exp(delta)
-        return (
-            ec * (ec + ed - 1.0)
-            / (ec * ed - ec + ec * ec - ed + ed * ed)
-        )
-    # Huge thresholds: same ratio with numerator and denominator scaled by
-    # e^(-2 delta), avoiding overflow; the index decays like e^(c - delta).
-    emd = exp(-delta)
-    num = ec * (ec * emd * emd + emd - emd * emd)
-    den = ec * emd - ec * emd * emd + ec * ec * emd * emd - emd + 1.0
-    return num / den
+        num = (-expm1(-c) + ed * emc) * (1.0 + (1.0 - ed) * emc)
+        return num / (-expm1(-2.0 * c) + ed * emc * emc)
+    # With x = (e^delta - 1) e^(-c) the index is
+    # (1 + x) / (1 + x + x e^(delta - c)) = 1 / (1 + e^t), formed in logs.
+    lx = delta + log(-expm1(-delta)) - c
+    t = lx + delta - c - (max(lx, 0.0) + log1p(exp(-abs(lx))))
+    if t > 0.0:
+        et = exp(-t)
+        return et / (1.0 + et)
+    return 1.0 / (1.0 + exp(t))
 
 
 def gumbel_l_inf_argmax(c: float):

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedError
+from .errors import DriftRecordsError, IllConditionedError
 from .probability import (
     DEFAULT_TOL,
     LdmConfig,
     _log_product,
     _product_cutoff,
     _quantile_window,
+    _TailLedger,
     p_n_delta,
 )
 from .quadrature import integrate
@@ -57,8 +58,12 @@ def joint_prob_consecutive(
 
     delta >= 0 needs one adaptive quadrature; delta < 0 nests an adaptive
     quadrature (at tol/10) over the window (s - c + delta, s - c) inside
-    the outer one, and the inner budget is added to the error bound.
+    the outer one, and the inner budget is added to the error bound.  Both
+    branches take their products from the log-product engine of
+    ``p_n_delta`` and add its Euler-Maclaurin remainder to the bound.
     """
+    if n < 1:
+        raise DriftRecordsError(f"n must be >= 1, got {n}")
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
     supp_lo, supp_hi = dist.support
     lo, hi, cut = _quantile_window(dist)
@@ -68,21 +73,24 @@ def joint_prob_consecutive(
             lo = max(lo, _product_cutoff(dist, c, delta, n - 1))
         if lo >= hi:
             return JointProbResult(0.0, 0.0, BRANCH_NONNEGATIVE)
-        offsets = c * np.arange(1, n, dtype=np.float64) - delta
+        tail = _TailLedger(tol / 10.0, lo - delta)
         shift = delta - c
 
         def integrand(s):
             with np.errstate(over="ignore"):
-                tail = np.exp(dist.log_sf(s + shift))
-                return tail * np.exp(_log_product(dist, s, offsets)) * dist.pdf(s)
+                later = np.exp(dist.log_sf(s + shift))
+                product = np.exp(_log_product(dist, s - delta, c, n - 1, tail))
+                return later * product * dist.pdf(s)
 
         value, err = integrate(integrand, lo, hi, 0.8 * tol)
+        value = min(max(value, 0.0), 1.0)
         return JointProbResult(
-            min(max(value, 0.0), 1.0), err + cut, BRANCH_NONNEGATIVE
+            value, err + cut + tail.error(value, err), BRANCH_NONNEGATIVE
         )
 
-    outer_offsets = c * np.arange(1, n, dtype=np.float64) - delta
-    inner_offsets = c * np.arange(2, n + 1, dtype=np.float64) - delta
+    # outer products start at s - delta > lo, inner ones at
+    # t + c - delta >= s >= lo
+    tail = _TailLedger(tol / 10.0, lo)
     inner_tol = tol / 10.0
     if math.isfinite(supp_lo):
         j_min = 2 if c >= 0.0 else n
@@ -100,8 +108,10 @@ def joint_prob_consecutive(
             return 0.0
 
         def fn(t):
+            # factors j = 2..n are factors i = 1..n-1 of t + c
             with np.errstate(over="ignore"):
-                return np.exp(_log_product(dist, t, inner_offsets)) * dist.pdf(t)
+                product = np.exp(_log_product(dist, t + (c - delta), c, n - 1, tail))
+                return product * dist.pdf(t)
 
         val, _ = integrate(fn, t_lo, t_hi, inner_tol)
         return val
@@ -109,14 +119,16 @@ def joint_prob_consecutive(
     def integrand(s):
         with np.errstate(over="ignore"):
             term1 = np.exp(dist.log_sf(s - c)) * np.exp(
-                _log_product(dist, s, outer_offsets)
+                _log_product(dist, s - delta, c, n - 1, tail)
             )
         term2 = np.fromiter((inner(float(v)) for v in s), np.float64, s.shape[0])
         return (term1 + term2) * dist.pdf(s)
 
     value, err = integrate(integrand, lo, hi, 0.8 * tol)
+    value = min(max(value, 0.0), 1.0)
+    err += inner_tol
     return JointProbResult(
-        min(max(value, 0.0), 1.0), err + cut + inner_tol, BRANCH_NEGATIVE
+        value, err + cut + tail.error(value, err), BRANCH_NEGATIVE
     )
 
 

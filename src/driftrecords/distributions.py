@@ -5,13 +5,21 @@ quantile, inverse-transform sampling, support endpoints, and right-tail
 moment metadata.  Support endpoints and the right-tail mean are tabulated
 per family rather than integrated numerically, because downstream
 classifiers branch on their exact finiteness.
+
+Each family also gives g = log F what the Euler-Maclaurin tail of the
+record-probability log-product needs: the antiderivative G, the
+derivatives g' and g''', and a bound on the total variation of g''' over
+an interval.  These follow g's analytic form on the interior of the
+support; at and above a finite upper endpoint every factor F is exactly 1,
+and the tail stops before it.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, ndtr, spence, xlogy
 
+from . import _special
 from ._special import norm_pdf, norm_quantile
 from .errors import DriftRecordsError
 
@@ -36,8 +44,10 @@ class Distribution:
     """Common interface of the built-in noise laws.
 
     Subclasses provide vectorized ``cdf``, ``log_cdf``, ``pdf``, ``quantile``,
-    plus ``support``, ``tail_info`` and ``tail_integral_bound``.  All of them
-    are immutable value objects, safe to share across threads.
+    plus ``support``, ``tail_info`` and the Euler-Maclaurin data of
+    g = log F: ``log_cdf_integral``, ``log_cdf_d1``, ``log_cdf_d3`` and,
+    where g'''' changes sign, ``log_cdf_d3_variation``.  All of them are
+    immutable value objects, safe to share across threads.
     """
 
     kind = "abstract"
@@ -71,9 +81,26 @@ class Distribution:
     def tail_info(self) -> TailInfo:
         raise NotImplementedError
 
-    def tail_integral_bound(self, t):
-        """Upper bound on int_t^inf (1 - F(s)) ds; inf for heavy tails."""
+    def log_cdf_integral(self, u):
+        """G(u), an antiderivative of g = log F, with G(+inf) = 0 whenever
+        g is integrable at +inf."""
         raise NotImplementedError
+
+    def log_cdf_d1(self, u):
+        """g'(u) = pdf(u) / cdf(u)."""
+        raise NotImplementedError
+
+    def log_cdf_d3(self, u):
+        """g'''(u)."""
+        raise NotImplementedError
+
+    def log_cdf_d3_variation(self, a, b):
+        """Upper bound on the total variation of g''' over [a, b].
+
+        This default is exact when g'''' keeps one sign, as it does for
+        every built-in family except the normal one.
+        """
+        return np.abs(self.log_cdf_d3(a) - self.log_cdf_d3(b))
 
     def sample(self, rng, size=None):
         """Inverse-transform draws from uniforms of the given generator."""
@@ -125,9 +152,12 @@ class Gumbel(Distribution):
     def tail_info(self):
         return TailInfo(GUMBEL_MU_PLUS, True)
 
-    def tail_integral_bound(self, t):
-        # 1 - F(s) <= exp(-s) for all s, so the tail integral is <= exp(-t).
-        return math.exp(-t) if t > -700.0 else _INF
+    def log_cdf_integral(self, u):
+        # g = -e^(-u): its antiderivative and its odd derivatives are e^(-u)
+        return np.exp(-np.asarray(u, dtype=np.float64))
+
+    log_cdf_d1 = log_cdf_integral
+    log_cdf_d3 = log_cdf_integral
 
 
 @dataclass(frozen=True)
@@ -171,8 +201,25 @@ class ParetoUnit(Distribution):
     def tail_info(self):
         return TailInfo(_INF, False)
 
-    def tail_integral_bound(self, t):
-        return _INF
+    def log_cdf_integral(self, u):
+        # (u - 1) log(1 - 1/u) - log u
+        u = np.maximum(np.asarray(u, dtype=np.float64), 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            head = np.where(u > 1.0, (u - 1.0) * np.log1p(-1.0 / u), 0.0)
+        return head - np.log(u)
+
+    def log_cdf_d1(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        with np.errstate(divide="ignore", over="ignore"):
+            return 1.0 / u / (u - 1.0)
+
+    def log_cdf_d3(self, u):
+        # 2/(u-1)^3 - 2/u^3, in powers of w = 1/u: no cancellation at
+        # large u, no overflow
+        u = np.asarray(u, dtype=np.float64)
+        w = 1.0 / u
+        with np.errstate(divide="ignore", over="ignore"):
+            return 2.0 * (3.0 - 3.0 * w + w * w) / (u**4 * (1.0 - w) ** 3)
 
 
 @dataclass(frozen=True)
@@ -187,9 +234,10 @@ class Dagum(Distribution):
     kind = "dagum"
 
     def __post_init__(self):
-        if not (self.b > 0.0 and self.q > 0.0):
+        if not (0.0 < self.b < _INF and 0.0 < self.q < _INF):
             raise DriftRecordsError(
-                f"dagum requires b > 0 and q > 0, got b={self.b}, q={self.q}"
+                "dagum requires finite b > 0 and q > 0, "
+                f"got b={self.b}, q={self.q}"
             )
 
     @property
@@ -241,8 +289,28 @@ class Dagum(Distribution):
     def tail_info(self):
         return TailInfo(_INF, False)
 
-    def tail_integral_bound(self, t):
-        return _INF
+    def log_cdf_integral(self, u):
+        # q (-u log(1 + b/u) - b log(u + b))
+        u = np.maximum(np.asarray(u, dtype=np.float64), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            head = np.where(u > 0.0, u * np.log1p(self.b / u), 0.0)
+        return -self.q * (head + self.b * np.log(u + self.b))
+
+    def log_cdf_d1(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.q * self.b / u / (u + self.b)
+
+    def log_cdf_d3(self, u):
+        # 2q (1/u^3 - 1/(u+b)^3); past u = b in powers of r = b/u, which
+        # neither cancels nor overflows
+        u = np.asarray(u, dtype=np.float64)
+        b = self.b
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            near = 1.0 / u**3 - 1.0 / (u + b) ** 3
+            r = b / u
+            far = b * (3.0 + 3.0 * r + r * r) / (u**4 * (1.0 + r) ** 3)
+        return 2.0 * self.q * np.where(u > b, far, near)
 
     def spec_string(self):
         return f"dagum:b={self.b},q={self.q}"
@@ -257,8 +325,11 @@ class Normal(Distribution):
     kind = "normal"
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise DriftRecordsError(f"normal requires sigma > 0, got {self.sigma}")
+        if not (math.isfinite(self.mu) and 0.0 < self.sigma < _INF):
+            raise DriftRecordsError(
+                "normal requires a finite mu and a finite sigma > 0, "
+                f"got mu={self.mu}, sigma={self.sigma}"
+            )
 
     @property
     def support(self):
@@ -291,10 +362,22 @@ class Normal(Distribution):
         mu_plus = self.mu * float(ndtr(z)) + self.sigma * float(norm_pdf(z))
         return TailInfo(mu_plus, True)
 
-    def tail_integral_bound(self, t):
-        # Exact: int_t^inf (1 - F) = sigma * (phi(z) - z * (1 - Phi(z))).
-        z = (t - self.mu) / self.sigma
-        return self.sigma * float(norm_pdf(z) - z * ndtr(-z))
+    def log_cdf_integral(self, u):
+        return self.sigma * _special.log_ndtr_integral(self._z(u))
+
+    def log_cdf_d1(self, u):
+        return _special.log_ndtr_d1(self._z(u)) / self.sigma
+
+    def log_cdf_d3(self, u):
+        return _special.log_ndtr_d3(self._z(u)) / self.sigma**3
+
+    def log_cdf_d3_variation(self, a, b):
+        # g''' > 0 rises to one peak and falls after it
+        za, zb = self._z(a), self._z(b)
+        d3a, d3b = _special.log_ndtr_d3(za), _special.log_ndtr_d3(zb)
+        across = (za < _special.D3_PEAK_Z) & (zb > _special.D3_PEAK_Z)
+        tv = np.where(across, 2.0 * _special.D3_PEAK - d3a - d3b, np.abs(d3a - d3b))
+        return tv / self.sigma**3
 
     def spec_string(self):
         return f"normal:mu={self.mu},sigma={self.sigma}"
@@ -309,9 +392,9 @@ class Uniform(Distribution):
     kind = "uniform"
 
     def __post_init__(self):
-        if not self.hi > self.lo:
+        if not -_INF < self.lo < self.hi < _INF:
             raise DriftRecordsError(
-                f"uniform requires lo < hi, got lo={self.lo}, hi={self.hi}"
+                f"uniform requires finite lo < hi, got lo={self.lo}, hi={self.hi}"
             )
 
     @property
@@ -352,12 +435,19 @@ class Uniform(Distribution):
             mu_plus = (self.hi * self.hi - a * a) / (2.0 * (self.hi - self.lo))
         return TailInfo(mu_plus, True)
 
-    def tail_integral_bound(self, t):
-        if t >= self.hi:
-            return 0.0
-        if t >= self.lo:
-            return (self.hi - t) ** 2 / (2.0 * (self.hi - self.lo))
-        return (self.lo - t) + 0.5 * (self.hi - self.lo)
+    # g = log((u - lo) / (hi - lo)), continued past hi
+
+    def log_cdf_integral(self, u):
+        d = np.maximum(np.asarray(u, dtype=np.float64) - self.lo, 0.0)
+        return xlogy(d, d / (self.hi - self.lo)) - d
+
+    def log_cdf_d1(self, u):
+        with np.errstate(divide="ignore"):
+            return 1.0 / (np.asarray(u, dtype=np.float64) - self.lo)
+
+    def log_cdf_d3(self, u):
+        with np.errstate(divide="ignore"):
+            return 2.0 / (np.asarray(u, dtype=np.float64) - self.lo) ** 3
 
     def spec_string(self):
         return f"uniform:lo={self.lo},hi={self.hi}"
@@ -371,8 +461,10 @@ class Exponential(Distribution):
     kind = "exp"
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise DriftRecordsError(f"exp requires rate > 0, got {self.rate}")
+        if not 0.0 < self.rate < _INF:
+            raise DriftRecordsError(
+                f"exp requires a finite rate > 0, got {self.rate}"
+            )
 
     @property
     def support(self):
@@ -410,10 +502,24 @@ class Exponential(Distribution):
     def tail_info(self):
         return TailInfo(1.0 / self.rate, True)
 
-    def tail_integral_bound(self, t):
-        if t >= 0.0:
-            return math.exp(-self.rate * t) / self.rate if self.rate * t < 700 else 0.0
-        return -t + 1.0 / self.rate
+    # With t = e^(-rate u): g = log(1 - t).  The derivatives are written in
+    # t, because the e^(+rate u) forms overflow to nan.
+
+    def log_cdf_integral(self, u):
+        # Li2(t) / rate, where Li2(t) = spence(1 - t)
+        lu = self.rate * np.asarray(u, dtype=np.float64)
+        return spence(-np.expm1(-lu)) / self.rate
+
+    def log_cdf_d1(self, u):
+        lu = self.rate * np.asarray(u, dtype=np.float64)
+        with np.errstate(divide="ignore"):
+            return self.rate * np.exp(-lu) / -np.expm1(-lu)
+
+    def log_cdf_d3(self, u):
+        lu = self.rate * np.asarray(u, dtype=np.float64)
+        t = np.exp(-lu)
+        with np.errstate(divide="ignore"):
+            return self.rate**3 * t * (1.0 + t) / (-np.expm1(-lu)) ** 3
 
     def spec_string(self):
         return f"exp:rate={self.rate}"

@@ -130,8 +130,10 @@ def gaussian_interval(
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    if sigma2 < 0.0:
+    if not sigma2 >= 0.0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
+    if not math.isfinite(p_hat):
+        raise ValueError(f"p_hat must be finite, got {p_hat}")
     mean = n * p_hat
     sd = math.sqrt(n * sigma2)
     z = float(norm_quantile(0.5 + level / 2.0))

@@ -6,8 +6,9 @@ delta-record with probability
     p_n = integral of  prod_{i=1}^{n-1} F(x + c i - delta) f(x) dx,
 
 and the limiting rate p is the same integral with the product taken over
-all i >= 1.  This module evaluates both by adaptive quadrature, truncating
-the infinite product with a certified tail bound, and classifies when the
+all i >= 1.  This module evaluates both by adaptive quadrature of one
+integrand, whose log-product sums a head of factors directly and the rest
+in Euler-Maclaurin form with a bounded remainder, and classifies when the
 limit is positive and when the total number of records stays finite.
 """
 import math
@@ -25,10 +26,9 @@ DEFAULT_TOL = 1e-8
 # Mass trimmed from each unbounded support end before quadrature.
 _QUANTILE_CUT = 1e-12
 
-# -log F <= K (1 - F) whenever F >= 0.999; used to turn the truncated
-# product tail into an integral bound.
-_F_FLOOR = 0.999
-_K_LOG = -math.log(_F_FLOOR) / (1.0 - _F_FLOOR)
+# Most kinks of the product made into quadrature panel edges; see
+# _product_kinks.
+_MAX_KINKS = 512
 
 # Divergence heuristics for the zero-trend finiteness integral.
 _DIVERGENCE_CAP = 1e12
@@ -65,8 +65,10 @@ class LdmConfig:
 class ProbResult:
     """A probability with its numerical error bound.
 
-    ``truncation_n`` is the number of product factors the integrand used
-    (0 when the value is exact without quadrature).
+    ``truncation_n`` is the largest number of leading product factors
+    summed one by one at any quadrature node; the factors after them come
+    from the Euler-Maclaurin tail.  It is 0 when no factor needed a direct
+    sum, including when the value is exact without quadrature.
     """
 
     value: float
@@ -109,22 +111,180 @@ def _product_cutoff(dist, c, delta, n_factors):
     return supp_lo + delta - c * i_min
 
 
+def _product_kinks(dist, c, delta, m, lo, hi):
+    """Points of (lo, hi) where a factor F(x + c i - delta), i <= m,
+    reaches a finite upper support endpoint, so the product has a kink.
+
+    More than _MAX_KINKS of them are left to adaptive bisection.
+    """
+    top = dist.support[1]
+    if not math.isfinite(top) or c <= 0.0:
+        return ()
+    i_lo = max(1, math.ceil((top + delta - hi) / c))
+    i_hi = min(m, math.floor((top + delta - lo) / c))
+    if i_hi - i_lo >= _MAX_KINKS:
+        return ()
+    return top + delta - c * np.arange(i_lo, i_hi + 1, dtype=np.float64)
+
+
+@dataclass
+class _TailLedger:
+    """State one quadrature shares across its calls of ``_log_product``.
+
+    ``budget`` bounds the Euler-Maclaurin remainder at every node, and
+    ``y_lo`` is the lowest argument y the calls will pass.  ``start`` is
+    an argument from which the tail meets the budget, found on the first
+    call; ``head`` and ``eps`` are the largest direct head and the largest
+    remainder bound used so far.
+    """
+
+    budget: float
+    y_lo: float
+    start: Optional[float] = None
+    head: int = 0
+    eps: float = 0.0
+
+    def error(self, value, err):
+        """What the remainders add to the error of a quadrature value
+        ``value`` +- ``err`` of exp(log-product) times a factor >= 0.
+
+        Each node's integrand is off by a factor within exp(+-eps), so the
+        integral p is off by at most expm1(eps) p, and p is at most
+        (value + err) / (1 - expm1(eps)).
+        """
+        grow = math.expm1(self.eps)
+        return (value + err) * grow / (1.0 - grow)
+
+
 _CHUNK_BUDGET = 1 << 22
 
+# Heads past 2**52 factors are never needed: the doubling search for the
+# first head that meets the budget stops there.
+_MAX_HEAD = 1 << 52
 
-def _log_product(dist, x, offsets):
-    """sum_i log F(x + offsets[i]) for each x, chunking the (x, i) grid."""
-    m = offsets.shape[0]
-    if m == 0:
-        return np.zeros_like(x)
-    out = np.empty_like(x)
-    step = max(1, _CHUNK_BUDGET // m)
-    for start in range(0, x.shape[0], step):
-        block = x[start:start + step]
-        out[start:start + step] = dist.log_cdf(
-            block[:, None] + offsets[None, :]
-        ).sum(axis=1)
+# A tail shorter than this is summed directly: evaluating the
+# Euler-Maclaurin terms costs about as much as that many factors.
+_MIN_TAIL = 64
+
+
+def _first_fit(fits, m):
+    """Smallest integer k in [0, m] with fits(k), for fits monotone in k
+    and true at m; fits maps an integer array to a boolean array."""
+    ladder = np.concatenate(([0], 1 << np.arange(53, dtype=np.int64)))
+    ks = np.unique(np.minimum(ladder, min(m, _MAX_HEAD)))
+    ok = fits(ks)
+    if not ok.any():
+        raise DriftRecordsError(
+            "the Euler-Maclaurin remainder of the infinite product never met "
+            "its budget"
+        )
+    j = int(np.argmax(ok))
+    lo, hi = (int(ks[j - 1]) if j else -1), int(ks[j])
+    while hi - lo > 1:
+        # 64-way split of (lo, hi]: fits(lo) is false and fits(hi) true
+        ks = np.unique(lo + (hi - lo) * np.arange(1, 65, dtype=np.int64) // 64)
+        j = int(np.argmax(fits(ks)))
+        lo, hi = (int(ks[j - 1]) if j else lo), int(ks[j])
+    return hi
+
+
+def _head_length(dist, y_min, c, m, tail):
+    """Number of factors to sum directly so that the remainder bound at
+    every node y >= y_min meets ``tail.budget``.
+
+    The Euler-Maclaurin remainder after K direct factors is at most
+    (c^3/720) TV(g''') over [y + c (K+1), y + c m], and that variation
+    shrinks as the interval's left end moves right.  The first call finds
+    the smallest K for y = tail.y_lo, which puts the first tail factor at
+    tail.start; every call then starts its tail there or just after.  A
+    tail shorter than ``_MIN_TAIL`` joins the head.
+    """
+    if tail.start is None:
+        beta = 720.0 * tail.budget / c**3
+
+        def fits(k):
+            a = tail.y_lo + c * (k + 1.0)
+            return (k >= m) | (dist.log_cdf_d3_variation(a, math.inf) <= beta)
+
+        tail.start = tail.y_lo + c * (_first_fit(fits, m) + 1.0)
+    head = max(math.ceil((tail.start - y_min) / c) - 1, 0)
+    return head if m - head >= _MIN_TAIL else m
+
+
+def _em_tail(dist, y, c, head, m, tail):
+    """sum_{i=head+1..m} log F(y + c i) by Euler-Maclaurin with two
+    correction terms; records the largest remainder bound in ``tail``."""
+    top = dist.support[1]
+    last = np.full(y.shape, float(m))
+    if math.isfinite(top):
+        # factors at arguments >= top are exactly 1
+        last = np.minimum(last, np.ceil((top - y) / c) - 1.0)
+    some = last > head
+    a = y + c * (head + 1.0)
+    b = np.where(some, y + c * last, a)
+    g, g1, g3 = dist.log_cdf, dist.log_cdf_d1, dist.log_cdf_d3
+    s = (
+        (dist.log_cdf_integral(b) - dist.log_cdf_integral(a)) / c
+        + 0.5 * (g(a) + g(b))
+        + c / 12.0 * (g1(b) - g1(a))
+        - c**3 / 720.0 * (g3(b) - g3(a))
+    )
+    eps = np.where(some, c**3 / 720.0 * dist.log_cdf_d3_variation(a, b), 0.0)
+    tail.eps = max(tail.eps, float(eps.max()))
+    return np.where(some, s, 0.0)
+
+
+def _log_product(dist, y, c, m, tail):
+    """sum_{i=1..m} log F(y + c i) for each y; m may be math.inf.
+
+    The first factors are summed directly, chunking the (y, i) grid.  For
+    c > 0 the factors after the head returned by ``_head_length`` come
+    from ``_em_tail``; for c <= 0, or m <= _MIN_TAIL, every factor is
+    summed directly.
+    """
+    if c > 0.0 and m > _MIN_TAIL:
+        head = _head_length(dist, float(y.min()), c, m, tail)
+    else:
+        head = m
+    tail.head = max(tail.head, head)
+    out = np.zeros_like(y)
+    if head > 0:
+        offsets = c * np.arange(1, head + 1, dtype=np.float64)
+        step = max(1, _CHUNK_BUDGET // head)
+        for start in range(0, y.shape[0], step):
+            block = y[start:start + step]
+            out[start:start + step] = dist.log_cdf(
+                block[:, None] + offsets[None, :]
+            ).sum(axis=1)
+    if head < m:
+        out += _em_tail(dist, y, c, head, m, tail)
     return out
+
+
+def _record_integral(cfg, m, tol):
+    """int prod_{i=1..m} F(x + c i - delta) f(x) dx for m >= 1 or m = inf.
+
+    The bound adds the quadrature gauge (at 0.8 tol), the mass outside the
+    quantile window, and what the Euler-Maclaurin remainders (each node
+    within tol/10 in log space) add.
+    """
+    dist, c, delta = cfg.dist, cfg.c, cfg.delta
+    lo, hi, cut = _quantile_window(dist)
+    lo = max(lo, _product_cutoff(dist, c, delta, m))
+    if lo >= hi:
+        return ProbResult(0.0, 0.0, 0)
+
+    tail = _TailLedger(tol / 10.0, lo - delta)
+    pdf = dist.pdf
+
+    def integrand(x):
+        with np.errstate(over="ignore"):
+            return np.exp(_log_product(dist, x - delta, c, m, tail)) * pdf(x)
+
+    breaks = _product_kinks(dist, c, delta, m, lo, hi)
+    value, err = integrate(integrand, lo, hi, 0.8 * tol, breaks=breaks)
+    value = min(max(value, 0.0), 1.0)
+    return ProbResult(value, err + cut + tail.error(value, err), tail.head)
 
 
 def p_n_delta(cfg: LdmConfig, n: int, tol: float = DEFAULT_TOL) -> ProbResult:
@@ -141,23 +301,7 @@ def p_n_delta(cfg: LdmConfig, n: int, tol: float = DEFAULT_TOL) -> ProbResult:
         raise DriftRecordsError(f"tol must be positive, got {tol}")
     if n == 1:
         return ProbResult(1.0, 0.0, 0)
-
-    dist, c, delta = cfg.dist, cfg.c, cfg.delta
-    lo, hi, cut = _quantile_window(dist)
-    lo = max(lo, _product_cutoff(dist, c, delta, n - 1))
-    if lo >= hi:
-        return ProbResult(0.0, 0.0, n - 1)
-
-    offsets = c * np.arange(1, n, dtype=np.float64) - delta
-    pdf = dist.pdf
-
-    def integrand(x):
-        with np.errstate(over="ignore"):
-            return np.exp(_log_product(dist, x, offsets)) * pdf(x)
-
-    value, err = integrate(integrand, lo, hi, 0.8 * tol)
-    value = min(max(value, 0.0), 1.0)
-    return ProbResult(value, err + cut, n - 1)
+    return _record_integral(cfg, n - 1, tol)
 
 
 def classify_positivity(cfg: LdmConfig) -> bool:
@@ -179,15 +323,13 @@ def classify_positivity(cfg: LdmConfig) -> bool:
 
 
 def p_delta(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> ProbResult:
-    """Limiting delta-record rate, with certified truncation of the
-    infinite product.
+    """Limiting delta-record rate, the n -> infinity limit of p_n.
 
     When the positivity classifier rules the limit out, returns 0 exactly.
     For zero trend (finite upper endpoint, negative delta) the limit equals
-    the closed form 1 - F(x_sup + delta).  For positive trend the product
-    over i >= 1 is truncated at an index N chosen per quadrature batch so
-    that the neglected factors change the integrand by less than tol/10 in
-    aggregate; that tail bound rides along in ``abs_error_bound``.
+    the closed form 1 - F(x_sup + delta).  For positive trend the infinite
+    product is the same log-product as for p_n with no last factor: its
+    Euler-Maclaurin tail runs to infinity, so nothing is truncated.
     """
     if not tol > 0.0:
         raise DriftRecordsError(f"tol must be positive, got {tol}")
@@ -204,54 +346,7 @@ def p_delta(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> ProbResult:
             "internal inconsistency: nonzero limiting rate claimed for a "
             "negative trend"
         )
-
-    lo, hi, cut = _quantile_window(dist)
-    lo = max(lo, dist.support[0] + delta - c)
-    if lo >= hi:
-        return ProbResult(0.0, 0.0, 0)
-
-    tail_budget = tol / 10.0
-    max_truncation = [1]
-    pdf = dist.pdf
-
-    def truncation_for(x_min):
-        lo_n, n = 0, 1
-        while True:
-            arg = x_min + c * n - delta
-            if (
-                float(dist.cdf(arg)) > _F_FLOOR
-                and (_K_LOG / c) * dist.tail_integral_bound(arg) < tail_budget
-            ):
-                break
-            lo_n, n = n, n * 2
-            if n > 1 << 40:
-                raise DriftRecordsError(
-                    "could not certify a truncation index for the infinite "
-                    "product; the tail bound never met the budget"
-                )
-        # Binary refinement between the last failing and first passing index.
-        while n - lo_n > 1:
-            mid = (lo_n + n) // 2
-            arg = x_min + c * mid - delta
-            if (
-                float(dist.cdf(arg)) > _F_FLOOR
-                and (_K_LOG / c) * dist.tail_integral_bound(arg) < tail_budget
-            ):
-                n = mid
-            else:
-                lo_n = mid
-        return n
-
-    def integrand(x):
-        n_trunc = truncation_for(float(x.min()))
-        max_truncation[0] = max(max_truncation[0], n_trunc)
-        offsets = c * np.arange(1, n_trunc + 1, dtype=np.float64) - delta
-        with np.errstate(over="ignore"):
-            return np.exp(_log_product(dist, x, offsets)) * pdf(x)
-
-    value, err = integrate(integrand, lo, hi, 0.8 * tol)
-    value = min(max(value, 0.0), 1.0)
-    return ProbResult(value, err + cut + tail_budget, max_truncation[0])
+    return _record_integral(cfg, math.inf, tol)
 
 
 def _finiteness_integrand(dist, delta):
@@ -272,9 +367,12 @@ def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessV
     mean; or the trend is zero, delta > 0, and the survival-ratio integral
     int (1-F(x+delta)) / (1-F(x))^2 f(x) dx over x >= 0 converges; or the
     trend is positive and delta - c covers the support span.  The zero-trend
-    integral is probed numerically over doubling windows: divergence is
-    declared once partial integrals pass a cap or keep growing without
-    decay, and a probe that ends in neither state raises UndecidedError.
+    integral is probed numerically over windows that double in width past
+    the median (or past 0, when that is higher), so the first window holds
+    the bulk of the mass wherever the law sits.  Divergence is declared
+    once partial integrals pass a cap or keep growing without decay,
+    convergence once a window adds a negligible share of a positive total;
+    a probe that ends in neither state raises UndecidedError.
     """
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
     lo, hi = dist.support
@@ -309,9 +407,10 @@ def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessV
 
     total = 0.0
     upper = lo0
+    base = max(lo0, float(dist.quantile(0.5)))
     increments = []
     for k in range(_MAX_DOUBLINGS):
-        new_upper = lo0 + 2.0 ** k
+        new_upper = base + 2.0 ** k
         # Absolute budget halves per window; the relative floor keeps huge
         # partial integrals (the divergent regimes) integrable at all.
         seg_tol = max(tol / 2.0 ** (k + 1), 1e-10 * (1.0 + total))
@@ -327,14 +426,14 @@ def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessV
         upper = new_upper
         if total > _DIVERGENCE_CAP:
             return FinitenessVerdict(INFINITE, REASON_ZERO_TREND_DIVERGES)
-        if seg < _REL_CHANGE * max(total, 1e-300):
+        if total > 0.0 and seg < _REL_CHANGE * total:
             return FinitenessVerdict(
                 ALMOST_SURELY_FINITE, REASON_ZERO_TREND_CONVERGES, float(total)
             )
         if upper > 1e290:
             break
     tail = increments[-5:]
-    if len(tail) == 5 and all(b >= a for a, b in zip(tail, tail[1:])):
+    if len(tail) == 5 and tail[0] > 0.0 and all(b >= a for a, b in zip(tail, tail[1:])):
         return FinitenessVerdict(INFINITE, REASON_ZERO_TREND_DIVERGES)
     raise UndecidedError(
         "the survival-ratio integral neither converged nor showed sustained "

@@ -3,9 +3,10 @@
 The integrand is called on a flat array of abscissae covering whole batches
 of panels at once, which keeps the cost of product-form integrands (one cdf
 evaluation per drift step per node) inside a handful of numpy calls.  Each
-panel carries the classical |K15 - G7| error gauge, a deliberately
-conservative bound; the worst panels are bisected in batches until the
-summed bound meets the tolerance.
+panel carries the classical |K15 - G7| error gauge, an estimate that is
+conservative for smooth, well-resolved integrands but not a proof; the
+worst panels are bisected in batches until the summed gauge meets the
+tolerance.
 """
 import numpy as np
 
@@ -59,10 +60,12 @@ def _initial_edges(lo, hi, panels):
     return np.linspace(lo, hi, panels + 1)
 
 
-def integrate(fn, lo, hi, tol, max_intervals=4096):
+def integrate(fn, lo, hi, tol, max_intervals=4096, breaks=()):
     """Integrate ``fn`` over the finite interval [lo, hi].
 
-    ``fn`` maps a 1-d array of points to integrand values.  Returns
+    ``fn`` maps a 1-d array of points to integrand values.  ``breaks``
+    lists points where the integrand has a kink; those inside (lo, hi)
+    become panel edges, so no panel straddles one.  Returns
     ``(value, error_bound)`` with ``error_bound <= tol``; raises
     QuadratureError carrying the best estimate when the panel budget is
     exhausted first.
@@ -73,6 +76,10 @@ def integrate(fn, lo, hi, tol, max_intervals=4096):
         return 0.0, 0.0
 
     edges = _initial_edges(float(lo), float(hi), _INITIAL_PANELS)
+    breaks = np.asarray(breaks, dtype=np.float64)
+    breaks = breaks[(breaks > lo) & (breaks < hi)]
+    if breaks.size:
+        edges = np.union1d(edges, breaks)
     los, his = edges[:-1], edges[1:]
     vals, errs = _panel_rule(fn, los, his)
 

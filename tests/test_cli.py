@@ -80,6 +80,31 @@ class TestClosedForm:
         )
         assert got["value"] == pytest.approx(1.3212991812278136, rel=1e-6)
 
+    def test_huge_trend_prints_a_value(self, capsys):
+        got = run_json(
+            capsys, "closed-form", "--model", "gumbel", "--quantity", "l-inf",
+            "--c", "800", "--delta", "0.5",
+        )
+        assert got == {"value": pytest.approx(1.0, abs=1e-12)}
+
+    def test_unexpected_failure_is_reported_without_traceback(
+        self, capsys, monkeypatch
+    ):
+        from driftrecords import closed_form
+
+        for exc in (OverflowError("math range error"), RuntimeError("boom")):
+            def fail(*args, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(closed_form, "gumbel_l_inf", fail)
+            rc, out, err = run(
+                capsys, "closed-form", "--model", "gumbel", "--quantity",
+                "l-inf", "--c", "1", "--delta", "0",
+            )
+            assert rc == 1 and out == ""
+            assert err.startswith("error:") and str(exc) in err
+            assert "Traceback" not in err
+
     def test_missing_required_flag_exits_nonzero(self, capsys):
         rc, _, err = run(capsys, "closed-form", "--model", "gumbel")
         assert rc == 1

@@ -109,6 +109,11 @@ class TestGumbelProbability:
         assert gumbel_p_n_delta(-1.0, 800.0, 10) == 0.0
         assert gumbel_p_delta(1.0, 800.0) == pytest.approx(0.0, abs=1e-300)
         assert 0.0 <= gumbel_p_n_delta(1e-8, 0.0, 100) <= 1.0
+        assert gumbel_p_n_delta(0.0, 800.0, 3) == 0.0
+
+    def test_underflow_gives_positive_zero(self):
+        got = gumbel_p_n_delta(-800.0, 0.0, 3)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
 class TestGumbelDependence:
@@ -130,6 +135,13 @@ class TestGumbelDependence:
         for c in (0.25, 1.0, 4.0):
             assert gumbel_l_inf(c, -0.7) > 1.0
             assert gumbel_l_inf(c, 0.7) < 1.0
+
+    def test_huge_trend_does_not_overflow(self):
+        # e^c overflows for c > 709; the index tends to 1 as c grows
+        for delta in (0.0, 0.5, -0.5, 400.0):
+            got = gumbel_l_inf(800.0, delta)
+            assert got == pytest.approx(1.0, abs=1e-12), delta
+        assert gumbel_l_inf(1.0, 800.0) == pytest.approx(0.0, abs=1e-300)
 
     def test_requires_positive_trend(self):
         with pytest.raises(DriftRecordsError):

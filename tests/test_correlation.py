@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from driftrecords import (
+    DriftRecordsError,
     IllConditionedError,
     LdmConfig,
     dependence_index,
@@ -35,6 +36,11 @@ def mc_joint_and_marginals(cfg, n, reps, seed):
 
 
 class TestJointProbability:
+    def test_rejects_index_below_one(self):
+        for n in (0, -3):
+            with pytest.raises(DriftRecordsError):
+                joint_prob_consecutive(ldm("gumbel", 1.0, 0.5), n)
+
     def test_branch_labels(self):
         assert joint_prob_consecutive(ldm("gumbel", 1.0, 0.5), 4).branch == (
             BRANCH_NONNEGATIVE

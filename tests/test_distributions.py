@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
 
+from driftrecords import _special
 from driftrecords.errors import DriftRecordsError
 from driftrecords.distributions import (
     Dagum,
@@ -139,27 +141,6 @@ class TestTailInfo:
         assert not Dagum(b=1.0, q=3.0).tail_info().second_moment_finite
 
 
-@pytest.mark.parametrize(
-    "dist",
-    [Gumbel(), Normal(mu=0.0, sigma=1.0), Uniform(lo=0.0, hi=1.0),
-     Exponential(rate=2.0)],
-    ids=lambda d: d.spec_string(),
-)
-def test_tail_integral_bound_dominates_truth(dist):
-    lo, hi = dist.support
-    ts = np.linspace(lo if math.isfinite(lo) else -5.0, 8.0, 25)
-    for t in ts:
-        upper = hi if math.isfinite(hi) else np.inf
-        if upper <= t:
-            truth = 0.0
-        else:
-            truth, _ = scipy.integrate.quad(
-                lambda s: 1.0 - dist.cdf(s), t, upper
-            )
-        bound = dist.tail_integral_bound(t)
-        assert bound >= truth - 1e-10, (dist, t, bound, truth)
-
-
 class TestSampling:
     def test_deterministic_given_seed(self):
         for dist in ALL_DISTS:
@@ -236,3 +217,110 @@ class TestParseSpec:
             Uniform(lo=1.0, hi=1.0)
         with pytest.raises(DriftRecordsError):
             Exponential(rate=-2.0)
+
+    def test_non_finite_parameters(self):
+        for make in (
+            lambda: Normal(mu=0.0, sigma=math.inf),
+            lambda: Normal(mu=math.nan, sigma=1.0),
+            lambda: Uniform(lo=-math.inf, hi=1.0),
+            lambda: Exponential(rate=math.inf),
+            lambda: Dagum(b=math.inf, q=1.0),
+            lambda: parse_spec("uniform:hi=inf"),
+            lambda: parse_spec("normal:sigma=nan"),
+        ):
+            with pytest.raises(DriftRecordsError):
+                make()
+
+
+def _mp_log_cdf(dist):
+    """g = log F of ``dist`` in mpmath arithmetic, on the support's interior."""
+    if dist.kind == "gumbel":
+        return lambda u: -mp.exp(-u)
+    if dist.kind == "pareto1":
+        return lambda u: mp.log(1 - 1 / u)
+    if dist.kind == "dagum":
+        return lambda u: -dist.q * mp.log(1 + dist.b / u)
+    if dist.kind == "normal":
+        return lambda u: mp.log(mp.ncdf((u - dist.mu) / dist.sigma))
+    if dist.kind == "uniform":
+        return lambda u: mp.log((u - dist.lo) / (dist.hi - dist.lo))
+    return lambda u: mp.log(-mp.expm1(-dist.rate * u))
+
+
+def _em_points(dist):
+    """Interior points from the lower tail to far in the upper tail."""
+    u = [0.02, 0.3, 0.7, 0.98]
+    if not math.isfinite(dist.support[1]):
+        u.append(1.0 - 1e-9)
+    return [float(x) for x in dist.quantile(np.array(u))]
+
+
+class TestEulerMaclaurinData:
+    """The antiderivative, derivatives and variation bound of g = log F
+    against 30-digit mpmath, for every family."""
+
+    @pytest.fixture(autouse=True)
+    def _precision(self):
+        with mp.workdps(30):
+            yield
+
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+    def test_integral_derivatives_and_variation(self, dist):
+        g = _mp_log_cdf(dist)
+        pts = _em_points(dist)
+        for u in pts:
+            d1 = float(mp.diff(g, u, 1))
+            d3 = float(mp.diff(g, u, 3))
+            assert float(dist.log_cdf_d1(u)) == pytest.approx(d1, rel=1e-10), u
+            assert float(dist.log_cdf_d3(u)) == pytest.approx(d3, rel=1e-8), u
+        for a, b in zip(pts, pts[1:]):
+            # G' = g: the antiderivative's increment is the integral of g
+            got = float(dist.log_cdf_integral(b) - dist.log_cdf_integral(a))
+            want = mp.quad(g, [a, b])
+            scale = abs(float(dist.log_cdf_integral(a))) + abs(float(want))
+            assert abs(got - float(want)) <= 1e-13 * scale, (a, b)
+            # int_a^b |g''''|: g'''' keeps one sign on each piece, checked
+            # on a grid, so the integral is the sum of |g'''| increments
+            pieces = [a, b]
+            if dist.kind == "normal":
+                peak = dist.mu + dist.sigma * _special.D3_PEAK_Z
+                if a < peak < b:
+                    pieces = [a, peak, b]
+            total = mp.mpf(0)
+            for lo, hi in zip(pieces, pieces[1:]):
+                signs = {mp.sign(mp.diff(g, t, 4)) for t in mp.linspace(lo, hi, 9)[1:-1]}
+                assert len(signs) == 1, (lo, hi, signs)
+                total += abs(mp.diff(g, hi, 3) - mp.diff(g, lo, 3))
+            bound = float(dist.log_cdf_d3_variation(a, b))
+            assert bound >= float(total) * (1.0 - 1e-9), (a, b)
+            assert bound <= float(total) * (1.0 + 1e-6) + 1e-300, (a, b)
+
+    def test_normal_peak_constants(self):
+        g = _mp_log_cdf(Normal())
+        assert abs(mp.diff(g, _special.D3_PEAK_Z, 4)) < 1e-15
+        assert float(mp.diff(g, _special.D3_PEAK_Z, 3)) == pytest.approx(
+            _special.D3_PEAK, rel=1e-15
+        )
+
+    @pytest.mark.parametrize("dist", [Gumbel(), Normal(), Exponential()],
+                             ids=lambda d: d.spec_string())
+    def test_tail_limits_at_infinity(self, dist):
+        # the engine evaluates these at +inf for the infinite product
+        for meth in (dist.log_cdf_integral, dist.log_cdf_d1, dist.log_cdf_d3):
+            assert float(meth(math.inf)) == 0.0
+        assert float(dist.log_cdf_d3_variation(math.inf, math.inf)) == 0.0
+
+    def test_normal_far_tails_stay_finite(self):
+        dist = Normal()
+        z = np.array([-1e6, -40.0, -12.5, 12.0, 40.0, 1e6])
+        for meth in (dist.log_cdf_integral, dist.log_cdf_d1, dist.log_cdf_d3):
+            assert np.all(np.isfinite(meth(z)))
+        g = _mp_log_cdf(dist)
+        for u in (-40.0, -12.5, -11.5):
+            assert float(dist.log_cdf_d3(u)) == pytest.approx(
+                float(mp.diff(g, u, 3)), rel=1e-9
+            )
+            want = mp.quad(g, [u, -3, 0, 3, mp.inf])
+            assert float(dist.log_cdf_integral(u)) == pytest.approx(
+                float(-want), rel=1e-13
+            )

@@ -181,3 +181,9 @@ class TestGaussianInterval:
             gaussian_interval(10, 0.5, 0.2, 1.0)
         with pytest.raises(ValueError):
             gaussian_interval(10, 0.5, -0.1, 0.9)
+
+    def test_rejects_non_finite_inputs(self):
+        with pytest.raises(ValueError):
+            gaussian_interval(10, math.nan, 0.2, 0.9)
+        with pytest.raises(ValueError):
+            gaussian_interval(10, 0.5, math.nan, 0.9)
