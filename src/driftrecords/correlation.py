@@ -1,13 +1,15 @@
 """Joint probability and dependence index of consecutive delta-records.
 
 The joint probability P[observations n and n+1 are both delta-records]
-splits on the sign of delta.  For delta >= 0 the later observation must
-top the earlier one, which collapses the event to a single integral; for
-delta < 0 a second term appears where observation n+1 lands inside the
-length-|delta| window below observation n, and that term carries an inner
-integral over the window.  The dependence index divides the joint
-probability by the product of the marginal record probabilities: values
-above 1 mean attraction, below 1 repulsion.
+is one integral for either sign of delta.  For delta >= 0 the later
+observation must top the earlier one by delta.  For delta < 0 a second
+term appears where observation n+1 lands inside the length-|delta|
+window below observation n; as a double integral over both
+observations, its integral over observation n is a difference of
+survival functions, so the term needs no inner quadrature.  The
+dependence index divides the joint probability by the product of the
+marginal record probabilities: values above 1 mean attraction, below 1
+repulsion.
 """
 import math
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ from .probability import (
     LdmConfig,
     _log_product,
     _product_cutoff,
+    _product_kinks,
     _quantile_window,
     _TailLedger,
     p_n_delta,
@@ -56,80 +59,55 @@ def joint_prob_consecutive(
 ) -> JointProbResult:
     """P[observations n and n+1 are both delta-records].
 
-    delta >= 0 needs one adaptive quadrature; delta < 0 nests an adaptive
-    quadrature (at tol/10) over the window (s - c + delta, s - c) inside
-    the outer one, and the inner budget is added to the error bound.  Both
-    branches take their products from the log-product engine of
-    ``p_n_delta`` and add its Euler-Maclaurin remainder to the bound.
+    With S = 1 - F, d+ = max(delta, 0) and P(y) = prod_{i=1..n-1} F(y + c i)
+    the value is one integral,
+
+        int f(x) [ S(x + d+ - c) P(x - delta)
+                   + 1{delta < 0} (S(x + c) - S(x + c - delta)) P(x + c - delta) ] dx.
+
+    The second term is the window where observation n+1, at x, lands less
+    than |delta| below observation n; the integral over observation n is
+    done in closed form, so one quadrature serves both signs of delta.
+    Both products come from the log-product engine of ``p_n_delta``, and
+    the kinks of the integrand are panel edges.  The bound adds the
+    quadrature gauge (at 0.8 tol), the mass outside the quantile window
+    and what the Euler-Maclaurin remainders (each node within tol/10 in
+    log space) add.
     """
     if n < 1:
         raise DriftRecordsError(f"n must be >= 1, got {n}")
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
-    supp_lo, supp_hi = dist.support
+    window = delta < 0.0
+    branch = BRANCH_NEGATIVE if window else BRANCH_NONNEGATIVE
     lo, hi, cut = _quantile_window(dist)
+    if n >= 2:
+        # both products vanish below this: the window product's own
+        # cutoff lies below the support for c >= 0 and above this for c < 0
+        lo = max(lo, _product_cutoff(dist, c, delta, n - 1))
+    if lo >= hi:
+        return JointProbResult(0.0, 0.0, branch)
+    d_plus = max(delta, 0.0)
+    tail = _TailLedger(tol / 10.0, lo - d_plus)
 
-    if delta >= 0.0:
-        if n >= 2:
-            lo = max(lo, _product_cutoff(dist, c, delta, n - 1))
-        if lo >= hi:
-            return JointProbResult(0.0, 0.0, BRANCH_NONNEGATIVE)
-        tail = _TailLedger(tol / 10.0, lo - delta)
-        shift = delta - c
-
-        def integrand(s):
-            with np.errstate(over="ignore"):
-                later = np.exp(dist.log_sf(s + shift))
-                product = np.exp(_log_product(dist, s - delta, c, n - 1, tail))
-                return later * product * dist.pdf(s)
-
-        value, err = integrate(integrand, lo, hi, 0.8 * tol)
-        value = min(max(value, 0.0), 1.0)
-        return JointProbResult(
-            value, err + cut + tail.error(value, err), BRANCH_NONNEGATIVE
-        )
-
-    # outer products start at s - delta > lo, inner ones at
-    # t + c - delta >= s >= lo
-    tail = _TailLedger(tol / 10.0, lo)
-    inner_tol = tol / 10.0
-    if math.isfinite(supp_lo):
-        j_min = 2 if c >= 0.0 else n
-        inner_cutoff = supp_lo + delta - c * j_min if n >= 2 else supp_lo
-        inner_cutoff = max(inner_cutoff, supp_lo)
-    else:
-        inner_cutoff = -math.inf
-
-    def inner(s):
-        t_lo = max(s - c + delta, inner_cutoff)
-        t_hi = s - c
-        if math.isfinite(supp_hi):
-            t_hi = min(t_hi, supp_hi)
-        if t_hi <= t_lo:
-            return 0.0
-
-        def fn(t):
-            # factors j = 2..n are factors i = 1..n-1 of t + c
-            with np.errstate(over="ignore"):
-                product = np.exp(_log_product(dist, t + (c - delta), c, n - 1, tail))
-                return product * dist.pdf(t)
-
-        val, _ = integrate(fn, t_lo, t_hi, inner_tol)
-        return val
-
-    def integrand(s):
+    def integrand(x):
         with np.errstate(over="ignore"):
-            term1 = np.exp(dist.log_sf(s - c)) * np.exp(
-                _log_product(dist, s - delta, c, n - 1, tail)
-            )
-        term2 = np.fromiter((inner(float(v)) for v in s), np.float64, s.shape[0])
-        return (term1 + term2) * dist.pdf(s)
+            out = np.exp(dist.log_sf(x + (d_plus - c))
+                         + _log_product(dist, x - delta, c, n - 1, tail))
+            if window:
+                gap = np.exp(dist.log_sf(x + c)) - np.exp(dist.log_sf(x + (c - delta)))
+                out += gap * np.exp(_log_product(dist, x + (c - delta), c, n - 1, tail))
+        return out * dist.pdf(x)
 
-    value, err = integrate(integrand, lo, hi, 0.8 * tol)
+    shifts = [d_plus - c] + ([c, c - delta] if window else [])
+    breaks = [e - s for e in dist.support if math.isfinite(e) for s in shifts]
+    breaks.extend(_product_kinks(dist, c, delta, n - 1, lo, hi))
+    if window:
+        breaks.extend(_product_kinks(dist, c, delta - c, n - 1, lo, hi))
+        # where the window product switches on; inside (lo, hi) for c < 0
+        breaks.append(_product_cutoff(dist, c, delta - c, n - 1))
+    value, err = integrate(integrand, lo, hi, 0.8 * tol, breaks=breaks)
     value = min(max(value, 0.0), 1.0)
-    err += inner_tol
-    return JointProbResult(
-        value, err + cut + tail.error(value, err), BRANCH_NEGATIVE
-    )
+    return JointProbResult(value, err + cut + tail.error(value, err), branch)
 
 
 def dependence_index_result(

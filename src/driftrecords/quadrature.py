@@ -53,10 +53,14 @@ def _panel_rule(fn, lo, hi):
 
 
 def _initial_edges(lo, hi, panels):
+    # Wide positive ranges (heavy-tail supports cut at far quantiles)
+    # start from a geometric grid so the mass near lo is resolved; on
+    # [0, 2e12] equal panels would put all of a Dagum law's mass in the
+    # first one, where the K15 - G7 gauge cannot see it.
     if lo > 0.0 and hi / lo > 100.0:
-        # Wide positive ranges (heavy-tail supports cut at far quantiles)
-        # start from a geometric grid so the mass near lo is resolved.
         return np.geomspace(lo, hi, panels + 1)
+    if lo == 0.0 and hi > 100.0:
+        return np.concatenate(([0.0], np.geomspace(hi * 1e-15, hi, panels)))
     return np.linspace(lo, hi, panels + 1)
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -7,12 +8,14 @@ from driftrecords import (
     DriftRecordsError,
     IllConditionedError,
     LdmConfig,
+    correlation,
     dependence_index,
     dependence_index_result,
     gumbel_l_inf,
     joint_prob_consecutive,
     p_n_delta,
     pareto_l_n,
+    pareto_p_n_delta,
     parse_spec,
 )
 from driftrecords.correlation import BRANCH_NEGATIVE, BRANCH_NONNEGATIVE
@@ -96,6 +99,31 @@ class TestJointProbability:
         res = joint_prob_consecutive(ldm("gumbel", 1.0, 0.5), 5, tol=1e-8)
         assert 0.0 < res.abs_error_bound < 1e-6
 
+    @pytest.mark.parametrize("spec", ["gumbel", "normal", "pareto1", "uniform", "exp"])
+    @pytest.mark.parametrize("delta", [0.4, -0.4])
+    def test_first_pair_is_second_marginal(self, spec, delta):
+        # observation 1 is always a record, so the pair (1, 2) is p_2; for
+        # delta < 0 the window term has to carry its share for this to hold
+        cfg = ldm(spec, 0.3, delta)
+        joint = joint_prob_consecutive(cfg, 1)
+        p2 = p_n_delta(cfg, 2)
+        assert abs(joint.value - p2.value) <= joint.abs_error_bound + p2.abs_error_bound
+
+    @pytest.mark.parametrize("delta", [0.5, -0.5])
+    def test_one_quadrature_per_call(self, monkeypatch, delta):
+        calls = []
+        original = correlation.integrate
+
+        def integrate(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(correlation, "integrate", integrate)
+        for spec, c, n in [("gumbel", 1.0, 5), ("pareto1", -0.5, 4), ("uniform", 0.05, 10)]:
+            calls.clear()
+            joint_prob_consecutive(ldm(spec, c, delta), n)
+            assert len(calls) == 1, (spec, c, n)
+
 
 class TestDependenceIndex:
     def test_matches_pareto_closed_form(self):
@@ -133,3 +161,148 @@ class TestDependenceIndex:
         cfg = ldm("pareto1", 1.0, 0.0)
         with pytest.raises(IllConditionedError):
             dependence_index_result(cfg, 50, tol=1e-2)
+
+
+# cdf, pdf, support and outer integration window of each audited law in
+# mpmath.  The windows of the light-tailed laws leave out mass below 1e-30;
+# the heavy-tailed laws are integrated to infinity.
+_MP_LAWS = {
+    "normal": (mp.ncdf, mp.npdf, (-mp.inf, mp.inf), (-12, 12)),
+    "gumbel": (lambda x: mp.exp(-mp.exp(-x)), lambda x: mp.exp(-x - mp.exp(-x)),
+               (-mp.inf, mp.inf), (-6, 75)),
+    "pareto1": (lambda x: 1 - 1 / x, lambda x: 1 / x**2, (1, mp.inf), (1, mp.inf)),
+    "dagum:b=1,q=2": (lambda x: (x / (x + 1)) ** 2, lambda x: 2 * x / (x + 1) ** 3,
+                      (0, mp.inf), (0, mp.inf)),
+    "uniform": (lambda x: x, lambda x: mp.mpf(1), (0, 1), (0, 1)),
+    "exp": (lambda x: -mp.expm1(-x), lambda x: mp.exp(-x), (0, mp.inf), (0, 75)),
+}
+
+
+def _nested_joint_reference(spec, c, delta, n):
+    """(joint, p_n, p_{n+1}) at 30 digits from the nested definition.
+
+    With observation n at s and observation n+1 at t, both are
+    delta-records when t > s - c + delta and every earlier observation k
+    lies below min(s, t + c) - delta + c (n - k).  For delta < 0 the part
+    with t in the window (s - c + delta, s - c) is an inner integral over t,
+    done by 48-point Gauss-Legendre on each piece between kinks; the outer
+    integrals are mp.quad over the pieces between kinks.
+    """
+    cdf, pdf, (a, b), window = _MP_LAWS[spec]
+    with mp.workdps(30):
+        c, delta = mp.mpf(c), mp.mpf(delta)
+        ends = [mp.mpf(e) for e in (a, b) if mp.isfinite(e)]
+        rule = mp.calculus.quadrature.GaussLegendre(mp.mp).calc_nodes(5, mp.mp.prec)
+
+        def F(x):
+            return mp.mpf(0) if x <= a else mp.mpf(1) if x >= b else cdf(x)
+
+        def f(x):
+            return pdf(x) if a < x < b else mp.mpf(0)
+
+        def P(y, m):  # prod_{i=1..m} F(y + c i)
+            out = mp.mpf(1)
+            for i in range(1, m + 1):
+                out *= F(y + c * i)
+            return out
+
+        def pieces(lo, hi, kinks):
+            return [lo] + sorted({k for k in kinks if lo < k < hi}) + [hi]
+
+        def inner(s):
+            lo, hi = max(s - c + delta, a), min(s - c, b)
+            if hi <= lo:
+                return mp.mpf(0)
+            kinks = [e - c + delta - c * i for e in ends for i in range(n + 1)]
+            pts = pieces(lo, hi, kinks)
+            total = mp.mpf(0)
+            for u, v in zip(pts, pts[1:]):
+                h, m = (v - u) / 2, (v + u) / 2
+                total += h * mp.fsum(
+                    w * f(m + h * x) * P(m + h * x + c - delta, n - 1) for x, w in rule
+                )
+            return total
+
+        def joint(s):
+            v = (1 - F(s + max(delta, 0) - c)) * P(s - delta, n - 1)
+            if delta < 0:
+                v += inner(s)
+            return f(s) * v
+
+        lo, hi = (mp.mpf(w) for w in window)
+        kinks = [k for e in ends for k in (e, e + c, e + c - delta, e - max(delta, 0) + c)]
+        kinks += [e + d - c * i for e in ends for d in (0, delta) for i in range(n + 2)]
+        pts = pieces(lo, hi, kinks)
+        values = [mp.quad(joint, pts)]
+        values += [mp.quad(lambda x: f(x) * P(x - delta, m), pts) for m in (n - 1, n)]
+        return tuple(float(v) for v in values)
+
+
+# (joint, p_n, p_{n+1}) from _nested_joint_reference, frozen: each law at
+# both signs of delta, with delta < 0 at small and negative trends.
+JOINT_REFERENCE = {
+    ('normal', 0.1, -0.5, 20): (
+        0.09841963168280467, 0.3013531389731551, 0.3009954049407651),
+    ('normal', 0.5, 0.5, 10): (
+        0.08526920687208416, 0.34936840256101914, 0.34936730165120766),
+    ('normal', -0.2, -1.0, 5): (
+        0.10950688562439104, 0.32541010544493776, 0.25071139267429565),
+    ('gumbel', 1.0, -0.5, 5): (
+        0.568310679864698, 0.7426542919922582, 0.7404071132015534),
+    ('gumbel', 0.2, 0.5, 10): (
+        0.012903325342560813, 0.13858527426158831, 0.13442840460197422),
+    ('pareto1', -0.5, -1.0, 4): (
+        0.044593588656428026, 0.23770307217607559, 0.17574205256839023),
+    ('pareto1', 0.04, -0.5, 5): (
+        0.07032217805258151, 0.25055344333162477, 0.20417166045346816),
+    ('pareto1', 0.5, 0.5, 10): (
+        0.022844405929297762, 0.14211259533757126, 0.13141365266740815),
+    ('dagum:b=1,q=2', 1.0, -0.5, 10): (
+        0.05387922815033033, 0.1785191497233341, 0.1637863162827074),
+    ('dagum:b=1,q=2', 0.03, -0.5, 5): (
+        0.04631201643322456, 0.22071648543903516, 0.1819313191178581),
+    ('uniform', 0.05, -0.3, 10): (
+        0.3428596506959079, 0.5888831632561682, 0.5886170780350698),
+    ('uniform', 0.3, -0.2, 3): (
+        0.736, 0.8636666666666667, 0.8636666666666667),
+    ('uniform', 0.3, 0.2, 5): (
+        0.22622599999999998, 0.536275, 0.536275),
+    ('exp', 0.08, -0.5, 5): (
+        0.17695322771428532, 0.3878966563440939, 0.3395619109660399),
+    ('exp', 0.5, -0.5, 20): (
+        0.4583876056100742, 0.6292166919779535, 0.62920952606251),
+    ('exp', 0.7, 0.2, 9): (
+        0.3017825904451617, 0.5397809111293317, 0.539323477756293),
+    ('exp', -0.3, -1.0, 5): (
+        0.053776989637465966, 0.23465612543020625, 0.16171621740391676),
+}
+
+
+class TestBoundAudit:
+    """|value - reference| <= abs_error_bound for the joint probability and
+    the dependence index."""
+
+    @pytest.mark.parametrize("key", sorted(JOINT_REFERENCE, key=str), ids=str)
+    def test_against_nested_mpmath(self, key):
+        spec, c, delta, n = key
+        joint, pn, pn1 = JOINT_REFERENCE[key]
+        res = dependence_index_result(ldm(spec, c, delta), n)
+        assert abs(res.joint.value - joint) <= res.joint.abs_error_bound, (
+            res.joint, joint
+        )
+        want = joint / (pn * pn1)
+        assert abs(res.value - want) <= res.abs_error_bound, (res, want)
+
+    def test_nested_reference_matches_pareto_closed_form(self):
+        # the frozen references' generator, run live where closed forms hold
+        joint, pn, pn1 = _nested_joint_reference("pareto1", 1.0, -0.5, 3)
+        assert pn == pytest.approx(pareto_p_n_delta(-0.5, 3), rel=1e-14)
+        assert pn1 == pytest.approx(pareto_p_n_delta(-0.5, 4), rel=1e-14)
+        assert joint / (pn * pn1) == pytest.approx(pareto_l_n(-0.5, 3), rel=1e-14)
+
+    def test_pareto_index_at_unit_trend(self):
+        for delta in (-5.0, -2.0, -1.0, -0.5, -0.1):
+            for n in (3, 4, 5, 10, 30, 100, 300):
+                res = dependence_index_result(ldm("pareto1", 1.0, delta), n)
+                want = pareto_l_n(delta, n)
+                assert abs(res.value - want) <= res.abs_error_bound, (delta, n, res, want)

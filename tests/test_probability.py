@@ -366,18 +366,8 @@ class TestBoundAudit:
     def test_dagum_at_trend_equal_to_scale(self):
         for q in (0.5, 1.0, 2.0, 3.0):
             for n in (2, 10, 100, 1000, 10**4):
-                if (q, n) == (2.0, 10**4):
-                    continue  # defect D1, below
                 res = p_n_delta(ldm(f"dagum:b=1,q={q}", 1.0, 0.0), n)
                 self._assert_within(res, dagum_p_n0(q, n), (q, n))
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect D1: the K15-G7 gauge underestimates the quadrature "
-        "error on the 2e12-wide Dagum window (off by 7.95e-8, bound 6.2e-9)"
-    ))
-    def test_dagum_known_defect(self):
-        res = p_n_delta(ldm("dagum:b=1,q=2", 1.0, 0.0), 10**4)
-        self._assert_within(res, dagum_p_n0(2.0, 10**4), "D1")
 
     @pytest.mark.parametrize("key", sorted(NORMAL_REFERENCE, key=str), ids=str)
     def test_normal_against_mpmath(self, key):

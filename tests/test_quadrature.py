@@ -48,6 +48,11 @@ def test_geometric_panels_for_wide_positive_ranges():
     value, err = integrate(lambda x: x**-2.0, 1.0, 1e6, 1e-10)
     assert value == pytest.approx(1.0 - 1e-6, rel=1e-9)
     assert err <= 1e-10
+    # a Dagum(1, 2) density over [0, 2e12]: equal panels would put all of
+    # its mass inside the first one, below every node
+    hi = 2e12
+    value, err = integrate(lambda x: 2.0 * x / (x + 1.0) ** 3, 0.0, hi, 1e-8)
+    assert abs(value - (hi / (hi + 1.0)) ** 2) <= err <= 1e-8
 
 
 def test_empty_interval_is_zero():
