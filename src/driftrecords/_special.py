@@ -103,14 +103,6 @@ def norm_quantile(p):
     return float(out[0]) if scalar else out
 
 
-def norm_cdf(x):
-    return _sc.ndtr(np.asarray(x, dtype=float))
-
-
-def norm_log_cdf(x):
-    return _sc.log_ndtr(np.asarray(x, dtype=float))
-
-
 def norm_pdf(x):
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)

@@ -121,13 +121,11 @@ class BootstrapResult:
     mean: float
 
 
-def load_series(path, fmt: str = "csv") -> TimeSeries:
+def load_series(path) -> TimeSeries:
     """Read a two-column CSV with header ``t,value``.
 
     Errors carry the 1-based file line number (the header is line 1).
     """
-    if fmt != "csv":
-        raise ValueError(f"unsupported format {fmt!r}; only 'csv'")
     times: list[int] = []
     values: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:

@@ -192,7 +192,6 @@ def _cmd_sigma2(args) -> None:
         reps=args.reps,
         seed=args.seed,
         workers=args.workers,
-        centered=not args.verbatim,
     )
     _emit(
         {
@@ -202,7 +201,6 @@ def _cmd_sigma2(args) -> None:
             "lag_max": args.lag_max,
             "reps": args.reps,
             "seed": args.seed,
-            "centered": not args.verbatim,
         }
     )
 
@@ -356,10 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--verbatim", action="store_true",
-        help="use the uncentered lag sum instead of the centered covariance",
-    )
     p.set_defaults(func=_cmd_sigma2)
 
     p = sub.add_parser("analyze", help="yearly-series trend and record pipeline")

@@ -1,15 +1,16 @@
 """Joint probability and dependence index of consecutive delta-records.
 
 The joint probability P[observations n and n+1 are both delta-records]
-is one integral for either sign of delta.  For delta >= 0 the later
-observation must top the earlier one by delta.  For delta < 0 a second
-term appears where observation n+1 lands inside the length-|delta|
-window below observation n; as a double integral over both
-observations, its integral over observation n is a difference of
-survival functions, so the term needs no inner quadrature.  The
-dependence index divides the joint probability by the product of the
-marginal record probabilities: values above 1 mean attraction, below 1
-repulsion.
+is one record integral for either sign of delta.  For delta >= 0 the
+later observation must top the earlier one by delta.  For delta < 0 a
+second term appears where observation n+1 lands inside the
+length-|delta| window below observation n; its integral over
+observation n is a difference of survival functions, and shifting its
+variable by the trend makes both terms share one product.  So the joint
+probability is ``probability._record_integral`` with its own weight, and
+its bound has the same three parts as that of p_n.  The dependence index
+divides the joint probability by the product of the marginal record
+probabilities: values above 1 mean attraction, below 1 repulsion.
 """
 import math
 from dataclasses import dataclass
@@ -17,17 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DriftRecordsError, IllConditionedError
-from .probability import (
-    DEFAULT_TOL,
-    LdmConfig,
-    _log_product,
-    _product_cutoff,
-    _product_kinks,
-    _quantile_window,
-    _TailLedger,
-    p_n_delta,
-)
-from .quadrature import integrate
+from .probability import DEFAULT_TOL, LdmConfig, _record_integral, p_n_delta
 
 BRANCH_NEGATIVE = "NegativeDelta"
 BRANCH_NONNEGATIVE = "NonnegativeDelta"
@@ -59,55 +50,40 @@ def joint_prob_consecutive(
 ) -> JointProbResult:
     """P[observations n and n+1 are both delta-records].
 
-    With S = 1 - F, d+ = max(delta, 0) and P(y) = prod_{i=1..n-1} F(y + c i)
-    the value is one integral,
+    With S = 1 - F, d+ = max(delta, 0) and
+    P(u) = prod_{i=1..n-1} F(u + c i - delta) the value is one integral,
 
-        int f(x) [ S(x + d+ - c) P(x - delta)
-                   + 1{delta < 0} (S(x + c) - S(x + c - delta)) P(x + c - delta) ] dx.
+        int P(u) [ f(u) S(u + d+ - c)
+                   + 1{delta < 0} f(u - c) (S(u) - S(u - delta)) ] du.
 
-    The second term is the window where observation n+1, at x, lands less
-    than |delta| below observation n; the integral over observation n is
-    done in closed form, so one quadrature serves both signs of delta.
-    Both products come from the log-product engine of ``p_n_delta``, and
-    the kinks of the integrand are panel edges.  The bound adds the
-    quadrature gauge (at 0.8 tol), the mass outside the quantile window
-    and what the Euler-Maclaurin remainders (each node within tol/10 in
-    log space) add.
+    The second term is the window where observation n+1, at u - c, lands
+    less than |delta| below observation n; the integral over observation
+    n is done in closed form and u is observation n+1 plus the trend.  So
+    this is the record integral of ``p_n_delta`` with the bracket as its
+    weight, over a quantile window widened by c to cover f(u - c), with
+    the weight's kinks as panel edges.  Its bound has the same three
+    parts: the quadrature gauge, the mass outside the window (the bracket
+    is a conditional probability of observation n), and what the
+    Euler-Maclaurin remainders add.
     """
     if n < 1:
         raise DriftRecordsError(f"n must be >= 1, got {n}")
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
     window = delta < 0.0
-    branch = BRANCH_NEGATIVE if window else BRANCH_NONNEGATIVE
-    lo, hi, cut = _quantile_window(dist)
-    if n >= 2:
-        # both products vanish below this: the window product's own
-        # cutoff lies below the support for c >= 0 and above this for c < 0
-        lo = max(lo, _product_cutoff(dist, c, delta, n - 1))
-    if lo >= hi:
-        return JointProbResult(0.0, 0.0, branch)
     d_plus = max(delta, 0.0)
-    tail = _TailLedger(tol / 10.0, lo - d_plus)
+    pdf, log_sf = dist.pdf, dist.log_sf
 
-    def integrand(x):
-        with np.errstate(over="ignore"):
-            out = np.exp(dist.log_sf(x + (d_plus - c))
-                         + _log_product(dist, x - delta, c, n - 1, tail))
-            if window:
-                gap = np.exp(dist.log_sf(x + c)) - np.exp(dist.log_sf(x + (c - delta)))
-                out += gap * np.exp(_log_product(dist, x + (c - delta), c, n - 1, tail))
-        return out * dist.pdf(x)
+    def weight(u):
+        out = pdf(u) * np.exp(log_sf(u + (d_plus - c)))
+        if window:
+            out += pdf(u - c) * (np.exp(log_sf(u)) - np.exp(log_sf(u - delta)))
+        return out
 
-    shifts = [d_plus - c] + ([c, c - delta] if window else [])
-    breaks = [e - s for e in dist.support if math.isfinite(e) for s in shifts]
-    breaks.extend(_product_kinks(dist, c, delta, n - 1, lo, hi))
-    if window:
-        breaks.extend(_product_kinks(dist, c, delta - c, n - 1, lo, hi))
-        # where the window product switches on; inside (lo, hi) for c < 0
-        breaks.append(_product_cutoff(dist, c, delta - c, n - 1))
-    value, err = integrate(integrand, lo, hi, 0.8 * tol, breaks=breaks)
-    value = min(max(value, 0.0), 1.0)
-    return JointProbResult(value, err + cut + tail.error(value, err), branch)
+    shifts = [c - d_plus] + ([c, 0.0, delta] if window else [])
+    kinks = [e + s for e in dist.support if math.isfinite(e) for s in shifts]
+    res = _record_integral(cfg, n - 1, tol, weight, c if window else 0.0, kinks)
+    branch = BRANCH_NEGATIVE if window else BRANCH_NONNEGATIVE
+    return JointProbResult(res.value, res.abs_error_bound, branch)
 
 
 def dependence_index_result(

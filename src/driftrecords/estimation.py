@@ -73,7 +73,6 @@ def asymptotic_variance_mc(
     reps: int = 200,
     seed: int = 0,
     workers: int = 1,
-    centered: bool = True,
 ) -> float:
     """Monte Carlo estimate of the limiting variance of the record rate.
 
@@ -85,13 +84,8 @@ def asymptotic_variance_mc(
 
         p - p^2 + 2 * sum_{m=1}^{lag_max} (r_m - p^2),
 
-    floored at zero.
-
-    The printed form of the limit subtracts p rather than p^2 inside
-    the sum; its terms do not vanish with m, so the series cannot
-    converge and the centered-covariance reading above is the
-    implemented default. Pass centered=False to evaluate the printed
-    form, truncated at lag_max, for audit.
+    floored at zero: the lag-0 variance plus twice the lag
+    covariances, truncated at lag_max.
     """
     if horizon <= lag_max:
         raise ValueError(
@@ -115,8 +109,7 @@ def asymptotic_variance_mc(
     p_hat = float(totals[0]) / (reps * horizon)
     lags = np.arange(1, lag_max + 1)
     r_hat = totals[1:] / (reps * (horizon - lags))
-    baseline = p_hat * p_hat if centered else p_hat
-    sigma2 = p_hat - p_hat * p_hat + 2.0 * float(np.sum(r_hat - baseline))
+    sigma2 = p_hat - p_hat * p_hat + 2.0 * float(np.sum(r_hat - p_hat * p_hat))
     return max(sigma2, 0.0)
 
 

@@ -102,10 +102,11 @@ def _product_cutoff(dist, c, delta, n_factors):
     """Largest x below which some product factor is exactly zero.
 
     Factor i evaluates F at x + c i - delta; with a finite lower support
-    endpoint the whole product vanishes for x below the cutoff.
+    endpoint the whole product vanishes for x below the cutoff.  An empty
+    product never vanishes.
     """
     supp_lo = dist.support[0]
-    if not math.isfinite(supp_lo):
+    if not math.isfinite(supp_lo) or n_factors == 0:
         return -math.inf
     i_min = 1 if c >= 0.0 else n_factors
     return supp_lo + delta - c * i_min
@@ -261,27 +262,32 @@ def _log_product(dist, y, c, m, tail):
     return out
 
 
-def _record_integral(cfg, m, tol):
-    """int prod_{i=1..m} F(x + c i - delta) f(x) dx for m >= 1 or m = inf.
+def _record_integral(cfg, m, tol, weight=None, reach=0.0, kinks=()):
+    """int w(x) prod_{i=1..m} F(x + c i - delta) dx for m >= 0 or m = inf.
 
-    The bound adds the quadrature gauge (at 0.8 tol), the mass outside the
-    quantile window, and what the Euler-Maclaurin remainders (each node
-    within tol/10 in log space) add.
+    The weight w >= 0 is ``dist.pdf`` unless ``weight`` is given, and
+    ``kinks`` are its panel edges.  The quantile window [lo, hi] is
+    widened to [lo + min(reach, 0), hi + max(reach, 0)]; a weight must
+    leave outside it at most the mass f leaves outside [lo, hi].  The
+    bound adds the quadrature gauge (at 0.8 tol), that omitted mass, and
+    what the Euler-Maclaurin remainders (each node within tol/10 in log
+    space) add.
     """
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
     lo, hi, cut = _quantile_window(dist)
-    lo = max(lo, _product_cutoff(dist, c, delta, m))
+    lo = max(lo + min(reach, 0.0), _product_cutoff(dist, c, delta, m))
+    hi += max(reach, 0.0)
     if lo >= hi:
         return ProbResult(0.0, 0.0, 0)
 
     tail = _TailLedger(tol / 10.0, lo - delta)
-    pdf = dist.pdf
+    w = dist.pdf if weight is None else weight
 
     def integrand(x):
         with np.errstate(over="ignore"):
-            return np.exp(_log_product(dist, x - delta, c, m, tail)) * pdf(x)
+            return np.exp(_log_product(dist, x - delta, c, m, tail)) * w(x)
 
-    breaks = _product_kinks(dist, c, delta, m, lo, hi)
+    breaks = np.concatenate((_product_kinks(dist, c, delta, m, lo, hi), kinks))
     value, err = integrate(integrand, lo, hi, 0.8 * tol, breaks=breaks)
     value = min(max(value, 0.0), 1.0)
     return ProbResult(value, err + cut + tail.error(value, err), tail.head)

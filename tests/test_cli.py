@@ -212,18 +212,9 @@ class TestSigma2:
             "--horizon", "400", "--burn-in", "200", "--lag-max", "10",
             "--reps", "40", "--seed", "1",
         )
-        assert got["centered"] is True
         assert got["horizon"] == 400
         p = 1.0 - math.exp(-1.0)
         assert got["sigma2"] == pytest.approx(p * (1.0 - p), abs=0.08)
-
-    def test_verbatim_flag_is_reported(self, capsys):
-        got = run_json(
-            capsys, "sigma2", "--dist", "gumbel", "--c", "1", "--delta", "0",
-            "--horizon", "300", "--burn-in", "100", "--lag-max", "5",
-            "--reps", "20", "--seed", "1", "--verbatim",
-        )
-        assert got["centered"] is False
 
 
 class TestAnalyze:

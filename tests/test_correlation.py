@@ -8,7 +8,6 @@ from driftrecords import (
     DriftRecordsError,
     IllConditionedError,
     LdmConfig,
-    correlation,
     dependence_index,
     dependence_index_result,
     gumbel_l_inf,
@@ -17,6 +16,7 @@ from driftrecords import (
     pareto_l_n,
     pareto_p_n_delta,
     parse_spec,
+    probability,
 )
 from driftrecords.correlation import BRANCH_NEGATIVE, BRANCH_NONNEGATIVE
 
@@ -99,30 +99,50 @@ class TestJointProbability:
         res = joint_prob_consecutive(ldm("gumbel", 1.0, 0.5), 5, tol=1e-8)
         assert 0.0 < res.abs_error_bound < 1e-6
 
-    @pytest.mark.parametrize("spec", ["gumbel", "normal", "pareto1", "uniform", "exp"])
-    @pytest.mark.parametrize("delta", [0.4, -0.4])
-    def test_first_pair_is_second_marginal(self, spec, delta):
+    @pytest.mark.parametrize("spec, delta, c", [
+        # ids name threshold and law, and the trend when it is negative
+        pytest.param(spec, delta, c, id=f"{delta}-{spec}" + ("" if c > 0 else f"-c={c}"))
+        for c in (0.3, -0.3)
+        for delta in (0.4, -0.4)
+        for spec in ("gumbel", "normal", "pareto1", "uniform", "exp")
+    ])
+    def test_first_pair_is_second_marginal(self, spec, delta, c):
         # observation 1 is always a record, so the pair (1, 2) is p_2; for
-        # delta < 0 the window term has to carry its share for this to hold
-        cfg = ldm(spec, 0.3, delta)
+        # delta < 0 the window term has to carry its share for this to hold,
+        # and the empty product of n = 1 must not cut the window
+        cfg = ldm(spec, c, delta)
         joint = joint_prob_consecutive(cfg, 1)
         p2 = p_n_delta(cfg, 2)
         assert abs(joint.value - p2.value) <= joint.abs_error_bound + p2.abs_error_bound
 
     @pytest.mark.parametrize("delta", [0.5, -0.5])
     def test_one_quadrature_per_call(self, monkeypatch, delta):
-        calls = []
-        original = correlation.integrate
+        # one integrate call per joint, one log-product per integrand call
+        calls, evals, products = [], [], []
+        integrate, log_product = probability.integrate, probability._log_product
 
-        def integrate(*args, **kwargs):
+        def counting_integrate(fn, *args, **kwargs):
+            def integrand(x):
+                before = len(products)
+                out = fn(x)
+                evals.append(len(products) - before)
+                return out
+
             calls.append(args)
-            return original(*args, **kwargs)
+            return integrate(integrand, *args, **kwargs)
 
-        monkeypatch.setattr(correlation, "integrate", integrate)
+        def counting_log_product(*args):
+            products.append(args)
+            return log_product(*args)
+
+        monkeypatch.setattr(probability, "integrate", counting_integrate)
+        monkeypatch.setattr(probability, "_log_product", counting_log_product)
         for spec, c, n in [("gumbel", 1.0, 5), ("pareto1", -0.5, 4), ("uniform", 0.05, 10)]:
             calls.clear()
+            evals.clear()
             joint_prob_consecutive(ldm(spec, c, delta), n)
             assert len(calls) == 1, (spec, c, n)
+            assert evals and set(evals) == {1}, (spec, c, n, evals)
 
 
 class TestDependenceIndex:

@@ -123,16 +123,6 @@ class TestAsymptoticVarianceMc:
         b = asymptotic_variance_mc(ldm, burn_in=2000, **kw)
         assert b == pytest.approx(a, abs=0.02)
 
-    def test_uncentered_reading_diverges_from_centered(self):
-        # the alternative reading subtracts p rather than p^2 inside the
-        # lag sum, which drags the estimate negative and onto the floor
-        ldm = LdmConfig(parse_spec("gumbel"), c=1.0, delta=0.0)
-        kw = dict(horizon=1500, burn_in=700, lag_max=30, reps=80, seed=8)
-        centered = asymptotic_variance_mc(ldm, centered=True, **kw)
-        verbatim = asymptotic_variance_mc(ldm, centered=False, **kw)
-        assert centered > 0.1
-        assert verbatim != pytest.approx(centered, abs=0.05)
-
     def test_rejects_horizon_not_exceeding_lag_window(self):
         ldm = LdmConfig(parse_spec("gumbel"), c=1.0, delta=0.0)
         with pytest.raises(ValueError):
