@@ -53,14 +53,19 @@ _F = np.array([
 ])
 
 
+def _horner(coef, r):
+    """sum of coef[k] r**k, by Horner's rule in place."""
+    acc = np.full_like(r, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= r
+        acc += c
+    return acc
+
+
 def _ratpoly(coef_num, coef_den, r):
-    num = np.zeros_like(r)
-    den = np.zeros_like(r)
-    for c in coef_num[::-1]:
-        num = num * r + c
-    for c in coef_den[::-1]:
-        den = den * r + c
-    return num / den
+    num = _horner(coef_num, r)
+    num /= _horner(coef_den, r)
+    return num
 
 
 def norm_quantile(p):
@@ -83,22 +88,24 @@ def norm_quantile(p):
     q = p_arr - 0.5
     central = np.abs(q) <= 0.425
     if np.any(central):
-        r = 0.180625 - q[central] ** 2
-        out[central] = q[central] * _ratpoly(_A, _B, r)
+        qc = q[central]
+        out[central] = qc * _ratpoly(_A, _B, 0.180625 - qc**2)
 
     tail = ~central
     if np.any(tail):
         pt = p_arr[tail]
-        smaller = np.minimum(pt, 1.0 - pt)
         with np.errstate(divide="ignore"):
-            r = np.sqrt(-np.log(smaller))
-        x = np.where(
-            r <= 5.0,
-            _ratpoly(_C, _D, np.minimum(r, 5.0) - 1.6),
-            _ratpoly(_E, _F, np.maximum(r, 5.0) - 5.0),
-        )
-        x = np.where(np.isinf(r), np.inf, x)
-        out[tail] = np.where(pt < 0.5, -x, x)
+            r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        # each rational function runs only on the points that select it;
+        # NaN takes the r > 5 branch and r = inf (p at 0 or 1) neither
+        x = np.full_like(r, np.inf)
+        near = r <= 5.0
+        far = ~near & ~np.isinf(r)
+        for sel, num, den, shift in ((near, _C, _D, 1.6), (far, _E, _F, 5.0)):
+            if np.any(sel):
+                x[sel] = _ratpoly(num, den, r[sel] - shift)
+        np.negative(x, out=x, where=pt < 0.5)
+        out[tail] = x
 
     return float(out[0]) if scalar else out
 

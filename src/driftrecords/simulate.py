@@ -5,8 +5,11 @@ Every replication owns an independent random stream derived from
 replications run on one worker or many, and any single replication can
 be reproduced in isolation.  `replicate` is the one engine behind every
 Monte Carlo result of the package: it stacks the uniforms of a block of
-replications and hands the block to a vectorized scan.
+replications and hands the block to a vectorized scan.  For short rows
+it computes those uniforms for every row of the block at once
+(`_stream_block`), bit for bit what `replication_rng` would draw.
 """
+import functools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +22,14 @@ from .probability import LdmConfig
 
 # Uniforms per block: 2**16 float64 values make each block array 512 KB.
 _BLOCK_VALUES = 2**16
+# Rows of at most this many uniforms come from `_stream_block`, at 50 to
+# 60 ns per value on 2 CPUs.  A longer row takes one `replication_rng`
+# draw: 20 to 30 us of stream setup, then about 2 ns per value.  The two
+# break even near n = 500.
+_VECTOR_MAX_N = 512
+# `_stream_block` works through a block in chunks of about this many
+# values, so that its uint64 scratch arrays (64 KB each) stay in cache.
+_CHUNK_VALUES = 2**13
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
@@ -38,28 +49,227 @@ def _require_count(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _require_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+# -- the streams of a block, vectorized ---------------------------------------
+#
+# replication_rng(seed, rep) seeds PCG64 from SeedSequence(entropy=seed,
+# spawn_key=(rep,)).  Both are fixed algorithms (numpy's bit_generator.pyx
+# and pcg64.h), so `_stream_block` reproduces them in numpy, all rows at once:
+#   * SeedSequence hashes its entropy words (the 32-bit words of seed,
+#     padded with zeros to the pool size 4, then those of rep) into a pool
+#     of 4 uint32 words.  Every step before the first word of rep depends on
+#     the seed alone and runs once per block on Python ints (`_seed_pool`);
+#     the words of rep are mixed in per row.
+#   * generate_state(4, uint64) turns the pool into the 128-bit numbers s
+#     and q from which PCG64 takes inc = 2q + 1 and the state M (s + inc) +
+#     inc, for the LCG multiplier M.
+#   * Draw k of a row is the XSL-RR output of the state k + 1 LCG steps on,
+#     M^(k+2) (s + inc) + (1 + M + ... + M^(k+1)) inc mod 2**128, and
+#     random() turns the 64-bit output x into (x >> 11) * 2**-53.
+# 128-bit numbers are (high, low) pairs of uint64 words; a product takes
+# the high word of low x low from 32-bit halves.
+
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_BITS32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
+
+
+def _words(value: int) -> list:
+    """Little-endian 32-bit words of a non-negative int; [0] for 0."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(value, h: int, mult: int = _MULT_A):
+    """SeedSequence's hash of a uint32 word (an int or a uint32 array)
+    under hash constant h; returns the hash and the next constant."""
+    h_next = h * mult & _MASK32
+    value = (value ^ h) * h_next & _MASK32
+    return value ^ (value >> 16), h_next
+
+
+def _mix(x, y):
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix_word(pool: list, word, h: int) -> int:
+    """Mix an entropy word past the first four into every pool word, in
+    place; returns the next hash constant."""
+    for dst in range(_POOL_SIZE):
+        w, h = _hashmix(word, h)
+        pool[dst] = _mix(pool[dst], w)
+    return h
+
+
+def _seed_pool(seed: int):
+    """SeedSequence's pool after every entropy word of the seed, and the
+    hash constant that the first word of the spawn key meets."""
+    words = _words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    h = _INIT_A
+    pool = []
+    for w in words[:_POOL_SIZE]:
+        w, h = _hashmix(w, h)
+        pool.append(w)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                w, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], w)
+    for w in words[_POOL_SIZE:]:
+        h = _mix_word(pool, w, h)
+    return pool, h
+
+
+def _split128(values) -> tuple:
+    """128-bit ints as uint64 arrays: high word, low word, and the low
+    and high 32-bit halves of the low word."""
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+    lo = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64)
+    return hi, lo, lo & _LOW32, lo >> _BITS32
+
+
+@functools.cache
+def _jump_tables() -> tuple:
+    """For draw k < _VECTOR_MAX_N: M^(k+2) and 1 + M + ... + M^(k+1),
+    mod 2**128, each split by `_split128`."""
+    mult, step = [], []
+    m, c = _PCG_MULT**2 % 2**128, 1 + _PCG_MULT
+    for _ in range(_VECTOR_MAX_N):
+        mult.append(m)
+        step.append(c)
+        c = (c + m) % 2**128
+        m = m * _PCG_MULT % 2**128
+    return _split128(mult), _split128(step)
+
+
+def _pcg_seeds(seed: int, lo: int, rows: int) -> tuple:
+    """Per row, s + inc and inc of the PCG64 seeding of replications
+    lo..lo+rows-1, as (high, low) uint64 pairs.  Every index of the range
+    must have the same number of 32-bit words."""
+    pool, h = _seed_pool(seed)
+    reps = np.arange(lo, lo + rows, dtype=np.uint64)
+    rep_words = [reps & _LOW32]
+    if lo > _MASK32:
+        rep_words.append(reps >> _BITS32)
+    pool = [np.full(rows, w, dtype=np.uint32) for w in pool]
+    for word in rep_words:
+        h = _mix_word(pool, word.astype(np.uint32), h)
+    h = _INIT_B
+    state = []
+    for i in range(2 * _POOL_SIZE):
+        w, h = _hashmix(pool[i % _POOL_SIZE], h, _MULT_B)
+        state.append(w.astype(np.uint64))
+    s_hi, s_lo, q_hi, q_lo = (state[2 * k] | (state[2 * k + 1] << _BITS32) for k in range(4))
+    inc_hi = (q_hi << np.uint64(1)) | (q_lo >> np.uint64(63))
+    inc_lo = (q_lo << np.uint64(1)) | np.uint64(1)
+    t_lo = s_lo + inc_lo
+    t_hi = s_hi + inc_hi + (t_lo < s_lo)
+    return (t_hi, t_lo), (inc_hi, inc_lo)
+
+
+def _mul_add(hi, lo, x, c, t):
+    """(hi, lo) += x * c mod 2**128 in place, for x = (high, low) column
+    vectors (one number per row) and c a per-column `_split128` table;
+    t is a scratch array of the same shape as hi."""
+    x_hi, x_lo = x
+    c_hi, c_lo, c0, c1 = c
+    x0, x1 = x_lo & _LOW32, x_lo >> _BITS32
+    # high word of x_lo * c_lo: the carries out of the middle 32-bit column
+    np.multiply(x0, c0, out=t)
+    mid = t >> _BITS32
+    np.multiply(x0, c1, out=t)
+    hi += t >> _BITS32
+    t &= _LOW32
+    mid += t
+    np.multiply(x1, c0, out=t)
+    hi += t >> _BITS32
+    t &= _LOW32
+    mid += t
+    mid >>= _BITS32
+    hi += mid
+    np.multiply(x1, c1, out=t)
+    hi += t
+    np.multiply(x_hi, c_lo, out=t)
+    hi += t
+    np.multiply(x_lo, c_hi, out=t)
+    hi += t
+    np.multiply(x_lo, c_lo, out=t)
+    lo += t
+    hi += lo < t
+
+
+def _stream_block(seed: int, lo: int, u: np.ndarray) -> None:
+    """Fill row i of u with replication_rng(seed, lo + i).random(n), for
+    n = u.shape[1] <= _VECTOR_MAX_N and lo + len(u) <= 2**64."""
+    rows, n = u.shape
+    if lo <= _MASK32 < lo + rows - 1:  # index words go from one to two
+        split = _MASK32 + 1 - lo
+        _stream_block(seed, lo, u[:split])
+        _stream_block(seed, lo + split, u[split:])
+        return
+    base, inc = _pcg_seeds(seed, lo, rows)
+    mult, step = (tuple(a[:n] for a in table) for table in _jump_tables())
+    chunk = max(1, _CHUNK_VALUES // n)
+    for r in range(0, rows, chunk):
+        part = slice(r, r + chunk)
+        hi = np.zeros(u[part].shape, dtype=np.uint64)
+        lo_word, t = np.zeros_like(hi), np.empty_like(hi)
+        _mul_add(hi, lo_word, (base[0][part, None], base[1][part, None]), mult, t)
+        _mul_add(hi, lo_word, (inc[0][part, None], inc[1][part, None]), step, t)
+        # XSL-RR: rotate high ^ low right by the top 6 bits of the state
+        lo_word ^= hi
+        hi >>= np.uint64(58)
+        np.right_shift(lo_word, hi, out=t)
+        np.subtract(np.uint64(64), hi, out=hi)
+        hi &= np.uint64(63)
+        lo_word <<= hi
+        lo_word |= t
+        lo_word >>= np.uint64(11)
+        np.multiply(lo_word, 2.0**-53, out=u[part])
+
+
 def replicate(seed: int, reps: int, n: int, scan, workers: int = 1) -> list:
     """Apply ``scan`` to blocks of stacked uniforms; one result per block.
 
     Row i of the block starting at replication lo holds the n uniforms
     of ``replication_rng(seed, lo + i)``, so a scan that reduces rows
     independently gives the same per-replication values as drawing each
-    replication on its own.  There are at least ``workers`` blocks, of
-    at most about 2**16 values each (one row when a path is longer);
-    they run on a pool of ``workers`` threads and come back in
-    replication order, so the output does not depend on the worker
-    count.
+    replication on its own.  Rows of at most ``_VECTOR_MAX_N`` values
+    are computed for the whole block at once by `_stream_block`; longer
+    rows are drawn one stream at a time.  There are at least
+    ``workers`` blocks, of at most about 2**16 values each (one row when
+    a path is longer); they run on a pool of ``workers`` threads and
+    come back in replication order, so the output does not depend on
+    the worker count.
     """
+    _require_seed(seed)
     _require_count("replications", reps)
     _require_count("horizon n", n)
     _require_count("workers", workers)
+    seed = int(seed)
     blocks = max(workers, math.ceil(reps * n / _BLOCK_VALUES))
     rows = math.ceil(reps / blocks)
 
     def run(lo: int):
         u = np.empty((min(rows, reps - lo), n), dtype=np.float64)
-        for i in range(u.shape[0]):
-            replication_rng(seed, lo + i).random(out=u[i])
+        if n <= _VECTOR_MAX_N:
+            _stream_block(seed, lo, u)
+        else:
+            for i in range(u.shape[0]):
+                replication_rng(seed, lo + i).random(out=u[i])
         return scan(u)
 
     starts = range(0, reps, rows)
@@ -82,6 +292,7 @@ class SimulationConfig:
     def __post_init__(self):
         _require_count("horizon n", self.n)
         _require_count("replications", self.replications)
+        _require_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,11 @@ class TestBootstrap:
         count_sd = math.sqrt(rep.n * rep.sigma2_tilde)
         assert abs(bs.mean - center) < 4.0 * count_sd
 
+    def test_rejects_a_negative_seed(self, fixture_series):
+        fit = ols_fit(fixture_series)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            bootstrap_histogram(fit, fixture_series, -1.0, reps=1000, seed=-1)
+
     def test_worker_split_is_reproducible(self, fixture_series):
         fit = ols_fit(fixture_series)
         a = bootstrap_histogram(fit, fixture_series, -1.0, reps=1500, seed=9)

@@ -179,6 +179,11 @@ class TestSimulate:
         assert rc == 1 and out == ""
         assert err.startswith("error: workers must be >= 1")
 
+    def test_negative_seed_exits_with_an_error(self, capsys):
+        rc, out, err = run(capsys, *self.SIM[:-1], "-1")
+        assert rc == 1 and out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
 
 class TestVariance:
     def test_inline_flags(self, capsys):

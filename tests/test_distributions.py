@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -324,3 +325,70 @@ class TestEulerMaclaurinData:
             assert float(dist.log_cdf_integral(u)) == pytest.approx(
                 float(-want), rel=1e-13
             )
+
+
+def _two_branch_norm_quantile(p):
+    """The previous norm_quantile: both tail rational functions on every
+    tail point, then np.where.  Kept as the bit-for-bit reference."""
+    def ratpoly(num_coef, den_coef, r):
+        num, den = np.zeros_like(r), np.zeros_like(r)
+        for c in num_coef[::-1]:
+            num = num * r + c
+        for c in den_coef[::-1]:
+            den = den * r + c
+        return num / den
+
+    out = np.empty_like(p)
+    q = p - 0.5
+    central = np.abs(q) <= 0.425
+    r = 0.180625 - q[central] ** 2
+    out[central] = q[central] * ratpoly(_special._A, _special._B, r)
+    pt = p[~central]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        x = np.where(
+            r <= 5.0,
+            ratpoly(_special._C, _special._D, np.minimum(r, 5.0) - 1.6),
+            ratpoly(_special._E, _special._F, np.maximum(r, 5.0) - 5.0),
+        )
+    x = np.where(np.isinf(r), np.inf, x)
+    out[~central] = np.where(pt < 0.5, -x, x)
+    return out
+
+
+class TestNormQuantile:
+    """Every normal variate of the Monte Carlo engine goes through
+    norm_quantile, so its output is pinned bit for bit."""
+
+    # branch edges, both ends of (0, 1), the r = 5 switch, subnormals, NaN
+    EDGES = [0.0, 1.0, 0.075, 0.925, math.exp(-25.0), 5e-324, 1e-310,
+             2.2250738585072014e-308, math.nan]
+
+    def points(self):
+        u = np.random.default_rng(20201).random(100_000)
+        return np.concatenate([u, self.EDGES])
+
+    def test_central_branch_digest(self):
+        # |p - 0.5| <= 0.425 takes +, -, * and / only, so these bits are
+        # the same on every IEEE machine
+        p = self.points()
+        with np.errstate(invalid="ignore"):
+            p = p[np.abs(p - 0.5) <= 0.425]
+        digest = hashlib.sha256(_special.norm_quantile(p).tobytes()).hexdigest()
+        assert digest == (
+            "02bc61534bb5267621ec0db6e4a983ee81a6e2c01d3e9dcd0ce74c90ae6f8156"
+        )
+
+    def test_matches_the_two_branch_form_bit_for_bit(self):
+        # the tails go through np.log, whose last bit depends on the SIMD
+        # path numpy takes on the CPU, so they are checked against the
+        # reference on the same machine rather than against a digest
+        p = self.points()
+        got = _special.norm_quantile(p)
+        assert got.tobytes() == _two_branch_norm_quantile(p).tobytes()
+
+    def test_scalars_and_endpoints(self):
+        assert _special.norm_quantile(0.0) == -math.inf
+        assert _special.norm_quantile(1.0) == math.inf
+        assert math.isnan(_special.norm_quantile(math.nan))
+        assert _special.norm_quantile(0.975) == pytest.approx(1.959963984540054, rel=1e-15)

@@ -109,6 +109,12 @@ class TestAsymptoticVarianceMc:
         c = asymptotic_variance_mc(ldm, workers=4, **kw)
         assert a == b == c
 
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self):
+        ldm = LdmConfig(parse_spec("gumbel"), c=1.0, delta=0.0)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            asymptotic_variance_mc(ldm, horizon=100, burn_in=10, lag_max=5,
+                                   reps=4, seed=None)
+
     def test_stable_under_longer_lag_window(self):
         ldm = LdmConfig(parse_spec("gumbel"), c=1.0, delta=0.0)
         kw = dict(horizon=3000, burn_in=1500, reps=120, seed=6)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftrecords import (
     LdmConfig,
@@ -13,7 +15,12 @@ from driftrecords import (
     simulate_ldm,
 )
 from driftrecords._kernels import record_scan
-from driftrecords.simulate import _run_replications, replicate
+from driftrecords.simulate import (
+    _VECTOR_MAX_N,
+    _run_replications,
+    _stream_block,
+    replicate,
+)
 
 
 def ldm(spec, c, delta):
@@ -77,6 +84,72 @@ class TestConfigValidation:
     def test_engine_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             mc_record_rate(config("gumbel", 0.0, 0.0, 10, 10), workers=0)
+
+
+BAD_SEEDS = [None, True, 3.0, "3", -1]
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_config_rejects_a_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            config("gumbel", 0.0, 0.0, 10, 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_engine_rejects_a_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            replicate(seed, 4, 5, lambda u: u)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        a = mc_record_rate(config("gumbel", 0.1, 0.0, 30, 20, seed=np.int64(5)))
+        b = mc_record_rate(config("gumbel", 0.1, 0.0, 30, 20, seed=5))
+        np.testing.assert_array_equal(a.counts, b.counts)
+
+
+def one_stream_per_row(seed, lo, rows, n):
+    u = np.empty((rows, n))
+    for i in range(rows):
+        u[i] = replication_rng(seed, lo + i).random(n)
+    return u
+
+
+def streamed(seed, lo, rows, n):
+    u = np.empty((rows, n))
+    _stream_block(seed, lo, u)
+    return u
+
+
+class TestVectorizedStreams:
+    """`_stream_block` must give every row exactly the uniforms that
+    replication_rng draws for it."""
+
+    # one to five 32-bit entropy words; SeedSequence's pool holds four
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 977]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    # the second block holds indices of one and of two 32-bit words
+    @pytest.mark.parametrize("lo, rows", [(0, 3), (2**32 - 2, 4)])
+    @pytest.mark.parametrize("n", [1, _VECTOR_MAX_N - 1, _VECTOR_MAX_N])
+    def test_block_matches_one_stream_per_row(self, seed, lo, rows, n):
+        got = streamed(seed, lo, rows, n)
+        assert got.tobytes() == one_stream_per_row(seed, lo, rows, n).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**160),
+        lo=st.integers(0, 2**64 - 3),
+        n=st.integers(1, 40),
+    )
+    def test_any_seed_and_index(self, seed, lo, n):
+        got = streamed(seed, lo, 2, n)
+        assert got.tobytes() == one_stream_per_row(seed, lo, 2, n).tobytes()
+
+    @pytest.mark.parametrize("n", [1, _VECTOR_MAX_N, _VECTOR_MAX_N + 1])
+    def test_engine_rows_match_on_both_sides_of_the_cutoff(self, n):
+        seed, reps = 2**64 + 5, 300
+        for workers in (1, 2):
+            got = np.concatenate(replicate(seed, reps, n, lambda u: u.copy(), workers))
+            assert got.tobytes() == one_stream_per_row(seed, 0, reps, n).tobytes()
 
 
 LAWS = ["gumbel", "pareto1", "dagum:b=1,q=2", "normal:mu=0.3,sigma=2",
