@@ -68,8 +68,45 @@ def _ratpoly(coef_num, coef_den, r):
     return num
 
 
+def _horner_float(coef, r):
+    """_horner on one Python float, with the same two roundings per step."""
+    acc = coef[-1]
+    for c in coef[-2::-1]:
+        acc = acc * r + c
+    return acc
+
+
+_A_F, _B_F, _C_F, _D_F, _E_F, _F_F = (
+    tuple(map(float, coef)) for coef in (_A, _B, _C, _D, _E, _F)
+)
+
+
+def _norm_quantile_float(p):
+    """norm_quantile for one p in [0, 1], in Python floats.
+
+    Every step is the array path's operation on one value: Horner with
+    separate multiply and add, q * q for qc**2, and the tail logarithm
+    through np.log, whose last bit can differ from math.log.
+    """
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        return q * (_horner_float(_A_F, r) / _horner_float(_B_F, r))
+    r = math.sqrt(-float(np.log(min(p, 1.0 - p))))
+    num, den, t = (_C_F, _D_F, r - 1.6) if r <= 5.0 else (_E_F, _F_F, r - 5.0)
+    x = _horner_float(num, t) / _horner_float(den, t)
+    return -x if p < 0.5 else x
+
+
 def norm_quantile(p):
     """Inverse standard normal cdf, vectorized.
+
+    A Python float in [0, 1] takes a pure-float path with the same bits
+    as the array path; everything else goes through numpy.
 
     Parameters
     ----------
@@ -80,6 +117,8 @@ def norm_quantile(p):
     -------
     float or ndarray
     """
+    if isinstance(p, float) and 0.0 <= p <= 1.0:
+        return _norm_quantile_float(float(p))
     p_arr = np.asarray(p, dtype=float)
     scalar = p_arr.ndim == 0
     p_arr = np.atleast_1d(p_arr)
@@ -157,19 +196,26 @@ def log_ndtr_d1(z):
 
 
 def log_ndtr_d3(z):
-    """g'''(z); positive everywhere, with one peak at D3_PEAK_Z."""
+    """g'''(z); positive everywhere, with one peak at D3_PEAK_Z.
+
+    The closed form runs on every point, and the Mills series replaces it
+    on the points left of _Z_LEFT only, so a call without such points
+    skips the series.
+    """
     z = np.asarray(z, dtype=float)
     zc = np.clip(z, _Z_LEFT, 40.0)  # r underflows to 0 beyond 38
     r = log_ndtr_d1(zc)
     d = zc + r  # r' = -r d and r'' = r (d (d + r) - 1)
-    inner = r * (d * (d + r) - 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        s = -np.minimum(z, _Z_LEFT)
-        left = 2.0 / s**3 + sum(
-            bk * (2 * k) * (2 * k + 1) * (2 * k + 2) / s ** (2 * k + 3)
-            for k, bk in enumerate(_MILLS_LOG, start=1)
-        )
-    return np.where(z < _Z_LEFT, left, inner)
+    out = np.asarray(r * (d * (d + r) - 1.0))
+    left = z < _Z_LEFT
+    if left.any():
+        s = -z[left]
+        with np.errstate(over="ignore"):
+            out[left] = 2.0 / s**3 + sum(
+                bk * (2 * k) * (2 * k + 1) * (2 * k + 2) / s ** (2 * k + 3)
+                for k, bk in enumerate(_MILLS_LOG, start=1)
+            )
+    return out
 
 
 def _right_tail_integral(z):
@@ -211,19 +257,29 @@ def log_ndtr_integral(z):
     A one-time cumulative Gauss-Legendre table covers [-12, 8]; inside a
     panel the part from z to the panel's right edge gets its own 10-point
     rule.  Left of the table the Mills-ratio series takes over, right of
-    it phi(z) - z Q(z).
+    it phi(z) - z Q(z).  Each branch runs on its own points only; NaN
+    maps to NaN and -inf to +inf.
     """
     z = np.asarray(z, dtype=float)
     edges, cum, (x, w) = _integral_table()
-    zt = np.clip(z, _Z_LEFT, _Z_RIGHT)
-    k = np.minimum(((zt - _Z_LEFT) / _PANEL).astype(np.int64), edges.shape[0] - 2)
-    right = edges[k + 1]
-    half = 0.5 * (right - zt)
-    pts = (0.5 * (right + zt))[..., None] + half[..., None] * x
-    table = cum[k + 1] - half * (_sc.log_ndtr(pts) @ w)
-    with np.errstate(invalid="ignore", over="ignore"):
-        s = -np.clip(z, -1e100, _Z_LEFT)
-        left = cum[0] + _left_tail_integral(-_Z_LEFT, s)
-    return np.where(
-        z >= _Z_RIGHT, _right_tail_integral(z), np.where(z < _Z_LEFT, left, table)
-    )
+    out = np.full(z.shape, np.nan)
+    table = (z >= _Z_LEFT) & (z < _Z_RIGHT)
+    if table.any():
+        # all points go through the matrix product, the others parked at
+        # the left edge, because its last bit can depend on the row count
+        zt = np.where(table, z, _Z_LEFT)
+        k = np.minimum(((zt - _Z_LEFT) / _PANEL).astype(np.int64), edges.shape[0] - 2)
+        right = edges[k + 1]
+        half = 0.5 * (right - zt)
+        pts = (0.5 * (right + zt))[..., None] + half[..., None] * x
+        np.copyto(out, cum[k + 1] - half * (_sc.log_ndtr(pts) @ w), where=table)
+    right = z >= _Z_RIGHT
+    if right.any():
+        out[right] = _right_tail_integral(z[right])
+    left = z < _Z_LEFT
+    if left.any():
+        s = -z[left]
+        # the series is evaluated at s <= 1e100, where it stays finite
+        tail = cum[0] + _left_tail_integral(-_Z_LEFT, np.minimum(s, 1e100))
+        out[left] = np.where(s == np.inf, np.inf, tail)
+    return out

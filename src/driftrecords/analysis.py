@@ -17,7 +17,7 @@ from ._special import norm_quantile
 from .errors import DriftRecordsError
 from .estimation import gaussian_interval, variance_estimator
 from .records import delta_record_flags, running_rate
-from .simulate import replicate, replication_rng
+from .simulate import _require_seed, replicate, replication_rng
 
 FIXTURE_SEED = 165433
 
@@ -337,7 +337,10 @@ def synthetic_temperature_series(seed: int = FIXTURE_SEED) -> TimeSeries:
     expected explained and residual sums of squares satisfy
     R2 = b1^2 Sxx / (b1^2 Sxx + (n - 2) s^2), giving
     s = b1 * sqrt(Sxx (1 - R2) / (R2 (n - 2))).
+
+    Raises ValueError unless ``seed`` is a non-negative integer.
     """
+    _require_seed(seed)
     t = np.arange(_FIXTURE_YEAR_LO, _FIXTURE_YEAR_HI + 1, dtype=np.int64)
     n = t.shape[0]
     r2 = 1.0 - (1.0 - _FIXTURE_ADJ_R2) * (n - 1) / (n - 2)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import DriftRecordsError, QuadratureError, UndecidedError
-from .quadrature import integrate
+from .quadrature import first_passes, integrate
 
 DEFAULT_TOL = 1e-8
 
@@ -34,6 +34,9 @@ _MAX_KINKS = 512
 _DIVERGENCE_CAP = 1e12
 _MAX_DOUBLINGS = 10_000
 _REL_CHANGE = 1e-6
+# Doubling windows whose first quadrature pass shares one integrand call;
+# integrate refines only a window whose gauge misses its tolerance.
+_PROBE_BATCH = 16
 
 # Verdict and reason labels for finiteness classification.
 ALMOST_SURELY_FINITE = "AlmostSurelyFinite"
@@ -417,16 +420,21 @@ def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessV
     increments = []
     for k in range(_MAX_DOUBLINGS):
         new_upper = base + 2.0 ** k
+        if k % _PROBE_BATCH == 0:
+            tops = [base + 2.0 ** j for j in range(k, k + _PROBE_BATCH)]
+            first = zip(*first_passes(g, [upper] + tops[:-1], tops))
+        seg, gauge = next(first)
         # Absolute budget halves per window; the relative floor keeps huge
         # partial integrals (the divergent regimes) integrable at all.
         seg_tol = max(tol / 2.0 ** (k + 1), 1e-10 * (1.0 + total))
-        try:
-            seg, _ = integrate(g, upper, new_upper, seg_tol)
-        except QuadratureError as exc:
-            raise UndecidedError(
-                "the survival-ratio integral could not be resolved on "
-                f"[{upper:g}, {new_upper:g}]: {exc}"
-            ) from exc
+        if gauge > seg_tol:
+            try:
+                seg, _ = integrate(g, upper, new_upper, seg_tol)
+            except QuadratureError as exc:
+                raise UndecidedError(
+                    "the survival-ratio integral could not be resolved on "
+                    f"[{upper:g}, {new_upper:g}]: {exc}"
+                ) from exc
         total += seg
         increments.append(seg)
         upper = new_upper

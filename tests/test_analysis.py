@@ -236,3 +236,13 @@ class TestFixtureProvenance:
     def test_other_seeds_differ(self, fixture_series):
         other = synthetic_temperature_series(seed=FIXTURE_SEED + 1)
         assert not np.array_equal(other.value, fixture_series.value)
+
+    @pytest.mark.parametrize("seed", [None, -1, True, 1.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # None used to give a new series on every call, and -1 failed
+        # inside numpy without naming the seed
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            synthetic_temperature_series(seed=seed)
+
+    def test_default_seed_is_the_fixture(self, fixture_series):
+        np.testing.assert_array_equal(synthetic_temperature_series().value, fixture_series.value)

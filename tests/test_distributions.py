@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 
 from driftrecords import _special
@@ -392,3 +393,104 @@ class TestNormQuantile:
         assert _special.norm_quantile(1.0) == math.inf
         assert math.isnan(_special.norm_quantile(math.nan))
         assert _special.norm_quantile(0.975) == pytest.approx(1.959963984540054, rel=1e-15)
+
+    def test_scalar_path_matches_array_path_bit_for_bit(self):
+        # a Python float takes the pure-float path; each value must carry
+        # the bits the array path gives it
+        # math.log in place of np.log changes about one tail value in
+        # 10,000, so the tails get most of the points
+        rng = np.random.default_rng(20202)
+        tiny = 10.0 ** -rng.uniform(0.0, 300.0, 5_000)
+        p = np.concatenate([
+            rng.random(20_000), rng.uniform(0.0, 0.075, 60_000),
+            rng.uniform(0.925, 1.0, 20_000), tiny, 1.0 - tiny,
+            self.EDGES, [0.5, 1e-300, 1.0 - 1e-16],
+        ])
+        scalars = [_special.norm_quantile(float(v)) for v in p]
+        assert all(type(x) is float for x in scalars)
+        assert np.array(scalars).tobytes() == _special.norm_quantile(p).tobytes()
+
+
+def _all_points_log_ndtr_d3(z):
+    """The previous log_ndtr_d3: the Mills series on every point, then
+    np.where.  Kept as the bit-for-bit reference."""
+    zc = np.clip(z, _special._Z_LEFT, 40.0)
+    r = _special.log_ndtr_d1(zc)
+    d = zc + r
+    inner = r * (d * (d + r) - 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        s = -np.minimum(z, _special._Z_LEFT)
+        left = 2.0 / s**3 + sum(
+            bk * (2 * k) * (2 * k + 1) * (2 * k + 2) / s ** (2 * k + 3)
+            for k, bk in enumerate(_special._MILLS_LOG, start=1)
+        )
+    return np.where(z < _special._Z_LEFT, left, inner)
+
+
+def _all_points_log_ndtr_integral(z):
+    """The previous log_ndtr_integral: table, left series and right tail
+    on every point, then np.where.  Kept as the bit-for-bit reference; it
+    fails on NaN."""
+    lo, hi = _special._Z_LEFT, _special._Z_RIGHT
+    edges, cum, (x, w) = _special._integral_table()
+    zt = np.clip(z, lo, hi)
+    k = np.minimum(((zt - lo) / _special._PANEL).astype(np.int64), edges.shape[0] - 2)
+    right = edges[k + 1]
+    half = 0.5 * (right - zt)
+    pts = (0.5 * (right + zt))[..., None] + half[..., None] * x
+    table = cum[k + 1] - half * (scipy.special.log_ndtr(pts) @ w)
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = -np.clip(z, -1e100, lo)
+        left = cum[0] + _special._left_tail_integral(-lo, s)
+    return np.where(
+        z >= hi, _special._right_tail_integral(z), np.where(z < lo, left, table)
+    )
+
+
+class TestLogNdtrBranches:
+    """log_ndtr_d3 and log_ndtr_integral run each branch on its own points
+    only; their output is pinned to the all-points form bit for bit."""
+
+    EDGES = [-12.0, 8.0, 40.0, math.inf, -math.inf,
+             np.nextafter(-12.0, -math.inf), np.nextafter(8.0, -math.inf)]
+
+    def points(self):
+        rng = np.random.default_rng(20203)
+        return np.concatenate([
+            rng.uniform(-1e6, 1e3, 10_000),
+            -np.exp(rng.uniform(math.log(12.0), math.log(1e6), 10_000)),
+            rng.uniform(-15.0, 10.0, 10_000),
+            self.EDGES,
+        ])
+
+    def test_d3_matches_all_points_form_bit_for_bit(self):
+        z = self.points()
+        assert _special.log_ndtr_d3(z).tobytes() == _all_points_log_ndtr_d3(z).tobytes()
+
+    def test_integral_matches_all_points_form_bit_for_bit(self):
+        # -inf is left out: the all-points form clamps it to -1e100
+        z = self.points()
+        z = z[z > -math.inf]
+        got = _special.log_ndtr_integral(z)
+        assert got.tobytes() == _all_points_log_ndtr_integral(z).tobytes()
+
+    def test_all_central_points_skip_both_tails(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a tail branch ran on central points")
+
+        monkeypatch.setattr(_special, "_left_tail_integral", fail)
+        monkeypatch.setattr(_special, "_right_tail_integral", fail)
+        z = np.random.default_rng(20204).uniform(-11.9, 7.9, 4_000)
+        assert np.all(np.isfinite(_special.log_ndtr_integral(z)))
+        assert np.all(_special.log_ndtr_d3(z) > 0.0)
+
+    def test_integral_nan_and_infinities(self):
+        # NaN used to reach the table as an int64 index and raise IndexError
+        got = _special.log_ndtr_integral(np.array([math.nan, math.inf, -math.inf, 0.0]))
+        assert math.isnan(got[0])
+        assert got[1] == 0.0
+        assert got[2] == math.inf
+        assert got[3] == pytest.approx(0.47753533981, rel=1e-10)
+        assert math.isnan(_special.log_ndtr_integral(math.nan))
+        assert math.isnan(_special.log_ndtr_d3(math.nan))
+        assert math.isnan(Normal().log_cdf_integral(math.nan))

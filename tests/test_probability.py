@@ -22,8 +22,11 @@ from driftrecords import (
     pareto_p_n_delta,
     parse_spec,
 )
-from driftrecords.errors import UndecidedError
-from driftrecords.probability import _log_product, _TailLedger
+from driftrecords import probability
+from driftrecords.distributions import Dagum, ParetoUnit, Uniform
+from driftrecords.errors import QuadratureError, UndecidedError
+from driftrecords.probability import FinitenessVerdict, _log_product, _TailLedger
+from driftrecords.quadrature import integrate
 
 
 def ldm(spec, c, delta):
@@ -283,6 +286,111 @@ class TestFiniteness:
         want, _ = scipy.integrate.quad(integrand, 0.0, 200.0, limit=400)
         v = classify_finiteness(ldm("normal", 0.0, delta))
         assert v.integral_value == pytest.approx(want, rel=1e-4)
+
+
+def _per_window_zero_trend(cfg, tol=probability.DEFAULT_TOL):
+    """The previous zero-trend branch of classify_finiteness (c = 0,
+    delta > 0): one integrate call per doubling window.  Kept as the
+    bit-for-bit reference for the batched first passes; None stands for
+    UndecidedError."""
+    P = probability
+    dist, delta = cfg.dist, cfg.delta
+    lo, hi = dist.support
+    if math.isinf(dist.tail_info().mu_plus):
+        return FinitenessVerdict(INFINITE, P.REASON_TAIL_MEAN_INFINITE)
+    g = P._finiteness_integrand(dist, delta)
+    lo0 = max(lo, 0.0)
+    if math.isfinite(hi):
+        top = hi - delta
+        if top <= lo0:
+            return FinitenessVerdict(ALMOST_SURELY_FINITE, P.REASON_ZERO_TREND_CONVERGES, 0.0)
+        val, _ = integrate(g, lo0, top, tol)
+        return FinitenessVerdict(ALMOST_SURELY_FINITE, P.REASON_ZERO_TREND_CONVERGES, float(val))
+    total, upper = 0.0, lo0
+    base = max(lo0, float(dist.quantile(0.5)))
+    increments = []
+    for k in range(P._MAX_DOUBLINGS):
+        new_upper = base + 2.0 ** k
+        seg_tol = max(tol / 2.0 ** (k + 1), 1e-10 * (1.0 + total))
+        try:
+            seg, _ = integrate(g, upper, new_upper, seg_tol)
+        except QuadratureError:
+            return None
+        total += seg
+        increments.append(seg)
+        upper = new_upper
+        if total > P._DIVERGENCE_CAP:
+            return FinitenessVerdict(INFINITE, P.REASON_ZERO_TREND_DIVERGES)
+        if total > 0.0 and seg < P._REL_CHANGE * total:
+            return FinitenessVerdict(
+                ALMOST_SURELY_FINITE, P.REASON_ZERO_TREND_CONVERGES, float(total)
+            )
+        if upper > 1e290:
+            break
+    tail = increments[-5:]
+    if len(tail) == 5 and tail[0] > 0.0 and all(b >= a for a, b in zip(tail, tail[1:])):
+        return FinitenessVerdict(INFINITE, P.REASON_ZERO_TREND_DIVERGES)
+    return None
+
+
+class TestBatchedFinitenessProbe:
+    """classify_finiteness takes the first pass of 16 doubling windows
+    from one integrand call and refines only the windows that miss their
+    tolerance, so its verdicts and integral values are those of one
+    integrate call per window."""
+
+    # Normal(3, 0.05) at delta = 0.1 has a window that integrate refines
+    LAWS = [Normal(), Normal(mu=2.0, sigma=0.5), Normal(mu=3.0, sigma=0.05),
+            Gumbel(), ParetoUnit(),
+            Dagum(b=1.0, q=2.0), Dagum(b=3.0, q=0.5), Uniform(), Uniform(lo=-1.0, hi=3.0),
+            Exponential(), Exponential(rate=3.0)]
+
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.spec_string())
+    @pytest.mark.parametrize("delta", [0.1, 0.5, 2.0, 5.0])
+    def test_matches_one_integrate_call_per_window(self, dist, delta):
+        cfg = LdmConfig(dist, c=0.0, delta=delta)
+        want = _per_window_zero_trend(cfg)
+        if want is None:
+            with pytest.raises(UndecidedError):
+                classify_finiteness(cfg)
+        else:
+            assert classify_finiteness(cfg) == want
+
+    def test_windows_share_integrand_calls(self, monkeypatch):
+        calls = []
+        for name in ("first_passes", "integrate"):
+            real = getattr(probability, name)
+            monkeypatch.setattr(
+                probability, name,
+                lambda *a, real=real, name=name, **kw: calls.append(name) or real(*a, **kw),
+            )
+        v = classify_finiteness(ldm("exp", 0.0, 0.5))
+        assert v.reason == probability.REASON_ZERO_TREND_DIVERGES
+        # 42 doubling windows, which took one integrate call each before
+        assert calls.count("first_passes") == 3
+        assert calls.count("integrate") <= 2
+
+    def test_window_is_refined_exactly_when_its_gauge_misses_seg_tol(self, monkeypatch):
+        # Normal(3, 0.05) at delta = 0.1: the first window [0, 4] has a
+        # first-pass gauge far above the relative floor, so tol sets its
+        # seg_tol = tol / 2 exactly.  At seg_tol == gauge the first pass
+        # is kept, one ulp below integrate refines the window.
+        dist = Normal(mu=3.0, sigma=0.05)
+        (_,), (gauge,) = probability.first_passes(
+            probability._finiteness_integrand(dist, 0.1), [0.0], [4.0]
+        )
+        assert gauge > 1e-10
+        windows = []
+        real = probability.integrate
+        monkeypatch.setattr(
+            probability, "integrate",
+            lambda fn, lo, hi, tol, **kw: windows.append((lo, hi)) or real(fn, lo, hi, tol, **kw),
+        )
+        cfg = LdmConfig(dist, c=0.0, delta=0.1)
+        classify_finiteness(cfg, tol=2.0 * gauge)
+        assert (0.0, 4.0) not in windows
+        classify_finiteness(cfg, tol=2.0 * np.nextafter(gauge, 0.0))
+        assert (0.0, 4.0) in windows
 
 
 def _exponential_reference(c, delta, n=None):
