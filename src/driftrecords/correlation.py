@@ -10,7 +10,8 @@ variable by the trend makes both terms share one product.  So the joint
 probability is ``probability._record_integral`` with its own weight, and
 its bound has the same three parts as that of p_n.  The dependence index
 divides the joint probability by the product of the marginal record
-probabilities: values above 1 mean attraction, below 1 repulsion.
+probabilities, which share its product, so all three come from one
+quadrature: values above 1 mean attraction, below 1 repulsion.
 """
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DriftRecordsError, IllConditionedError
-from .probability import DEFAULT_TOL, LdmConfig, _record_integral, p_n_delta
+from .probability import DEFAULT_TOL, LdmConfig, ProbResult, _record_integral
 
 BRANCH_NEGATIVE = "NegativeDelta"
 BRANCH_NONNEGATIVE = "NonnegativeDelta"
@@ -45,6 +46,29 @@ class DependenceIndexResult:
     p_n1: float
 
 
+def _joint_weight(cfg):
+    """The joint probability's weight, window reach and weight kinks."""
+    dist, c, delta = cfg.dist, cfg.c, cfg.delta
+    window = delta < 0.0
+    d_plus = max(delta, 0.0)
+    pdf, log_sf = dist.pdf, dist.log_sf
+
+    def weight(u):
+        out = pdf(u) * np.exp(log_sf(u + (d_plus - c)))
+        if window:
+            out += pdf(u - c) * (np.exp(log_sf(u)) - np.exp(log_sf(u - delta)))
+        return out
+
+    shifts = [c - d_plus] + ([c, 0.0, delta] if window else [])
+    kinks = [e + s for e in dist.support if math.isfinite(e) for s in shifts]
+    return weight, (c if window else 0.0), kinks
+
+
+def _joint_result(cfg, res):
+    branch = BRANCH_NEGATIVE if cfg.delta < 0.0 else BRANCH_NONNEGATIVE
+    return JointProbResult(res.value, res.abs_error_bound, branch)
+
+
 def joint_prob_consecutive(
     cfg: LdmConfig, n: int, tol: float = DEFAULT_TOL
 ) -> JointProbResult:
@@ -68,30 +92,37 @@ def joint_prob_consecutive(
     """
     if n < 1:
         raise DriftRecordsError(f"n must be >= 1, got {n}")
-    dist, c, delta = cfg.dist, cfg.c, cfg.delta
-    window = delta < 0.0
-    d_plus = max(delta, 0.0)
-    pdf, log_sf = dist.pdf, dist.log_sf
-
-    def weight(u):
-        out = pdf(u) * np.exp(log_sf(u + (d_plus - c)))
-        if window:
-            out += pdf(u - c) * (np.exp(log_sf(u)) - np.exp(log_sf(u - delta)))
-        return out
-
-    shifts = [c - d_plus] + ([c, 0.0, delta] if window else [])
-    kinks = [e + s for e in dist.support if math.isfinite(e) for s in shifts]
-    res = _record_integral(cfg, n - 1, tol, weight, c if window else 0.0, kinks)
-    branch = BRANCH_NEGATIVE if window else BRANCH_NONNEGATIVE
-    return JointProbResult(res.value, res.abs_error_bound, branch)
+    weight, reach, kinks = _joint_weight(cfg)
+    (res,) = _record_integral(cfg, n - 1, tol, (weight,), reach, kinks)
+    return _joint_result(cfg, res)
 
 
 def dependence_index_result(
     cfg: LdmConfig, n: int, tol: float = DEFAULT_TOL
 ) -> DependenceIndexResult:
-    """Dependence index with its components and a first-order error bound."""
-    pn = p_n_delta(cfg, n, tol)
-    pn1 = p_n_delta(cfg, n + 1, tol)
+    """Dependence index with its components and a first-order error bound.
+
+    p_n, p_{n+1} and the joint probability share the product
+    P(x) = prod_{i=1..n-1} F(x + c i - delta), so they are one record
+    integral with three weights: f for p_n, f F(x + c n - delta) for
+    p_{n+1}, and the bracket of ``joint_prob_consecutive`` for the joint.
+    One quadrature and one log-product per integrand evaluation serve
+    all three.  Where the extra factor of p_{n+1} switches on or reaches
+    1 (a finite support endpoint minus c n - delta) is a panel edge.
+    p_1 is 1 exactly.  The bound adds the joint's relative bound to the
+    relative bounds of both marginals, to first order.
+    """
+    if n < 1:
+        raise DriftRecordsError(f"n must be >= 1, got {n}")
+    dist, shift = cfg.dist, cfg.c * n - cfg.delta
+    pdf, cdf = dist.pdf, dist.cdf
+    weight, reach, kinks = _joint_weight(cfg)
+    kinks += [e - shift for e in dist.support if math.isfinite(e)]
+    pn, pn1, joint = _record_integral(
+        cfg, n - 1, tol, (pdf, lambda x: pdf(x) * cdf(x + shift), weight), reach, kinks
+    )
+    if n == 1:
+        pn = ProbResult(1.0, 0.0, 0)
     floor = 10.0 * tol
     if pn.value <= floor or pn1.value <= floor:
         raise IllConditionedError(
@@ -99,7 +130,7 @@ def dependence_index_result(
             f"(p_n={pn.value:.3e}, p_n1={pn1.value:.3e}, floor={floor:.1e}); "
             "the index would be dominated by quadrature error"
         )
-    joint = joint_prob_consecutive(cfg, n, tol)
+    joint = _joint_result(cfg, joint)
     denom = pn.value * pn1.value
     value = joint.value / denom
     err = joint.abs_error_bound / denom + value * (

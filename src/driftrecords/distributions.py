@@ -7,11 +7,11 @@ per family rather than integrated numerically, because downstream
 classifiers branch on their exact finiteness.
 
 Each family also gives g = log F what the Euler-Maclaurin tail of the
-record-probability log-product needs: the antiderivative G, the
-derivatives g' and g''', and a bound on the total variation of g''' over
-an interval.  These follow g's analytic form on the interior of the
-support; at and above a finite upper endpoint every factor F is exactly 1,
-and the tail stops before it.
+record-probability log-product needs: the antiderivative G, the odd
+derivatives g', g''' and g^(5), and a bound on the total variation of
+g^(5) over an interval.  These follow g's analytic form on the interior
+of the support; at and above a finite upper endpoint every factor F is
+exactly 1, and the tail stops before it.
 """
 import math
 from dataclasses import dataclass
@@ -45,9 +45,9 @@ class Distribution:
 
     Subclasses provide vectorized ``cdf``, ``log_cdf``, ``pdf``, ``quantile``,
     plus ``support``, ``tail_info`` and the Euler-Maclaurin data of
-    g = log F: ``log_cdf_integral``, ``log_cdf_d1``, ``log_cdf_d3`` and,
-    where g'''' changes sign, ``log_cdf_d3_variation``.  All of them are
-    immutable value objects, safe to share across threads.
+    g = log F: ``log_cdf_integral``, ``log_cdf_d1``, ``log_cdf_d3``,
+    ``log_cdf_d5`` and, where g^(6) changes sign, ``log_cdf_d5_variation``.
+    All of them are immutable value objects, safe to share across threads.
     """
 
     kind = "abstract"
@@ -94,13 +94,18 @@ class Distribution:
         """g'''(u)."""
         raise NotImplementedError
 
-    def log_cdf_d3_variation(self, a, b):
-        """Upper bound on the total variation of g''' over [a, b].
+    def log_cdf_d5(self, u):
+        """g^(5)(u)."""
+        raise NotImplementedError
 
-        This default is exact when g'''' keeps one sign, as it does for
+    def log_cdf_d5_variation(self, a, b, d5a, d5b):
+        """Upper bound on the total variation of g^(5) over [a, b], given
+        d5a = g^(5)(a) and d5b = g^(5)(b).
+
+        This default is exact when g^(6) keeps one sign, as it does for
         every built-in family except the normal one.
         """
-        return np.abs(self.log_cdf_d3(a) - self.log_cdf_d3(b))
+        return np.abs(d5a - d5b)
 
     def sample(self, rng, size=None):
         """Inverse-transform draws from uniforms of the given generator."""
@@ -158,6 +163,7 @@ class Gumbel(Distribution):
 
     log_cdf_d1 = log_cdf_integral
     log_cdf_d3 = log_cdf_integral
+    log_cdf_d5 = log_cdf_integral
 
 
 @dataclass(frozen=True)
@@ -220,6 +226,14 @@ class ParetoUnit(Distribution):
         w = 1.0 / u
         with np.errstate(divide="ignore", over="ignore"):
             return 2.0 * (3.0 - 3.0 * w + w * w) / (u**4 * (1.0 - w) ** 3)
+
+    def log_cdf_d5(self, u):
+        # 24/(u-1)^5 - 24/u^5, in powers of w = 1/u as for g'''
+        u = np.asarray(u, dtype=np.float64)
+        w = 1.0 / u
+        with np.errstate(divide="ignore", over="ignore"):
+            poly = 5.0 - w * (10.0 - w * (10.0 - w * (5.0 - w)))
+            return 24.0 * poly / (u**6 * (1.0 - w) ** 5)
 
 
 @dataclass(frozen=True)
@@ -312,6 +326,17 @@ class Dagum(Distribution):
             far = b * (3.0 + 3.0 * r + r * r) / (u**4 * (1.0 + r) ** 3)
         return 2.0 * self.q * np.where(u > b, far, near)
 
+    def log_cdf_d5(self, u):
+        # 24q (1/u^5 - 1/(u+b)^5), split as g''' is
+        u = np.asarray(u, dtype=np.float64)
+        b = self.b
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            near = 1.0 / u**5 - 1.0 / (u + b) ** 5
+            r = b / u
+            poly = 5.0 + r * (10.0 + r * (10.0 + r * (5.0 + r)))
+            far = b * poly / (u**6 * (1.0 + r) ** 5)
+        return 24.0 * self.q * np.where(u > b, far, near)
+
     def spec_string(self):
         return f"dagum:b={self.b},q={self.q}"
 
@@ -371,13 +396,19 @@ class Normal(Distribution):
     def log_cdf_d3(self, u):
         return _special.log_ndtr_d3(self._z(u)) / self.sigma**3
 
-    def log_cdf_d3_variation(self, a, b):
-        # g''' > 0 rises to one peak and falls after it
+    def log_cdf_d5(self, u):
+        return _special.log_ndtr_d5(self._z(u)) / self.sigma**5
+
+    def log_cdf_d5_variation(self, a, b, d5a, d5b):
+        # g^(5) is monotone between its extrema: sum the increments from a
+        # through the extrema inside (a, b) to b.  An extremum left of a
+        # takes a's value and one right of b takes b's, adding nothing.
         za, zb = self._z(a), self._z(b)
-        d3a, d3b = _special.log_ndtr_d3(za), _special.log_ndtr_d3(zb)
-        across = (za < _special.D3_PEAK_Z) & (zb > _special.D3_PEAK_Z)
-        tv = np.where(across, 2.0 * _special.D3_PEAK - d3a - d3b, np.abs(d3a - d3b))
-        return tv / self.sigma**3
+        tv, prev = 0.0, d5a
+        for z, peak in zip(_special.D5_EXTREMA_Z, _special.D5_EXTREMA):
+            v = np.where(z <= za, d5a, np.where(z >= zb, d5b, peak / self.sigma**5))
+            tv, prev = tv + np.abs(v - prev), v
+        return tv + np.abs(d5b - prev)
 
     def spec_string(self):
         return f"normal:mu={self.mu},sigma={self.sigma}"
@@ -448,6 +479,10 @@ class Uniform(Distribution):
     def log_cdf_d3(self, u):
         with np.errstate(divide="ignore"):
             return 2.0 / (np.asarray(u, dtype=np.float64) - self.lo) ** 3
+
+    def log_cdf_d5(self, u):
+        with np.errstate(divide="ignore", over="ignore"):
+            return 24.0 / (np.asarray(u, dtype=np.float64) - self.lo) ** 5
 
     def spec_string(self):
         return f"uniform:lo={self.lo},hi={self.hi}"
@@ -520,6 +555,13 @@ class Exponential(Distribution):
         t = np.exp(-lu)
         with np.errstate(divide="ignore"):
             return self.rate**3 * t * (1.0 + t) / (-np.expm1(-lu)) ** 3
+
+    def log_cdf_d5(self, u):
+        lu = self.rate * np.asarray(u, dtype=np.float64)
+        t = np.exp(-lu)
+        with np.errstate(divide="ignore"):
+            poly = 1.0 + t * (11.0 + t * (11.0 + t))
+            return self.rate**5 * t * poly / (-np.expm1(-lu)) ** 5
 
     def spec_string(self):
         return f"exp:rate={self.rate}"

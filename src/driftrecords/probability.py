@@ -37,6 +37,16 @@ _REL_CHANGE = 1e-6
 # Doubling windows whose first quadrature pass shares one integrand call;
 # integrate refines only a window whose gauge misses its tolerance.
 _PROBE_BATCH = 16
+# Largest error gauge, relative to its estimate, of a doubling window that
+# ran out of panels and still counts.
+_NOISY_WINDOW = 0.1
+# The probe stops before a window where the rounding error of the
+# integrand's log-space sum, about 2^-52 times the size of its terms,
+# passes this; farther out the integrand is noise.
+_LOG_NOISE_LIMIT = 1e-3
+# Window averages within this factor of one another over the last five
+# windows count as a level the integrand holds.
+_LEVEL_SPREAD = 1.25
 
 # Verdict and reason labels for finiteness classification.
 ALMOST_SURELY_FINITE = "AlmostSurelyFinite"
@@ -192,23 +202,32 @@ def _first_fit(fits, m):
     return hi
 
 
+def _b6(c, x):
+    """(c^5 / 30240) x, the sixth-order Euler-Maclaurin coefficient for a
+    step c times x, without forming c^5: that overflows long before the
+    product does, and x = 0 must give 0."""
+    with np.errstate(over="ignore"):
+        return x * c * c * c * c * c / 30240.0
+
+
 def _head_length(dist, y_min, c, m, tail):
     """Number of factors to sum directly so that the remainder bound at
     every node y >= y_min meets ``tail.budget``.
 
-    The Euler-Maclaurin remainder after K direct factors is at most
-    (c^3/720) TV(g''') over [y + c (K+1), y + c m], and that variation
-    shrinks as the interval's left end moves right.  The first call finds
-    the smallest K for y = tail.y_lo, which puts the first tail factor at
-    tail.start; every call then starts its tail there or just after.  A
-    tail shorter than ``_MIN_TAIL`` joins the head.
+    The sixth-order Euler-Maclaurin remainder after K direct factors is
+    at most (c^5/30240) TV(g^(5)) over [y + c (K+1), y + c m], and that
+    variation shrinks as the interval's left end moves right.  The first
+    call finds the smallest K for y = tail.y_lo, which puts the first tail
+    factor at tail.start; every call then starts its tail there or just
+    after.  A tail shorter than ``_MIN_TAIL`` joins the head.
     """
     if tail.start is None:
-        beta = 720.0 * tail.budget / c**3
+        end = dist.log_cdf_d5(math.inf)
 
         def fits(k):
             a = tail.y_lo + c * (k + 1.0)
-            return (k >= m) | (dist.log_cdf_d3_variation(a, math.inf) <= beta)
+            tv = dist.log_cdf_d5_variation(a, math.inf, dist.log_cdf_d5(a), end)
+            return (k >= m) | (_b6(c, tv) <= tail.budget)
 
         tail.start = tail.y_lo + c * (_first_fit(fits, m) + 1.0)
     head = max(math.ceil((tail.start - y_min) / c) - 1, 0)
@@ -216,8 +235,18 @@ def _head_length(dist, y_min, c, m, tail):
 
 
 def _em_tail(dist, y, c, head, m, tail):
-    """sum_{i=head+1..m} log F(y + c i) by Euler-Maclaurin with two
-    correction terms; records the largest remainder bound in ``tail``."""
+    """sum_{i=head+1..m} log F(y + c i) by Euler-Maclaurin with three
+    correction terms; records the largest remainder bound in ``tail``.
+
+    With a = y + c (head+1), b = y + c last and D h = h(b) - h(a):
+
+        D G / c + (g(a) + g(b)) / 2 + (c/12) D g' - (c^3/720) D g'''
+            + (c^5/30240) D g^(5),
+
+    within (c^5/30240) TV(g^(5)) over [a, b].  Each function of g but G
+    is evaluated once, on a and b together; G apart, because the normal G
+    costs per finite point and b is often infinite.
+    """
     top = dist.support[1]
     last = np.full(y.shape, float(m))
     if math.isfinite(top):
@@ -226,14 +255,21 @@ def _em_tail(dist, y, c, head, m, tail):
     some = last > head
     a = y + c * (head + 1.0)
     b = np.where(some, y + c * last, a)
-    g, g1, g3 = dist.log_cdf, dist.log_cdf_d1, dist.log_cdf_d3
+    n = y.shape[0]
+    ends = np.concatenate((a, b))
+    g, g1, g3, g5 = (
+        h(ends) for h in (dist.log_cdf, dist.log_cdf_d1, dist.log_cdf_d3, dist.log_cdf_d5)
+    )
+    g5a, g5b = g5[:n], g5[n:]
     s = (
         (dist.log_cdf_integral(b) - dist.log_cdf_integral(a)) / c
-        + 0.5 * (g(a) + g(b))
-        + c / 12.0 * (g1(b) - g1(a))
-        - c**3 / 720.0 * (g3(b) - g3(a))
+        + 0.5 * (g[:n] + g[n:])
+        + c / 12.0 * (g1[n:] - g1[:n])
+        - (g3[n:] - g3[:n]) * c * c * c / 720.0
+        + _b6(c, g5b - g5a)
     )
-    eps = np.where(some, c**3 / 720.0 * dist.log_cdf_d3_variation(a, b), 0.0)
+    tv = dist.log_cdf_d5_variation(a, b, g5a, g5b)
+    eps = np.where(some, _b6(c, tv), 0.0)
     tail.eps = max(tail.eps, float(eps.max()))
     return np.where(some, s, 0.0)
 
@@ -265,35 +301,46 @@ def _log_product(dist, y, c, m, tail):
     return out
 
 
-def _record_integral(cfg, m, tol, weight=None, reach=0.0, kinks=()):
-    """int w(x) prod_{i=1..m} F(x + c i - delta) dx for m >= 0 or m = inf.
+def _record_integral(cfg, m, tol, weights=None, reach=0.0, kinks=()):
+    """int w(x) prod_{i=1..m} F(x + c i - delta) dx for m >= 0 or m = inf,
+    one ``ProbResult`` per weight w in ``weights``.
 
-    The weight w >= 0 is ``dist.pdf`` unless ``weight`` is given, and
-    ``kinks`` are its panel edges.  The quantile window [lo, hi] is
-    widened to [lo + min(reach, 0), hi + max(reach, 0)]; a weight must
-    leave outside it at most the mass f leaves outside [lo, hi].  The
-    bound adds the quadrature gauge (at 0.8 tol), that omitted mass, and
-    what the Euler-Maclaurin remainders (each node within tol/10 in log
-    space) add.
+    The weights w >= 0 default to ``(dist.pdf,)``, and ``kinks`` are their
+    panel edges.  All of them share one quadrature, and each integrand
+    evaluation one log-product.  The quantile window [lo, hi] is widened
+    to [lo + min(reach, 0), hi + max(reach, 0)]; a weight must leave
+    outside it at most the mass f leaves outside [lo, hi].  Each bound
+    adds the quadrature gauge (at 0.8 tol), that omitted mass, and what
+    the Euler-Maclaurin remainders (each node within tol/10 in log space)
+    add.
     """
+    if not tol > 0.0:
+        raise DriftRecordsError(f"tol must be positive, got {tol}")
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
+    ws = (dist.pdf,) if weights is None else tuple(weights)
     lo, hi, cut = _quantile_window(dist)
     lo = max(lo + min(reach, 0.0), _product_cutoff(dist, c, delta, m))
     hi += max(reach, 0.0)
     if lo >= hi:
-        return ProbResult(0.0, 0.0, 0)
+        return tuple(ProbResult(0.0, 0.0, 0) for _ in ws)
 
     tail = _TailLedger(tol / 10.0, lo - delta)
-    w = dist.pdf if weight is None else weight
 
     def integrand(x):
         with np.errstate(over="ignore"):
-            return np.exp(_log_product(dist, x - delta, c, m, tail)) * w(x)
+            product = np.exp(_log_product(dist, x - delta, c, m, tail))
+        out = np.empty((len(ws),) + x.shape)
+        for row, w in zip(out, ws):
+            np.multiply(product, w(x), out=row)
+        return out
 
     breaks = np.concatenate((_product_kinks(dist, c, delta, m, lo, hi), kinks))
-    value, err = integrate(integrand, lo, hi, 0.8 * tol, breaks=breaks)
-    value = min(max(value, 0.0), 1.0)
-    return ProbResult(value, err + cut + tail.error(value, err), tail.head)
+    values, errs = integrate(integrand, lo, hi, 0.8 * tol, breaks=breaks)
+    out = []
+    for value, err in zip(values.tolist(), errs.tolist()):
+        value = min(max(value, 0.0), 1.0)
+        out.append(ProbResult(value, err + cut + tail.error(value, err), tail.head))
+    return tuple(out)
 
 
 def p_n_delta(cfg: LdmConfig, n: int, tol: float = DEFAULT_TOL) -> ProbResult:
@@ -310,7 +357,7 @@ def p_n_delta(cfg: LdmConfig, n: int, tol: float = DEFAULT_TOL) -> ProbResult:
         raise DriftRecordsError(f"tol must be positive, got {tol}")
     if n == 1:
         return ProbResult(1.0, 0.0, 0)
-    return _record_integral(cfg, n - 1, tol)
+    return _record_integral(cfg, n - 1, tol)[0]
 
 
 def classify_positivity(cfg: LdmConfig) -> bool:
@@ -355,7 +402,7 @@ def p_delta(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> ProbResult:
             "internal inconsistency: nonzero limiting rate claimed for a "
             "negative trend"
         )
-    return _record_integral(cfg, math.inf, tol)
+    return _record_integral(cfg, math.inf, tol)[0]
 
 
 def _finiteness_integrand(dist, delta):
@@ -369,6 +416,20 @@ def _finiteness_integrand(dist, delta):
     return g
 
 
+def _finiteness_noise(dist, delta, x):
+    """Rounding error, in log space, of the finiteness integrand at x."""
+    terms = np.abs(dist.log_sf(x + delta)) + 2.0 * np.abs(dist.log_sf(x))
+    return 2.0**-52 * (terms + np.abs(dist.log_pdf(x)))
+
+
+def _holds_level(increments, widths):
+    """Whether the integrand held a positive level over the last five
+    doubling windows: their averages lie within _LEVEL_SPREAD of one
+    another.  Then the integral grows without bound."""
+    avg = np.divide(increments[-5:], widths[-5:])
+    return avg.size == 5 and avg.min() > 0.0 and avg.max() <= _LEVEL_SPREAD * avg.min()
+
+
 def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessVerdict:
     """Decide whether the model yields finitely many delta-records.
 
@@ -379,9 +440,14 @@ def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessV
     integral is probed numerically over windows that double in width past
     the median (or past 0, when that is higher), so the first window holds
     the bulk of the mass wherever the law sits.  Divergence is declared
-    once partial integrals pass a cap or keep growing without decay,
-    convergence once a window adds a negligible share of a positive total;
-    a probe that ends in neither state raises UndecidedError.
+    once partial integrals pass a cap, or when the probe ends with the
+    integrand holding a positive level over its last five windows;
+    convergence once a window adds a negligible share of a positive total.
+    The probe ends before the first window where rounding in the
+    integrand's log-space sum passes 1e-3.  A window that quadrature
+    cannot resolve to its tolerance still counts when its error gauge is
+    within a tenth of its estimate, though it cannot show convergence.  A
+    probe that ends in neither state raises UndecidedError.
     """
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
     lo, hi = dist.support
@@ -417,39 +483,48 @@ def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessV
     total = 0.0
     upper = lo0
     base = max(lo0, float(dist.quantile(0.5)))
-    increments = []
+    increments, widths = [], []
     for k in range(_MAX_DOUBLINGS):
         new_upper = base + 2.0 ** k
         if k % _PROBE_BATCH == 0:
             tops = [base + 2.0 ** j for j in range(k, k + _PROBE_BATCH)]
-            first = zip(*first_passes(g, [upper] + tops[:-1], tops))
-        seg, gauge = next(first)
+            noise = _finiteness_noise(dist, delta, np.array(tops)).tolist()
+            first = zip(*first_passes(g, [upper] + tops[:-1], tops), noise)
+        seg, gauge, noise_k = next(first)
+        if noise_k > _LOG_NOISE_LIMIT:
+            break
         # Absolute budget halves per window; the relative floor keeps huge
         # partial integrals (the divergent regimes) integrable at all.
         seg_tol = max(tol / 2.0 ** (k + 1), 1e-10 * (1.0 + total))
+        noisy = False
         if gauge > seg_tol:
             try:
                 seg, _ = integrate(g, upper, new_upper, seg_tol)
             except QuadratureError as exc:
-                raise UndecidedError(
-                    "the survival-ratio integral could not be resolved on "
-                    f"[{upper:g}, {new_upper:g}]: {exc}"
-                ) from exc
+                # rounding noise can keep a far window from the relative
+                # floor; an estimate known to within a small fraction of
+                # itself still counts, though not towards convergence
+                if not exc.error_bound <= _NOISY_WINDOW * exc.best_estimate:
+                    raise UndecidedError(
+                        "the survival-ratio integral could not be resolved on "
+                        f"[{upper:g}, {new_upper:g}]: {exc}"
+                    ) from exc
+                seg, noisy = exc.best_estimate, True
         total += seg
         increments.append(seg)
+        widths.append(new_upper - upper)
         upper = new_upper
         if total > _DIVERGENCE_CAP:
             return FinitenessVerdict(INFINITE, REASON_ZERO_TREND_DIVERGES)
-        if total > 0.0 and seg < _REL_CHANGE * total:
+        if not noisy and total > 0.0 and seg < _REL_CHANGE * total:
             return FinitenessVerdict(
                 ALMOST_SURELY_FINITE, REASON_ZERO_TREND_CONVERGES, float(total)
             )
         if upper > 1e290:
             break
-    tail = increments[-5:]
-    if len(tail) == 5 and tail[0] > 0.0 and all(b >= a for a, b in zip(tail, tail[1:])):
+    if _holds_level(increments, widths):
         return FinitenessVerdict(INFINITE, REASON_ZERO_TREND_DIVERGES)
     raise UndecidedError(
-        "the survival-ratio integral neither converged nor showed sustained "
-        "growth within the probe budget"
+        "the survival-ratio integral neither converged nor held a level "
+        "before rounding noise took over"
     )

@@ -2,11 +2,13 @@
 
 The integrand is called on a flat array of abscissae covering whole batches
 of panels at once, which keeps the cost of product-form integrands (one cdf
-evaluation per drift step per node) inside a handful of numpy calls.  Each
-panel carries the classical |K15 - G7| error gauge, an estimate that is
+evaluation per drift step per node) inside a handful of numpy calls.  It
+may return k values per abscissa, as a (k, N) array, so k integrals that
+share their costly part come from one set of calls.  Each panel carries
+the classical |K15 - G7| error gauge per component, an estimate that is
 conservative for smooth, well-resolved integrands but not a proof; the
-worst panels are bisected in batches until the summed gauge meets the
-tolerance.
+panels with the largest gauge of any component are bisected in batches
+until the summed gauge of every component meets the tolerance.
 """
 import numpy as np
 
@@ -41,14 +43,16 @@ _SPLIT_BATCH = 8
 def _panel_rule(fn, lo, hi):
     """Evaluate G7/K15 on panels [lo[i], hi[i]] with one integrand call.
 
-    Returns (kronrod values, error gauges) per panel.  A stack of panel
+    Returns (kronrod values, error gauges) per panel, with a leading axis
+    of length k when ``fn`` returns a (k, N) array.  A stack of panel
     rows, lo and hi of shape (windows, panels), gets one matrix-vector
     product per row, each the product one row alone would get.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = mid[..., None] + half[..., None] * _NODES
-    fx = np.asarray(fn(x.ravel()), dtype=np.float64).reshape(x.shape)
+    fx = np.asarray(fn(x.ravel()), dtype=np.float64)
+    fx = fx.reshape(fx.shape[:-1] + x.shape)
     k15 = half * (fx @ _WK)
     g7 = half * (fx @ _WGFULL)
     return k15, np.abs(k15 - g7)
@@ -89,12 +93,13 @@ def first_passes(fn, lo, hi):
 def integrate(fn, lo, hi, tol, max_intervals=4096, breaks=()):
     """Integrate ``fn`` over the finite interval [lo, hi].
 
-    ``fn`` maps a 1-d array of points to integrand values.  ``breaks``
-    lists points where the integrand has a kink; those inside (lo, hi)
-    become panel edges, so no panel straddles one.  Returns
-    ``(value, error_bound)`` with ``error_bound <= tol``; raises
-    QuadratureError carrying the best estimate when the panel budget is
-    exhausted first.
+    ``fn`` maps a 1-d array of N points to N integrand values, or to a
+    (k, N) array of k integrands at once.  ``breaks`` lists points where
+    an integrand has a kink; those inside (lo, hi) become panel edges, so
+    no panel straddles one.  Returns ``(value, error_bound)``, floats for
+    a 1-d integrand and arrays of length k otherwise, with every
+    ``error_bound <= tol``; raises QuadratureError carrying the best
+    estimates when the panel budget is exhausted first.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise QuadratureError(f"integration limits must be finite, got [{lo}, {hi}]")
@@ -108,16 +113,20 @@ def integrate(fn, lo, hi, tol, max_intervals=4096, breaks=()):
         edges = np.union1d(edges, breaks)
     los, his = edges[:-1], edges[1:]
     vals, errs = _panel_rule(fn, los, his)
+    scalar = vals.ndim == 1
+    # (k, panels) from here on; a 1-d integrand is the case k = 1
+    vals, errs = vals.reshape(-1, los.shape[0]), errs.reshape(-1, los.shape[0])
 
-    while float(errs.sum()) > tol:
+    while errs.sum(axis=1).max() > tol:
         if los.shape[0] + _SPLIT_BATCH > max_intervals:
+            value, err = vals.sum(axis=1), errs.sum(axis=1)
             raise QuadratureError(
                 f"needed more than {max_intervals} panels for tolerance {tol:g}",
-                best_estimate=float(vals.sum()),
-                error_bound=float(errs.sum()),
+                best_estimate=float(value[0]) if scalar else value,
+                error_bound=float(err[0]) if scalar else err,
             )
         k = min(_SPLIT_BATCH, los.shape[0])
-        worst = np.argpartition(errs, -k)[-k:]
+        worst = np.argpartition(errs.max(axis=0), -k)[-k:]
         mids = 0.5 * (los[worst] + his[worst])
         new_lo = np.concatenate((los[worst], mids))
         new_hi = np.concatenate((mids, his[worst]))
@@ -126,7 +135,10 @@ def integrate(fn, lo, hi, tol, max_intervals=4096, breaks=()):
         keep[worst] = False
         los = np.concatenate((los[keep], new_lo))
         his = np.concatenate((his[keep], new_hi))
-        vals = np.concatenate((vals[keep], new_vals))
-        errs = np.concatenate((errs[keep], new_errs))
+        vals = np.concatenate((vals[:, keep], new_vals.reshape(vals.shape[0], -1)), axis=1)
+        errs = np.concatenate((errs[:, keep], new_errs.reshape(vals.shape[0], -1)), axis=1)
 
-    return float(vals.sum()), float(errs.sum())
+    value, err = vals.sum(axis=1), errs.sum(axis=1)
+    if scalar:
+        return float(value[0]), float(err[0])
+    return value, err

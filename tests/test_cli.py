@@ -132,6 +132,16 @@ class TestCorr:
         assert got["joint"] <= min(got["p_n"], got["p_n1"]) + 1e-9
         assert set(got["error_bounds"]) == {"l_n", "joint"}
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_nonpositive_tolerance_exits_with_an_error(self, capsys, tol):
+        rc, out, err = run(
+            capsys, "corr", "--dist", "gumbel", "--c", "1",
+            "--delta", "0.5", "--n", "5", "--tol", tol,
+        )
+        assert rc == 1
+        assert out == ""
+        assert "error:" in err and "tol must be positive" in err
+
 
 class TestSimulate:
     def test_summary_and_dump(self, capsys, tmp_path):

@@ -15,6 +15,7 @@ from driftrecords import (
     p_n_delta,
     pareto_l_n,
     pareto_p_n_delta,
+    correlation,
     parse_spec,
     probability,
 )
@@ -115,9 +116,11 @@ class TestJointProbability:
         p2 = p_n_delta(cfg, 2)
         assert abs(joint.value - p2.value) <= joint.abs_error_bound + p2.abs_error_bound
 
+    @pytest.mark.parametrize("quantity", [joint_prob_consecutive, dependence_index_result])
     @pytest.mark.parametrize("delta", [0.5, -0.5])
-    def test_one_quadrature_per_call(self, monkeypatch, delta):
-        # one integrate call per joint, one log-product per integrand call
+    def test_one_quadrature_per_call(self, monkeypatch, delta, quantity):
+        # one integrate call per joint, and per index, whose p_n, p_{n+1}
+        # and joint share it; one log-product per integrand call
         calls, evals, products = [], [], []
         integrate, log_product = probability.integrate, probability._log_product
 
@@ -137,15 +140,64 @@ class TestJointProbability:
 
         monkeypatch.setattr(probability, "integrate", counting_integrate)
         monkeypatch.setattr(probability, "_log_product", counting_log_product)
-        for spec, c, n in [("gumbel", 1.0, 5), ("pareto1", -0.5, 4), ("uniform", 0.05, 10)]:
+        for spec, c, n in [("gumbel", 1.0, 5), ("pareto1", -0.5, 4), ("uniform", 0.05, 10),
+                           ("gumbel", 1.0, 1), ("pareto1", -0.5, 1)]:
             calls.clear()
             evals.clear()
-            joint_prob_consecutive(ldm(spec, c, delta), n)
+            quantity(ldm(spec, c, delta), n)
             assert len(calls) == 1, (spec, c, n)
             assert evals and set(evals) == {1}, (spec, c, n, evals)
 
 
+LAWS = ("gumbel", "normal", "pareto1", "dagum:b=1,q=2", "uniform", "exp")
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("fn", [joint_prob_consecutive, dependence_index_result,
+                                dependence_index])
+def test_tolerance_must_be_positive(fn, tol):
+    # a NaN tolerance used to return a value whose bound was never
+    # enforced, and tol <= 0 to end in QuadratureError after 4096 panels
+    with pytest.raises(DriftRecordsError, match="tol must be positive"):
+        fn(ldm("gumbel", 1.0, 0.5), 5, tol=tol)
+
+
 class TestDependenceIndex:
+    @pytest.mark.parametrize("spec, delta, c", [
+        pytest.param(spec, delta, c, id=f"{delta}-{spec}-c={c}")
+        for c in (0.3, -0.3)
+        for delta in (0.4, -0.4)
+        for spec in LAWS
+    ])
+    def test_marginals_match_p_n_delta(self, monkeypatch, spec, delta, c):
+        # the index's p_n and p_{n+1} are the record integral with the
+        # weights f and f F(x + c n - delta); each must agree with
+        # p_n_delta within both bounds.  At c < 0 p_{n+1} vanishes from
+        # small n on (uniform: p_3 = 0 at delta = 0.4), and the index
+        # refuses such n.
+        n = 5 if c > 0 else 1 if spec == "uniform" else 2
+        seen = []
+        real = correlation._record_integral
+        monkeypatch.setattr(
+            correlation, "_record_integral",
+            lambda *a, **kw: seen.append(real(*a, **kw)) or seen[-1],
+        )
+        cfg = ldm(spec, c, delta)
+        res = dependence_index_result(cfg, n)
+        (pn, pn1, _), = seen
+        assert (res.p_n, res.p_n1) == (1.0 if n == 1 else pn.value, pn1.value)
+        for got, m in ((pn, n), (pn1, n + 1)):
+            want = p_n_delta(cfg, m)
+            assert abs(got.value - want.value) <= got.abs_error_bound + want.abs_error_bound, (
+                m, got, want)
+
+    def test_first_index_has_p_1_exactly_one(self):
+        for delta in (0.5, -0.5):
+            res = dependence_index_result(ldm("normal", 0.3, delta), 1)
+            assert res.p_n == 1.0
+            p2 = p_n_delta(ldm("normal", 0.3, delta), 2)
+            assert res.p_n1 == pytest.approx(p2.value, abs=2.0 * p2.abs_error_bound)
+
     def test_matches_pareto_closed_form(self):
         for delta, n in [(-0.5, 5), (0.5, 5), (2.0, 7), (-0.5, 10)]:
             got = dependence_index(ldm("pareto1", 1.0, delta), n, tol=1e-8)

@@ -259,12 +259,19 @@ def _em_points(dist):
 
 class TestEulerMaclaurinData:
     """The antiderivative, derivatives and variation bound of g = log F
-    against 30-digit mpmath, for every family."""
+    against 30-digit mpmath, for every family.  Numerical derivatives of
+    order 5 and 6 lose about 30 digits far in a heavy tail, where g is
+    about 1/u and g^(6) about 1/u^7, so they are taken at 60 digits."""
 
     @pytest.fixture(autouse=True)
     def _precision(self):
         with mp.workdps(30):
             yield
+
+    @staticmethod
+    def _diff(g, u, order):
+        with mp.workdps(60):
+            return mp.diff(g, u, order)
 
     @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
     def test_integral_derivatives_and_variation(self, dist):
@@ -273,54 +280,65 @@ class TestEulerMaclaurinData:
         for u in pts:
             d1 = float(mp.diff(g, u, 1))
             d3 = float(mp.diff(g, u, 3))
+            d5 = float(self._diff(g, u, 5))
             assert float(dist.log_cdf_d1(u)) == pytest.approx(d1, rel=1e-10), u
             assert float(dist.log_cdf_d3(u)) == pytest.approx(d3, rel=1e-8), u
+            assert float(dist.log_cdf_d5(u)) == pytest.approx(d5, rel=1e-8), u
         for a, b in zip(pts, pts[1:]):
             # G' = g: the antiderivative's increment is the integral of g
             got = float(dist.log_cdf_integral(b) - dist.log_cdf_integral(a))
             want = mp.quad(g, [a, b])
             scale = abs(float(dist.log_cdf_integral(a))) + abs(float(want))
             assert abs(got - float(want)) <= 1e-13 * scale, (a, b)
-            # int_a^b |g''''|: g'''' keeps one sign on each piece, checked
-            # on a grid, so the integral is the sum of |g'''| increments
-            pieces = [a, b]
+        # the last interval spans every interior extremum of the normal g^(5)
+        for a, b in list(zip(pts, pts[1:])) + [(pts[0], pts[-1])]:
+            # int_a^b |g^(6)|: g^(6) keeps one sign on each piece, checked
+            # on a grid, so the integral is the sum of |g^(5)| increments
+            extrema = []
             if dist.kind == "normal":
-                peak = dist.mu + dist.sigma * _special.D3_PEAK_Z
-                if a < peak < b:
-                    pieces = [a, peak, b]
+                extrema = [dist.mu + dist.sigma * z for z in _special.D5_EXTREMA_Z]
+            pieces = [a] + [e for e in extrema if a < e < b] + [b]
             total = mp.mpf(0)
             for lo, hi in zip(pieces, pieces[1:]):
-                signs = {mp.sign(mp.diff(g, t, 4)) for t in mp.linspace(lo, hi, 9)[1:-1]}
+                signs = {mp.sign(self._diff(g, t, 6)) for t in mp.linspace(lo, hi, 9)[1:-1]}
                 assert len(signs) == 1, (lo, hi, signs)
-                total += abs(mp.diff(g, hi, 3) - mp.diff(g, lo, 3))
-            bound = float(dist.log_cdf_d3_variation(a, b))
+                total += abs(self._diff(g, hi, 5) - self._diff(g, lo, 5))
+            bound = float(dist.log_cdf_d5_variation(
+                a, b, dist.log_cdf_d5(a), dist.log_cdf_d5(b)))
             assert bound >= float(total) * (1.0 - 1e-9), (a, b)
             assert bound <= float(total) * (1.0 + 1e-6) + 1e-300, (a, b)
 
-    def test_normal_peak_constants(self):
+    def test_normal_extrema_constants(self):
         g = _mp_log_cdf(Normal())
-        assert abs(mp.diff(g, _special.D3_PEAK_Z, 4)) < 1e-15
-        assert float(mp.diff(g, _special.D3_PEAK_Z, 3)) == pytest.approx(
-            _special.D3_PEAK, rel=1e-15
-        )
+        for z, peak in zip(_special.D5_EXTREMA_Z, _special.D5_EXTREMA):
+            assert abs(self._diff(g, z, 6)) < 1e-15
+            assert float(self._diff(g, z, 5)) == pytest.approx(peak, rel=1e-15)
 
     @pytest.mark.parametrize("dist", [Gumbel(), Normal(), Exponential()],
                              ids=lambda d: d.spec_string())
     def test_tail_limits_at_infinity(self, dist):
         # the engine evaluates these at +inf for the infinite product
-        for meth in (dist.log_cdf_integral, dist.log_cdf_d1, dist.log_cdf_d3):
+        for meth in (dist.log_cdf_integral, dist.log_cdf_d1, dist.log_cdf_d3,
+                     dist.log_cdf_d5):
             assert float(meth(math.inf)) == 0.0
-        assert float(dist.log_cdf_d3_variation(math.inf, math.inf)) == 0.0
+        assert float(dist.log_cdf_d5_variation(math.inf, math.inf, 0.0, 0.0)) == 0.0
 
     def test_normal_far_tails_stay_finite(self):
         dist = Normal()
         z = np.array([-1e6, -40.0, -12.5, 12.0, 40.0, 1e6])
-        for meth in (dist.log_cdf_integral, dist.log_cdf_d1, dist.log_cdf_d3):
+        for meth in (dist.log_cdf_integral, dist.log_cdf_d1, dist.log_cdf_d3,
+                     dist.log_cdf_d5):
             assert np.all(np.isfinite(meth(z)))
         g = _mp_log_cdf(dist)
         for u in (-40.0, -12.5, -11.5):
             assert float(dist.log_cdf_d3(u)) == pytest.approx(
                 float(mp.diff(g, u, 3)), rel=1e-9
+            )
+        # just right of the series' switch at z = -12 the closed form of
+        # g^(5) cancels to about 1e-6 of its value; the series is exact
+        for u, rel in ((-40.0, 1e-14), (-12.5, 1e-14), (-12.0, 2e-6), (-11.5, 1e-7)):
+            assert float(dist.log_cdf_d5(u)) == pytest.approx(
+                float(mp.diff(g, u, 5)), rel=rel
             )
             want = mp.quad(g, [u, -3, 0, 3, mp.inf])
             assert float(dist.log_cdf_integral(u)) == pytest.approx(

@@ -24,7 +24,7 @@ from driftrecords import (
 )
 from driftrecords import probability
 from driftrecords.distributions import Dagum, ParetoUnit, Uniform
-from driftrecords.errors import QuadratureError, UndecidedError
+from driftrecords.errors import DriftRecordsError, QuadratureError, UndecidedError
 from driftrecords.probability import FinitenessVerdict, _log_product, _TailLedger
 from driftrecords.quadrature import integrate
 
@@ -98,6 +98,15 @@ class TestFiniteSampleProbability:
             assert shifted.value == pytest.approx(base.value, abs=1e-8)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+def test_tolerance_must_be_positive(tol):
+    cfg = ldm("gumbel", 1.0, 0.5)
+    for call in (lambda: p_n_delta(cfg, 5, tol=tol), lambda: p_n_delta(cfg, 1, tol=tol),
+                 lambda: p_delta(cfg, tol=tol)):
+        with pytest.raises(DriftRecordsError, match="tol must be positive"):
+            call()
+
+
 class TestLimitProbability:
     def test_matches_gumbel_closed_form(self):
         for c, delta in [(math.log(2.0), 0.0), (1.0, -0.5), (0.3, 1.5)]:
@@ -150,6 +159,16 @@ class TestLimitProbability:
         # positive and delta >= 1 + c forces it to zero
         assert p_delta(ldm("uniform", 0.5, 1.45)).value > 0.0
         assert p_delta(ldm("uniform", 0.5, 1.5)).value == 0.0
+
+    def test_huge_trend(self):
+        # c^3 and c^5 overflow as Python floats past c = 1e61; every
+        # factor after the first is then exactly 1
+        for c in (1e62, 1e103, 1e300):
+            for spec in ("gumbel", "normal", "exp"):
+                cfg = ldm(spec, c, 0.5)
+                for res in (p_delta(cfg), p_n_delta(cfg, 1000)):
+                    assert res.value == pytest.approx(1.0, abs=1e-11)
+                    assert res.abs_error_bound < 1e-11
 
     def test_result_invariants(self):
         res = p_delta(ldm("gumbel", 0.5, 0.3), tol=1e-8)
@@ -234,6 +253,29 @@ class TestFiniteness:
             assert v.verdict == INFINITE
             assert v.reason == "zero_trend_survival_integral_diverges"
 
+    @pytest.mark.parametrize("delta", [0.1, 5.0])
+    def test_rounding_noise_does_not_leave_divergence_undecided(self, delta):
+        # the integrand is the constant 3 e^(-3 delta), but its log-space
+        # sum of terms near 3x leaves rounding noise that keeps far windows
+        # from the relative floor of 1e-10; delta = 5 reaches the noise
+        # limit long before the cap
+        v = classify_finiteness(ldm("exp:rate=3", 0.0, delta))
+        assert v.verdict == INFINITE
+        assert v.reason == "zero_trend_survival_integral_diverges"
+
+    def test_window_short_of_the_relative_floor_still_counts(self):
+        # the integral is about 1/delta^2 for standard normal noise; at
+        # delta = 1e-4 windows near its peak, x ~ 1e4, miss the relative
+        # floor by rounding noise, which used to leave it undecided
+        v = classify_finiteness(ldm("normal", 0.0, 1e-4))
+        assert v.verdict == ALMOST_SURELY_FINITE
+        assert v.integral_value == pytest.approx(1e8, rel=1e-3)
+
+    def test_noise_limit_keeps_the_probe_from_a_false_convergence(self):
+        # far out, x + delta rounds, and a window of noise read as a
+        # vanishing increment used to declare this divergent case finite
+        assert classify_finiteness(ldm("exp:rate=3", 0.0, 30.0)).verdict == INFINITE
+
     def test_probe_follows_the_mass_of_a_shifted_law(self):
         # Shifting the noise leaves the record process unchanged, so the
         # verdict must not change; on [0, 1] this integrand underflows to
@@ -308,27 +350,33 @@ def _per_window_zero_trend(cfg, tol=probability.DEFAULT_TOL):
         return FinitenessVerdict(ALMOST_SURELY_FINITE, P.REASON_ZERO_TREND_CONVERGES, float(val))
     total, upper = 0.0, lo0
     base = max(lo0, float(dist.quantile(0.5)))
-    increments = []
+    increments, widths = [], []
     for k in range(P._MAX_DOUBLINGS):
         new_upper = base + 2.0 ** k
+        if P._finiteness_noise(dist, delta, new_upper) > P._LOG_NOISE_LIMIT:
+            break
         seg_tol = max(tol / 2.0 ** (k + 1), 1e-10 * (1.0 + total))
+        noisy = False
         try:
             seg, _ = integrate(g, upper, new_upper, seg_tol)
-        except QuadratureError:
-            return None
+        except QuadratureError as exc:
+            if not exc.error_bound <= P._NOISY_WINDOW * exc.best_estimate:
+                return None
+            seg, noisy = exc.best_estimate, True
         total += seg
         increments.append(seg)
+        widths.append(new_upper - upper)
         upper = new_upper
         if total > P._DIVERGENCE_CAP:
             return FinitenessVerdict(INFINITE, P.REASON_ZERO_TREND_DIVERGES)
-        if total > 0.0 and seg < P._REL_CHANGE * total:
+        if not noisy and total > 0.0 and seg < P._REL_CHANGE * total:
             return FinitenessVerdict(
                 ALMOST_SURELY_FINITE, P.REASON_ZERO_TREND_CONVERGES, float(total)
             )
         if upper > 1e290:
             break
-    tail = increments[-5:]
-    if len(tail) == 5 and tail[0] > 0.0 and all(b >= a for a, b in zip(tail, tail[1:])):
+    avg = np.divide(increments[-5:], widths[-5:])
+    if len(avg) == 5 and 0.0 < avg.min() and avg.max() <= P._LEVEL_SPREAD * avg.min():
         return FinitenessVerdict(INFINITE, P.REASON_ZERO_TREND_DIVERGES)
     return None
 
@@ -531,6 +579,13 @@ class TestCostDoesNotGrow:
         assert abs(small.value - big.value) <= small.abs_error_bound + big.abs_error_bound
         assert big.truncation_n < 200
 
+    def test_normal_limit_at_small_trend_needs_a_short_head(self):
+        # the fourth-order tail needed 593 direct factors per node here;
+        # the sixth-order one starts at the first factor
+        res = p_delta(ldm("normal", 0.01256, 0.326))
+        assert res.truncation_n <= 64
+        assert res.value > 0.0
+
     @pytest.mark.parametrize("spec,cls,c", [
         ("gumbel", Gumbel, 1e-6),
         ("exp", Exponential, 1e-5),
@@ -588,3 +643,16 @@ class TestLogProduct:
         err, _, tail = self._run(spec, c, m, 1.0)
         assert tail.head == 0
         assert err.max() <= tail.eps <= 100.0 * err.max()
+
+    @pytest.mark.parametrize("spec,c,m", [
+        ("gumbel", 1.0, 1000),
+        ("normal", 1.0, 1000),
+        ("exp:rate=0.25", 0.02, 4000),
+    ])
+    def test_sixth_order_term_is_applied(self, spec, c, m):
+        # where g^(5) is monotone over the tail, leaving out the term
+        # (c^5/30240) D g^(5) would leave an error about as large as the
+        # bound; with it, the error is about the next, eighth-order term
+        err, _, tail = self._run(spec, c, m, 1.0)
+        assert tail.head == 0
+        assert err.max() <= 0.1 * tail.eps

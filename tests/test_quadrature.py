@@ -77,6 +77,43 @@ def test_budget_exhaustion_carries_best_estimate():
     assert err.error_bound > 1e-15
 
 
+def test_vector_integrand_matches_one_call_per_component():
+    # each component meets the tolerance on the panels its neighbours
+    # need, so it agrees with its own scalar call within both bounds
+    fns = [
+        lambda x: np.exp(-x * x),
+        lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2),
+        lambda x: np.cos(7.0 * x) ** 2,
+    ]
+    calls = []
+
+    def stacked(x):
+        calls.append(x.shape)
+        return np.stack([fn(x) for fn in fns])
+
+    tol = 1e-10
+    values, errs = integrate(stacked, -3.0, 3.0, tol, breaks=(0.3,))
+    assert values.shape == errs.shape == (3,)
+    assert np.all(errs <= tol)
+    assert all(len(shape) == 1 for shape in calls)
+    for fn, value, err in zip(fns, values, errs):
+        want, want_err = integrate(fn, -3.0, 3.0, tol, breaks=(0.3,))
+        assert abs(value - want) <= err + want_err
+
+    # one component alone is the scalar integrand, bit for bit
+    one = integrate(lambda x: fns[1](x)[None], -3.0, 3.0, tol)
+    assert (float(one[0][0]), float(one[1][0])) == integrate(fns[1], -3.0, 3.0, tol)
+
+
+def test_vector_budget_exhaustion_carries_every_estimate():
+    fn = lambda x: np.stack([np.ones_like(x), 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0))])
+    with pytest.raises(QuadratureError) as exc_info:
+        integrate(fn, 0.0, 1.0, 1e-15, max_intervals=64)
+    err = exc_info.value
+    assert err.best_estimate.shape == err.error_bound.shape == (2,)
+    assert err.best_estimate[0] == pytest.approx(1.0, rel=1e-14)
+
+
 def test_single_function_call_per_refinement_round():
     calls = []
 
