@@ -54,7 +54,6 @@ from .errors import (
     DriftRecordsError,
     IllConditionedError,
     QuadratureError,
-    UndecidedError,
 )
 from .estimation import (
     VarianceEstimate,
@@ -115,7 +114,6 @@ __all__ = [
     "SimulationConfig",
     "TailInfo",
     "TimeSeries",
-    "UndecidedError",
     "Uniform",
     "VarianceEstimate",
     "analyze",

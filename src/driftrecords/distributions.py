@@ -33,11 +33,16 @@ _INF = math.inf
 
 @dataclass(frozen=True)
 class TailInfo:
-    """Right-tail mean int_0^inf x f(x) dx (math.inf when divergent) and
-    whether the full second moment is finite."""
+    """Right-tail facts the finiteness classifiers branch on.
+
+    ``mu_plus`` is the right-tail mean int_0^inf x f(x) dx (math.inf when
+    divergent).  ``zero_trend_finite`` is whether the survival-ratio
+    integral int_{x >= 0} S(x + delta) f(x) / S(x)^2 dx, S = 1 - F,
+    converges for every delta > 0.
+    """
 
     mu_plus: float
-    second_moment_finite: bool
+    zero_trend_finite: bool
 
 
 class Distribution:
@@ -155,7 +160,8 @@ class Gumbel(Distribution):
             return -np.log(-np.log(u))
 
     def tail_info(self):
-        return TailInfo(GUMBEL_MU_PLUS, True)
+        # the hazard f/S tends to 1
+        return TailInfo(GUMBEL_MU_PLUS, False)
 
     def log_cdf_integral(self, u):
         # g = -e^(-u): its antiderivative and its odd derivatives are e^(-u)
@@ -385,6 +391,7 @@ class Normal(Distribution):
     def tail_info(self):
         z = self.mu / self.sigma
         mu_plus = self.mu * float(ndtr(z)) + self.sigma * float(norm_pdf(z))
+        # the hazard f/S grows like x / sigma^2
         return TailInfo(mu_plus, True)
 
     def log_cdf_integral(self, u):
@@ -464,6 +471,7 @@ class Uniform(Distribution):
         else:
             a = max(self.lo, 0.0)
             mu_plus = (self.hi * self.hi - a * a) / (2.0 * (self.hi - self.lo))
+        # S(x + delta) vanishes past hi - delta, where S(x) > 0
         return TailInfo(mu_plus, True)
 
     # g = log((u - lo) / (hi - lo)), continued past hi
@@ -535,7 +543,8 @@ class Exponential(Distribution):
             return -np.log1p(-u) / self.rate
 
     def tail_info(self):
-        return TailInfo(1.0 / self.rate, True)
+        # the hazard f/S is the constant rate
+        return TailInfo(1.0 / self.rate, False)
 
     # With t = e^(-rate u): g = log(1 - t).  The derivatives are written in
     # t, because the e^(+rate u) forms overflow to nan.

@@ -22,6 +22,3 @@ class QuadratureError(DriftRecordsError):
 class IllConditionedError(DriftRecordsError):
     """A ratio or quotient is dominated by numerical error in its inputs."""
 
-
-class UndecidedError(DriftRecordsError):
-    """A numerical convergence/divergence probe reached neither verdict."""

@@ -17,9 +17,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import _special
 from .distributions import Distribution
-from .errors import DriftRecordsError, QuadratureError, UndecidedError
-from .quadrature import first_passes, integrate
+from .errors import DriftRecordsError
+from .quadrature import integrate
 
 DEFAULT_TOL = 1e-8
 
@@ -30,23 +31,10 @@ _QUANTILE_CUT = 1e-12
 # _product_kinks.
 _MAX_KINKS = 512
 
-# Divergence heuristics for the zero-trend finiteness integral.
-_DIVERGENCE_CAP = 1e12
-_MAX_DOUBLINGS = 10_000
-_REL_CHANGE = 1e-6
-# Doubling windows whose first quadrature pass shares one integrand call;
-# integrate refines only a window whose gauge misses its tolerance.
-_PROBE_BATCH = 16
-# Largest error gauge, relative to its estimate, of a doubling window that
-# ran out of panels and still counts.
-_NOISY_WINDOW = 0.1
-# The probe stops before a window where the rounding error of the
-# integrand's log-space sum, about 2^-52 times the size of its terms,
-# passes this; farther out the integrand is noise.
-_LOG_NOISE_LIMIT = 1e-3
-# Window averages within this factor of one another over the last five
-# windows count as a level the integrand holds.
-_LEVEL_SPREAD = 1.25
+# Lower end, in standard units, of the normal survival-ratio integral:
+# below it the integrand is under 4 phi(z), so what the cut leaves out is
+# under 1e-340, below the smallest positive double.
+_NORMAL_FLOOR_Z = -40.0
 
 # Verdict and reason labels for finiteness classification.
 ALMOST_SURELY_FINITE = "AlmostSurelyFinite"
@@ -416,18 +404,45 @@ def _finiteness_integrand(dist, delta):
     return g
 
 
-def _finiteness_noise(dist, delta, x):
-    """Rounding error, in log space, of the finiteness integrand at x."""
-    terms = np.abs(dist.log_sf(x + delta)) + 2.0 * np.abs(dist.log_sf(x))
-    return 2.0**-52 * (terms + np.abs(dist.log_pdf(x)))
+def _normal_survival_ratio(dist, delta, tol):
+    """The survival-ratio integral for normal noise, to within about tol
+    times its value.
 
+    In z = (x - mu) / sigma, with eps = delta / sigma and Q, phi and
+    h = phi / Q the standard normal survival function, density and hazard,
+    the integrand is Q(z + eps) phi(z) / Q(z)^2, which equals
+    exp(-z eps - eps^2/2) h(z)^2 / h(z + eps).  Past z = 1 it takes that
+    form with h from erfcx, since the log-space form cancels terms of size
+    z^2/2 there; below, no large terms cancel and the log-space form stays.
 
-def _holds_level(increments, widths):
-    """Whether the integrand held a positive level over the last five
-    doubling windows: their averages lie within _LEVEL_SPREAD of one
-    another.  Then the integral grows without bound."""
-    avg = np.divide(increments[-5:], widths[-5:])
-    return avg.size == 5 and avg.min() > 0.0 and avg.max() <= _LEVEL_SPREAD * avg.min()
+    The window stops at a proven bound.  For z >= 0, h(z) < z + 1
+    (Sampford) and h grows, so the integrand is below
+    M(z) = (z + 1) exp(-z eps - eps^2/2), and what lies past Z is at most
+    B(Z) = exp(-eps^2/2 - Z eps) ((Z + 1)/eps + 1/eps^2).  As also
+    h(z) >= max(z, h(0)), the integrand is at least 0.197 M(z) / (1 + eps),
+    so the integral past a = max(z0, 0) is at least 0.197 B(a) / (1 + eps).
+    With u = (Z - a) eps, B(Z) / B(a) <= (1 + u) e^-u <= 1.2131 e^(-u/2),
+    so the Z below leaves out at most tol/4 of the value.  The quadrature
+    gauge is held to tol/2 of a first-pass estimate of the value.
+    """
+    mu, sigma = dist.mu, dist.sigma
+    eps = delta / sigma
+    z0 = -mu / sigma  # x = 0
+    top = max(z0, 0.0) + 2.0 * math.log(25.0 * (1.0 + eps) / tol) / eps
+    lo = max(z0, _NORMAL_FLOOR_Z)
+    near = _finiteness_integrand(dist, delta)
+
+    def g(z):
+        out = np.empty_like(z)
+        far = z > 1.0
+        out[~far] = sigma * near(mu + sigma * z[~far])
+        w = z[far]
+        h, h_eps = _special.log_ndtr_d1(-w), _special.log_ndtr_d1(-(w + eps))
+        out[far] = np.exp(-w * eps - 0.5 * eps * eps) * h * (h / h_eps)
+        return out
+
+    estimate, _ = integrate(g, lo, top, math.inf)
+    return integrate(g, lo, top, 0.5 * tol * estimate)[0]
 
 
 def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessVerdict:
@@ -436,22 +451,19 @@ def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessV
     Finite exactly when: the trend is negative with a finite right-tail
     mean; or the trend is zero, delta > 0, and the survival-ratio integral
     int (1-F(x+delta)) / (1-F(x))^2 f(x) dx over x >= 0 converges; or the
-    trend is positive and delta - c covers the support span.  The zero-trend
-    integral is probed numerically over windows that double in width past
-    the median (or past 0, when that is higher), so the first window holds
-    the bulk of the mass wherever the law sits.  Divergence is declared
-    once partial integrals pass a cap, or when the probe ends with the
-    integrand holding a positive level over its last five windows;
-    convergence once a window adds a negligible share of a positive total.
-    The probe ends before the first window where rounding in the
-    integrand's log-space sum passes 1e-3.  A window that quadrature
-    cannot resolve to its tolerance still counts when its error gauge is
-    within a tenth of its estimate, though it cannot show convergence.  A
-    probe that ends in neither state raises UndecidedError.
+    trend is positive and delta - c covers the support span.  Whether the
+    zero-trend integral converges is a fact of the law's tail, its
+    ``tail_info().zero_trend_finite``.  Only a Finite verdict integrates,
+    to report the integral as ``integral_value``; ``tol`` bounds the error
+    of that value, absolutely on a compact support and relative to the
+    value for normal noise.
     """
+    if not tol > 0.0:
+        raise DriftRecordsError(f"tol must be positive, got {tol}")
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
     lo, hi = dist.support
-    if math.isinf(dist.tail_info().mu_plus):
+    tail = dist.tail_info()
+    if math.isinf(tail.mu_plus):
         return FinitenessVerdict(INFINITE, REASON_TAIL_MEAN_INFINITE)
     if c < 0.0:
         return FinitenessVerdict(ALMOST_SURELY_FINITE, REASON_NEGATIVE_TREND)
@@ -463,68 +475,13 @@ def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessV
         return FinitenessVerdict(INFINITE, REASON_POSITIVE_TREND_RECURRENT)
     if delta <= 0.0:
         return FinitenessVerdict(INFINITE, REASON_ZERO_TREND_NONPOSITIVE)
-
-    g = _finiteness_integrand(dist, delta)
-    lo0 = max(lo, 0.0)
-
-    if math.isfinite(hi):
-        # The numerator vanishes above hi - delta, so the domain is compact
-        # and the denominator stays bounded away from zero on it: finite.
-        top = hi - delta
-        if top <= lo0:
-            return FinitenessVerdict(
-                ALMOST_SURELY_FINITE, REASON_ZERO_TREND_CONVERGES, 0.0
-            )
-        val, _ = integrate(g, lo0, top, tol)
-        return FinitenessVerdict(
-            ALMOST_SURELY_FINITE, REASON_ZERO_TREND_CONVERGES, float(val)
-        )
-
-    total = 0.0
-    upper = lo0
-    base = max(lo0, float(dist.quantile(0.5)))
-    increments, widths = [], []
-    for k in range(_MAX_DOUBLINGS):
-        new_upper = base + 2.0 ** k
-        if k % _PROBE_BATCH == 0:
-            tops = [base + 2.0 ** j for j in range(k, k + _PROBE_BATCH)]
-            noise = _finiteness_noise(dist, delta, np.array(tops)).tolist()
-            first = zip(*first_passes(g, [upper] + tops[:-1], tops), noise)
-        seg, gauge, noise_k = next(first)
-        if noise_k > _LOG_NOISE_LIMIT:
-            break
-        # Absolute budget halves per window; the relative floor keeps huge
-        # partial integrals (the divergent regimes) integrable at all.
-        seg_tol = max(tol / 2.0 ** (k + 1), 1e-10 * (1.0 + total))
-        noisy = False
-        if gauge > seg_tol:
-            try:
-                seg, _ = integrate(g, upper, new_upper, seg_tol)
-            except QuadratureError as exc:
-                # rounding noise can keep a far window from the relative
-                # floor; an estimate known to within a small fraction of
-                # itself still counts, though not towards convergence
-                if not exc.error_bound <= _NOISY_WINDOW * exc.best_estimate:
-                    raise UndecidedError(
-                        "the survival-ratio integral could not be resolved on "
-                        f"[{upper:g}, {new_upper:g}]: {exc}"
-                    ) from exc
-                seg, noisy = exc.best_estimate, True
-        total += seg
-        increments.append(seg)
-        widths.append(new_upper - upper)
-        upper = new_upper
-        if total > _DIVERGENCE_CAP:
-            return FinitenessVerdict(INFINITE, REASON_ZERO_TREND_DIVERGES)
-        if not noisy and total > 0.0 and seg < _REL_CHANGE * total:
-            return FinitenessVerdict(
-                ALMOST_SURELY_FINITE, REASON_ZERO_TREND_CONVERGES, float(total)
-            )
-        if upper > 1e290:
-            break
-    if _holds_level(increments, widths):
+    if not tail.zero_trend_finite:
         return FinitenessVerdict(INFINITE, REASON_ZERO_TREND_DIVERGES)
-    raise UndecidedError(
-        "the survival-ratio integral neither converged nor held a level "
-        "before rounding noise took over"
-    )
+    if math.isfinite(hi):
+        # the numerator vanishes above hi - delta
+        g = _finiteness_integrand(dist, delta)
+        value, _ = integrate(g, max(lo, 0.0), hi - delta, tol)
+    else:
+        # the one built-in law with an unbounded upper end and a finite integral
+        value = _normal_survival_ratio(dist, delta, tol)
+    return FinitenessVerdict(ALMOST_SURELY_FINITE, REASON_ZERO_TREND_CONVERGES, value)

@@ -44,9 +44,7 @@ def _panel_rule(fn, lo, hi):
     """Evaluate G7/K15 on panels [lo[i], hi[i]] with one integrand call.
 
     Returns (kronrod values, error gauges) per panel, with a leading axis
-    of length k when ``fn`` returns a (k, N) array.  A stack of panel
-    rows, lo and hi of shape (windows, panels), gets one matrix-vector
-    product per row, each the product one row alone would get.
+    of length k when ``fn`` returns a (k, N) array.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -68,26 +66,6 @@ def _initial_edges(lo, hi, panels):
     if lo == 0.0 and hi > 100.0:
         return np.concatenate(([0.0], np.geomspace(hi * 1e-15, hi, panels)))
     return np.linspace(lo, hi, panels + 1)
-
-
-def first_passes(fn, lo, hi):
-    """The first pass of ``integrate`` on each window [lo[j], hi[j]],
-    all from one integrand call.
-
-    Returns (values, gauges), lists of floats: window j's value and
-    summed error gauge before any bisection.  When the gauge meets a
-    tolerance, ``integrate(fn, lo[j], hi[j], tol)`` returns exactly this
-    value.  The windows must be finite and have no breaks.
-    """
-    edges = np.array([
-        _initial_edges(float(a), float(b), _INITIAL_PANELS) for a, b in zip(lo, hi)
-    ])
-    vals, errs = _panel_rule(fn, edges[:, :-1], edges[:, 1:])
-    # each row sums like integrate's 1-d panel array; an empty window
-    # gives 0, 0 as integrate does
-    full = np.asarray(hi) > np.asarray(lo)
-    return (np.where(full, vals.sum(axis=1), 0.0).tolist(),
-            np.where(full, errs.sum(axis=1), 0.0).tolist())
 
 
 def integrate(fn, lo, hi, tol, max_intervals=4096, breaks=()):

@@ -136,11 +136,13 @@ class TestTailInfo:
         assert math.isinf(Dagum(b=1.0, q=2.0).tail_info().mu_plus)
         assert math.isinf(Dagum(b=5.0, q=0.5).tail_info().mu_plus)
 
-    def test_second_moment_flags(self):
-        assert Gumbel().tail_info().second_moment_finite
-        assert Normal(mu=0.0, sigma=1.0).tail_info().second_moment_finite
-        assert not ParetoUnit().tail_info().second_moment_finite
-        assert not Dagum(b=1.0, q=3.0).tail_info().second_moment_finite
+    def test_zero_trend_finite_flags(self):
+        assert Normal(mu=0.0, sigma=1.0).tail_info().zero_trend_finite
+        assert Uniform(lo=-1.0, hi=1.0).tail_info().zero_trend_finite
+        assert not Gumbel().tail_info().zero_trend_finite
+        assert not Exponential(rate=3.0).tail_info().zero_trend_finite
+        assert not ParetoUnit().tail_info().zero_trend_finite
+        assert not Dagum(b=1.0, q=3.0).tail_info().zero_trend_finite
 
 
 class TestSampling:

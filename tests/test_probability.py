@@ -24,9 +24,8 @@ from driftrecords import (
 )
 from driftrecords import probability
 from driftrecords.distributions import Dagum, ParetoUnit, Uniform
-from driftrecords.errors import DriftRecordsError, QuadratureError, UndecidedError
-from driftrecords.probability import FinitenessVerdict, _log_product, _TailLedger
-from driftrecords.quadrature import integrate
+from driftrecords.errors import DriftRecordsError
+from driftrecords.probability import _log_product, _TailLedger
 
 
 def ldm(spec, c, delta):
@@ -253,33 +252,10 @@ class TestFiniteness:
             assert v.verdict == INFINITE
             assert v.reason == "zero_trend_survival_integral_diverges"
 
-    @pytest.mark.parametrize("delta", [0.1, 5.0])
-    def test_rounding_noise_does_not_leave_divergence_undecided(self, delta):
-        # the integrand is the constant 3 e^(-3 delta), but its log-space
-        # sum of terms near 3x leaves rounding noise that keeps far windows
-        # from the relative floor of 1e-10; delta = 5 reaches the noise
-        # limit long before the cap
-        v = classify_finiteness(ldm("exp:rate=3", 0.0, delta))
-        assert v.verdict == INFINITE
-        assert v.reason == "zero_trend_survival_integral_diverges"
-
-    def test_window_short_of_the_relative_floor_still_counts(self):
-        # the integral is about 1/delta^2 for standard normal noise; at
-        # delta = 1e-4 windows near its peak, x ~ 1e4, miss the relative
-        # floor by rounding noise, which used to leave it undecided
-        v = classify_finiteness(ldm("normal", 0.0, 1e-4))
-        assert v.verdict == ALMOST_SURELY_FINITE
-        assert v.integral_value == pytest.approx(1e8, rel=1e-3)
-
-    def test_noise_limit_keeps_the_probe_from_a_false_convergence(self):
-        # far out, x + delta rounds, and a window of noise read as a
-        # vanishing increment used to declare this divergent case finite
-        assert classify_finiteness(ldm("exp:rate=3", 0.0, 30.0)).verdict == INFINITE
-
-    def test_probe_follows_the_mass_of_a_shifted_law(self):
+    def test_shifted_law_keeps_its_verdict(self):
         # Shifting the noise leaves the record process unchanged, so the
-        # verdict must not change; on [0, 1] this integrand underflows to
-        # 0, and an all-zero window must not read as convergence.
+        # verdict must not change, though on [0, 1] this integrand
+        # underflows to 0.
         @dataclass(frozen=True)
         class ShiftedGumbel(Gumbel):
             shift: float = 50.0
@@ -302,8 +278,8 @@ class TestFiniteness:
         v = classify_finiteness(LdmConfig(ShiftedGumbel(), c=0.0, delta=0.5))
         assert v.verdict == INFINITE
         assert v.reason == "zero_trend_survival_integral_diverges"
-        # the shifted normal's integral covers its whole mass, so it
-        # exceeds the unshifted one, which starts at the median
+        # the integral runs over x >= 0, which holds almost all of the
+        # shifted normal's mass and half of the unshifted one's
         base = classify_finiteness(ldm("normal", 0.0, 0.5))
         shifted = classify_finiteness(ldm("normal:mu=50", 0.0, 0.5))
         assert shifted.verdict == ALMOST_SURELY_FINITE
@@ -330,115 +306,78 @@ class TestFiniteness:
         assert v.integral_value == pytest.approx(want, rel=1e-4)
 
 
-def _per_window_zero_trend(cfg, tol=probability.DEFAULT_TOL):
-    """The previous zero-trend branch of classify_finiteness (c = 0,
-    delta > 0): one integrate call per doubling window.  Kept as the
-    bit-for-bit reference for the batched first passes; None stands for
-    UndecidedError."""
-    P = probability
-    dist, delta = cfg.dist, cfg.delta
-    lo, hi = dist.support
-    if math.isinf(dist.tail_info().mu_plus):
-        return FinitenessVerdict(INFINITE, P.REASON_TAIL_MEAN_INFINITE)
-    g = P._finiteness_integrand(dist, delta)
-    lo0 = max(lo, 0.0)
-    if math.isfinite(hi):
-        top = hi - delta
-        if top <= lo0:
-            return FinitenessVerdict(ALMOST_SURELY_FINITE, P.REASON_ZERO_TREND_CONVERGES, 0.0)
-        val, _ = integrate(g, lo0, top, tol)
-        return FinitenessVerdict(ALMOST_SURELY_FINITE, P.REASON_ZERO_TREND_CONVERGES, float(val))
-    total, upper = 0.0, lo0
-    base = max(lo0, float(dist.quantile(0.5)))
-    increments, widths = [], []
-    for k in range(P._MAX_DOUBLINGS):
-        new_upper = base + 2.0 ** k
-        if P._finiteness_noise(dist, delta, new_upper) > P._LOG_NOISE_LIMIT:
-            break
-        seg_tol = max(tol / 2.0 ** (k + 1), 1e-10 * (1.0 + total))
-        noisy = False
-        try:
-            seg, _ = integrate(g, upper, new_upper, seg_tol)
-        except QuadratureError as exc:
-            if not exc.error_bound <= P._NOISY_WINDOW * exc.best_estimate:
-                return None
-            seg, noisy = exc.best_estimate, True
-        total += seg
-        increments.append(seg)
-        widths.append(new_upper - upper)
-        upper = new_upper
-        if total > P._DIVERGENCE_CAP:
-            return FinitenessVerdict(INFINITE, P.REASON_ZERO_TREND_DIVERGES)
-        if not noisy and total > 0.0 and seg < P._REL_CHANGE * total:
-            return FinitenessVerdict(
-                ALMOST_SURELY_FINITE, P.REASON_ZERO_TREND_CONVERGES, float(total)
-            )
-        if upper > 1e290:
-            break
-    avg = np.divide(increments[-5:], widths[-5:])
-    if len(avg) == 5 and 0.0 < avg.min() and avg.max() <= P._LEVEL_SPREAD * avg.min():
-        return FinitenessVerdict(INFINITE, P.REASON_ZERO_TREND_DIVERGES)
-    return None
+def _survival_ratio_reference(mu, sigma, delta):
+    """40-digit mpmath value of the normal survival-ratio integral, in
+    z = (x - mu) / sigma.  The integrand decays like exp(-z delta / sigma),
+    so the breakpoints are multiples of sigma / delta: with none, mpmath's
+    quad is off by 6e-7 at delta = 20."""
+    with mp.workdps(40):
+        eps, z0 = mp.mpf(delta) / sigma, -mp.mpf(mu) / sigma
+
+        def q(z):
+            return mp.erfc(z / mp.sqrt(2)) / 2
+
+        def g(z):
+            return q(z + eps) * mp.npdf(z) / q(z) ** 2
+
+        return float(mp.quad(g, [z0 + k / eps for k in range(80)] + [mp.inf]))
 
 
-class TestBatchedFinitenessProbe:
-    """classify_finiteness takes the first pass of 16 doubling windows
-    from one integrand call and refines only the windows that miss their
-    tolerance, so its verdicts and integral values are those of one
-    integrate call per window."""
+class TestZeroTrendFiniteness:
+    """At c = 0 and delta > 0 the verdict is the law's tail fact; only the
+    value of a Finite verdict is integrated."""
 
-    # Normal(3, 0.05) at delta = 0.1 has a window that integrate refines
-    LAWS = [Normal(), Normal(mu=2.0, sigma=0.5), Normal(mu=3.0, sigma=0.05),
-            Gumbel(), ParetoUnit(),
-            Dagum(b=1.0, q=2.0), Dagum(b=3.0, q=0.5), Uniform(), Uniform(lo=-1.0, hi=3.0),
-            Exponential(), Exponential(rate=3.0)]
+    LAWS = [Gumbel(), ParetoUnit(), Dagum(b=1.0, q=2.0), Normal(), Uniform(),
+            Exponential(), Normal(mu=1.0, sigma=3.0), Normal(sigma=100.0),
+            Exponential(rate=3.0)]
+    FINITE = (Normal, Uniform)
 
     @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.spec_string())
-    @pytest.mark.parametrize("delta", [0.1, 0.5, 2.0, 5.0])
-    def test_matches_one_integrate_call_per_window(self, dist, delta):
-        cfg = LdmConfig(dist, c=0.0, delta=delta)
-        want = _per_window_zero_trend(cfg)
-        if want is None:
-            with pytest.raises(UndecidedError):
-                classify_finiteness(cfg)
+    @pytest.mark.parametrize(
+        "delta", [1e-6, 1e-5, 1e-4, 1e-3, 0.1, 0.5, 2.0, 5.0, 20.0, 30.0, 40.0, 50.0]
+    )
+    def test_verdict_table(self, dist, delta):
+        v = classify_finiteness(LdmConfig(dist, c=0.0, delta=delta))
+        if isinstance(dist, self.FINITE):
+            assert v.verdict == ALMOST_SURELY_FINITE
+            assert v.reason == probability.REASON_ZERO_TREND_CONVERGES
+            assert 0.0 <= v.integral_value < math.inf
         else:
-            assert classify_finiteness(cfg) == want
+            assert v.verdict == INFINITE
+            assert v.integral_value is None
+        if isinstance(dist, Normal) and delta <= 1e-3 * dist.sigma:
+            # the integral is sigma^2 / delta^2 to first order
+            assert v.integral_value == pytest.approx((dist.sigma / delta) ** 2, rel=1e-3)
 
-    def test_windows_share_integrand_calls(self, monkeypatch):
-        calls = []
-        for name in ("first_passes", "integrate"):
-            real = getattr(probability, name)
-            monkeypatch.setattr(
-                probability, name,
-                lambda *a, real=real, name=name, **kw: calls.append(name) or real(*a, **kw),
-            )
-        v = classify_finiteness(ldm("exp", 0.0, 0.5))
-        assert v.reason == probability.REASON_ZERO_TREND_DIVERGES
-        # 42 doubling windows, which took one integrate call each before
-        assert calls.count("first_passes") == 3
-        assert calls.count("integrate") <= 2
+    @pytest.mark.parametrize("mu,sigma,delta,want", [
+        (0.0, 1.0, 0.1, 100.6773032755398),
+        (0.0, 1.0, 0.5, 3.723320689167219),
+        (0.0, 1.0, 2.0, 0.03286910182881465),
+        (0.0, 1.0, 20.0, 2.376262925801565e-90),
+        (1.0, 3.0, 0.1, 901.8580290412323),
+        (50.0, 1.0, 0.5, 4.244340491403476),
+    ])
+    def test_normal_value_matches_mpmath(self, mu, sigma, delta, want):
+        # values of _survival_ratio_reference; at delta = 20 from breakpoints
+        # four times as dense, which moved it by 6e-12
+        v = classify_finiteness(LdmConfig(Normal(mu, sigma), c=0.0, delta=delta))
+        assert v.integral_value == pytest.approx(want, rel=1e-7)
 
-    def test_window_is_refined_exactly_when_its_gauge_misses_seg_tol(self, monkeypatch):
-        # Normal(3, 0.05) at delta = 0.1: the first window [0, 4] has a
-        # first-pass gauge far above the relative floor, so tol sets its
-        # seg_tol = tol / 2 exactly.  At seg_tol == gauge the first pass
-        # is kept, one ulp below integrate refines the window.
-        dist = Normal(mu=3.0, sigma=0.05)
-        (_,), (gauge,) = probability.first_passes(
-            probability._finiteness_integrand(dist, 0.1), [0.0], [4.0]
+    def test_reference_matches_denser_breakpoints(self):
+        assert _survival_ratio_reference(0.0, 1.0, 20.0) == pytest.approx(
+            2.376262925801565e-90, rel=1e-10
         )
-        assert gauge > 1e-10
-        windows = []
-        real = probability.integrate
-        monkeypatch.setattr(
-            probability, "integrate",
-            lambda fn, lo, hi, tol, **kw: windows.append((lo, hi)) or real(fn, lo, hi, tol, **kw),
-        )
-        cfg = LdmConfig(dist, c=0.0, delta=0.1)
-        classify_finiteness(cfg, tol=2.0 * gauge)
-        assert (0.0, 4.0) not in windows
-        classify_finiteness(cfg, tol=2.0 * np.nextafter(gauge, 0.0))
-        assert (0.0, 4.0) in windows
+
+    def test_tol_must_be_positive(self):
+        with pytest.raises(DriftRecordsError, match="tol must be positive"):
+            classify_finiteness(ldm("normal", 0.0, 0.5), tol=0.0)
+
+    @pytest.mark.parametrize("delta", [40.0, 50.0])
+    def test_value_below_the_smallest_double_is_zero(self, delta):
+        # the integral is 1.5e-351 at delta = 40
+        v = classify_finiteness(ldm("normal", 0.0, delta))
+        assert v.verdict == ALMOST_SURELY_FINITE
+        assert v.integral_value == 0.0
 
 
 def _exponential_reference(c, delta, n=None):
@@ -597,6 +536,32 @@ class TestCostDoesNotGrow:
         res = p_delta(ldm(spec, c, 0.0))
         assert sum(seen) <= 10_000
         assert res.value > 0.0
+
+    def test_zero_trend_verdict_is_read_from_the_tail(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("integrate was called")
+
+        monkeypatch.setattr(probability, "integrate", no_quadrature)
+        for dist in (Gumbel(), Exponential(), ParetoUnit(), Dagum(b=1.0, q=2.0)):
+            for delta in (1e-6, 0.1, 50.0):
+                v = classify_finiteness(LdmConfig(dist, c=0.0, delta=delta))
+                assert v.verdict == INFINITE
+
+    def test_normal_value_cost_flat_in_delta(self, monkeypatch):
+        # the integral's scale grows like 1/delta^2, its window like 1/delta
+        points = []
+        real = probability.integrate
+
+        def counted(fn, *args, **kwargs):
+            return real(lambda x: points.append(x.size) or fn(x), *args, **kwargs)
+
+        monkeypatch.setattr(probability, "integrate", counted)
+        work = []
+        for delta in (0.5, 1e-6):
+            points.clear()
+            classify_finiteness(ldm("normal", 0.0, delta))
+            work.append(sum(points))
+        assert work[1] < 10 * work[0]
 
 
 class TestLogProduct:

@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 
 from driftrecords.errors import QuadratureError
-from driftrecords.quadrature import first_passes, integrate
+from driftrecords.quadrature import integrate
 
 
 def _check(fn, lo, hi, tol=1e-10):
@@ -127,36 +127,13 @@ def test_single_function_call_per_refinement_round():
     assert calls[0] == 16 * 15
 
 
-def test_first_passes_are_integrates_first_pass():
-    # with a tolerance the first pass meets, integrate returns that pass;
-    # the windows cover the geometric, the zero-based geometric, the
-    # equal-panel and the empty case, all from one integrand call.  The
-    # empty window [0, 0] puts every node on the pole at 0.
-    calls = []
-
-    def fn(x):
-        calls.append(x.shape[0])
-        with np.errstate(divide="ignore"):
-            return np.exp(-np.sqrt(x)) / x
-
-    lo = [0.0, 2.0, 0.5, 0.0, 1e3]
-    hi = [1e6, 1e5, 1.5, 0.0, 1e3 + 512.0]
-    with np.errstate(invalid="ignore"):  # 0 * inf on the empty window
-        values, gauges = first_passes(fn, lo, hi)
-    assert calls == [len(lo) * 16 * 15]
-    for a, b, value, gauge in zip(lo, hi, values, gauges):
-        assert (value, gauge) == integrate(fn, a, b, math.inf)
-        assert type(value) is float and type(gauge) is float
-
-
 def test_first_pass_is_kept_exactly_when_its_gauge_meets_the_tolerance():
     # integrate keeps its first pass for tol >= the summed gauge and
-    # refines below it; classify_finiteness accepts first passes on the
-    # same comparison, so this pins the boundary both sides share.
+    # refines below it; an infinite tol returns the first pass.
     def fn(x):
         return np.exp(-((x - 3.0) ** 2) / 0.005)
 
-    (value,), (gauge,) = first_passes(fn, [0.0], [4.0])
+    value, gauge = integrate(fn, 0.0, 4.0, math.inf)
     assert gauge > 0.0
     assert integrate(fn, 0.0, 4.0, gauge) == (value, gauge)
     refined = integrate(fn, 0.0, 4.0, np.nextafter(gauge, 0.0))
