@@ -34,8 +34,6 @@ from .closed_form import (
 )
 from .correlation import (
     DependenceIndexResult,
-    JointProbResult,
-    dependence_index,
     dependence_index_result,
     joint_prob_consecutive,
 )
@@ -74,14 +72,12 @@ from .probability import (
 )
 from .records import (
     RecordFlags,
-    count_delta_records,
     delta_record_flags,
     running_rate,
 )
 from .simulate import (
     SimSummary,
     SimulationConfig,
-    mc_clt_sample,
     mc_record_rate,
     replication_rng,
     simulate_ldm,
@@ -102,7 +98,6 @@ __all__ = [
     "Gumbel",
     "INFINITE",
     "IllConditionedError",
-    "JointProbResult",
     "LdmConfig",
     "Normal",
     "OlsFit",
@@ -121,13 +116,11 @@ __all__ = [
     "bootstrap_histogram",
     "classify_finiteness",
     "classify_positivity",
-    "count_delta_records",
     "dagum_p_n0",
     "dagum_p_n0_asymptotic",
     "dagum_p_n_delta_eq_c",
     "dagum_p_n_delta_eq_c_asymptotic",
     "delta_record_flags",
-    "dependence_index",
     "dependence_index_result",
     "gaussian_interval",
     "gumbel_l_inf",
@@ -136,7 +129,6 @@ __all__ = [
     "gumbel_p_n_delta",
     "joint_prob_consecutive",
     "load_series",
-    "mc_clt_sample",
     "mc_record_rate",
     "ols_fit",
     "p_delta",

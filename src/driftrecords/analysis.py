@@ -88,8 +88,7 @@ class OlsFit:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """End-to-end analysis output; bootstrap_quantiles stays None until
-    a bootstrap run fills it."""
+    """End-to-end analysis output."""
 
     n: int
     delta: float
@@ -104,7 +103,6 @@ class AnalysisReport:
     rate_path: np.ndarray
     fit: OlsFit
     diagnostics: dict
-    bootstrap_quantiles: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -248,8 +246,6 @@ def _diagnostics(fit: OlsFit, n: int) -> dict:
         "residual_sd": sd,
         "residual_skewness": skew,
         "residual_excess_kurtosis": ex_kurt,
-        "stationarity_test": "not computed",
-        "normality_test": "not computed",
     }
 
 

@@ -49,62 +49,73 @@ def _cmd_prob(args) -> None:
     )
 
 
-def _require(args, names: list[str], context: str) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise DriftRecordsError(
-            f"{context} requires --{', --'.join(missing)}"
-        )
+# (model, quantity) -> (flags it requires, flags it may take, function of
+# their values in that order).  An unset flag is None.
+_CLOSED_FORMS = {
+    ("gumbel", "prob"): (
+        ("c", "delta"), ("n",),
+        lambda c, delta, n: {
+            "value": closed_form.gumbel_p_delta(c, delta) if n is None
+            else closed_form.gumbel_p_n_delta(c, delta, n)
+        },
+    ),
+    ("gumbel", "l-inf"): (
+        ("c", "delta"), (),
+        lambda c, delta: {"value": closed_form.gumbel_l_inf(c, delta)},
+    ),
+    ("gumbel", "l-inf-argmax"): (
+        ("c",), (),
+        lambda c: dict(
+            zip(("delta_star", "max_value"), closed_form.gumbel_l_inf_argmax(c))
+        ),
+    ),
+    ("dagum", "prob"): (
+        ("q", "n"), ("delta_eq_c",),
+        lambda q, n, eq: {
+            "value": (closed_form.dagum_p_n_delta_eq_c if eq
+                      else closed_form.dagum_p_n0)(q, n)
+        },
+    ),
+    ("dagum", "prob-asymptotic"): (
+        ("q", "n"), ("delta_eq_c",),
+        lambda q, n, eq: {
+            "value": (closed_form.dagum_p_n_delta_eq_c_asymptotic if eq
+                      else closed_form.dagum_p_n0_asymptotic)(q, n)
+        },
+    ),
+    ("pareto", "prob"): (
+        ("delta", "n"), (),
+        lambda delta, n: {"value": closed_form.pareto_p_n_delta(delta, n)},
+    ),
+    ("pareto", "l-n"): (
+        ("delta", "n"), (),
+        lambda delta, n: {"value": closed_form.pareto_l_n(delta, n)},
+    ),
+}
+
+
+def _flags(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
 def _cmd_closed_form(args) -> None:
-    model, quantity = args.model, args.quantity
-    if model == "gumbel":
-        if quantity == "prob":
-            _require(args, ["c", "delta"], "gumbel prob")
-            if args.n is None:
-                value = closed_form.gumbel_p_delta(args.c, args.delta)
-            else:
-                value = closed_form.gumbel_p_n_delta(args.c, args.delta, args.n)
-            _emit({"value": value})
-        elif quantity == "l-inf":
-            _require(args, ["c", "delta"], "gumbel l-inf")
-            _emit({"value": closed_form.gumbel_l_inf(args.c, args.delta)})
-        elif quantity == "l-inf-argmax":
-            _require(args, ["c"], "gumbel l-inf-argmax")
-            delta_star, max_value = closed_form.gumbel_l_inf_argmax(args.c)
-            _emit({"delta_star": delta_star, "max_value": max_value})
-        else:
-            raise DriftRecordsError(
-                f"quantity {quantity!r} is not defined for model 'gumbel'"
-            )
-    elif model == "dagum":
-        _require(args, ["q", "n"], "dagum")
-        if quantity == "prob":
-            if args.delta_eq_c:
-                value = closed_form.dagum_p_n_delta_eq_c(args.q, args.n)
-            else:
-                value = closed_form.dagum_p_n0(args.q, args.n)
-        elif quantity == "prob-asymptotic":
-            if args.delta_eq_c:
-                value = closed_form.dagum_p_n_delta_eq_c_asymptotic(args.q, args.n)
-            else:
-                value = closed_form.dagum_p_n0_asymptotic(args.q, args.n)
-        else:
-            raise DriftRecordsError(
-                f"quantity {quantity!r} is not defined for model 'dagum'"
-            )
-        _emit({"value": value})
-    else:
-        _require(args, ["delta", "n"], "pareto")
-        if quantity == "prob":
-            _emit({"value": closed_form.pareto_p_n_delta(args.delta, args.n)})
-        elif quantity == "l-n":
-            _emit({"value": closed_form.pareto_l_n(args.delta, args.n)})
-        else:
-            raise DriftRecordsError(
-                f"quantity {quantity!r} is not defined for model 'pareto'"
-            )
+    pair = (args.model, args.quantity)
+    if pair not in _CLOSED_FORMS:
+        raise DriftRecordsError(
+            f"quantity {args.quantity!r} is not defined for model {args.model!r}"
+        )
+    required, optional, fn = _CLOSED_FORMS[pair]
+    every = {name for req, opt, _ in _CLOSED_FORMS.values() for name in req + opt}
+    unread = sorted(
+        name for name in every - set(required + optional)
+        if getattr(args, name) is not None
+    )
+    if unread:
+        raise DriftRecordsError(f"{' '.join(pair)} does not take {_flags(unread)}")
+    missing = [name for name in required if getattr(args, name) is None]
+    if missing:
+        raise DriftRecordsError(f"{' '.join(pair)} requires {_flags(missing)}")
+    _emit(fn(*(getattr(args, name) for name in required + optional)))
 
 
 def _cmd_corr(args) -> None:
@@ -115,7 +126,6 @@ def _cmd_corr(args) -> None:
             "joint": res.joint.value,
             "p_n": res.p_n,
             "p_n1": res.p_n1,
-            "branch": res.joint.branch,
             "error_bounds": {
                 "l_n": res.abs_error_bound,
                 "joint": res.joint.abs_error_bound,
@@ -312,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--q", type=float, default=None, help="dagum shape")
     p.add_argument(
-        "--delta-eq-c", action="store_true",
+        "--delta-eq-c", action="store_true", default=None,
         help="dagum: threshold equal to the trend instead of zero",
     )
     p.set_defaults(func=_cmd_closed_form)

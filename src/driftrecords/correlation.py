@@ -21,27 +21,13 @@ import numpy as np
 from .errors import DriftRecordsError, IllConditionedError
 from .probability import DEFAULT_TOL, LdmConfig, ProbResult, _record_integral
 
-BRANCH_NEGATIVE = "NegativeDelta"
-BRANCH_NONNEGATIVE = "NonnegativeDelta"
-
-
-@dataclass(frozen=True)
-class JointProbResult:
-    """Joint record probability for consecutive indices with its error
-    bound and the sign branch that produced it."""
-
-    value: float
-    abs_error_bound: float
-    branch: str
-
-
 @dataclass(frozen=True)
 class DependenceIndexResult:
     """Dependence index with the quantities it was assembled from."""
 
     value: float
     abs_error_bound: float
-    joint: JointProbResult
+    joint: ProbResult
     p_n: float
     p_n1: float
 
@@ -64,14 +50,9 @@ def _joint_weight(cfg):
     return weight, (c if window else 0.0), kinks
 
 
-def _joint_result(cfg, res):
-    branch = BRANCH_NEGATIVE if cfg.delta < 0.0 else BRANCH_NONNEGATIVE
-    return JointProbResult(res.value, res.abs_error_bound, branch)
-
-
 def joint_prob_consecutive(
     cfg: LdmConfig, n: int, tol: float = DEFAULT_TOL
-) -> JointProbResult:
+) -> ProbResult:
     """P[observations n and n+1 are both delta-records].
 
     With S = 1 - F, d+ = max(delta, 0) and
@@ -94,7 +75,7 @@ def joint_prob_consecutive(
         raise DriftRecordsError(f"n must be >= 1, got {n}")
     weight, reach, kinks = _joint_weight(cfg)
     (res,) = _record_integral(cfg, n - 1, tol, (weight,), reach, kinks)
-    return _joint_result(cfg, res)
+    return res
 
 
 def dependence_index_result(
@@ -130,7 +111,6 @@ def dependence_index_result(
             f"(p_n={pn.value:.3e}, p_n1={pn1.value:.3e}, floor={floor:.1e}); "
             "the index would be dominated by quadrature error"
         )
-    joint = _joint_result(cfg, joint)
     denom = pn.value * pn1.value
     value = joint.value / denom
     err = joint.abs_error_bound / denom + value * (
@@ -143,9 +123,3 @@ def dependence_index_result(
         p_n=pn.value,
         p_n1=pn1.value,
     )
-
-
-def dependence_index(cfg: LdmConfig, n: int, tol: float = DEFAULT_TOL) -> float:
-    """Joint probability of consecutive delta-records over the product of
-    the marginals; > 1 signals attraction, < 1 repulsion."""
-    return dependence_index_result(cfg, n, tol).value

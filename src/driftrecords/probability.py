@@ -385,11 +385,6 @@ def p_delta(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> ProbResult:
         hi = dist.support[1]
         value = float(np.clip(1.0 - dist.cdf(hi + delta), 0.0, 1.0))
         return ProbResult(value, 0.0, 0)
-    if c < 0.0:
-        raise DriftRecordsError(
-            "internal inconsistency: nonzero limiting rate claimed for a "
-            "negative trend"
-        )
     return _record_integral(cfg, math.inf, tol)[0]
 
 

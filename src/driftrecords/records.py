@@ -1,4 +1,4 @@
-"""Threshold-record indicators, running maxima and counts on sequences.
+"""Threshold-record indicators, running maxima and running rates on sequences.
 
 An observation is a delta-record when it exceeds the running maximum of all
 previous observations by strictly more than delta; the first observation is
@@ -44,12 +44,6 @@ def delta_record_flags(y, delta: float) -> RecordFlags:
     arr = _as_sequence(y)
     flags, running_max = _kernels.record_scan(arr, float(delta))
     return RecordFlags(flags=flags, running_max=running_max, delta=float(delta))
-
-
-def count_delta_records(y, delta: float) -> int:
-    """Number of delta-records in ``y``; at least 1 by the first-observation
-    convention."""
-    return int(delta_record_flags(y, delta).flags.sum())
 
 
 def running_rate(y, delta: float) -> np.ndarray:

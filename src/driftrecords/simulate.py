@@ -300,10 +300,9 @@ class SimSummary:
     """Aggregates over replications.
 
     counts holds one record count per replication; standardized holds
-    sqrt(n) * (count/n - center) where center is the sample mean rate
-    (or a caller-supplied reference for the limit-theorem sampler);
-    stabilization_fraction is the fraction of replications whose last
-    record fell in the first half of the horizon.
+    sqrt(n) * (count/n - mean_rate); stabilization_fraction is the
+    fraction of replications whose last record fell in the first half of
+    the horizon.
 
     stabilization_fraction proxies the unobservable event {total record
     count is finite} by "no record in the second half of the horizon".
@@ -328,9 +327,12 @@ def simulate_ldm(ldm: LdmConfig, n: int, rng: np.random.Generator) -> np.ndarray
     return x + ldm.c * np.arange(1, n + 1, dtype=np.float64)
 
 
-def _run_replications(cfg: SimulationConfig, workers: int):
-    """Per-replication (count, 1-based index of last record), in
-    replication order."""
+def mc_record_rate(cfg: SimulationConfig, workers: int = 1) -> SimSummary:
+    """Record rate across replications.
+
+    mean_rate estimates the asymptotic record probability when it is
+    positive; otherwise the rate drifts to 0 as n grows.
+    """
     c, delta, dist, n = cfg.ldm.c, cfg.ldm.delta, cfg.ldm.dist, cfg.n
     drift = c * np.arange(1, n + 1, dtype=np.float64)
 
@@ -341,45 +343,16 @@ def _run_replications(cfg: SimulationConfig, workers: int):
     parts = replicate(cfg.seed, cfg.replications, n, scan, workers)
     counts = np.concatenate([p[0] for p in parts]).astype(np.int64)
     last = np.concatenate([p[1] for p in parts]).astype(np.int64)
-    return counts, last
-
-
-def _summarize(cfg: SimulationConfig, counts, last) -> SimSummary:
-    rates = counts / float(cfg.n)
+    rates = counts / float(n)
     mean_rate = float(rates.mean())
     if cfg.replications > 1:
         rate_stderr = float(rates.std(ddof=1) / math.sqrt(cfg.replications))
     else:
         rate_stderr = 0.0
-    standardized = math.sqrt(cfg.n) * (rates - mean_rate)
-    stab = float(np.mean(2 * last <= cfg.n))
     return SimSummary(
         counts=counts,
         mean_rate=mean_rate,
         rate_stderr=rate_stderr,
-        standardized=standardized,
-        stabilization_fraction=stab,
+        standardized=math.sqrt(n) * (rates - mean_rate),
+        stabilization_fraction=float(np.mean(2 * last <= n)),
     )
-
-
-def mc_record_rate(cfg: SimulationConfig, workers: int = 1) -> SimSummary:
-    """Record rate across replications.
-
-    mean_rate estimates the asymptotic record probability when it is
-    positive; otherwise the rate drifts to 0 as n grows.
-    """
-    counts, last = _run_replications(cfg, workers)
-    return _summarize(cfg, counts, last)
-
-
-def mc_clt_sample(
-    cfg: SimulationConfig, p_ref: float, workers: int = 1
-) -> np.ndarray:
-    """Per-replication sqrt(n) * (count/n - p_ref).
-
-    p_ref should be the asymptotic record probability from the
-    quadrature or closed-form routes; the output is the sample whose
-    distribution the central limit theorem describes.
-    """
-    counts, _ = _run_replications(cfg, workers)
-    return math.sqrt(cfg.n) * (counts / float(cfg.n) - p_ref)

@@ -20,11 +20,10 @@ from driftrecords import (
     dagum_p_n0,
     dagum_p_n0_asymptotic,
     delta_record_flags,
-    dependence_index,
+    dependence_index_result,
     gaussian_interval,
     gumbel_p_delta,
     gumbel_p_n_delta,
-    mc_clt_sample,
     mc_record_rate,
     p_delta,
     p_n_delta,
@@ -84,7 +83,7 @@ def test_criterion_03_dagum_ladder_and_asymptotics():
 def test_criterion_04a_dependence_index_matches_pareto_form():
     for n in (5, 10, 50):
         for delta in (-2.0, -0.5, 0.5, 1.0, 3.0):
-            got = dependence_index(ldm("pareto1", 1.0, delta), n, tol=1e-7)
+            got = dependence_index_result(ldm("pareto1", 1.0, delta), n, tol=1e-7).value
             assert abs(got - pareto_l_n(delta, n)) <= 1e-4, (delta, n)
 
 
@@ -92,7 +91,7 @@ def test_criterion_04b_dependence_index_matches_gumbel_limit():
     from driftrecords import gumbel_l_inf
 
     for delta in (-1.0, 0.0, 1.0):
-        got = dependence_index(ldm("gumbel", 1.0, delta), 500, tol=1e-9)
+        got = dependence_index_result(ldm("gumbel", 1.0, delta), 500, tol=1e-9).value
         assert abs(got - gumbel_l_inf(1.0, delta)) <= 1e-3, delta
 
 
@@ -102,7 +101,7 @@ def test_criterion_04c_pareto_large_threshold_limit_at_moderate_size():
 
     At delta = 50, n = 10 with trend 1 the index is 0.3643417335.  Three
     independent routes agree on it: the closed form pareto_l_n; the
-    quadrature route dependence_index at tol=1e-9, within 3e-11; and a
+    quadrature route dependence_index_result at tol=1e-9, within 3e-11; and a
     30-digit mpmath integration of joint / (p_n p_{n+1}), within 1e-15.
     For delta > 0 a record at n forces the maximum at n + 1 to be Y_n,
     so the joint probability is the integral of
@@ -114,7 +113,7 @@ def test_criterion_04c_pareto_large_threshold_limit_at_moderate_size():
     """
     reference = 0.3643417335
     assert abs(pareto_l_n(50.0, 10) - reference) <= 1e-6
-    got = dependence_index(ldm("pareto1", 1.0, 50.0), 10, tol=1e-9)
+    got = dependence_index_result(ldm("pareto1", 1.0, 50.0), 10, tol=1e-9).value
     assert abs(got - reference) <= 1e-6
 
     limit = 1.0 - math.log(2.0)
@@ -154,11 +153,12 @@ def test_criterion_06_law_of_large_numbers():
 def test_criterion_07_central_limit_theorem():
     c = math.log(2.0)
     model = ldm("gumbel", c, 0.0)
-    z = mc_clt_sample(
-        SimulationConfig(ldm=model, n=10_000, replications=1000, seed=2024),
-        gumbel_p_delta(c, 0.0),
+    n = 10_000
+    counts = mc_record_rate(
+        SimulationConfig(ldm=model, n=n, replications=1000, seed=2024),
         workers=4,
-    )
+    ).counts
+    z = math.sqrt(n) * (counts / n - gumbel_p_delta(c, 0.0))
     sigma2 = asymptotic_variance_mc(model, seed=0, workers=4)
     var = z.var(ddof=1)
     assert abs(var / sigma2 - 1.0) <= 0.15

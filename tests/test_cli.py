@@ -1,14 +1,19 @@
 import csv
 import json
 import math
+import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+from driftrecords import closed_form
 from driftrecords.cli import main
 
 from conftest import FIXTURE_CSV
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -119,16 +124,130 @@ class TestClosedForm:
         assert "pareto" in err
 
 
+# Each (model, quantity) pair of closed-form: the flags it reads, a valid
+# call, and the closed form that call must print.
+CLOSED_FORMS = {
+    ("gumbel", "prob"): (
+        {"--c", "--delta", "--n"}, ["--c", "1", "--delta", "0", "--n", "5"],
+        lambda: {"value": closed_form.gumbel_p_n_delta(1.0, 0.0, 5)},
+    ),
+    ("gumbel", "l-inf"): (
+        {"--c", "--delta"}, ["--c", "1", "--delta", "0.5"],
+        lambda: {"value": closed_form.gumbel_l_inf(1.0, 0.5)},
+    ),
+    ("gumbel", "l-inf-argmax"): (
+        {"--c"}, ["--c", "1"],
+        lambda: dict(zip(("delta_star", "max_value"),
+                         closed_form.gumbel_l_inf_argmax(1.0))),
+    ),
+    ("dagum", "prob"): (
+        {"--q", "--n", "--delta-eq-c"}, ["--q", "2", "--n", "10"],
+        lambda: {"value": closed_form.dagum_p_n0(2.0, 10)},
+    ),
+    ("dagum", "prob-asymptotic"): (
+        {"--q", "--n", "--delta-eq-c"}, ["--q", "2", "--n", "10"],
+        lambda: {"value": closed_form.dagum_p_n0_asymptotic(2.0, 10)},
+    ),
+    ("pareto", "prob"): (
+        {"--delta", "--n"}, ["--delta", "0.5", "--n", "5"],
+        lambda: {"value": closed_form.pareto_p_n_delta(0.5, 5)},
+    ),
+    ("pareto", "l-n"): (
+        {"--delta", "--n"}, ["--delta", "0.5", "--n", "5"],
+        lambda: {"value": closed_form.pareto_l_n(0.5, 5)},
+    ),
+}
+EXTRA = {"--c": ["1"], "--delta": ["0.5"], "--n": ["5"], "--q": ["2"],
+         "--delta-eq-c": []}
+
+
+class TestClosedFormFlags:
+    @pytest.mark.parametrize("model, quantity, flag", [
+        (model, quantity, flag)
+        for (model, quantity), (reads, _, _) in CLOSED_FORMS.items()
+        for flag in sorted(set(EXTRA) - reads)
+    ])
+    def test_flag_the_pair_does_not_read_is_an_error(
+        self, capsys, model, quantity, flag
+    ):
+        _, valid, _ = CLOSED_FORMS[model, quantity]
+        rc, out, err = run(
+            capsys, "closed-form", "--model", model, "--quantity", quantity,
+            *valid, flag, *EXTRA[flag],
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error:")
+        assert flag in err.replace(",", " ").split()
+
+    @pytest.mark.parametrize("model, quantity", list(CLOSED_FORMS))
+    def test_valid_call_prints_the_closed_form(self, capsys, model, quantity):
+        _, valid, want = CLOSED_FORMS[model, quantity]
+        got = run_json(
+            capsys, "closed-form", "--model", model, "--quantity", quantity,
+            *valid,
+        )
+        assert got == want()
+
+    @pytest.mark.parametrize("argv, want", [
+        pytest.param(["--model", "gumbel", "--c", "1", "--delta", "0.5"],
+                     lambda: closed_form.gumbel_p_delta(1.0, 0.5),
+                     id="gumbel-prob-without-n"),
+        pytest.param(["--model", "dagum", "--quantity", "prob-asymptotic",
+                      "--q", "2", "--n", "10", "--delta-eq-c"],
+                     lambda: closed_form.dagum_p_n_delta_eq_c_asymptotic(2.0, 10),
+                     id="dagum-prob-asymptotic-delta-eq-c"),
+    ])
+    def test_optional_flag_picks_the_variant(self, capsys, argv, want):
+        assert run_json(capsys, "closed-form", *argv) == {"value": want()}
+
+
+def readme_examples():
+    """Each `$ drift-records ...` block of the README: the command's
+    arguments, and the output the block shows ("" when it shows none)."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = fh.read().split("```")[1::2]
+    examples = []
+    for block in blocks:
+        lines = block.strip("\n").split("\n")
+        if not lines[0].startswith("$ drift-records "):
+            continue
+        command = lines.pop(0)[2:]
+        while command.endswith("\\"):
+            command = command[:-1] + lines.pop(0)
+        argv = shlex.split(command)[1:]
+        examples.append(pytest.param(argv, "\n".join(lines), id=argv[0]))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_every_subcommand_has_an_example(self):
+        assert sorted(p.id for p in readme_examples()) == sorted(
+            ["prob", "closed-form", "corr", "simulate", "variance", "sigma2",
+             "analyze"]
+        )
+
+    @pytest.mark.parametrize("argv, shown", readme_examples())
+    def test_example_runs_and_prints_the_keys_shown(
+        self, capsys, monkeypatch, tmp_path, argv, shown
+    ):
+        # from the repository root, as the README's relative paths assume
+        monkeypatch.chdir(ROOT)
+        if "--out" in argv:
+            argv = list(argv)
+            argv[argv.index("--out") + 1] = str(tmp_path / "report.json")
+        got = run_json(capsys, *argv)
+        if shown:
+            assert list(got) == list(json.loads(shown))
+
+
 class TestCorr:
     def test_fields_and_closed_form_value(self, capsys):
         got = run_json(
             capsys, "corr", "--dist", "pareto1", "--c", "1",
             "--delta", "0.5", "--n", "5",
         )
-        assert set(got) == {"l_n", "joint", "p_n", "p_n1", "branch",
-                            "error_bounds"}
+        assert set(got) == {"l_n", "joint", "p_n", "p_n1", "error_bounds"}
         assert got["l_n"] == pytest.approx(1.3212991812278136, abs=1e-5)
-        assert got["branch"] == "NonnegativeDelta"
         assert got["joint"] <= min(got["p_n"], got["p_n1"]) + 1e-9
         assert set(got["error_bounds"]) == {"l_n", "joint"}
 

@@ -8,7 +8,6 @@ from driftrecords import (
     DriftRecordsError,
     IllConditionedError,
     LdmConfig,
-    dependence_index,
     dependence_index_result,
     gumbel_l_inf,
     joint_prob_consecutive,
@@ -19,7 +18,6 @@ from driftrecords import (
     parse_spec,
     probability,
 )
-from driftrecords.correlation import BRANCH_NEGATIVE, BRANCH_NONNEGATIVE
 
 
 def ldm(spec, c, delta):
@@ -45,19 +43,10 @@ class TestJointProbability:
             with pytest.raises(DriftRecordsError):
                 joint_prob_consecutive(ldm("gumbel", 1.0, 0.5), n)
 
-    def test_branch_labels(self):
-        assert joint_prob_consecutive(ldm("gumbel", 1.0, 0.5), 4).branch == (
-            BRANCH_NONNEGATIVE
-        )
-        assert joint_prob_consecutive(ldm("gumbel", 1.0, -0.5), 4).branch == (
-            BRANCH_NEGATIVE
-        )
-
     def test_branches_agree_at_zero_threshold(self):
         for spec, c in [("gumbel", 0.8), ("normal", 0.5)]:
             above = joint_prob_consecutive(ldm(spec, c, 0.0), 5, tol=1e-9)
             below = joint_prob_consecutive(ldm(spec, c, -1e-12), 5, tol=1e-9)
-            assert above.branch != below.branch
             assert above.value == pytest.approx(below.value, abs=1e-7)
 
     def test_bounded_by_marginals(self):
@@ -153,8 +142,7 @@ LAWS = ("gumbel", "normal", "pareto1", "dagum:b=1,q=2", "uniform", "exp")
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
-@pytest.mark.parametrize("fn", [joint_prob_consecutive, dependence_index_result,
-                                dependence_index])
+@pytest.mark.parametrize("fn", [joint_prob_consecutive, dependence_index_result])
 def test_tolerance_must_be_positive(fn, tol):
     # a NaN tolerance used to return a value whose bound was never
     # enforced, and tol <= 0 to end in QuadratureError after 4096 panels
@@ -200,12 +188,12 @@ class TestDependenceIndex:
 
     def test_matches_pareto_closed_form(self):
         for delta, n in [(-0.5, 5), (0.5, 5), (2.0, 7), (-0.5, 10)]:
-            got = dependence_index(ldm("pareto1", 1.0, delta), n, tol=1e-8)
+            got = dependence_index_result(ldm("pareto1", 1.0, delta), n, tol=1e-8).value
             assert got == pytest.approx(pareto_l_n(delta, n), abs=1e-6)
 
     def test_approaches_gumbel_limit(self):
         for c, delta in [(1.0, -0.5), (0.5, 2.0)]:
-            got = dependence_index(ldm("gumbel", c, delta), 400, tol=1e-9)
+            got = dependence_index_result(ldm("gumbel", c, delta), 400, tol=1e-9).value
             assert got == pytest.approx(gumbel_l_inf(c, delta), abs=1e-4)
 
     def test_result_fields_are_consistent(self):
@@ -220,12 +208,12 @@ class TestDependenceIndex:
 
     def test_attraction_repulsion_sign(self):
         # negative thresholds cluster records, large positive ones repel
-        assert dependence_index(ldm("gumbel", 1.0, -1.0), 8) > 1.0
-        assert dependence_index(ldm("gumbel", 1.0, 2.0), 8) < 1.0
-        assert dependence_index(ldm("pareto1", 1.0, -1.0), 8) > 1.0
+        assert dependence_index_result(ldm("gumbel", 1.0, -1.0), 8).value > 1.0
+        assert dependence_index_result(ldm("gumbel", 1.0, 2.0), 8).value < 1.0
+        assert dependence_index_result(ldm("pareto1", 1.0, -1.0), 8).value > 1.0
 
     def test_near_independence_at_zero_threshold_gumbel(self):
-        got = dependence_index(ldm("gumbel", 1.0, 0.0), 300, tol=1e-9)
+        got = dependence_index_result(ldm("gumbel", 1.0, 0.0), 300, tol=1e-9).value
         assert got == pytest.approx(1.0, abs=1e-3)
 
     def test_ill_conditioned_marginals_raise(self):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftrecords.records import (
-    count_delta_records,
     delta_record_flags,
     running_rate,
 )
@@ -53,8 +52,8 @@ class TestFlagExamples:
 
 class TestCounts:
     def test_examples(self):
-        assert count_delta_records([1.0, 2.0, 3.0], 0.0) == 3
-        assert count_delta_records([9.0], -3.0) == 1
+        assert delta_record_flags([1.0, 2.0, 3.0], 0.0).flags.sum() == 3
+        assert delta_record_flags([9.0], -3.0).flags.sum() == 1
 
     def test_running_rate_examples(self):
         np.testing.assert_allclose(
@@ -68,7 +67,7 @@ class TestCounts:
         rng = np.random.default_rng(0)
         y = rng.standard_normal(100)
         rate = running_rate(y, 0.2)
-        assert rate[-1] == pytest.approx(count_delta_records(y, 0.2) / 100.0)
+        assert rate[-1] == pytest.approx(delta_record_flags(y, 0.2).flags.sum() / 100.0)
 
 
 class TestErrors:
@@ -89,7 +88,8 @@ class TestProperties:
     @given(sequences, deltas)
     @settings(max_examples=200, deadline=None)
     def test_count_monotone_in_delta(self, y, delta):
-        assert count_delta_records(y, delta + 0.5) <= count_delta_records(y, delta)
+        looser = delta_record_flags(y, delta).flags.sum()
+        assert delta_record_flags(y, delta + 0.5).flags.sum() <= looser
 
     @given(sequences)
     @settings(max_examples=200, deadline=None)

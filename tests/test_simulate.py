@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from driftrecords import (
     LdmConfig,
     SimulationConfig,
-    mc_clt_sample,
     mc_record_rate,
     parse_spec,
     replication_rng,
@@ -17,7 +16,6 @@ from driftrecords import (
 from driftrecords._kernels import record_scan
 from driftrecords.simulate import (
     _VECTOR_MAX_N,
-    _run_replications,
     _stream_block,
     replicate,
 )
@@ -170,13 +168,10 @@ class TestEngine:
             want_counts.append(int(flags.sum()))
             want_last.append(int(np.nonzero(flags)[0][-1]) + 1)
         for workers in (1, 2, 3):
-            counts, last = _run_replications(cfg, workers)
-            assert counts.dtype == np.int64
-            np.testing.assert_array_equal(counts, want_counts)
-            np.testing.assert_array_equal(last, want_last)
-        s = mc_record_rate(cfg, workers=2)
-        np.testing.assert_array_equal(s.counts, want_counts)
-        assert s.stabilization_fraction == np.mean(2 * np.array(want_last) <= n)
+            s = mc_record_rate(cfg, workers)
+            assert s.counts.dtype == np.int64
+            np.testing.assert_array_equal(s.counts, want_counts)
+            assert s.stabilization_fraction == np.mean(2 * np.array(want_last) <= n)
 
     def test_blocks_come_back_in_order_and_cover_every_replication(self):
         for workers in (1, 2, 3, 5):
@@ -256,18 +251,25 @@ class TestTotalRecords:
         assert infinite.stabilization_fraction < 0.1
 
 
+def clt_sample(cfg, p_ref, workers=1):
+    """sqrt(n) * (count/n - p_ref) per replication: the sample that the
+    central limit theorem for the record count describes."""
+    counts = mc_record_rate(cfg, workers).counts
+    return math.sqrt(cfg.n) * (counts / cfg.n - p_ref)
+
+
 class TestCltSample:
     def test_shape_and_reproducibility(self):
         cfg = config("gumbel", 1.0, 0.0, 1000, 80, seed=13)
-        a = mc_clt_sample(cfg, 0.5, workers=1)
-        b = mc_clt_sample(cfg, 0.5, workers=3)
+        a = clt_sample(cfg, 0.5, workers=1)
+        b = clt_sample(cfg, 0.5, workers=3)
         assert a.shape == (80,)
         np.testing.assert_array_equal(a, b)
 
     def test_centering_uses_the_reference_probability(self):
         cfg = config("gumbel", 1.0, 0.0, 500, 60, seed=14)
-        z0 = mc_clt_sample(cfg, 0.0)
-        z1 = mc_clt_sample(cfg, 0.25)
+        z0 = clt_sample(cfg, 0.0)
+        z1 = clt_sample(cfg, 0.25)
         np.testing.assert_allclose(
             z0 - z1, math.sqrt(500) * 0.25 * np.ones(60), rtol=0, atol=1e-9
         )
@@ -277,7 +279,7 @@ class TestCltSample:
 
         c = math.log(2.0)
         n, reps = 4000, 200
-        z = mc_clt_sample(config("gumbel", c, 0.0, n, reps, seed=15),
-                          gumbel_p_delta(c, 0.0))
+        z = clt_sample(config("gumbel", c, 0.0, n, reps, seed=15),
+                       gumbel_p_delta(c, 0.0))
         se = z.std(ddof=1) / math.sqrt(reps)
         assert abs(z.mean()) < 4.0 * se + math.sqrt(n) / n
