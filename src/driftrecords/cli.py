@@ -294,20 +294,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    dist_help = (
-        "distribution spec: gumbel | pareto1 | dagum:b=<v>,q=<v> | "
-        "normal:mu=<v>,sigma=<v> | uniform:lo=<v>,hi=<v> | exp:rate=<v>"
+    # the model flags of every subcommand that builds an LdmConfig, and the
+    # tolerance of those that integrate
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument(
+        "--dist", required=True,
+        help="distribution spec: gumbel | pareto1 | dagum:b=<v>,q=<v> | "
+        "normal:mu=<v>,sigma=<v> | uniform:lo=<v>,hi=<v> | exp:rate=<v>",
     )
+    model.add_argument("--c", type=float, required=True, help="trend per step")
+    model.add_argument("--delta", type=float, required=True, help="record threshold")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    p = sub.add_parser("prob", help="record probability by adaptive quadrature")
-    p.add_argument("--dist", required=True, help=dist_help)
-    p.add_argument("--c", type=float, required=True, help="trend per step")
-    p.add_argument("--delta", type=float, required=True, help="record threshold")
+    p = sub.add_parser(
+        "prob", parents=[model, tolerance],
+        help="record probability by adaptive quadrature",
+    )
     p.add_argument(
         "--n", type=int, default=None,
         help="index of the observation; omit for the asymptotic probability",
     )
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_prob)
 
     p = sub.add_parser("closed-form", help="analytic special-case values")
@@ -327,18 +334,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_closed_form)
 
-    p = sub.add_parser("corr", help="dependence index of consecutive records")
-    p.add_argument("--dist", required=True, help=dist_help)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p = sub.add_parser(
+        "corr", parents=[model, tolerance],
+        help="dependence index of consecutive records",
+    )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_corr)
 
-    p = sub.add_parser("simulate", help="Monte Carlo record counts")
-    p.add_argument("--dist", required=True, help=dist_help)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p = sub.add_parser("simulate", parents=[model], help="Monte Carlo record counts")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -354,10 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="lag window (default sqrt(n))")
     p.set_defaults(func=_cmd_variance)
 
-    p = sub.add_parser("sigma2", help="Monte Carlo limiting variance of the rate")
-    p.add_argument("--dist", required=True, help=dist_help)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p = sub.add_parser(
+        "sigma2", parents=[model], help="Monte Carlo limiting variance of the rate"
+    )
     p.add_argument("--horizon", type=int, default=4000)
     p.add_argument("--burn-in", type=int, default=2000)
     p.add_argument("--lag-max", type=int, default=50)

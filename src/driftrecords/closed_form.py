@@ -17,6 +17,14 @@ from math import comb, exp, expm1, gamma, log, log1p, sqrt
 
 from .errors import DriftRecordsError
 
+
+def _require_finite(**params):
+    """Reject a non-finite trend, threshold or shape, as ``LdmConfig``
+    does: the formulas would turn it into NaN or a limit value."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DriftRecordsError(f"{name} must be finite, got {value}")
+
 # ---------------------------------------------------------------------------
 # Gumbel noise, F(x) = exp(-exp(-x))
 # ---------------------------------------------------------------------------
@@ -34,6 +42,7 @@ def gumbel_p_n_delta(c: float, delta: float, n: int) -> float:
     denominator both positive, so nothing overflows and an underflowed
     value is +0.0.
     """
+    _require_finite(c=c, delta=delta)
     if n < 1:
         raise DriftRecordsError(f"n must be >= 1, got {n}")
     if n == 1:
@@ -60,6 +69,7 @@ def gumbel_p_n_delta(c: float, delta: float, n: int) -> float:
 
 def gumbel_p_delta(c: float, delta: float) -> float:
     """Limiting delta-record rate under Gumbel noise; 0 for c <= 0."""
+    _require_finite(c=c, delta=delta)
     if c <= 0.0:
         return 0.0
     num = -expm1(-c)
@@ -77,6 +87,7 @@ def gumbel_l_inf(c: float, delta: float) -> float:
     consecutive record indicators become asymptotically independent there,
     attract for delta < 0 and repel for delta > 0.
     """
+    _require_finite(c=c, delta=delta)
     if c <= 0.0:
         raise DriftRecordsError(f"requires a positive trend, got c={c}")
     if delta == 0.0:
@@ -110,6 +121,7 @@ def gumbel_l_inf_argmax(c: float):
     delta* = log1p(-1 / (1 + s)) and max = 2 / (1 + s) with
     s = sqrt(1 - e^(-2c)), which stay finite for every c > 0.
     """
+    _require_finite(c=c)
     if c <= 0.0:
         raise DriftRecordsError(f"requires a positive trend, got c={c}")
     s = sqrt(-expm1(-2.0 * c))
@@ -135,6 +147,7 @@ def dagum_p_n0(q: float, n: int) -> float:
     integral form is the stable route.  Integer q collapses to an exact
     binomial-and-log expression.  The value does not depend on the trend.
     """
+    _require_finite(q=q)
     if not q > 0.0:
         raise DriftRecordsError(f"q must be positive, got {q}")
     if n < 2:
@@ -167,6 +180,7 @@ def dagum_p_n0(q: float, n: int) -> float:
 
 def dagum_p_n0_asymptotic(q: float, n: int) -> float:
     """Large-n regime of ``dagum_p_n0``: three ranges split at q = 1."""
+    _require_finite(q=q)
     if not q > 0.0:
         raise DriftRecordsError(f"q must be positive, got {q}")
     if q < 1.0:
@@ -184,6 +198,7 @@ def dagum_p_n_delta_eq_c(q: float, n: int) -> float:
     y^(q+1) dy.  For q < 1/2 the substitution v = (y-1)^(2q) removes the
     endpoint singularity.
     """
+    _require_finite(q=q)
     if not q > 0.0:
         raise DriftRecordsError(f"q must be positive, got {q}")
     if n <= 2:
@@ -210,6 +225,7 @@ def dagum_p_n_delta_eq_c_asymptotic(q: float, n: int) -> float:
 
     Matches the threshold-0 regime for q >= 1 but not for q in (0, 1),
     where the constant changes to Gamma(2q) Gamma(1-q) / Gamma(q)."""
+    _require_finite(q=q)
     if not q > 0.0:
         raise DriftRecordsError(f"q must be positive, got {q}")
     if q < 1.0:
@@ -237,6 +253,7 @@ def pareto_p_n_delta(delta: float, n: int) -> float:
     1 / (2(n-1)).  Near that point the two numerator terms cancel almost
     exactly, so a small window around it returns the limit value instead.
     """
+    _require_finite(delta=delta)
     if n < 2:
         raise DriftRecordsError(f"n must be >= 2, got {n}")
     if abs(delta - (n - 1)) < _PARETO_SINGULAR_WINDOW:
@@ -260,6 +277,7 @@ def pareto_l_n(delta: float, n: int) -> float:
     delta = 1 the (0,1) branch cancels catastrophically, so a 1e-5 window
     routes to the delta = 1 formula.
     """
+    _require_finite(delta=delta)
     if n <= 2:
         raise DriftRecordsError(f"n must be > 2, got {n}")
     if delta < 0.0:

@@ -1,10 +1,11 @@
 """Noise distributions for the linear drift model.
 
 Six built-in families, each exposing exact closed-form cdf, log-cdf, pdf,
-quantile, inverse-transform sampling, support endpoints, and right-tail
-moment metadata.  Support endpoints and the right-tail mean are tabulated
-per family rather than integrated numerically, because downstream
-classifiers branch on their exact finiteness.
+quantile, support endpoints, and right-tail moment metadata.  Support
+endpoints and the right-tail mean are tabulated per family rather than
+integrated numerically, because downstream classifiers branch on their
+exact finiteness.  The two families whose zero-trend survival-ratio
+integral converges also compute its value.
 
 Each family also gives g = log F what the Euler-Maclaurin tail of the
 record-probability log-product needs: the antiderivative G, the odd
@@ -13,6 +14,7 @@ g^(5) over an interval.  These follow g's analytic form on the interior
 of the support; at and above a finite upper endpoint every factor F is
 exactly 1, and the tail stops before it.
 """
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -22,6 +24,7 @@ from scipy.special import log_ndtr, ndtr, spence, xlogy
 from . import _special
 from ._special import norm_pdf, norm_quantile
 from .errors import DriftRecordsError
+from .quadrature import integrate
 
 # Right-tail mean of the standard Gumbel law, int_0^inf x f(x) dx.
 # Equals int_0^1 (-log t) e^(-t) dt after t = exp(-x); cross-checked in tests
@@ -29,6 +32,11 @@ from .errors import DriftRecordsError
 GUMBEL_MU_PLUS = 0.7965995992970531
 
 _INF = math.inf
+
+# Lower end, in standard units, of the normal survival-ratio integral:
+# below it the integrand is under 4 phi(z), so what the cut leaves out is
+# under 1e-340, below the smallest positive double.
+_NORMAL_FLOOR_Z = -40.0
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,9 @@ class Distribution:
     plus ``support``, ``tail_info`` and the Euler-Maclaurin data of
     g = log F: ``log_cdf_integral``, ``log_cdf_d1``, ``log_cdf_d3``,
     ``log_cdf_d5`` and, where g^(6) changes sign, ``log_cdf_d5_variation``.
-    All of them are immutable value objects, safe to share across threads.
+    A law whose ``tail_info().zero_trend_finite`` holds also provides
+    ``zero_trend_integral``.  All of them are immutable frozen dataclasses,
+    safe to share across threads; their fields are the spec parameters.
     """
 
     kind = "abstract"
@@ -77,13 +87,15 @@ class Distribution:
     def pdf(self, x):
         raise NotImplementedError
 
-    def log_pdf(self, x):
-        raise NotImplementedError
-
     def quantile(self, u):
         raise NotImplementedError
 
     def tail_info(self) -> TailInfo:
+        raise NotImplementedError
+
+    def zero_trend_integral(self, delta, tol):
+        """The survival-ratio integral of ``TailInfo`` at this delta > 0,
+        to within tol; only laws whose integral converges provide it."""
         raise NotImplementedError
 
     def log_cdf_integral(self, u):
@@ -112,12 +124,12 @@ class Distribution:
         """
         return np.abs(d5a - d5b)
 
-    def sample(self, rng, size=None):
-        """Inverse-transform draws from uniforms of the given generator."""
-        return self.quantile(rng.random(size))
-
     def spec_string(self):
-        return self.kind
+        """The ``parse_spec`` string that rebuilds this law."""
+        params = ",".join(
+            f"{f.name}={getattr(self, f.name)}" for f in dataclasses.fields(self)
+        )
+        return f"{self.kind}:{params}" if params else self.kind
 
 
 @dataclass(frozen=True)
@@ -149,10 +161,6 @@ class Gumbel(Distribution):
     def pdf(self, x):
         x = np.asarray(x, dtype=np.float64)
         return np.exp(-x - np.exp(-x))
-
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return -x - np.exp(-x)
 
     def quantile(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -201,10 +209,6 @@ class ParetoUnit(Distribution):
         with np.errstate(divide="ignore"):
             return np.where(x > 1.0, 1.0 / np.square(np.maximum(x, 1.0)), 0.0)
 
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(x > 1.0, -2.0 * np.log(np.maximum(x, 1.0)), -_INF)
-
     def quantile(self, u):
         u = np.asarray(u, dtype=np.float64)
         with np.errstate(divide="ignore"):
@@ -249,8 +253,8 @@ class Dagum(Distribution):
     The unit shape makes the right-tail mean infinite for every b, q > 0.
     """
 
-    b: float
-    q: float
+    b: float = 1.0
+    q: float = 1.0
     kind = "dagum"
 
     def __post_init__(self):
@@ -290,16 +294,6 @@ class Dagum(Distribution):
             / np.square(xp)
         )
         return np.where(x > 0.0, val, 0.0)
-
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        xp = np.where(x > 0.0, x, 1.0)
-        out = (
-            np.log(self.q * self.b)
-            - (self.q + 1.0) * np.log1p(self.b / xp)
-            - 2.0 * np.log(xp)
-        )
-        return np.where(x > 0.0, out, -_INF)
 
     def quantile(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -343,9 +337,6 @@ class Dagum(Distribution):
             far = b * poly / (u**6 * (1.0 + r) ** 5)
         return 24.0 * self.q * np.where(u > b, far, near)
 
-    def spec_string(self):
-        return f"dagum:b={self.b},q={self.q}"
-
 
 @dataclass(frozen=True)
 class Normal(Distribution):
@@ -381,10 +372,6 @@ class Normal(Distribution):
     def pdf(self, x):
         return norm_pdf(self._z(x)) / self.sigma
 
-    def log_pdf(self, x):
-        z = self._z(x)
-        return -0.5 * z * z - math.log(self.sigma * math.sqrt(2.0 * math.pi))
-
     def quantile(self, u):
         return self.mu + self.sigma * norm_quantile(u)
 
@@ -393,6 +380,45 @@ class Normal(Distribution):
         mu_plus = self.mu * float(ndtr(z)) + self.sigma * float(norm_pdf(z))
         # the hazard f/S grows like x / sigma^2
         return TailInfo(mu_plus, True)
+
+    def zero_trend_integral(self, delta, tol):
+        """The survival-ratio integral, to within about tol times its value.
+
+        In z = (x - mu) / sigma, with eps = delta / sigma and Q, phi and
+        h = phi / Q the standard normal survival function, density and
+        hazard, the integrand is Q(z + eps) phi(z) / Q(z)^2, which equals
+        exp(-z eps - eps^2/2) h(z)^2 / h(z + eps).  Past z = 1 it takes that
+        form with h from erfcx, since the log-space form cancels terms of
+        size z^2/2 there; below, no large terms cancel and the log-space
+        form stays.
+
+        The window stops at a proven bound.  For z >= 0, h(z) < z + 1
+        (Sampford) and h grows, so the integrand is below
+        M(z) = (z + 1) exp(-z eps - eps^2/2), and what lies past Z is at
+        most B(Z) = exp(-eps^2/2 - Z eps) ((Z + 1)/eps + 1/eps^2).  As also
+        h(z) >= max(z, h(0)), the integrand is at least 0.197 M(z) / (1 + eps),
+        so the integral past a = max(z0, 0) is at least 0.197 B(a) / (1 + eps).
+        With u = (Z - a) eps, B(Z) / B(a) <= (1 + u) e^-u <= 1.2131 e^(-u/2),
+        so the Z below leaves out at most tol/4 of the value.  The quadrature
+        gauge is held to tol/2 of a first-pass estimate of the value.
+        """
+        eps = delta / self.sigma
+        z0 = -self.mu / self.sigma  # x = 0
+        top = max(z0, 0.0) + 2.0 * math.log(25.0 * (1.0 + eps) / tol) / eps
+        lo = max(z0, _NORMAL_FLOOR_Z)
+
+        def g(z):
+            out = np.empty_like(z)
+            far = z > 1.0
+            w = z[~far]
+            out[~far] = norm_pdf(w) * np.exp(log_ndtr(-(w + eps)) - 2.0 * log_ndtr(-w))
+            w = z[far]
+            h, h_eps = _special.log_ndtr_d1(-w), _special.log_ndtr_d1(-(w + eps))
+            out[far] = np.exp(-w * eps - 0.5 * eps * eps) * h * (h / h_eps)
+            return out
+
+        estimate, _ = integrate(g, lo, top, math.inf)
+        return integrate(g, lo, top, 0.5 * tol * estimate)[0]
 
     def log_cdf_integral(self, u):
         return self.sigma * _special.log_ndtr_integral(self._z(u))
@@ -416,9 +442,6 @@ class Normal(Distribution):
             v = np.where(z <= za, d5a, np.where(z >= zb, d5b, peak / self.sigma**5))
             tv, prev = tv + np.abs(v - prev), v
         return tv + np.abs(d5b - prev)
-
-    def spec_string(self):
-        return f"normal:mu={self.mu},sigma={self.sigma}"
 
 
 @dataclass(frozen=True)
@@ -457,10 +480,6 @@ class Uniform(Distribution):
         inside = (x >= self.lo) & (x <= self.hi)
         return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
-    def log_pdf(self, x):
-        with np.errstate(divide="ignore"):
-            return np.log(self.pdf(x))
-
     def quantile(self, u):
         u = np.asarray(u, dtype=np.float64)
         return self.lo + u * (self.hi - self.lo)
@@ -473,6 +492,23 @@ class Uniform(Distribution):
             mu_plus = (self.hi * self.hi - a * a) / (2.0 * (self.hi - self.lo))
         # S(x + delta) vanishes past hi - delta, where S(x) > 0
         return TailInfo(mu_plus, True)
+
+    def zero_trend_integral(self, delta, tol):
+        """The survival-ratio integral in closed form; tol is not needed.
+
+        In t = hi - x the integrand is (t - delta) / t^2 for t from delta
+        up to U = hi - max(lo, 0), so with r = 1 - delta/U the value is
+        log(U/delta) - r = -log1p(-r) - r when U > delta, and 0 otherwise.
+        """
+        span = self.hi - max(self.lo, 0.0)
+        if span <= delta:
+            return 0.0
+        r = (span - delta) / span
+        if r > 0.25:
+            return math.log(span / delta) - r
+        # sum_{k>=2} r^k / k: the two terms above cancel to r^2/2 as r -> 0,
+        # and each term here is at most a quarter of the one before
+        return math.fsum(r**k / k for k in range(2, 30))
 
     # g = log((u - lo) / (hi - lo)), continued past hi
 
@@ -491,9 +527,6 @@ class Uniform(Distribution):
     def log_cdf_d5(self, u):
         with np.errstate(divide="ignore", over="ignore"):
             return 24.0 / (np.asarray(u, dtype=np.float64) - self.lo) ** 5
-
-    def spec_string(self):
-        return f"uniform:lo={self.lo},hi={self.hi}"
 
 
 @dataclass(frozen=True)
@@ -531,12 +564,6 @@ class Exponential(Distribution):
         x = np.asarray(x, dtype=np.float64)
         return np.where(x > 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
 
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(
-            x > 0.0, math.log(self.rate) - self.rate * np.maximum(x, 0.0), -_INF
-        )
-
     def quantile(self, u):
         u = np.asarray(u, dtype=np.float64)
         with np.errstate(divide="ignore"):
@@ -572,24 +599,9 @@ class Exponential(Distribution):
             poly = 1.0 + t * (11.0 + t * (11.0 + t))
             return self.rate**5 * t * poly / (-np.expm1(-lu)) ** 5
 
-    def spec_string(self):
-        return f"exp:rate={self.rate}"
 
-
-_PARAM_DEFAULTS = {
-    "dagum": {"b": 1.0, "q": 1.0},
-    "normal": {"mu": 0.0, "sigma": 1.0},
-    "uniform": {"lo": 0.0, "hi": 1.0},
-    "exp": {"rate": 1.0},
-}
-
-_KIND_FACTORY = {
-    "gumbel": lambda p: Gumbel(),
-    "pareto1": lambda p: ParetoUnit(),
-    "dagum": lambda p: Dagum(b=p["b"], q=p["q"]),
-    "normal": lambda p: Normal(mu=p["mu"], sigma=p["sigma"]),
-    "uniform": lambda p: Uniform(lo=p["lo"], hi=p["hi"]),
-    "exp": lambda p: Exponential(rate=p["rate"]),
+_FAMILIES = {
+    cls.kind: cls for cls in (Gumbel, ParetoUnit, Dagum, Normal, Uniform, Exponential)
 }
 
 
@@ -598,19 +610,20 @@ def parse_spec(text: str) -> Distribution:
 
     Grammar: ``gumbel``, ``pareto1``, ``dagum:b=<v>,q=<v>``,
     ``normal:mu=<v>,sigma=<v>``, ``uniform:lo=<v>,hi=<v>``, ``exp:rate=<v>``.
-    Omitted parameters take the documented defaults.
+    Omitted parameters take the defaults of the family's dataclass fields.
     """
     text = text.strip()
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
-    if kind not in _KIND_FACTORY:
+    if kind not in _FAMILIES:
         raise DriftRecordsError(
             f"unknown distribution kind {kind!r}; expected one of "
-            f"{sorted(_KIND_FACTORY)}"
+            f"{sorted(_FAMILIES)}"
         )
-    params = dict(_PARAM_DEFAULTS.get(kind, {}))
+    family = _FAMILIES[kind]
+    params = {f.name: f.default for f in dataclasses.fields(family)}
     if rest:
-        if kind in ("gumbel", "pareto1"):
+        if not params:
             raise DriftRecordsError(f"{kind} takes no parameters, got {rest!r}")
         for item in rest.split(","):
             if not item.strip():
@@ -628,4 +641,4 @@ def parse_spec(text: str) -> Distribution:
                 raise DriftRecordsError(
                     f"parameter {key} of {kind} must be a number, got {val!r}"
                 ) from None
-    return _KIND_FACTORY[kind](params)
+    return family(**params)

@@ -12,12 +12,12 @@ in Euler-Maclaurin form with a bounded remainder, and classifies when the
 limit is positive and when the total number of records stays finite.
 """
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import _special
 from .distributions import Distribution
 from .errors import DriftRecordsError
 from .quadrature import integrate
@@ -30,11 +30,6 @@ _QUANTILE_CUT = 1e-12
 # Most kinks of the product made into quadrature panel edges; see
 # _product_kinks.
 _MAX_KINKS = 512
-
-# Lower end, in standard units, of the normal survival-ratio integral:
-# below it the integrand is under 4 phi(z), so what the cut leaves out is
-# under 1e-340, below the smallest positive double.
-_NORMAL_FLOOR_Z = -40.0
 
 # Verdict and reason labels for finiteness classification.
 ALMOST_SURELY_FINITE = "AlmostSurelyFinite"
@@ -60,6 +55,13 @@ class LdmConfig:
     def __post_init__(self):
         if not (math.isfinite(self.c) and math.isfinite(self.delta)):
             raise DriftRecordsError("trend and threshold must be finite")
+
+
+def _check_index(n):
+    """Reject an observation index that is not an integer >= 1; bool,
+    float, NaN and inf included, numpy integers accepted."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise DriftRecordsError(f"n must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -339,8 +341,7 @@ def p_n_delta(cfg: LdmConfig, n: int, tol: float = DEFAULT_TOL) -> ProbResult:
     ``tol`` by adaptive quadrature, with the finite product accumulated in
     log space.
     """
-    if n < 1:
-        raise DriftRecordsError(f"n must be >= 1, got {n}")
+    _check_index(n)
     if not tol > 0.0:
         raise DriftRecordsError(f"tol must be positive, got {tol}")
     if n == 1:
@@ -388,58 +389,6 @@ def p_delta(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> ProbResult:
     return _record_integral(cfg, math.inf, tol)[0]
 
 
-def _finiteness_integrand(dist, delta):
-    log_sf, log_pdf = dist.log_sf, dist.log_pdf
-
-    def g(x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.exp(log_sf(x + delta) - 2.0 * log_sf(x) + log_pdf(x))
-        return np.nan_to_num(out, nan=0.0, posinf=0.0)
-
-    return g
-
-
-def _normal_survival_ratio(dist, delta, tol):
-    """The survival-ratio integral for normal noise, to within about tol
-    times its value.
-
-    In z = (x - mu) / sigma, with eps = delta / sigma and Q, phi and
-    h = phi / Q the standard normal survival function, density and hazard,
-    the integrand is Q(z + eps) phi(z) / Q(z)^2, which equals
-    exp(-z eps - eps^2/2) h(z)^2 / h(z + eps).  Past z = 1 it takes that
-    form with h from erfcx, since the log-space form cancels terms of size
-    z^2/2 there; below, no large terms cancel and the log-space form stays.
-
-    The window stops at a proven bound.  For z >= 0, h(z) < z + 1
-    (Sampford) and h grows, so the integrand is below
-    M(z) = (z + 1) exp(-z eps - eps^2/2), and what lies past Z is at most
-    B(Z) = exp(-eps^2/2 - Z eps) ((Z + 1)/eps + 1/eps^2).  As also
-    h(z) >= max(z, h(0)), the integrand is at least 0.197 M(z) / (1 + eps),
-    so the integral past a = max(z0, 0) is at least 0.197 B(a) / (1 + eps).
-    With u = (Z - a) eps, B(Z) / B(a) <= (1 + u) e^-u <= 1.2131 e^(-u/2),
-    so the Z below leaves out at most tol/4 of the value.  The quadrature
-    gauge is held to tol/2 of a first-pass estimate of the value.
-    """
-    mu, sigma = dist.mu, dist.sigma
-    eps = delta / sigma
-    z0 = -mu / sigma  # x = 0
-    top = max(z0, 0.0) + 2.0 * math.log(25.0 * (1.0 + eps) / tol) / eps
-    lo = max(z0, _NORMAL_FLOOR_Z)
-    near = _finiteness_integrand(dist, delta)
-
-    def g(z):
-        out = np.empty_like(z)
-        far = z > 1.0
-        out[~far] = sigma * near(mu + sigma * z[~far])
-        w = z[far]
-        h, h_eps = _special.log_ndtr_d1(-w), _special.log_ndtr_d1(-(w + eps))
-        out[far] = np.exp(-w * eps - 0.5 * eps * eps) * h * (h / h_eps)
-        return out
-
-    estimate, _ = integrate(g, lo, top, math.inf)
-    return integrate(g, lo, top, 0.5 * tol * estimate)[0]
-
-
 def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessVerdict:
     """Decide whether the model yields finitely many delta-records.
 
@@ -448,10 +397,10 @@ def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessV
     int (1-F(x+delta)) / (1-F(x))^2 f(x) dx over x >= 0 converges; or the
     trend is positive and delta - c covers the support span.  Whether the
     zero-trend integral converges is a fact of the law's tail, its
-    ``tail_info().zero_trend_finite``.  Only a Finite verdict integrates,
-    to report the integral as ``integral_value``; ``tol`` bounds the error
-    of that value, absolutely on a compact support and relative to the
-    value for normal noise.
+    ``tail_info().zero_trend_finite``.  Only a Finite verdict asks the law
+    for the integral, its ``zero_trend_integral``, to report as
+    ``integral_value``: exact for uniform noise, and within ``tol`` times
+    the value for normal noise.
     """
     if not tol > 0.0:
         raise DriftRecordsError(f"tol must be positive, got {tol}")
@@ -472,11 +421,5 @@ def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessV
         return FinitenessVerdict(INFINITE, REASON_ZERO_TREND_NONPOSITIVE)
     if not tail.zero_trend_finite:
         return FinitenessVerdict(INFINITE, REASON_ZERO_TREND_DIVERGES)
-    if math.isfinite(hi):
-        # the numerator vanishes above hi - delta
-        g = _finiteness_integrand(dist, delta)
-        value, _ = integrate(g, max(lo, 0.0), hi - delta, tol)
-    else:
-        # the one built-in law with an unbounded upper end and a finite integral
-        value = _normal_survival_ratio(dist, delta, tol)
+    value = dist.zero_trend_integral(delta, tol)
     return FinitenessVerdict(ALMOST_SURELY_FINITE, REASON_ZERO_TREND_CONVERGES, value)

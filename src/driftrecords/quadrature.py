@@ -39,6 +39,9 @@ _WGFULL[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1]))
 _INITIAL_PANELS = 16
 _SPLIT_BATCH = 8
 
+# Most panels one call may use before it gives up.
+_MAX_INTERVALS = 4096
+
 
 def _panel_rule(fn, lo, hi):
     """Evaluate G7/K15 on panels [lo[i], hi[i]] with one integrand call.
@@ -68,7 +71,7 @@ def _initial_edges(lo, hi, panels):
     return np.linspace(lo, hi, panels + 1)
 
 
-def integrate(fn, lo, hi, tol, max_intervals=4096, breaks=()):
+def integrate(fn, lo, hi, tol, breaks=()):
     """Integrate ``fn`` over the finite interval [lo, hi].
 
     ``fn`` maps a 1-d array of N points to N integrand values, or to a
@@ -77,7 +80,7 @@ def integrate(fn, lo, hi, tol, max_intervals=4096, breaks=()):
     no panel straddles one.  Returns ``(value, error_bound)``, floats for
     a 1-d integrand and arrays of length k otherwise, with every
     ``error_bound <= tol``; raises QuadratureError carrying the best
-    estimates when the panel budget is exhausted first.
+    estimates when the ``_MAX_INTERVALS`` panel budget is exhausted first.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise QuadratureError(f"integration limits must be finite, got [{lo}, {hi}]")
@@ -96,10 +99,10 @@ def integrate(fn, lo, hi, tol, max_intervals=4096, breaks=()):
     vals, errs = vals.reshape(-1, los.shape[0]), errs.reshape(-1, los.shape[0])
 
     while errs.sum(axis=1).max() > tol:
-        if los.shape[0] + _SPLIT_BATCH > max_intervals:
+        if los.shape[0] + _SPLIT_BATCH > _MAX_INTERVALS:
             value, err = vals.sum(axis=1), errs.sum(axis=1)
             raise QuadratureError(
-                f"needed more than {max_intervals} panels for tolerance {tol:g}",
+                f"needed more than {_MAX_INTERVALS} panels for tolerance {tol:g}",
                 best_estimate=float(value[0]) if scalar else value,
                 error_bound=float(err[0]) if scalar else err,
             )

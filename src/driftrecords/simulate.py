@@ -323,7 +323,7 @@ def simulate_ldm(ldm: LdmConfig, n: int, rng: np.random.Generator) -> np.ndarray
     """One path X_j + c*j for j = 1..n."""
     if n < 1:
         raise ValueError(f"horizon n must be >= 1, got {n}")
-    x = ldm.dist.sample(rng, n)
+    x = ldm.dist.quantile(rng.random(n))
     return x + ldm.c * np.arange(1, n + 1, dtype=np.float64)
 
 

@@ -200,6 +200,34 @@ class TestClosedFormFlags:
     def test_optional_flag_picks_the_variant(self, capsys, argv, want):
         assert run_json(capsys, "closed-form", *argv) == {"value": want()}
 
+    # one call per closed-form function; each once printed NaN or a limit
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--model", "gumbel", "--c", "1", "--delta", "nan", "--n", "5"],
+                     id="gumbel_p_n_delta"),
+        pytest.param(["--model", "gumbel", "--c", "nan", "--delta", "0"],
+                     id="gumbel_p_delta"),
+        pytest.param(["--model", "gumbel", "--quantity", "l-inf", "--c", "1",
+                      "--delta", "inf"], id="gumbel_l_inf"),
+        pytest.param(["--model", "gumbel", "--quantity", "l-inf-argmax",
+                      "--c", "inf"], id="gumbel_l_inf_argmax"),
+        pytest.param(["--model", "dagum", "--q", "inf", "--n", "5"], id="dagum_p_n0"),
+        pytest.param(["--model", "dagum", "--q", "nan", "--n", "5", "--delta-eq-c"],
+                     id="dagum_p_n_delta_eq_c"),
+        pytest.param(["--model", "dagum", "--quantity", "prob-asymptotic",
+                      "--q", "inf", "--n", "5"], id="dagum_p_n0_asymptotic"),
+        pytest.param(["--model", "dagum", "--quantity", "prob-asymptotic",
+                      "--q", "nan", "--n", "5", "--delta-eq-c"],
+                     id="dagum_p_n_delta_eq_c_asymptotic"),
+        pytest.param(["--model", "pareto", "--delta", "nan", "--n", "5"],
+                     id="pareto_p_n_delta"),
+        pytest.param(["--model", "pareto", "--quantity", "l-n", "--delta", "inf",
+                      "--n", "5"], id="pareto_l_n"),
+    ])
+    def test_non_finite_parameter_is_an_error(self, capsys, argv):
+        rc, out, err = run(capsys, "closed-form", *argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "must be finite" in err
+
 
 def readme_examples():
     """Each `$ drift-records ...` block of the README: the command's

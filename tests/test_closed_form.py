@@ -18,6 +18,27 @@ from driftrecords.closed_form import (
 )
 from driftrecords.errors import DriftRecordsError
 
+
+@pytest.mark.parametrize("call", [
+    lambda v: gumbel_p_n_delta(v, 0.0, 5),
+    lambda v: gumbel_p_n_delta(1.0, v, 5),
+    lambda v: gumbel_p_delta(v, 0.0),
+    lambda v: gumbel_p_delta(1.0, v),
+    lambda v: gumbel_l_inf(v, 0.5),
+    lambda v: gumbel_l_inf(1.0, v),
+    lambda v: gumbel_l_inf_argmax(v),
+    lambda v: dagum_p_n0(v, 5),
+    lambda v: dagum_p_n0_asymptotic(v, 5),
+    lambda v: dagum_p_n_delta_eq_c(v, 5),
+    lambda v: dagum_p_n_delta_eq_c_asymptotic(v, 5),
+    lambda v: pareto_p_n_delta(v, 5),
+    lambda v: pareto_l_n(v, 5),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_trend_threshold_or_shape_is_rejected(call, value):
+    with pytest.raises(DriftRecordsError, match="must be finite"):
+        call(value)
+
 # 50-digit evaluations of the analytic expressions, frozen as oracles.
 GUMBEL_P_N = {
     (1.0, 0.0, 5): 0.6364086465588308,

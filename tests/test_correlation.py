@@ -19,9 +19,24 @@ from driftrecords import (
     probability,
 )
 
+from conftest import BAD_INDICES
+
 
 def ldm(spec, c, delta):
     return LdmConfig(parse_spec(spec), c=c, delta=delta)
+
+
+@pytest.mark.parametrize("fn", [joint_prob_consecutive, dependence_index_result])
+@pytest.mark.parametrize("n", BAD_INDICES, ids=repr)
+def test_rejects_an_index_that_is_not_an_integer_from_one(fn, n):
+    with pytest.raises(DriftRecordsError, match="n must be an integer >= 1"):
+        fn(ldm("normal", 0.1, 0.5), n)
+
+
+def test_numpy_integer_index_is_an_index():
+    cfg = ldm("gumbel", 1.0, -0.5)
+    assert dependence_index_result(cfg, np.int32(5)) == dependence_index_result(cfg, 5)
+    assert joint_prob_consecutive(cfg, np.int64(5)) == joint_prob_consecutive(cfg, 5)
 
 
 def mc_joint_and_marginals(cfg, n, reps, seed):

@@ -82,7 +82,6 @@ def test_log_forms_match_linear_forms(dist):
     np.testing.assert_allclose(
         np.exp(dist.log_sf(xs)), 1.0 - dist.cdf(xs), rtol=1e-9
     )
-    np.testing.assert_allclose(np.exp(dist.log_pdf(xs)), dist.pdf(xs), rtol=1e-12)
 
 
 def test_dagum_matches_reference_law():
@@ -145,20 +144,80 @@ class TestTailInfo:
         assert not Dagum(b=1.0, q=3.0).tail_info().zero_trend_finite
 
 
+def _uniform_survival_ratio(lo, hi, delta):
+    """30-digit mpmath value of int_{x >= 0} S(x + delta) f(x) / S(x)^2 dx
+    for the uniform law on (lo, hi).  In t = hi - x the integrand peaks at
+    t = 2 delta, so the breakpoints double from t = delta up to t = U."""
+    with mp.workdps(30):
+        lo, hi, delta = mp.mpf(lo), mp.mpf(hi), mp.mpf(delta)
+        span = hi - max(lo, 0)
+        if span <= delta:
+            return 0.0
+
+        def ratio(t):
+            sf = lambda x: (hi - x) / (hi - lo)
+            x = hi - t
+            return sf(x + delta) / (hi - lo) / sf(x) ** 2
+
+        points = [delta * 2**k for k in range(int(mp.log(span / delta, 2)) + 1)]
+        return float(mp.quad(ratio, points + [span]))
+
+
+class TestZeroTrendIntegral:
+    """The uniform value is exact: -log1p(-r) - r with r = 1 - delta/U and
+    U = hi - max(lo, 0), or 0 once delta >= U."""
+
+    @pytest.mark.parametrize("lo,hi,delta", [
+        (0.0, 1.0, 0.25),
+        (-1.0, 3.0, 0.5),        # lo < 0 < hi
+        (0.5, 2.0, 0.25),        # lo > 0
+        (0.0, 1.0, 0.75),        # r = 1/4, where the series takes over
+        (0.0, 1.0, 0.8),
+        (0.0, 1.0, 1.0 - 1e-8),  # r near 1e-8: the two terms cancel to r^2/2
+        (-5.0, 10.0, 1e-9),      # r near 1
+    ])
+    def test_uniform_matches_mpmath(self, lo, hi, delta):
+        want = _uniform_survival_ratio(lo, hi, delta)
+        # abs=0: near r = 1e-8 the value, 5e-17, is below approx's default abs
+        assert Uniform(lo, hi).zero_trend_integral(delta, 1e-8) == pytest.approx(
+            want, rel=1e-14, abs=0.0
+        )
+
+    @pytest.mark.parametrize("lo,hi,delta", [
+        (0.0, 1.0, 1.0),     # delta = U
+        (0.0, 1.0, 3.0),     # delta > U
+        (-1.0, 3.0, 3.0),
+        (-2.0, -1.0, 0.5),   # hi <= 0: no mass at x >= 0
+        (-2.0, 0.0, 1e-9),
+    ])
+    def test_uniform_is_zero_when_delta_covers_the_positive_part(self, lo, hi, delta):
+        assert _uniform_survival_ratio(lo, hi, delta) == 0.0
+        assert Uniform(lo, hi).zero_trend_integral(delta, 1e-8) == 0.0
+
+    def test_laws_whose_integral_diverges_have_no_value(self):
+        for dist in ALL_DISTS:
+            if not dist.tail_info().zero_trend_finite:
+                with pytest.raises(NotImplementedError):
+                    dist.zero_trend_integral(0.5, 1e-8)
+
+
 class TestSampling:
+    """Inverse-transform draws, quantile(rng.random(n)), as the Monte Carlo
+    engine makes them."""
+
     def test_deterministic_given_seed(self):
         for dist in ALL_DISTS:
             r1 = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7)))
             r2 = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7)))
-            a = dist.sample(r1, 100)
-            b = dist.sample(r2, 100)
+            a = dist.quantile(r1.random(100))
+            b = dist.quantile(r2.random(100))
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
     def test_empirical_cdf_matches(self, dist):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(11)))
         n = 40_000
-        x = dist.sample(rng, n)
+        x = dist.quantile(rng.random(n))
         lo, hi = dist.support
         assert np.all(x >= lo) and np.all(x <= hi)
         for u in (0.1, 0.5, 0.9):
@@ -169,7 +228,7 @@ class TestSampling:
 
     def test_normal_sample_moments(self):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
-        x = Normal(mu=2.0, sigma=0.5).sample(rng, 200_000)
+        x = Normal(mu=2.0, sigma=0.5).quantile(rng.random(200_000))
         assert x.mean() == pytest.approx(2.0, abs=0.01)
         assert x.std() == pytest.approx(0.5, abs=0.01)
 
@@ -187,6 +246,16 @@ class TestParseSpec:
         assert parse_spec("normal") == Normal(mu=0.0, sigma=1.0)
         assert parse_spec("uniform") == Uniform(lo=0.0, hi=1.0)
         assert parse_spec("exp") == Exponential(rate=1.0)
+        assert parse_spec("dagum") == Dagum(b=1.0, q=1.0) == Dagum()
+        assert parse_spec("dagum:q=2") == Dagum(b=1.0, q=2.0)
+
+    def test_spec_strings(self):
+        assert Gumbel().spec_string() == "gumbel"
+        assert ParetoUnit().spec_string() == "pareto1"
+        assert Dagum(b=2.0, q=0.5).spec_string() == "dagum:b=2.0,q=0.5"
+        assert Normal().spec_string() == "normal:mu=0.0,sigma=1.0"
+        assert Uniform(lo=-1.0, hi=2.0).spec_string() == "uniform:lo=-1.0,hi=2.0"
+        assert Exponential(rate=0.25).spec_string() == "exp:rate=0.25"
 
     def test_round_trip_through_spec_string(self):
         for dist in ALL_DISTS:

@@ -22,10 +22,12 @@ from driftrecords import (
     pareto_p_n_delta,
     parse_spec,
 )
-from driftrecords import probability
+from driftrecords import distributions, probability
 from driftrecords.distributions import Dagum, ParetoUnit, Uniform
 from driftrecords.errors import DriftRecordsError
 from driftrecords.probability import _log_product, _TailLedger
+
+from conftest import BAD_INDICES
 
 
 def ldm(spec, c, delta):
@@ -57,6 +59,16 @@ class TestFiniteSampleProbability:
     def test_n1_is_certain(self):
         res = p_n_delta(ldm("normal", -2.0, 7.0), 1)
         assert (res.value, res.abs_error_bound, res.truncation_n) == (1.0, 0.0, 0)
+
+    @pytest.mark.parametrize("n", BAD_INDICES, ids=repr)
+    def test_rejects_an_index_that_is_not_an_integer_from_one(self, n):
+        # n = nan once gave 0.999999999998 here, and n = inf the limit p
+        with pytest.raises(DriftRecordsError, match="n must be an integer >= 1"):
+            p_n_delta(ldm("normal", 0.1, 0.5), n)
+
+    def test_numpy_integer_index_is_an_index(self):
+        cfg = ldm("normal", 0.1, 0.5)
+        assert p_n_delta(cfg, np.int64(7)) == p_n_delta(cfg, 7)
 
     def test_monotone_in_n(self):
         cfg = ldm("normal", 0.3, 0.1)
@@ -268,9 +280,6 @@ class TestFiniteness:
 
             def pdf(self, x):
                 return super().pdf(np.asarray(x) - self.shift)
-
-            def log_pdf(self, x):
-                return super().log_pdf(np.asarray(x) - self.shift)
 
             def quantile(self, u):
                 return super().quantile(u) + self.shift
@@ -542,26 +551,32 @@ class TestCostDoesNotGrow:
             raise AssertionError("integrate was called")
 
         monkeypatch.setattr(probability, "integrate", no_quadrature)
+        monkeypatch.setattr(distributions, "integrate", no_quadrature)
         for dist in (Gumbel(), Exponential(), ParetoUnit(), Dagum(b=1.0, q=2.0)):
             for delta in (1e-6, 0.1, 50.0):
                 v = classify_finiteness(LdmConfig(dist, c=0.0, delta=delta))
                 assert v.verdict == INFINITE
+        # the uniform value is exact, so its Finite verdict integrates nothing
+        for dist in (Uniform(), Uniform(lo=-1.0, hi=3.0), Uniform(lo=-2.0, hi=-1.0)):
+            for delta in (1e-6, 0.1, 50.0):
+                v = classify_finiteness(LdmConfig(dist, c=0.0, delta=delta))
+                assert v.verdict == ALMOST_SURELY_FINITE
 
     def test_normal_value_cost_flat_in_delta(self, monkeypatch):
         # the integral's scale grows like 1/delta^2, its window like 1/delta
         points = []
-        real = probability.integrate
+        real = distributions.integrate
 
         def counted(fn, *args, **kwargs):
             return real(lambda x: points.append(x.size) or fn(x), *args, **kwargs)
 
-        monkeypatch.setattr(probability, "integrate", counted)
+        monkeypatch.setattr(distributions, "integrate", counted)
         work = []
         for delta in (0.5, 1e-6):
             points.clear()
             classify_finiteness(ldm("normal", 0.0, delta))
             work.append(sum(points))
-        assert work[1] < 10 * work[0]
+        assert 0 < work[1] < 10 * work[0]
 
 
 class TestLogProduct:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from driftrecords import quadrature
 from driftrecords.errors import QuadratureError
 from driftrecords.quadrature import integrate
 
@@ -65,10 +66,11 @@ def test_nonfinite_limits_rejected():
         integrate(lambda x: np.exp(-x), 0.0, math.inf, 1e-8)
 
 
-def test_budget_exhaustion_carries_best_estimate():
+def test_budget_exhaustion_carries_best_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 64)
     fn = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0))
-    with pytest.raises(QuadratureError) as exc_info:
-        integrate(fn, 0.0, 1.0, 1e-15, max_intervals=64)
+    with pytest.raises(QuadratureError, match="more than 64 panels") as exc_info:
+        integrate(fn, 0.0, 1.0, 1e-15)
     err = exc_info.value
     # interior inverse-sqrt singularity: truth is 2(sqrt(1/3)+sqrt(2/3))
     truth = 2.0 * (math.sqrt(1.0 / 3.0) + math.sqrt(2.0 / 3.0))
@@ -105,10 +107,11 @@ def test_vector_integrand_matches_one_call_per_component():
     assert (float(one[0][0]), float(one[1][0])) == integrate(fns[1], -3.0, 3.0, tol)
 
 
-def test_vector_budget_exhaustion_carries_every_estimate():
+def test_vector_budget_exhaustion_carries_every_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 64)
     fn = lambda x: np.stack([np.ones_like(x), 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0))])
-    with pytest.raises(QuadratureError) as exc_info:
-        integrate(fn, 0.0, 1.0, 1e-15, max_intervals=64)
+    with pytest.raises(QuadratureError, match="more than 64 panels") as exc_info:
+        integrate(fn, 0.0, 1.0, 1e-15)
     err = exc_info.value
     assert err.best_estimate.shape == err.error_bound.shape == (2,)
     assert err.best_estimate[0] == pytest.approx(1.0, rel=1e-14)

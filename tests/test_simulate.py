@@ -163,7 +163,7 @@ class TestEngine:
         cfg = config(spec, 0.01, 0.2, n, reps, seed=seed)
         want_counts, want_last = [], []
         for rep in range(reps):
-            x = cfg.ldm.dist.sample(replication_rng(seed, rep), n)
+            x = cfg.ldm.dist.quantile(replication_rng(seed, rep).random(n))
             flags, _ = record_scan(x + 0.01 * np.arange(1, n + 1), 0.2)
             want_counts.append(int(flags.sum()))
             want_last.append(int(np.nonzero(flags)[0][-1]) + 1)
