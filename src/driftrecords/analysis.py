@@ -14,10 +14,10 @@ import numpy as np
 
 from ._kernels import lag_products, record_scan
 from ._special import norm_quantile
-from .errors import DriftRecordsError
+from .errors import DriftRecordsError, require_finite, require_int
 from .estimation import gaussian_interval, variance_estimator
 from .records import delta_record_flags, running_rate
-from .simulate import _require_seed, replicate, replication_rng
+from .simulate import replicate, replication_rng
 
 FIXTURE_SEED = 165433
 
@@ -47,19 +47,19 @@ class TimeSeries:
         t = np.ascontiguousarray(self.t, dtype=np.int64)
         v = np.ascontiguousarray(self.value, dtype=np.float64)
         if t.ndim != 1 or v.ndim != 1 or t.shape[0] != v.shape[0]:
-            raise ValueError("t and value must be 1-d arrays of equal length")
+            raise DriftRecordsError("t and value must be 1-d arrays of equal length")
         if t.shape[0] == 0:
-            raise ValueError("series is empty")
+            raise DriftRecordsError("series is empty")
         if not np.all(np.isfinite(v)):
             idx = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise ValueError(f"non-finite value at position {idx + 1}")
+            raise DriftRecordsError(f"non-finite value at position {idx + 1}")
         if np.any(np.diff(t) <= 0):
             order = np.argsort(t, kind="stable")
             t = t[order]
             v = v[order]
             if np.any(np.diff(t) == 0):
                 dup = int(t[np.flatnonzero(np.diff(t) == 0)[0]])
-                raise ValueError(f"duplicate time {dup}")
+                raise DriftRecordsError(f"duplicate time {dup}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "value", v)
 
@@ -191,7 +191,7 @@ def ols_fit(ts: TimeSeries) -> OlsFit:
     """Closed-form simple linear regression of value on t (n >= 3)."""
     n = len(ts)
     if n < 3:
-        raise ValueError(f"need at least 3 points for a trend fit, got {n}")
+        raise DriftRecordsError(f"need at least 3 points for a trend fit, got {n}")
     t = ts.t.astype(np.float64)
     y = ts.value
     t_bar = t.mean()
@@ -199,7 +199,7 @@ def ols_fit(ts: TimeSeries) -> OlsFit:
     dt = t - t_bar
     sxx = float(dt @ dt)
     if sxx <= 0.0:
-        raise ValueError("time column has zero variance")
+        raise DriftRecordsError("time column has zero variance")
     beta1 = float(dt @ (y - y_bar)) / sxx
     beta0 = y_bar - beta1 * t_bar
     residuals = y - beta0 - beta1 * t
@@ -298,11 +298,12 @@ def bootstrap_histogram(
 
     Simulates value = beta0 + beta1 * t + Normal(0, sigma_eps) over the
     observed years, counts threshold records per path, and returns the
-    binned counts with the central 95% empirical quantiles. Replication
-    streams are index-derived, so worker count does not affect output.
+    binned counts with the central 95% empirical quantiles, which need
+    ``reps`` >= 1000 to be stable. Replication streams are index-derived,
+    so worker count does not affect output.
     """
-    if reps < 1000:
-        raise ValueError(f"reps must be >= 1000 for stable quantiles, got {reps}")
+    require_int("reps", reps, 1000)
+    require_finite(delta=delta)
     n = len(ts)
     trend = fit.beta0 + fit.beta1 * ts.t.astype(np.float64)
     sig = fit.sigma_eps
@@ -334,9 +335,9 @@ def synthetic_temperature_series(seed: int = FIXTURE_SEED) -> TimeSeries:
     R2 = b1^2 Sxx / (b1^2 Sxx + (n - 2) s^2), giving
     s = b1 * sqrt(Sxx (1 - R2) / (R2 (n - 2))).
 
-    Raises ValueError unless ``seed`` is a non-negative integer.
+    Raises DriftRecordsError unless ``seed`` is a non-negative integer.
     """
-    _require_seed(seed)
+    require_int("seed", seed, 0)
     t = np.arange(_FIXTURE_YEAR_LO, _FIXTURE_YEAR_HI + 1, dtype=np.int64)
     n = t.shape[0]
     r2 = 1.0 - (1.0 - _FIXTURE_ADJ_R2) * (n - 1) / (n - 2)

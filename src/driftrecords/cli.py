@@ -387,7 +387,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (DriftRecordsError, ValueError, OSError, ArithmeticError) as exc:
+    except (DriftRecordsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # the command line reports, never a traceback

@@ -12,18 +12,11 @@ The Pareto dependence-index expressions are transcribed case by case with
 subexpression names (a, A, B, C) kept from the derivation, so each branch
 can be audited term by term.
 """
-import math
-from math import comb, exp, expm1, gamma, log, log1p, sqrt
+from math import exp, expm1, gamma, log, log1p, sqrt
 
-from .errors import DriftRecordsError
+import numpy as np
 
-
-def _require_finite(**params):
-    """Reject a non-finite trend, threshold or shape, as ``LdmConfig``
-    does: the formulas would turn it into NaN or a limit value."""
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise DriftRecordsError(f"{name} must be finite, got {value}")
+from .errors import DriftRecordsError, require_finite, require_int
 
 # ---------------------------------------------------------------------------
 # Gumbel noise, F(x) = exp(-exp(-x))
@@ -42,9 +35,8 @@ def gumbel_p_n_delta(c: float, delta: float, n: int) -> float:
     denominator both positive, so nothing overflows and an underflowed
     value is +0.0.
     """
-    _require_finite(c=c, delta=delta)
-    if n < 1:
-        raise DriftRecordsError(f"n must be >= 1, got {n}")
+    require_finite(c=c, delta=delta)
+    require_int("n", n, 1)
     if n == 1:
         return 1.0
     if c == 0.0:
@@ -69,7 +61,7 @@ def gumbel_p_n_delta(c: float, delta: float, n: int) -> float:
 
 def gumbel_p_delta(c: float, delta: float) -> float:
     """Limiting delta-record rate under Gumbel noise; 0 for c <= 0."""
-    _require_finite(c=c, delta=delta)
+    require_finite(c=c, delta=delta)
     if c <= 0.0:
         return 0.0
     num = -expm1(-c)
@@ -87,7 +79,7 @@ def gumbel_l_inf(c: float, delta: float) -> float:
     consecutive record indicators become asymptotically independent there,
     attract for delta < 0 and repel for delta > 0.
     """
-    _require_finite(c=c, delta=delta)
+    require_finite(c=c, delta=delta)
     if c <= 0.0:
         raise DriftRecordsError(f"requires a positive trend, got c={c}")
     if delta == 0.0:
@@ -121,7 +113,7 @@ def gumbel_l_inf_argmax(c: float):
     delta* = log1p(-1 / (1 + s)) and max = 2 / (1 + s) with
     s = sqrt(1 - e^(-2c)), which stay finite for every c > 0.
     """
-    _require_finite(c=c)
+    require_finite(c=c)
     if c <= 0.0:
         raise DriftRecordsError(f"requires a positive trend, got c={c}")
     s = sqrt(-expm1(-2.0 * c))
@@ -138,51 +130,44 @@ from .quadrature import integrate as _integrate  # noqa: E402
 
 _DAGUM_TOL = 1e-10
 
+# Upper limit of the Dagum integrals in s.  Both integrands are below
+# e^(-s/2), so the cut drops less than e^(-40) ~ 4e-18.
+_DAGUM_S_MAX = 80.0
+
 
 def dagum_p_n0(q: float, n: int) -> float:
     """Record probability at threshold 0 under unit-shape Dagum noise.
 
     Equals (q / (n-1)^q) * integral_1^n (y-1)^(q-1) / y dy, which is a Gauss
     hypergeometric value whose argument sits next to the singular point; the
-    integral form is the stable route.  Integer q collapses to an exact
-    binomial-and-log expression.  The value does not depend on the trend.
+    integral form is the stable route.  With t = (y-1)/(n-1) = e^(-s/q) it
+    becomes
+
+        integral_0^inf e^(-s) / (1 + (n-1) e^(-s/q)) ds,
+
+    one smooth integrand for every q > 0: no endpoint singularity, no power
+    that overflows, nothing that cancels.  The value does not depend on the
+    trend.
     """
-    _require_finite(q=q)
+    require_finite(q=q)
     if not q > 0.0:
         raise DriftRecordsError(f"q must be positive, got {q}")
-    if n < 2:
-        raise DriftRecordsError(f"n must be >= 2, got {n}")
-    if isinstance(q, int) or (isinstance(q, float) and q.is_integer()):
-        qi = int(q)
-        acc = (-1.0) ** (qi - 1) * log(n)
-        for k in range(1, qi):
-            acc += comb(qi - 1, k) * (-1.0) ** (qi - 1 - k) / k * (float(n) ** k - 1.0)
-        return qi / float(n - 1) ** qi * acc
+    require_int("n", n, 2)
+    span = float(n - 1)
 
-    pref = float(n - 1) ** (-q)
-    if q < 1.0:
-        # Substitute u = (y-1)^q to absorb the endpoint singularity:
-        # value = (n-1)^(-q) * integral_0^((n-1)^q) du / (1 + u^(1/q)).
-        upper = float(n - 1) ** q
+    def fn(s):
+        return np.exp(-s) / (1.0 + span * np.exp(-s / q))
 
-        def fn(u):
-            return pref / (1.0 + u ** (1.0 / q))
-
-        val, _ = _integrate(fn, 0.0, upper, _DAGUM_TOL)
-        return val
-
-    def fn(y):
-        return q * pref * (y - 1.0) ** (q - 1.0) / y
-
-    val, _ = _integrate(fn, 1.0, float(n), _DAGUM_TOL)
+    val, _ = _integrate(fn, 0.0, _DAGUM_S_MAX, _DAGUM_TOL)
     return val
 
 
 def dagum_p_n0_asymptotic(q: float, n: int) -> float:
     """Large-n regime of ``dagum_p_n0``: three ranges split at q = 1."""
-    _require_finite(q=q)
+    require_finite(q=q)
     if not q > 0.0:
         raise DriftRecordsError(f"q must be positive, got {q}")
+    require_int("n", n, 2)
     if q < 1.0:
         return float(n) ** (-q) * q * gamma(1.0 - q) * gamma(q)
     if q == 1.0:
@@ -195,28 +180,25 @@ def dagum_p_n_delta_eq_c(q: float, n: int) -> float:
     noise with trend equal to scale, for n > 2.
 
     Equals (q (n-1)^q / (n-2)^(2q)) * integral_1^(n-1) (y-1)^(2q-1) /
-    y^(q+1) dy.  For q < 1/2 the substitution v = (y-1)^(2q) removes the
-    endpoint singularity.
+    y^(q+1) dy.  With t = (y-1)/(n-2) = e^(-s/(2q)) and d = 1 + (n-2) t it
+    becomes
+
+        1/2 integral_0^inf exp(q log((n-1)/d) - s) / d ds,
+
+    one smooth integrand for every q > 0.  Since (n-1)/d <= 1/t the
+    exponent stays below -s/2, so nothing overflows.
     """
-    _require_finite(q=q)
+    require_finite(q=q)
     if not q > 0.0:
         raise DriftRecordsError(f"q must be positive, got {q}")
-    if n <= 2:
-        raise DriftRecordsError(f"n must be > 2, got {n}")
-    pref = float(n - 1) ** q / float(n - 2) ** (2.0 * q)
-    if q < 0.5:
-        upper = float(n - 2) ** (2.0 * q)
+    require_int("n", n, 3)
+    width = float(n - 2)
 
-        def fn(v):
-            return 0.5 * pref / (1.0 + v ** (0.5 / q)) ** (q + 1.0)
+    def fn(s):
+        d = 1.0 + width * np.exp(-s / (2.0 * q))
+        return 0.5 * np.exp(q * np.log((width + 1.0) / d) - s) / d
 
-        val, _ = _integrate(fn, 0.0, upper, _DAGUM_TOL)
-        return val
-
-    def fn(y):
-        return q * pref * (y - 1.0) ** (2.0 * q - 1.0) / y ** (q + 1.0)
-
-    val, _ = _integrate(fn, 1.0, float(n - 1), _DAGUM_TOL)
+    val, _ = _integrate(fn, 0.0, _DAGUM_S_MAX, _DAGUM_TOL)
     return val
 
 
@@ -225,9 +207,10 @@ def dagum_p_n_delta_eq_c_asymptotic(q: float, n: int) -> float:
 
     Matches the threshold-0 regime for q >= 1 but not for q in (0, 1),
     where the constant changes to Gamma(2q) Gamma(1-q) / Gamma(q)."""
-    _require_finite(q=q)
+    require_finite(q=q)
     if not q > 0.0:
         raise DriftRecordsError(f"q must be positive, got {q}")
+    require_int("n", n, 3)
     if q < 1.0:
         return float(n) ** (-q) * gamma(2.0 * q) * gamma(1.0 - q) / gamma(q)
     if q == 1.0:
@@ -253,9 +236,8 @@ def pareto_p_n_delta(delta: float, n: int) -> float:
     1 / (2(n-1)).  Near that point the two numerator terms cancel almost
     exactly, so a small window around it returns the limit value instead.
     """
-    _require_finite(delta=delta)
-    if n < 2:
-        raise DriftRecordsError(f"n must be >= 2, got {n}")
+    require_finite(delta=delta)
+    require_int("n", n, 2)
     if abs(delta - (n - 1)) < _PARETO_SINGULAR_WINDOW:
         return 1.0 / (2.0 * (n - 1))
     mn, mx = min(1.0, delta), max(1.0, delta)
@@ -277,9 +259,8 @@ def pareto_l_n(delta: float, n: int) -> float:
     delta = 1 the (0,1) branch cancels catastrophically, so a 1e-5 window
     routes to the delta = 1 formula.
     """
-    _require_finite(delta=delta)
-    if n <= 2:
-        raise DriftRecordsError(f"n must be > 2, got {n}")
+    require_finite(delta=delta)
+    require_int("n", n, 3)
     if delta < 0.0:
         return _pareto_l_n_negative(delta, n)
     if abs(delta - 1.0) <= 1e-5:

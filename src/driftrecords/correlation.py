@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedError
-from .probability import (
-    DEFAULT_TOL,
-    LdmConfig,
-    ProbResult,
-    _check_index,
-    _record_integral,
-)
+from .errors import IllConditionedError, require_int
+from .probability import DEFAULT_TOL, LdmConfig, ProbResult, _record_integral
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,7 @@ def joint_prob_consecutive(
     is a conditional probability of observation n), and what the
     Euler-Maclaurin remainders add.
     """
-    _check_index(n)
+    require_int("n", n, 1)
     weight, reach, kinks = _joint_weight(cfg)
     (res,) = _record_integral(cfg, n - 1, tol, (weight,), reach, kinks)
     return res
@@ -99,7 +93,7 @@ def dependence_index_result(
     p_1 is 1 exactly.  The bound adds the joint's relative bound to the
     relative bounds of both marginals, to first order.
     """
-    _check_index(n)
+    require_int("n", n, 1)
     dist, shift = cfg.dist, cfg.c * n - cfg.delta
     pdf, cdf = dist.pdf, dist.cdf
     weight, reach, kinks = _joint_weight(cfg)

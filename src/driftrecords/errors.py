@@ -1,7 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that decide
+whether an argument is valid input.
+
+Every bad-input failure is a ``DriftRecordsError``; it subclasses
+``ValueError`` so that callers catching the builtin keep working.
+"""
+import math
+import numbers
 
 
-class DriftRecordsError(Exception):
+class DriftRecordsError(ValueError):
     """Base class for package-specific failures."""
 
 
@@ -22,3 +29,27 @@ class QuadratureError(DriftRecordsError):
 class IllConditionedError(DriftRecordsError):
     """A ratio or quotient is dominated by numerical error in its inputs."""
 
+
+def require_int(name, value, least):
+    """Reject ``value`` unless it is an integer >= ``least``: bool, float,
+    NaN and inf included, numpy integers accepted."""
+    # the exact type test first: the ABC check costs ~0.5 us per call
+    integral = type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+    if not integral or value < least:
+        rule = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise DriftRecordsError(f"{name} must be {rule}, got {value!r}")
+
+
+def require_finite(**values):
+    """Reject any keyword value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DriftRecordsError(f"{name} must be finite, got {value}")
+
+
+def require_tol(tol):
+    """Reject a tolerance outside 0 < tol < inf."""
+    if not 0.0 < tol < math.inf:
+        raise DriftRecordsError(f"tol must be positive and finite, got {tol}")

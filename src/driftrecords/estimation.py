@@ -12,6 +12,7 @@ import numpy as np
 
 from ._kernels import lag_products, record_scan
 from ._special import norm_quantile
+from .errors import DriftRecordsError, require_finite, require_int
 from .probability import LdmConfig
 from .records import RecordFlags
 from .simulate import replicate
@@ -49,10 +50,13 @@ def variance_estimator(
         flags = flags.flags
     ind = np.asarray(flags, dtype=np.float64)
     n = ind.shape[0]
+    if n == 0:
+        raise DriftRecordsError("flags must hold at least one indicator")
     if m is None:
         m = min(int(math.isqrt(n)), n // 2)
-    if m < 0 or m > n // 2:
-        raise ValueError(f"lag window m={m} outside [0, n//2] = [0, {n // 2}]")
+    require_int("m", m, 0)
+    if m > n // 2:
+        raise DriftRecordsError(f"lag window m={m} outside [0, n//2] = [0, {n // 2}]")
     z = ind - ind.mean()
     gammas = np.empty(m + 1, dtype=np.float64)
     gammas[0] = float(z @ z) / n
@@ -87,12 +91,9 @@ def asymptotic_variance_mc(
     floored at zero: the lag-0 variance plus twice the lag
     covariances, truncated at lag_max.
     """
-    if horizon <= lag_max:
-        raise ValueError(
-            f"horizon {horizon} must exceed lag_max {lag_max}"
-        )
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    require_int("lag_max", lag_max, 0)
+    require_int("horizon", horizon, lag_max + 1)
+    require_int("burn_in", burn_in, 0)
     c, delta, dist = ldm.c, ldm.delta, ldm.dist
     total = burn_in + horizon
     drift = c * np.arange(1, total + 1, dtype=np.float64)
@@ -121,12 +122,12 @@ def gaussian_interval(
     Quantiles of Normal(n * p_hat, n * sigma2) at (1 - level)/2 and
     1 - (1 - level)/2. sigma2 = 0 degenerates to a point.
     """
+    require_int("n", n, 1)
+    require_finite(p_hat=p_hat, sigma2=sigma2)
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
-    if not sigma2 >= 0.0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    if not math.isfinite(p_hat):
-        raise ValueError(f"p_hat must be finite, got {p_hat}")
+        raise DriftRecordsError(f"level must lie in (0, 1), got {level}")
+    if sigma2 < 0.0:
+        raise DriftRecordsError(f"sigma2 must be >= 0, got {sigma2}")
     mean = n * p_hat
     sd = math.sqrt(n * sigma2)
     z = float(norm_quantile(0.5 + level / 2.0))

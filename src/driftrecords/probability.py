@@ -12,14 +12,13 @@ in Euler-Maclaurin form with a bounded remainder, and classifies when the
 limit is positive and when the total number of records stays finite.
 """
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .distributions import Distribution
-from .errors import DriftRecordsError
+from .errors import DriftRecordsError, require_finite, require_int, require_tol
 from .quadrature import integrate
 
 DEFAULT_TOL = 1e-8
@@ -53,15 +52,7 @@ class LdmConfig:
     delta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.c) and math.isfinite(self.delta)):
-            raise DriftRecordsError("trend and threshold must be finite")
-
-
-def _check_index(n):
-    """Reject an observation index that is not an integer >= 1; bool,
-    float, NaN and inf included, numpy integers accepted."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise DriftRecordsError(f"n must be an integer >= 1, got {n!r}")
+        require_finite(c=self.c, delta=self.delta)
 
 
 @dataclass(frozen=True)
@@ -304,8 +295,7 @@ def _record_integral(cfg, m, tol, weights=None, reach=0.0, kinks=()):
     the Euler-Maclaurin remainders (each node within tol/10 in log space)
     add.
     """
-    if not tol > 0.0:
-        raise DriftRecordsError(f"tol must be positive, got {tol}")
+    require_tol(tol)
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
     ws = (dist.pdf,) if weights is None else tuple(weights)
     lo, hi, cut = _quantile_window(dist)
@@ -341,9 +331,8 @@ def p_n_delta(cfg: LdmConfig, n: int, tol: float = DEFAULT_TOL) -> ProbResult:
     ``tol`` by adaptive quadrature, with the finite product accumulated in
     log space.
     """
-    _check_index(n)
-    if not tol > 0.0:
-        raise DriftRecordsError(f"tol must be positive, got {tol}")
+    require_int("n", n, 1)
+    require_tol(tol)
     if n == 1:
         return ProbResult(1.0, 0.0, 0)
     return _record_integral(cfg, n - 1, tol)[0]
@@ -376,8 +365,7 @@ def p_delta(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> ProbResult:
     product is the same log-product as for p_n with no last factor: its
     Euler-Maclaurin tail runs to infinity, so nothing is truncated.
     """
-    if not tol > 0.0:
-        raise DriftRecordsError(f"tol must be positive, got {tol}")
+    require_tol(tol)
     if not classify_positivity(cfg):
         return ProbResult(0.0, 0.0, 0)
 
@@ -402,8 +390,7 @@ def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessV
     ``integral_value``: exact for uniform noise, and within ``tol`` times
     the value for normal noise.
     """
-    if not tol > 0.0:
-        raise DriftRecordsError(f"tol must be positive, got {tol}")
+    require_tol(tol)
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
     lo, hi = dist.support
     tail = dist.tail_info()

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DriftRecordsError
+from .errors import DriftRecordsError, require_finite
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ def delta_record_flags(y, delta: float) -> RecordFlags:
     Returns the indicator array, the running maxima and delta itself.
     The comparison is strict: y[j] > max(y[:j]) + delta.
     """
+    require_finite(delta=delta)
     arr = _as_sequence(y)
     flags, running_max = _kernels.record_scan(arr, float(delta))
     return RecordFlags(flags=flags, running_max=running_max, delta=float(delta))

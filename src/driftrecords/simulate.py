@@ -11,13 +11,13 @@ it computes those uniforms for every row of the block at once
 """
 import functools
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import record_scan
+from .errors import require_int
 from .probability import LdmConfig
 
 # Uniforms per block: 2**16 float64 values make each block array 512 KB.
@@ -38,20 +38,10 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
     Uses a spawn key rather than seed arithmetic, so streams for
     different replication indices never collide.
     """
+    require_int("seed", seed, 0)
+    require_int("rep", rep, 0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def _require_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-def _require_seed(seed) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 # -- the streams of a block, vectorized ---------------------------------------
@@ -255,10 +245,10 @@ def replicate(seed: int, reps: int, n: int, scan, workers: int = 1) -> list:
     come back in replication order, so the output does not depend on
     the worker count.
     """
-    _require_seed(seed)
-    _require_count("replications", reps)
-    _require_count("horizon n", n)
-    _require_count("workers", workers)
+    require_int("seed", seed, 0)
+    require_int("reps", reps, 1)
+    require_int("n", n, 1)
+    require_int("workers", workers, 1)
     seed = int(seed)
     blocks = max(workers, math.ceil(reps * n / _BLOCK_VALUES))
     rows = math.ceil(reps / blocks)
@@ -290,9 +280,9 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        _require_count("horizon n", self.n)
-        _require_count("replications", self.replications)
-        _require_seed(self.seed)
+        require_int("n", self.n, 1)
+        require_int("replications", self.replications, 1)
+        require_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -321,8 +311,7 @@ class SimSummary:
 
 def simulate_ldm(ldm: LdmConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """One path X_j + c*j for j = 1..n."""
-    if n < 1:
-        raise ValueError(f"horizon n must be >= 1, got {n}")
+    require_int("n", n, 1)
     x = ldm.dist.quantile(rng.random(n))
     return x + ldm.c * np.arange(1, n + 1, dtype=np.float64)
 

@@ -237,7 +237,7 @@ class TestFixtureProvenance:
         other = synthetic_temperature_series(seed=FIXTURE_SEED + 1)
         assert not np.array_equal(other.value, fixture_series.value)
 
-    @pytest.mark.parametrize("seed", [None, -1, True, 1.5])
+    @pytest.mark.parametrize("seed", [None, -1, True, 1.5, math.nan, math.inf])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         # None used to give a new series on every call, and -1 failed
         # inside numpy without naming the seed

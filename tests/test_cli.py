@@ -78,6 +78,11 @@ class TestClosedForm:
         )
         assert got["value"] == pytest.approx(0.14163790415395444, rel=1e-9)
 
+    def test_dagum_with_a_large_integer_shape(self, capsys):
+        # the integer-q binomial sum printed -2922236 here
+        got = run_json(capsys, "closed-form", "--model", "dagum", "--q", "50", "--n", "2")
+        assert got["value"] == pytest.approx(0.50499900079864395, rel=1e-12)
+
     def test_pareto_dependence_index(self, capsys):
         got = run_json(
             capsys, "closed-form", "--model", "pareto", "--quantity", "l-n",
@@ -97,7 +102,10 @@ class TestClosedForm:
     ):
         from driftrecords import closed_form
 
-        for exc in (OverflowError("math range error"), RuntimeError("boom")):
+        # only DriftRecordsError and OSError are user errors: a bare
+        # ValueError or ArithmeticError is a fault of the program
+        for exc in (OverflowError("math range error"), RuntimeError("boom"),
+                    ValueError("bad")):
             def fail(*args, exc=exc):
                 raise exc
 
@@ -107,7 +115,7 @@ class TestClosedForm:
                 "l-inf", "--c", "1", "--delta", "0",
             )
             assert rc == 1 and out == ""
-            assert err.startswith("error:") and str(exc) in err
+            assert err.startswith("error: internal error:") and str(exc) in err
             assert "Traceback" not in err
 
     def test_missing_required_flag_exits_nonzero(self, capsys):
@@ -334,7 +342,7 @@ class TestSimulate:
     def test_zero_workers_exits_with_an_error(self, capsys):
         rc, out, err = run(capsys, *self.SIM, "--workers", "0")
         assert rc == 1 and out == ""
-        assert err.startswith("error: workers must be >= 1")
+        assert err.startswith("error: workers must be an integer >= 1")
 
     def test_negative_seed_exits_with_an_error(self, capsys):
         rc, out, err = run(capsys, *self.SIM[:-1], "-1")
@@ -378,6 +386,15 @@ class TestSigma2:
         p = 1.0 - math.exp(-1.0)
         assert got["sigma2"] == pytest.approx(p * (1.0 - p), abs=0.08)
 
+    def test_negative_lag_window_exits_with_an_error(self, capsys):
+        # it used to print p(1 - p) and echo "lag_max": -3
+        rc, out, err = run(
+            capsys, "sigma2", "--dist", "gumbel", "--c", "1", "--delta", "0",
+            "--horizon", "400", "--lag-max", "-3", "--reps", "2",
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error: lag_max must be a non-negative integer")
+
 
 class TestAnalyze:
     def test_end_to_end_artifacts(self, capsys, tmp_path):
@@ -416,6 +433,18 @@ class TestAnalyze:
         assert got["bootstrap"] is None
         assert not (tmp_path / "histogram.csv").exists()
         assert (tmp_path / "rate_path.csv").exists()
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_threshold_exits_with_an_error(self, capsys, tmp_path, delta):
+        # it used to count one record and write "delta": NaN, which is not JSON
+        out = tmp_path / "report.json"
+        rc, stdout, err = run(
+            capsys, "analyze", "--input", str(FIXTURE_CSV), "--delta", delta,
+            "--out", str(out),
+        )
+        assert rc == 1 and stdout == ""
+        assert err.startswith("error: delta must be finite")
+        assert not out.exists()
 
     def test_missing_input_exits_nonzero(self, capsys, tmp_path):
         rc, _, err = run(

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
@@ -256,6 +257,38 @@ class TestDagum:
             dagum_p_n0(1.0, 1)
         with pytest.raises(DriftRecordsError):
             dagum_p_n0(-1.0, 5)
+
+    # q = 2 at the n of the benchmark's Dagum anchors, the points where the
+    # integer-q binomial sum lost everything to cancellation or overflowed,
+    # and points where the peak of (y-1)^(q-1) is narrower than any
+    # quadrature panel on [1, n]
+    P_N0_POINTS = [(2.0, n) for n in (2, 10, 100, 1000, 10_000)] + [
+        (50.0, 2), (50.0, 3), (400.0, 3), (400.0, 10), (400.5, 10),
+        (1e4, 10_000), (0.3, 7), (1.5, 10_000), (0.9, 2_000_000),
+    ]
+    EQ_C_POINTS = [
+        (50.0, 3), (400.0, 3), (200.5, 10), (1e4, 10_000), (0.3, 7),
+        (0.5, 100), (1.5, 20), (3.0, 2_000_000),
+    ]
+
+    @pytest.mark.parametrize("q, n", P_N0_POINTS, ids=str)
+    def test_zero_threshold_matches_mpmath(self, q, n):
+        # the integral is q int_0^1 t^(q-1) / (1 + (n-1) t) dt, which is
+        # 2F1(1, q; q+1; 1-n)
+        with mp.workdps(40):
+            want = float(mp.hyp2f1(1, q, q + 1, 1 - n))
+        assert dagum_p_n0(q, n) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("q, n", EQ_C_POINTS, ids=str)
+    def test_threshold_equal_trend_matches_mpmath(self, q, n):
+        # q (n-1)^q int_0^1 t^(2q-1) (1 + (n-2) t)^(-q-1) dt, which is
+        # (n-1)^q / 2 * 2F1(q+1, 2q; 2q+1; 2-n)
+        with mp.workdps(40):
+            q_ = mp.mpf(q)
+            want = float(
+                mp.power(n - 1, q_) / 2 * mp.hyp2f1(q_ + 1, 2 * q_, 2 * q_ + 1, 2 - n)
+            )
+        assert dagum_p_n_delta_eq_c(q, n) == pytest.approx(want, rel=1e-12)
 
 
 class TestParetoProbability:

@@ -156,7 +156,7 @@ class TestJointProbability:
 LAWS = ("gumbel", "normal", "pareto1", "dagum:b=1,q=2", "uniform", "exp")
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
 @pytest.mark.parametrize("fn", [joint_prob_consecutive, dependence_index_result])
 def test_tolerance_must_be_positive(fn, tol):
     # a NaN tolerance used to return a value whose bound was never

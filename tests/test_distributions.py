@@ -194,6 +194,18 @@ class TestZeroTrendIntegral:
         assert _uniform_survival_ratio(lo, hi, delta) == 0.0
         assert Uniform(lo, hi).zero_trend_integral(delta, 1e-8) == 0.0
 
+    @pytest.mark.parametrize("dist", [Normal(0.0, 1.0), Uniform(0.0, 1.0)], ids=repr)
+    @pytest.mark.parametrize("delta, tol, name", [
+        (0.5, 0.0, "tol"), (0.5, -1.0, "tol"), (0.5, math.nan, "tol"),
+        (0.5, math.inf, "tol"), (0.0, 1e-8, "delta"), (-1.0, 1e-8, "delta"),
+        (math.nan, 1e-8, "delta"), (math.inf, 1e-8, "delta"),
+    ])
+    def test_rejects_a_bad_threshold_or_tolerance(self, dist, delta, tol, name):
+        # the normal law used to raise ZeroDivisionError at tol = 0 and
+        # "math domain error" at delta = -1
+        with pytest.raises(DriftRecordsError, match=f"^{name} must be positive"):
+            dist.zero_trend_integral(delta, tol)
+
     def test_laws_whose_integral_diverges_have_no_value(self):
         for dist in ALL_DISTS:
             if not dist.tail_info().zero_trend_finite:

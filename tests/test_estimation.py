@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from driftrecords import (
+    DriftRecordsError,
     LdmConfig,
     asymptotic_variance_mc,
     delta_record_flags,
@@ -57,6 +58,11 @@ class TestVarianceEstimator:
         with pytest.raises(ValueError):
             variance_estimator(fl, m=-1)
         variance_estimator(fl, m=5)
+
+    def test_rejects_an_empty_sequence(self):
+        # it used to return NaN after numpy's "Mean of empty slice" warning
+        with pytest.raises(DriftRecordsError, match="at least one indicator"):
+            variance_estimator([])
 
     def test_gammas_match_direct_autocovariances(self):
         rng = np.random.default_rng(42)

@@ -109,11 +109,14 @@ class TestFiniteSampleProbability:
             assert shifted.value == pytest.approx(base.value, abs=1e-8)
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
 def test_tolerance_must_be_positive(tol):
+    # tol = inf used to pass, and classify_finiteness then failed with
+    # "math domain error"
     cfg = ldm("gumbel", 1.0, 0.5)
     for call in (lambda: p_n_delta(cfg, 5, tol=tol), lambda: p_n_delta(cfg, 1, tol=tol),
-                 lambda: p_delta(cfg, tol=tol)):
+                 lambda: p_delta(cfg, tol=tol),
+                 lambda: classify_finiteness(ldm("normal", 0.0, 0.5), tol=tol)):
         with pytest.raises(DriftRecordsError, match="tol must be positive"):
             call()
 

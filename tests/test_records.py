@@ -83,6 +83,12 @@ class TestErrors:
         with pytest.raises(DriftRecordsError):
             delta_record_flags(np.ones((2, 2)), 0.0)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [delta_record_flags, running_rate])
+    def test_non_finite_threshold(self, fn, delta):
+        with pytest.raises(DriftRecordsError, match="delta must be finite"):
+            fn([1.0, 2.0, 3.0], delta)
+
 
 class TestProperties:
     @given(sequences, deltas)

@@ -80,11 +80,11 @@ class TestConfigValidation:
             SimulationConfig(**kwargs)
 
     def test_engine_rejects_zero_workers(self):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             mc_record_rate(config("gumbel", 0.0, 0.0, 10, 10), workers=0)
 
 
-BAD_SEEDS = [None, True, 3.0, "3", -1]
+BAD_SEEDS = [None, True, 3.0, 2.5, math.nan, math.inf, "3", -1]
 
 
 class TestSeedValidation:
