@@ -68,45 +68,8 @@ def _ratpoly(coef_num, coef_den, r):
     return num
 
 
-def _horner_float(coef, r):
-    """_horner on one Python float, with the same two roundings per step."""
-    acc = coef[-1]
-    for c in coef[-2::-1]:
-        acc = acc * r + c
-    return acc
-
-
-_A_F, _B_F, _C_F, _D_F, _E_F, _F_F = (
-    tuple(map(float, coef)) for coef in (_A, _B, _C, _D, _E, _F)
-)
-
-
-def _norm_quantile_float(p):
-    """norm_quantile for one p in [0, 1], in Python floats.
-
-    Every step is the array path's operation on one value: Horner with
-    separate multiply and add, q * q for qc**2, and the tail logarithm
-    through np.log, whose last bit can differ from math.log.
-    """
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * (_horner_float(_A_F, r) / _horner_float(_B_F, r))
-    r = math.sqrt(-float(np.log(min(p, 1.0 - p))))
-    num, den, t = (_C_F, _D_F, r - 1.6) if r <= 5.0 else (_E_F, _F_F, r - 5.0)
-    x = _horner_float(num, t) / _horner_float(den, t)
-    return -x if p < 0.5 else x
-
-
 def norm_quantile(p):
     """Inverse standard normal cdf, vectorized.
-
-    A Python float in [0, 1] takes a pure-float path with the same bits
-    as the array path; everything else goes through numpy.
 
     Parameters
     ----------
@@ -117,8 +80,6 @@ def norm_quantile(p):
     -------
     float or ndarray
     """
-    if isinstance(p, float) and 0.0 <= p <= 1.0:
-        return _norm_quantile_float(float(p))
     p_arr = np.asarray(p, dtype=float)
     scalar = p_arr.ndim == 0
     p_arr = np.atleast_1d(p_arr)

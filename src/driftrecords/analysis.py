@@ -31,7 +31,8 @@ _FIXTURE_YEAR_HI = 2019
 @dataclass(frozen=True)
 class TimeSeries:
     """Yearly series: integer times, strictly increasing, no missing
-    values.
+    values.  Times may come as integral floats such as 1951.0; a
+    fractional, NaN or infinite time is an error, never truncated.
 
     The constructor sorts rows by t (record flags and regression both
     read the series in time order), so building one from permuted rows
@@ -44,7 +45,16 @@ class TimeSeries:
     value: np.ndarray
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.t, dtype=np.int64)
+        t = np.asarray(self.t)
+        if t.dtype.kind == "f":
+            # np.abs(t) < 2**63 also fails for NaN
+            bad = ~((np.abs(t) < 2.0**63) & (t == np.floor(t)))
+            if bad.any():
+                idx = int(np.flatnonzero(bad)[0])
+                raise DriftRecordsError(
+                    f"time at position {idx + 1} is not an integer: {t[idx]}"
+                )
+        t = np.ascontiguousarray(t, dtype=np.int64)
         v = np.ascontiguousarray(self.value, dtype=np.float64)
         if t.ndim != 1 or v.ndim != 1 or t.shape[0] != v.shape[0]:
             raise DriftRecordsError("t and value must be 1-d arrays of equal length")

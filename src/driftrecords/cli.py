@@ -20,7 +20,7 @@ from . import closed_form
 from .analysis import analyze, bootstrap_histogram, load_series
 from .correlation import dependence_index_result
 from .distributions import parse_spec
-from .errors import DriftRecordsError
+from .errors import DriftRecordsError, require_int
 from .estimation import asymptotic_variance_mc, variance_estimator
 from .probability import DEFAULT_TOL, LdmConfig, p_delta, p_n_delta
 from .simulate import SimulationConfig, mc_record_rate
@@ -251,13 +251,18 @@ def _report_payload(report, boot) -> dict:
 
 
 def _cmd_analyze(args) -> None:
+    require_int("--bootstrap", args.bootstrap, 0)
+    unread = [name for name in ("seed", "workers") if getattr(args, name) is not None]
+    if unread and args.bootstrap == 0:
+        raise DriftRecordsError(f"analyze takes {_flags(unread)} only with --bootstrap")
     ts = load_series(args.input)
     report = analyze(ts, args.delta, m=args.m, level=args.level)
     boot = None
     if args.bootstrap > 0:
         boot = bootstrap_histogram(
-            report.fit, ts, args.delta, args.bootstrap, args.seed,
-            workers=args.workers,
+            report.fit, ts, args.delta, args.bootstrap,
+            42 if args.seed is None else args.seed,
+            workers=1 if args.workers is None else args.workers,
         )
 
     out_dir = os.path.dirname(os.path.abspath(args.out))
@@ -374,8 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--bootstrap", type=int, default=0, help="bootstrap replications")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--seed", type=int, default=None, help="bootstrap seed (default 42)")
+    p.add_argument("--workers", type=int, default=None, help="bootstrap workers (default 1)")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=_cmd_analyze)
 

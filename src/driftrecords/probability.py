@@ -10,7 +10,10 @@ all i >= 1.  This module evaluates both by adaptive quadrature of one
 integrand, whose log-product sums a head of factors directly and the rest
 in Euler-Maclaurin form with a bounded remainder, and classifies when the
 limit is positive and when the total number of records stays finite.
+Each integral's window and tail start are set up once, before its first
+integrand call.
 """
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -79,8 +82,10 @@ class FinitenessVerdict:
     integral_value: Optional[float] = None
 
 
+@functools.lru_cache(maxsize=64)
 def _quantile_window(dist):
-    """Finite integration window covering all but ~2e-12 of the mass."""
+    """Finite integration window covering all but ~2e-12 of the mass,
+    kept for the most recent laws (they are frozen, so they hash)."""
     lo, hi = dist.support
     cut = 0.0
     if not math.isfinite(lo):
@@ -120,35 +125,6 @@ def _product_kinks(dist, c, delta, m, lo, hi):
     if i_hi - i_lo >= _MAX_KINKS:
         return ()
     return top + delta - c * np.arange(i_lo, i_hi + 1, dtype=np.float64)
-
-
-@dataclass
-class _TailLedger:
-    """State one quadrature shares across its calls of ``_log_product``.
-
-    ``budget`` bounds the Euler-Maclaurin remainder at every node, and
-    ``y_lo`` is the lowest argument y the calls will pass.  ``start`` is
-    an argument from which the tail meets the budget, found on the first
-    call; ``head`` and ``eps`` are the largest direct head and the largest
-    remainder bound used so far.
-    """
-
-    budget: float
-    y_lo: float
-    start: Optional[float] = None
-    head: int = 0
-    eps: float = 0.0
-
-    def error(self, value, err):
-        """What the remainders add to the error of a quadrature value
-        ``value`` +- ``err`` of exp(log-product) times a factor >= 0.
-
-        Each node's integrand is off by a factor within exp(+-eps), so the
-        integral p is off by at most expm1(eps) p, and p is at most
-        (value + err) / (1 - expm1(eps)).
-        """
-        grow = math.expm1(self.eps)
-        return (value + err) * grow / (1.0 - grow)
 
 
 _CHUNK_BUDGET = 1 << 22
@@ -191,33 +167,32 @@ def _b6(c, x):
         return x * c * c * c * c * c / 30240.0
 
 
-def _head_length(dist, y_min, c, m, tail):
-    """Number of factors to sum directly so that the remainder bound at
-    every node y >= y_min meets ``tail.budget``.
+def _tail_start(dist, y_lo, c, m, budget):
+    """Argument of the first Euler-Maclaurin tail factor such that the
+    remainder bound at every node y >= y_lo meets ``budget``, or None
+    when every factor is summed directly (c <= 0 or m <= _MIN_TAIL).
 
-    The sixth-order Euler-Maclaurin remainder after K direct factors is
-    at most (c^5/30240) TV(g^(5)) over [y + c (K+1), y + c m], and that
-    variation shrinks as the interval's left end moves right.  The first
-    call finds the smallest K for y = tail.y_lo, which puts the first tail
-    factor at tail.start; every call then starts its tail there or just
-    after.  A tail shorter than ``_MIN_TAIL`` joins the head.
+    The sixth-order remainder after K direct factors is at most
+    (c^5/30240) TV(g^(5)) over [y + c (K+1), y + c m], and that variation
+    shrinks as the interval's left end moves right.  The smallest K for
+    y = y_lo puts the first tail factor at the returned start; every node
+    then starts its tail there or just after.
     """
-    if tail.start is None:
-        end = dist.log_cdf_d5(math.inf)
+    if c <= 0.0 or m <= _MIN_TAIL:
+        return None
+    end = dist.log_cdf_d5(math.inf)
 
-        def fits(k):
-            a = tail.y_lo + c * (k + 1.0)
-            tv = dist.log_cdf_d5_variation(a, math.inf, dist.log_cdf_d5(a), end)
-            return (k >= m) | (_b6(c, tv) <= tail.budget)
+    def fits(k):
+        a = y_lo + c * (k + 1.0)
+        tv = dist.log_cdf_d5_variation(a, math.inf, dist.log_cdf_d5(a), end)
+        return (k >= m) | (_b6(c, tv) <= budget)
 
-        tail.start = tail.y_lo + c * (_first_fit(fits, m) + 1.0)
-    head = max(math.ceil((tail.start - y_min) / c) - 1, 0)
-    return head if m - head >= _MIN_TAIL else m
+    return y_lo + c * (_first_fit(fits, m) + 1.0)
 
 
-def _em_tail(dist, y, c, head, m, tail):
+def _em_tail(dist, y, c, head, m):
     """sum_{i=head+1..m} log F(y + c i) by Euler-Maclaurin with three
-    correction terms; records the largest remainder bound in ``tail``.
+    correction terms, and the largest remainder bound over y.
 
     With a = y + c (head+1), b = y + c last and D h = h(b) - h(a):
 
@@ -251,35 +226,36 @@ def _em_tail(dist, y, c, head, m, tail):
     )
     tv = dist.log_cdf_d5_variation(a, b, g5a, g5b)
     eps = np.where(some, _b6(c, tv), 0.0)
-    tail.eps = max(tail.eps, float(eps.max()))
-    return np.where(some, s, 0.0)
+    return np.where(some, s, 0.0), float(eps.max())
 
 
-def _log_product(dist, y, c, m, tail):
+def _log_product(dist, y, c, m, start):
     """sum_{i=1..m} log F(y + c i) for each y; m may be math.inf.
 
-    The first factors are summed directly, chunking the (y, i) grid.  For
-    c > 0 the factors after the head returned by ``_head_length`` come
-    from ``_em_tail``; for c <= 0, or m <= _MIN_TAIL, every factor is
-    summed directly.
+    Returns the sums, the number of leading factors summed directly and
+    the largest Euler-Maclaurin remainder bound.  The head is summed
+    directly, chunking the (y, i) grid.  With ``start`` from
+    ``_tail_start``, the factors at arguments from ``start`` on come from
+    ``_em_tail`` unless fewer than ``_MIN_TAIL`` of them are left; with
+    ``start`` None every factor is summed directly.
     """
-    if c > 0.0 and m > _MIN_TAIL:
-        head = _head_length(dist, float(y.min()), c, m, tail)
-    else:
-        head = m
-    tail.head = max(tail.head, head)
+    head = m
+    if start is not None:
+        head = max(math.ceil((start - float(y.min())) / c) - 1, 0)
+        if m - head < _MIN_TAIL:
+            head = m
     out = np.zeros_like(y)
     if head > 0:
         offsets = c * np.arange(1, head + 1, dtype=np.float64)
         step = max(1, _CHUNK_BUDGET // head)
-        for start in range(0, y.shape[0], step):
-            block = y[start:start + step]
-            out[start:start + step] = dist.log_cdf(
-                block[:, None] + offsets[None, :]
-            ).sum(axis=1)
+        for i in range(0, y.shape[0], step):
+            block = y[i:i + step]
+            out[i:i + step] = dist.log_cdf(block[:, None] + offsets[None, :]).sum(axis=1)
+    eps = 0.0
     if head < m:
-        out += _em_tail(dist, y, c, head, m, tail)
-    return out
+        tail, eps = _em_tail(dist, y, c, head, m)
+        out += tail
+    return out, head, eps
 
 
 def _record_integral(cfg, m, tol, weights=None, reach=0.0, kinks=()):
@@ -304,11 +280,16 @@ def _record_integral(cfg, m, tol, weights=None, reach=0.0, kinks=()):
     if lo >= hi:
         return tuple(ProbResult(0.0, 0.0, 0) for _ in ws)
 
-    tail = _TailLedger(tol / 10.0, lo - delta)
+    with np.errstate(over="ignore"):
+        start = _tail_start(dist, lo - delta, c, m, tol / 10.0)
+    head, eps = 0, 0.0
 
     def integrand(x):
+        nonlocal head, eps
         with np.errstate(over="ignore"):
-            product = np.exp(_log_product(dist, x - delta, c, m, tail))
+            log_product, h, e = _log_product(dist, x - delta, c, m, start)
+            product = np.exp(log_product)
+        head, eps = max(head, h), max(eps, e)
         out = np.empty((len(ws),) + x.shape)
         for row, w in zip(out, ws):
             np.multiply(product, w(x), out=row)
@@ -316,10 +297,14 @@ def _record_integral(cfg, m, tol, weights=None, reach=0.0, kinks=()):
 
     breaks = np.concatenate((_product_kinks(dist, c, delta, m, lo, hi), kinks))
     values, errs = integrate(integrand, lo, hi, 0.8 * tol, breaks=breaks)
+    # each node's integrand is off by a factor within exp(+-eps), so an
+    # integral p is off by at most expm1(eps) p, and p is at most
+    # (value + err) / (1 - expm1(eps))
+    grow = math.expm1(eps)
     out = []
     for value, err in zip(values.tolist(), errs.tolist()):
         value = min(max(value, 0.0), 1.0)
-        out.append(ProbResult(value, err + cut + tail.error(value, err), tail.head))
+        out.append(ProbResult(value, err + cut + (value + err) * grow / (1.0 - grow), head))
     return tuple(out)
 
 

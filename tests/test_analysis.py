@@ -96,6 +96,22 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(t=[1, 2], value=[1.0])
 
+    @pytest.mark.parametrize("t, position", [
+        ([1.5, 2.7, 3.9], 1),
+        ([1.0, 1.5, 3.0], 2),
+        ([1.0, math.nan, 3.0], 2),
+        ([1.0, 2.0, -math.inf], 3),
+        ([1.0, 2.0, 1e300], 3),
+    ])
+    def test_rejects_times_that_are_not_integers(self, t, position):
+        with pytest.raises(DriftRecordsError, match=f"time at position {position} "):
+            TimeSeries(t=t, value=[1.0, 2.0, 3.0])
+
+    def test_accepts_integral_float_times(self):
+        ts = TimeSeries(t=np.array([1952.0, 1951.0, -3.0]), value=[2.0, 1.0, 0.0])
+        assert ts.t.dtype == np.int64
+        assert ts.t.tolist() == [-3, 1951, 1952]
+
 
 class TestOlsFit:
     def test_recovers_an_exact_line(self):

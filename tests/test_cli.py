@@ -446,6 +446,36 @@ class TestAnalyze:
         assert err.startswith("error: delta must be finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--bootstrap", "-1"], "--bootstrap must be a non-negative integer"),
+        (["--bootstrap", "-5", "--seed", "-3", "--workers", "0"],
+         "--bootstrap must be a non-negative integer"),
+        (["--seed", "7"], "analyze takes --seed only with --bootstrap"),
+        (["--workers", "2"], "analyze takes --workers only with --bootstrap"),
+        (["--bootstrap", "0", "--seed", "7", "--workers", "2"],
+         "analyze takes --seed, --workers only with --bootstrap"),
+    ])
+    def test_unread_bootstrap_flags_exit_with_an_error(
+        self, capsys, tmp_path, flags, message
+    ):
+        # only the bootstrap reads --seed and --workers
+        out = tmp_path / "report.json"
+        rc, stdout, err = run(
+            capsys, "analyze", "--input", str(FIXTURE_CSV), "--delta", "-1",
+            "--out", str(out), *flags,
+        )
+        assert rc == 1 and stdout == ""
+        assert err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_bootstrap_defaults_to_seed_42_on_one_worker(self, capsys, tmp_path):
+        argv = ["analyze", "--input", str(FIXTURE_CSV), "--delta", "-1",
+                "--bootstrap", "1000", "--out", str(tmp_path / "report.json")]
+        default = run_json(capsys, *argv)
+        explicit = run_json(capsys, *argv, "--seed", "42", "--workers", "1")
+        assert default == explicit
+        assert default["bootstrap"]["reps"] == 1000
+
     def test_missing_input_exits_nonzero(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "analyze", "--input", str(tmp_path / "absent.csv"),

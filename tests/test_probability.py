@@ -25,7 +25,7 @@ from driftrecords import (
 from driftrecords import distributions, probability
 from driftrecords.distributions import Dagum, ParetoUnit, Uniform
 from driftrecords.errors import DriftRecordsError
-from driftrecords.probability import _log_product, _TailLedger
+from driftrecords.probability import _log_product, _record_integral, _tail_start
 
 from conftest import BAD_INDICES
 
@@ -600,19 +600,19 @@ class TestLogProduct:
     def _run(spec, c, m, budget):
         dist = parse_spec(spec)
         y = dist.quantile(np.array([0.01, 0.3, 0.7, 0.99]))
-        tail = _TailLedger(budget, float(y.min()))
-        got = _log_product(dist, y, c, m, tail)
+        start = _tail_start(dist, float(y.min()), c, m, budget)
+        got, head, eps = _log_product(dist, y, c, m, start)
         want = np.array([
             math.fsum(dist.log_cdf(v + c * np.arange(1, m + 1))) for v in y
         ])
-        return np.abs(got - want), want, tail
+        return np.abs(got - want), want, head, eps
 
     @pytest.mark.parametrize("spec,c,m", CASES)
     def test_remainder_within_bound(self, spec, c, m):
-        err, want, tail = self._run(spec, c, m, 1e-9)
-        assert tail.head + 64 <= m  # the tail was used
-        assert tail.eps <= 1e-9
-        assert np.all(err <= tail.eps + 1e-13 * (1.0 + np.abs(want)))
+        err, want, head, eps = self._run(spec, c, m, 1e-9)
+        assert head + 64 <= m  # the tail was used
+        assert eps <= 1e-9
+        assert np.all(err <= eps + 1e-13 * (1.0 + np.abs(want)))
 
     @pytest.mark.parametrize("spec,c,m", [
         ("gumbel", 1.0, 1000),
@@ -623,9 +623,9 @@ class TestLogProduct:
     def test_bound_is_not_vacuous(self, spec, c, m):
         # a loose budget starts the tail at the first factor, where the
         # remainder is large enough to compare with its bound
-        err, _, tail = self._run(spec, c, m, 1.0)
-        assert tail.head == 0
-        assert err.max() <= tail.eps <= 100.0 * err.max()
+        err, _, head, eps = self._run(spec, c, m, 1.0)
+        assert head == 0
+        assert err.max() <= eps <= 100.0 * err.max()
 
     @pytest.mark.parametrize("spec,c,m", [
         ("gumbel", 1.0, 1000),
@@ -636,6 +636,53 @@ class TestLogProduct:
         # where g^(5) is monotone over the tail, leaving out the term
         # (c^5/30240) D g^(5) would leave an error about as large as the
         # bound; with it, the error is about the next, eighth-order term
-        err, _, tail = self._run(spec, c, m, 1.0)
-        assert tail.head == 0
-        assert err.max() <= 0.1 * tail.eps
+        err, _, head, eps = self._run(spec, c, m, 1.0)
+        assert head == 0
+        assert err.max() <= 0.1 * eps
+
+    @pytest.mark.parametrize("c,m", [(-0.01, 1000), (0.0, 1000), (0.5, 64)])
+    def test_without_a_tail_every_factor_is_summed(self, c, m):
+        # no tail start for c <= 0 or m <= 64: the head is the whole product
+        dist = parse_spec("gumbel")
+        y = dist.quantile(np.array([0.01, 0.5, 0.99]))
+        assert _tail_start(dist, float(y.min()), c, m, 1e-9) is None
+        got, head, eps = _log_product(dist, y, c, m, None)
+        assert (head, eps) == (m, 0.0)
+        want = [math.fsum(dist.log_cdf(v + c * np.arange(1, m + 1))) for v in y]
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+class TestIntegralSetup:
+    """The window and the tail start are set up once per integral, and no
+    state passes from one integral to another."""
+
+    def test_window_is_computed_once_per_law(self, monkeypatch):
+        calls = []
+        real = Normal.quantile
+        monkeypatch.setattr(
+            Normal, "quantile", lambda self, u: calls.append(u) or real(self, u)
+        )
+        probability._quantile_window.cache_clear()
+        dist = Normal(mu=0.25, sigma=1.5)
+        for _ in range(3):
+            for c, delta in [(0.3, 0.0), (0.01, -0.4), (7e-4, 0.6)]:
+                p_delta(LdmConfig(dist, c, delta))
+                p_n_delta(LdmConfig(dist, c, delta), 50)
+        assert len(calls) == 2  # one per unbounded end of the support
+
+    def test_interleaved_integrals_are_bit_identical(self):
+        # the integrand of one integral runs a whole other integral at
+        # every call, and both still give the bits they give alone
+        a, b = ldm("gumbel", 0.3, 0.6), ldm("normal", 0.3, -0.4)
+        alone_a = _record_integral(a, math.inf, 1e-8)
+        alone_b = _record_integral(b, 3000, 1e-8)
+        inner = []
+
+        def weight(x):
+            inner.append(_record_integral(b, 3000, 1e-8))
+            return a.dist.pdf(x)
+
+        assert _record_integral(a, math.inf, 1e-8, (weight,)) == alone_a
+        assert inner and set(inner) == {alone_b}
+        assert _record_integral(b, 3000, 1e-8) == alone_b
+        assert alone_a[0].truncation_n > 0 and alone_b[0].truncation_n > 0

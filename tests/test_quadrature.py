@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,41 @@ def _check(fn, lo, hi, tol=1e-10):
 def test_polynomial_is_exact():
     value, err = integrate(lambda x: 3 * x**2, 0.0, 2.0, 1e-12)
     assert value == pytest.approx(8.0, abs=1e-12)
+
+
+def test_kronrod_and_gauss_rules_are_exact_to_the_last_bits():
+    # the doubles of QUADPACK's 33-digit constants: K15 integrates 1 to
+    # exactly 2 and x^k, k <= 22, to within a few ulp, as G7 does for
+    # k <= 13
+    assert math.fsum(quadrature._WK) == 2.0
+    for weights, degree in ((quadrature._WK, 22), (quadrature._WGFULL, 13)):
+        for k in range(degree + 1):
+            got = math.fsum(weights * quadrature._NODES**k)
+            if k % 2:
+                assert abs(got) <= 1e-16
+            else:
+                assert got == pytest.approx(2.0 / (k + 1), rel=1e-15)
+
+
+def test_bound_covers_the_rounding_of_exactly_integrated_polynomials():
+    # both rules are exact for degree <= 13, so |K15 - G7| is rounding
+    # noise and can fall below the rounding error of the value itself;
+    # the floor of 50 eps int |f| per panel keeps the bound above it
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        coef = rng.normal(size=int(rng.integers(2, 15)))
+        lo, hi = sorted(rng.uniform(-3.0, 3.0, 2))
+
+        def prim(t):
+            return sum(Fraction(float(a)) * Fraction(t) ** (k + 1) / (k + 1)
+                       for k, a in enumerate(coef))
+
+        def fn(x):
+            return np.polynomial.polynomial.polyval(x, coef)
+
+        scale = float(np.abs(fn(np.linspace(lo, hi, 200))).mean()) * (hi - lo)
+        value, err = integrate(fn, lo, hi, 1e-12 * scale)
+        assert abs(Fraction(value) - (prim(hi) - prim(lo))) <= Fraction(err)
 
 
 def test_gaussian_bump():
