@@ -301,7 +301,7 @@ def bootstrap_histogram(
     ts: TimeSeries,
     delta: float,
     reps: int,
-    seed: int,
+    seed: int = 42,
     workers: int = 1,
 ) -> BootstrapResult:
     """Parametric bootstrap of the record count.

@@ -252,18 +252,16 @@ def _report_payload(report, boot) -> dict:
 
 def _cmd_analyze(args) -> None:
     require_int("--bootstrap", args.bootstrap, 0)
-    unread = [name for name in ("seed", "workers") if getattr(args, name) is not None]
-    if unread and args.bootstrap == 0:
-        raise DriftRecordsError(f"analyze takes {_flags(unread)} only with --bootstrap")
+    # only the flags given reach the bootstrap, which owns their defaults
+    given = {name: getattr(args, name) for name in ("seed", "workers")
+             if getattr(args, name) is not None}
+    if given and args.bootstrap == 0:
+        raise DriftRecordsError(f"analyze takes {_flags(given)} only with --bootstrap")
     ts = load_series(args.input)
     report = analyze(ts, args.delta, m=args.m, level=args.level)
     boot = None
     if args.bootstrap > 0:
-        boot = bootstrap_histogram(
-            report.fit, ts, args.delta, args.bootstrap,
-            42 if args.seed is None else args.seed,
-            workers=1 if args.workers is None else args.workers,
-        )
+        boot = bootstrap_histogram(report.fit, ts, args.delta, args.bootstrap, **given)
 
     out_dir = os.path.dirname(os.path.abspath(args.out))
     payload = _report_payload(report, boot)
@@ -379,8 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--bootstrap", type=int, default=0, help="bootstrap replications")
-    p.add_argument("--seed", type=int, default=None, help="bootstrap seed (default 42)")
-    p.add_argument("--workers", type=int, default=None, help="bootstrap workers (default 1)")
+    p.add_argument("--seed", type=int, default=None, help="bootstrap seed")
+    p.add_argument("--workers", type=int, default=None, help="bootstrap workers")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=_cmd_analyze)
 

@@ -382,7 +382,9 @@ class Normal(Distribution):
         return TailInfo(mu_plus, True)
 
     def zero_trend_integral(self, delta, tol):
-        """The survival-ratio integral, to within about tol times its value.
+        """The survival-ratio integral, to within about tol times its value;
+        a tol under about 2.5e-14 is below the quadrature's rounding floor
+        and raises QuadratureError.
 
         In z = (x - mu) / sigma, with eps = delta / sigma and Q, phi and
         h = phi / Q the standard normal survival function, density and

@@ -314,7 +314,9 @@ def p_n_delta(cfg: LdmConfig, n: int, tol: float = DEFAULT_TOL) -> ProbResult:
     Observation 1 is a delta-record by convention, so ``n=1`` returns 1
     exactly.  Otherwise the defining integral is evaluated to within
     ``tol`` by adaptive quadrature, with the finite product accumulated in
-    log space.
+    log space.  A ``tol`` under the quadrature's rounding floor, about
+    1.4e-14 times the probability, cannot be met and raises
+    ``QuadratureError`` once the panel budget is spent.
     """
     require_int("n", n, 1)
     require_tol(tol)
@@ -348,7 +350,8 @@ def p_delta(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> ProbResult:
     For zero trend (finite upper endpoint, negative delta) the limit equals
     the closed form 1 - F(x_sup + delta).  For positive trend the infinite
     product is the same log-product as for p_n with no last factor: its
-    Euler-Maclaurin tail runs to infinity, so nothing is truncated.
+    Euler-Maclaurin tail runs to infinity, so nothing is truncated.  The
+    floor on ``tol`` is that of ``p_n_delta``.
     """
     require_tol(tol)
     if not classify_positivity(cfg):

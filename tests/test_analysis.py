@@ -237,6 +237,12 @@ class TestBootstrap:
         np.testing.assert_array_equal(a.histogram, b.histogram)
         assert (a.q025, a.q975, a.mean) == (b.q025, b.q975, b.mean)
 
+    def test_seed_defaults_to_42(self, fixture_series):
+        fit = ols_fit(fixture_series)
+        a = bootstrap_histogram(fit, fixture_series, -1.0, reps=1000)
+        b = bootstrap_histogram(fit, fixture_series, -1.0, reps=1000, seed=42)
+        np.testing.assert_array_equal(a.histogram, b.histogram)
+
     def test_rejects_small_replication_counts(self, fixture_series):
         fit = ols_fit(fixture_series)
         with pytest.raises(ValueError):

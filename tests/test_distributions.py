@@ -501,10 +501,10 @@ class TestNormQuantile:
         # the tails get most of the points, as a SIMD np.log is the step
         # most likely to round one value apart from a long array
         rng = np.random.default_rng(20202)
-        tiny = 10.0 ** -rng.uniform(0.0, 300.0, 500)
+        tiny = 10.0 ** -rng.uniform(0.0, 300.0, 5_000)
         p = np.concatenate([
-            rng.random(1_000), rng.uniform(0.0, 0.075, 2_000),
-            rng.uniform(0.925, 1.0, 1_000), tiny, 1.0 - tiny,
+            rng.random(20_000), rng.uniform(0.0, 0.075, 60_000),
+            rng.uniform(0.925, 1.0, 20_000), tiny, 1.0 - tiny,
             self.EDGES, [0.5, 1e-300, 1.0 - 1e-16],
         ])
         scalars = [_special.norm_quantile(float(v)) for v in p]
