@@ -316,7 +316,7 @@ def p_n_delta(cfg: LdmConfig, n: int, tol: float = DEFAULT_TOL) -> ProbResult:
     ``tol`` by adaptive quadrature, with the finite product accumulated in
     log space.  A ``tol`` under the quadrature's rounding floor, about
     1.4e-14 times the probability, cannot be met and raises
-    ``QuadratureError`` once the panel budget is spent.
+    ``QuadratureError`` after the first quadrature pass.
     """
     require_int("n", n, 1)
     require_tol(tol)

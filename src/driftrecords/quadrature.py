@@ -10,7 +10,17 @@ at the rounding error of the sum, an estimate that is conservative for
 smooth, well-resolved integrands but not a proof; the
 panels with the largest gauge of any component are bisected in batches
 until the summed gauge of every component meets the tolerance.
+
+The first pass puts 16 equal panels on a window of moderate span.  A wide
+positive window, such as a heavy-tailed support cut at far quantiles, gets
+a geometric grid of ``_PANELS_PER_DECADE`` panels per decade instead, so
+each panel spans at most a factor 10**(1/3) and one pass usually resolves
+a density spread over a dozen decades.  When the summed floor of some
+component already exceeds the tolerance after that pass, no bisection can
+meet it, and the call raises at once.
 """
+import math
+
 import numpy as np
 
 from .errors import QuadratureError
@@ -44,6 +54,7 @@ _RULES = np.stack((_WK, _WK - _WGFULL), axis=-1)
 _FLOOR = 50.0 * np.finfo(np.float64).eps * _WK
 
 _INITIAL_PANELS = 16
+_PANELS_PER_DECADE = 3
 _SPLIT_BATCH = 8
 
 # Most panels one call may use before it gives up.
@@ -53,10 +64,11 @@ _MAX_INTERVALS = 4096
 def _panel_rule(fn, lo, hi):
     """Evaluate G7/K15 on panels [lo[i], hi[i]] with one integrand call.
 
-    Returns (kronrod values, error gauges) per panel, with a leading axis
-    of length k when ``fn`` returns a (k, N) array.  A gauge is |K15 - G7|,
-    but at least 50 eps times the panel's K15 integral of |f|, which the
-    rounding of the sum can reach when K15 and G7 agree.
+    Returns (kronrod values, error gauges, floors) per panel, with a
+    leading axis of length k when ``fn`` returns a (k, N) array.  A floor
+    is 50 eps times the panel's K15 integral of |f|, which the rounding of
+    the sum can reach when K15 and G7 agree; a gauge is |K15 - G7|, but at
+    least the floor.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -64,19 +76,36 @@ def _panel_rule(fn, lo, hi):
     fx = np.asarray(fn(x.ravel()), dtype=np.float64)
     fx = fx.reshape(fx.shape[:-1] + x.shape)
     rules = fx @ _RULES
-    return half * rules[..., 0], half * np.maximum(np.abs(rules[..., 1]), np.abs(fx) @ _FLOOR)
+    floor = half * (np.abs(fx) @ _FLOOR)
+    return half * rules[..., 0], np.maximum(half * np.abs(rules[..., 1]), floor), floor
 
 
-def _initial_edges(lo, hi, panels):
+def _geometric_edges(lo, hi):
+    # logs, not hi / lo, which overflows for a subnormal lo; np.geomspace
+    # gives the same grid but costs about 20 us
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    decades = (log_hi - log_lo) / math.log(10.0)
+    panels = max(_INITIAL_PANELS, math.ceil(_PANELS_PER_DECADE * decades))
+    edges = np.exp(np.linspace(log_lo, log_hi, panels + 1))
+    edges[0], edges[-1] = lo, hi
+    return edges
+
+
+def _initial_edges(lo, hi):
     # Wide positive ranges (heavy-tail supports cut at far quantiles)
     # start from a geometric grid so the mass near lo is resolved; on
     # [0, 2e12] equal panels would put all of a Dagum law's mass in the
-    # first one, where the K15 - G7 gauge cannot see it.
+    # first one, where the K15 - G7 gauge cannot see it.  The grid has
+    # _PANELS_PER_DECADE panels per decade, not a fixed count: 16 panels
+    # over Pareto's 12 decades or Dagum's 15 would each span a factor 6
+    # to 10 and need two or three bisection rounds, each costing more in
+    # fixed overhead than the extra first-pass nodes.  A window from 0
+    # keeps [0, hi 1e-15] as its first panel.
     if lo > 0.0 and hi / lo > 100.0:
-        return np.geomspace(lo, hi, panels + 1)
+        return _geometric_edges(lo, hi)
     if lo == 0.0 and hi > 100.0:
-        return np.concatenate(([0.0], np.geomspace(hi * 1e-15, hi, panels)))
-    return np.linspace(lo, hi, panels + 1)
+        return np.concatenate(([0.0], _geometric_edges(hi * 1e-15, hi)))
+    return np.linspace(lo, hi, _INITIAL_PANELS + 1)
 
 
 def integrate(fn, lo, hi, tol, breaks=()):
@@ -87,40 +116,49 @@ def integrate(fn, lo, hi, tol, breaks=()):
     an integrand has a kink; those inside (lo, hi) become panel edges, so
     no panel straddles one.  Returns ``(value, error_bound)``, floats for
     a 1-d integrand and arrays of length k otherwise, with every
-    ``error_bound <= tol``; raises QuadratureError carrying the best
-    estimates when the ``_MAX_INTERVALS`` panel budget is exhausted first,
-    as it is for any tol under the rounding floor of 50 eps int |f|.
+    ``error_bound <= tol``.  Raises QuadratureError carrying the best
+    estimates and their gauges when the first pass puts the summed
+    rounding floor 50 eps int |f| of some component above tol, which no
+    bisection can lower, or when the ``_MAX_INTERVALS`` panel budget is
+    exhausted first.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise QuadratureError(f"integration limits must be finite, got [{lo}, {hi}]")
     if hi <= lo:
         return 0.0, 0.0
 
-    edges = _initial_edges(float(lo), float(hi), _INITIAL_PANELS)
+    edges = _initial_edges(float(lo), float(hi))
     breaks = np.asarray(breaks, dtype=np.float64)
     breaks = breaks[(breaks > lo) & (breaks < hi)]
     if breaks.size:
         edges = np.union1d(edges, breaks)
     los, his = edges[:-1], edges[1:]
-    vals, errs = _panel_rule(fn, los, his)
+    vals, errs, floors = _panel_rule(fn, los, his)
     scalar = vals.ndim == 1
     # (k, panels) from here on; a 1-d integrand is the case k = 1
     vals, errs = vals.reshape(-1, los.shape[0]), errs.reshape(-1, los.shape[0])
 
+    def failure(message):
+        value, err = vals.sum(axis=1), errs.sum(axis=1)
+        return QuadratureError(
+            message,
+            best_estimate=float(value[0]) if scalar else value,
+            error_bound=float(err[0]) if scalar else err,
+        )
+
+    floor = floors.reshape(vals.shape).sum(axis=1).max()
+    if floor > tol:
+        raise failure(f"tolerance {tol:g} is under the rounding floor {floor:.3g} "
+                      f"(50 eps times the integral of |f|)")
     while errs.sum(axis=1).max() > tol:
         if los.shape[0] + _SPLIT_BATCH > _MAX_INTERVALS:
-            value, err = vals.sum(axis=1), errs.sum(axis=1)
-            raise QuadratureError(
-                f"needed more than {_MAX_INTERVALS} panels for tolerance {tol:g}",
-                best_estimate=float(value[0]) if scalar else value,
-                error_bound=float(err[0]) if scalar else err,
-            )
+            raise failure(f"needed more than {_MAX_INTERVALS} panels for tolerance {tol:g}")
         k = min(_SPLIT_BATCH, los.shape[0])
         worst = np.argpartition(errs.max(axis=0), -k)[-k:]
         mids = 0.5 * (los[worst] + his[worst])
         new_lo = np.concatenate((los[worst], mids))
         new_hi = np.concatenate((mids, his[worst]))
-        new_vals, new_errs = _panel_rule(fn, new_lo, new_hi)
+        new_vals, new_errs, _ = _panel_rule(fn, new_lo, new_hi)
         keep = np.ones(los.shape[0], dtype=bool)
         keep[worst] = False
         los = np.concatenate((los[keep], new_lo))

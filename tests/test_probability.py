@@ -22,9 +22,9 @@ from driftrecords import (
     pareto_p_n_delta,
     parse_spec,
 )
-from driftrecords import distributions, probability
+from driftrecords import distributions, probability, quadrature
 from driftrecords.distributions import Dagum, ParetoUnit, Uniform
-from driftrecords.errors import DriftRecordsError
+from driftrecords.errors import DriftRecordsError, QuadratureError
 from driftrecords.probability import _log_product, _record_integral, _tail_start
 
 from conftest import BAD_INDICES
@@ -119,6 +119,29 @@ def test_tolerance_must_be_positive(tol):
                  lambda: classify_finiteness(ldm("normal", 0.0, 0.5), tol=tol)):
         with pytest.raises(DriftRecordsError, match="tol must be positive"):
             call()
+
+
+def _count_integrand_calls(monkeypatch, module):
+    sizes = []
+    real = module.integrate
+
+    def counted(fn, *args, **kwargs):
+        return real(lambda x: sizes.append(x.size) or fn(x), *args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate", counted)
+    return sizes
+
+
+def test_tolerance_under_the_rounding_floor_fails_at_once(monkeypatch):
+    # p_5 = 0.636 here, whose rounding floor 50 eps p is about 7e-15: the
+    # first pass shows it, and the call raises before any bisection
+    sizes = _count_integrand_calls(monkeypatch, probability)
+    with pytest.raises(QuadratureError, match="rounding floor") as exc_info:
+        p_n_delta(LdmConfig(Gumbel(), 1.0, 0.0), 5, tol=3e-15)
+    assert len(sizes) == 1
+    err = exc_info.value
+    assert err.best_estimate.shape == err.error_bound.shape == (1,)
+    assert err.best_estimate[0] == pytest.approx(gumbel_p_n_delta(1.0, 0.0, 5), abs=1e-7)
 
 
 class TestLimitProbability:
@@ -464,15 +487,21 @@ class TestBoundAudit:
                     want = gumbel_p_n_delta(c, delta, n)
                     self._assert_within(res, want, (c, delta, n))
 
+    # n from 2 to 1e7: at large n the gauge is about 1e-14 and the bound
+    # is almost all quantile cut, which the error of Dagum(1, 2) nearly
+    # reaches at n = 1e7
+    UNIT_TREND_N = (2, 5, 10, 30, 100, 300, 10**3, 3000, 10**4, 30000, 10**5, 300000,
+                    10**6, 3 * 10**6, 10**7)
+
     def test_pareto_at_unit_trend(self):
-        for delta in (-0.5, 0.0, 1.0, 2.5):
-            for n in (2, 10, 100, 1000, 10**4):
+        for delta in (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 2.5, 5.0):
+            for n in self.UNIT_TREND_N:
                 res = p_n_delta(ldm("pareto1", 1.0, delta), n)
                 self._assert_within(res, pareto_p_n_delta(delta, n), (delta, n))
 
     def test_dagum_at_trend_equal_to_scale(self):
         for q in (0.5, 1.0, 2.0, 3.0):
-            for n in (2, 10, 100, 1000, 10**4):
+            for n in self.UNIT_TREND_N:
                 res = p_n_delta(ldm(f"dagum:b=1,q={q}", 1.0, 0.0), n)
                 self._assert_within(res, dagum_p_n0(q, n), (q, n))
 
@@ -565,15 +594,44 @@ class TestCostDoesNotGrow:
                 v = classify_finiteness(LdmConfig(dist, c=0.0, delta=delta))
                 assert v.verdict == ALMOST_SURELY_FINITE
 
+    def test_heavy_tailed_integrals_take_one_pass(self, monkeypatch):
+        # the geometric first grid has enough panels per decade that the
+        # K15 - G7 gauge of a Pareto or Dagum window, 12 or 15 decades
+        # wide, meets the tolerance without a bisection round
+        passes = []
+        real = quadrature._panel_rule
+
+        def counted(*args):
+            passes[-1] += 1
+            return real(*args)
+
+        monkeypatch.setattr(quadrature, "_panel_rule", counted)
+        for dist in (Dagum(b=1.0, q=2.0), ParetoUnit()):
+            for c in (1e-3, 1e-2, 0.1, 1.0):
+                for delta in (-0.5, 0.25, 1.0):
+                    for n in (2, 100, 10**4):
+                        passes.append(0)
+                        p_n_delta(LdmConfig(dist, c, delta), n)
+        assert len(passes) == 72
+        assert np.median(passes) == 1
+        assert max(passes) <= 2
+
+    @pytest.mark.parametrize("dist", [Normal(), Gumbel(), Exponential(), Normal(1.0, 3.0)],
+                             ids=repr)
+    def test_light_tailed_windows_start_with_sixteen_panels(self, monkeypatch, dist):
+        # their windows are linear, so the first pass has 16 panels of 15
+        # nodes whatever the trend, threshold or index
+        sizes = _count_integrand_calls(monkeypatch, probability)
+        for c, delta in ((0.3, 0.6), (0.01, -0.4), (7e-4, 0.0)):
+            for call in (lambda: p_n_delta(LdmConfig(dist, c, delta), 50),
+                         lambda: p_delta(LdmConfig(dist, c, delta))):
+                sizes.clear()
+                call()
+                assert sizes[0] == 16 * 15
+
     def test_normal_value_cost_flat_in_delta(self, monkeypatch):
         # the integral's scale grows like 1/delta^2, its window like 1/delta
-        points = []
-        real = distributions.integrate
-
-        def counted(fn, *args, **kwargs):
-            return real(lambda x: points.append(x.size) or fn(x), *args, **kwargs)
-
-        monkeypatch.setattr(distributions, "integrate", counted)
+        points = _count_integrand_calls(monkeypatch, distributions)
         work = []
         for delta in (0.5, 1e-6):
             points.clear()

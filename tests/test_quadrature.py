@@ -92,6 +92,37 @@ def test_geometric_panels_for_wide_positive_ranges():
     assert abs(value - (hi / (hi + 1.0)) ** 2) <= err <= 1e-8
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (1.0, 1e6), (1e-3, 2.0), (0.5, 51.0), (1.0, 1e300), (0.0, 2e12), (0.0, 101.0),
+])
+def test_geometric_first_grid_has_fixed_panels_per_decade(lo, hi):
+    # both geometric branches: adjacent edges differ by at most a factor
+    # 10**(1/k), k = _PANELS_PER_DECADE, with 16 panels at least; a window
+    # from 0 keeps [0, hi 1e-15] as its first panel
+    edges = quadrature._initial_edges(lo, hi)
+    assert edges[0] == lo and edges[-1] == pytest.approx(hi, rel=1e-15)
+    assert np.all(np.diff(edges) > 0.0)
+    geometric = edges[1:] if lo == 0.0 else edges
+    if lo == 0.0:
+        assert geometric[0] == pytest.approx(hi * 1e-15, rel=1e-15)
+    ratios = geometric[1:] / geometric[:-1]
+    assert ratios.max() <= 10.0 ** (1.0 / quadrature._PANELS_PER_DECADE) * (1.0 + 1e-12)
+    assert geometric.size - 1 >= quadrature._INITIAL_PANELS
+    assert ratios.max() == pytest.approx(ratios.min(), rel=1e-9)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, 1.0), (1.0, 100.0), (0.0, 100.0), (-3.0, 1e6), (-1e6, -1.0),
+])
+def test_linear_first_grid_keeps_sixteen_equal_panels(lo, hi):
+    # a window that is not positive, or spans at most a factor 100 (or
+    # from 0 to at most 100), is split into 16 equal panels
+    assert np.array_equal(quadrature._initial_edges(lo, hi), np.linspace(lo, hi, 17))
+    calls = []
+    integrate(lambda x: calls.append(x.size) or np.ones_like(x), lo, hi, 1.0)
+    assert calls == [16 * 15]
+
+
 def test_empty_interval_is_zero():
     assert integrate(lambda x: x, 3.0, 3.0, 1e-8) == (0.0, 0.0)
     assert integrate(lambda x: x, 5.0, 3.0, 1e-8) == (0.0, 0.0)
@@ -103,16 +134,42 @@ def test_nonfinite_limits_rejected():
 
 
 def test_budget_exhaustion_carries_best_estimate(monkeypatch):
+    # tol = 1e-10 is far above the rounding floor (about 3e-14), so only
+    # the panel budget stops the bisection of the singular panel
     monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 64)
     fn = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0))
     with pytest.raises(QuadratureError, match="more than 64 panels") as exc_info:
-        integrate(fn, 0.0, 1.0, 1e-15)
+        integrate(fn, 0.0, 1.0, 1e-10)
     err = exc_info.value
     # interior inverse-sqrt singularity: truth is 2(sqrt(1/3)+sqrt(2/3))
     truth = 2.0 * (math.sqrt(1.0 / 3.0) + math.sqrt(2.0 / 3.0))
     assert math.isfinite(err.best_estimate)
     assert err.best_estimate == pytest.approx(truth, abs=0.05)
-    assert err.error_bound > 1e-15
+    assert err.error_bound > 1e-10
+
+
+def test_tolerance_under_the_rounding_floor_fails_on_the_first_pass():
+    # the floor 50 eps int |f| is about 1.9e-14 for exp on [0, 1], and
+    # no bisection lowers it, so the call raises after one integrand call
+    calls = []
+
+    def fn(x):
+        calls.append(x.size)
+        return np.exp(x)
+
+    with pytest.raises(QuadratureError, match="under the rounding floor 1.9") as exc_info:
+        integrate(fn, 0.0, 1.0, 1e-14)
+    assert calls == [16 * 15]
+    err = exc_info.value
+    assert err.best_estimate == pytest.approx(math.e - 1.0, rel=1e-15)
+    assert 0.0 < err.error_bound < 1e-13
+    # one component under its floor is enough
+    with pytest.raises(QuadratureError, match="rounding floor") as exc_info:
+        integrate(lambda x: np.stack([1e-6 * np.exp(x), np.exp(x)]), 0.0, 1.0, 1e-14)
+    assert exc_info.value.best_estimate.shape == (2,)
+    # a tolerance just above the floor is met
+    value, err = integrate(fn, 0.0, 1.0, 2e-14)
+    assert abs(value - (math.e - 1.0)) <= err <= 2e-14
 
 
 def test_vector_integrand_matches_one_call_per_component():
@@ -147,7 +204,7 @@ def test_vector_budget_exhaustion_carries_every_estimate(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 64)
     fn = lambda x: np.stack([np.ones_like(x), 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0))])
     with pytest.raises(QuadratureError, match="more than 64 panels") as exc_info:
-        integrate(fn, 0.0, 1.0, 1e-15)
+        integrate(fn, 0.0, 1.0, 1e-10)
     err = exc_info.value
     assert err.best_estimate.shape == err.error_bound.shape == (2,)
     assert err.best_estimate[0] == pytest.approx(1.0, rel=1e-14)
