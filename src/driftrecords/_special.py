@@ -5,9 +5,10 @@ accurate to about 1e-15 over (0, 1).  We deliberately use the same quantile
 for inverse-transform sampling and for confidence intervals, so every normal
 variate in the package flows through one deterministic code path.
 
-The ``log_ndtr_*`` helpers give g = log Phi its first, third and fifth
-derivatives and its antiderivative, which the Euler-Maclaurin tail of the
-record-probability log-product needs for normal noise.
+``log_ndtr_odd_derivatives`` gives g = log Phi its first, third and fifth
+derivatives in one call, and ``log_ndtr_integral`` its antiderivative: the
+Euler-Maclaurin tail of the record-probability log-product needs both for
+normal noise.  ``log_ndtr_d1`` is g' alone.
 """
 import functools
 import math
@@ -157,50 +158,48 @@ def log_ndtr_d1(z):
         return math.sqrt(2.0 / math.pi) / _sc.erfcx(-z / math.sqrt(2.0))
 
 
-def _log_ndtr_odd_derivative(z, order, closed):
-    """g^(order)(z) for odd ``order``.
+def log_ndtr_odd_derivatives(z):
+    """(g'(z), g'''(z), g^(5)(z)) from r = g' and d = z + r, using r' = -r d:
 
-    ``closed(r, d)`` gives it from r = g' and d = z + r, using r' = -r d,
-    and runs on every point; the Mills series replaces it on the points
-    left of _Z_LEFT only, so a call without such points skips the series.
+        g'''  = r (d (d + r) - 1), positive everywhere,
+        g^(5) = r (d^4 + 11 d^3 r + 11 d^2 r^2 - 6 d^2 + d r^3 - 13 d r
+                - r^2 + 3).
+
+    The closed forms run on every point; on the points left of _Z_LEFT
+    only, r is taken at z itself and the Mills series replaces both, so a
+    call without such points skips the series.  Just right of z = -12 the
+    terms of g^(5) cancel to about 1e-6 of the value.  That value feeds a
+    correction scaled by c^5 / 30240 and a variation bound, for which that
+    is ample.
     """
     z = np.asarray(z, dtype=float)
     zc = np.clip(z, _Z_LEFT, 40.0)  # r underflows to 0 beyond 38
-    r = log_ndtr_d1(zc)
-    out = np.asarray(closed(r, zc + r))
+    r = np.asarray(log_ndtr_d1(zc))
+    d = zc + r
+    d3 = np.asarray(r * (d * (d + r) - 1.0))
+    d5 = np.asarray(r * (
+        d * (d * (d * (d + 11.0 * r) + 11.0 * r * r - 6.0) + r * (r * r - 13.0))
+        - r * r + 3.0
+    ))
     left = z < _Z_LEFT
     if left.any():
         s = -z[left]
 
-        def term(k, bk):
-            for i in range(order):
-                bk = bk * (2 * k + i)
-            return bk / s ** (2 * k + order)
+        def series(order):
+            def term(k, bk):
+                for i in range(order):
+                    bk = bk * (2 * k + i)
+                return bk / s ** (2 * k + order)
 
-        with np.errstate(over="ignore"):
-            out[left] = math.factorial(order - 1) / s**order + sum(
+            return math.factorial(order - 1) / s**order + sum(
                 term(k, bk) for k, bk in enumerate(_MILLS_LOG, start=1)
             )
-    return out
 
-
-def log_ndtr_d3(z):
-    """g'''(z) = r (d (d + r) - 1); positive everywhere."""
-    return _log_ndtr_odd_derivative(z, 3, lambda r, d: r * (d * (d + r) - 1.0))
-
-
-def log_ndtr_d5(z):
-    """g^(5)(z) = r (d^4 + 11 d^3 r + 11 d^2 r^2 - 6 d^2 + d r^3 - 13 d r
-    - r^2 + 3).
-
-    Just right of z = -12 the terms cancel to about 1e-6 of the value.
-    The value feeds a correction scaled by c^5 / 30240 and a variation
-    bound, for which that is ample.
-    """
-    return _log_ndtr_odd_derivative(z, 5, lambda r, d: r * (
-        d * (d * (d * (d + 11.0 * r) + 11.0 * r * r - 6.0) + r * (r * r - 13.0))
-        - r * r + 3.0
-    ))
+        r[left] = log_ndtr_d1(z[left])
+        with np.errstate(over="ignore"):
+            d3[left] = series(3)
+            d5[left] = series(5)
+    return r, d3, d5
 
 
 def _right_tail_integral(z):

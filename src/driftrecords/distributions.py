@@ -58,8 +58,8 @@ class Distribution:
 
     Subclasses provide vectorized ``cdf``, ``log_cdf``, ``pdf``, ``quantile``,
     plus ``support``, ``tail_info`` and the Euler-Maclaurin data of
-    g = log F: ``log_cdf_integral``, ``log_cdf_d1``, ``log_cdf_d3``,
-    ``log_cdf_d5`` and, where g^(6) changes sign, ``log_cdf_d5_variation``.
+    g = log F: ``log_cdf_integral``, ``log_cdf_odd_derivatives`` and,
+    where g^(6) changes sign, ``log_cdf_d5_variation``.
     A law whose ``tail_info().zero_trend_finite`` holds also provides
     ``zero_trend_integral``.  All of them are immutable frozen dataclasses,
     safe to share across threads; their fields are the spec parameters.
@@ -103,16 +103,8 @@ class Distribution:
         g is integrable at +inf."""
         raise NotImplementedError
 
-    def log_cdf_d1(self, u):
-        """g'(u) = pdf(u) / cdf(u)."""
-        raise NotImplementedError
-
-    def log_cdf_d3(self, u):
-        """g'''(u)."""
-        raise NotImplementedError
-
-    def log_cdf_d5(self, u):
-        """g^(5)(u)."""
+    def log_cdf_odd_derivatives(self, u):
+        """(g'(u), g'''(u), g^(5)(u)), where g' = pdf / cdf."""
         raise NotImplementedError
 
     def log_cdf_d5_variation(self, a, b, d5a, d5b):
@@ -175,9 +167,9 @@ class Gumbel(Distribution):
         # g = -e^(-u): its antiderivative and its odd derivatives are e^(-u)
         return np.exp(-np.asarray(u, dtype=np.float64))
 
-    log_cdf_d1 = log_cdf_integral
-    log_cdf_d3 = log_cdf_integral
-    log_cdf_d5 = log_cdf_integral
+    def log_cdf_odd_derivatives(self, u):
+        t = self.log_cdf_integral(u)
+        return t, t, t
 
 
 @dataclass(frozen=True)
@@ -224,26 +216,16 @@ class ParetoUnit(Distribution):
             head = np.where(u > 1.0, (u - 1.0) * np.log1p(-1.0 / u), 0.0)
         return head - np.log(u)
 
-    def log_cdf_d1(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        with np.errstate(divide="ignore", over="ignore"):
-            return 1.0 / u / (u - 1.0)
-
-    def log_cdf_d3(self, u):
-        # 2/(u-1)^3 - 2/u^3, in powers of w = 1/u: no cancellation at
-        # large u, no overflow
+    def log_cdf_odd_derivatives(self, u):
+        # g''' = 2/(u-1)^3 - 2/u^3 and g^(5) = 24/(u-1)^5 - 24/u^5, in
+        # powers of w = 1/u: no cancellation at large u, no overflow
         u = np.asarray(u, dtype=np.float64)
         w = 1.0 / u
         with np.errstate(divide="ignore", over="ignore"):
-            return 2.0 * (3.0 - 3.0 * w + w * w) / (u**4 * (1.0 - w) ** 3)
-
-    def log_cdf_d5(self, u):
-        # 24/(u-1)^5 - 24/u^5, in powers of w = 1/u as for g'''
-        u = np.asarray(u, dtype=np.float64)
-        w = 1.0 / u
-        with np.errstate(divide="ignore", over="ignore"):
+            d1 = 1.0 / u / (u - 1.0)
+            d3 = 2.0 * (3.0 - 3.0 * w + w * w) / (u**4 * (1.0 - w) ** 3)
             poly = 5.0 - w * (10.0 - w * (10.0 - w * (5.0 - w)))
-            return 24.0 * poly / (u**6 * (1.0 - w) ** 5)
+            return d1, d3, 24.0 * poly / (u**6 * (1.0 - w) ** 5)
 
 
 @dataclass(frozen=True)
@@ -310,32 +292,23 @@ class Dagum(Distribution):
             head = np.where(u > 0.0, u * np.log1p(self.b / u), 0.0)
         return -self.q * (head + self.b * np.log(u + self.b))
 
-    def log_cdf_d1(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        with np.errstate(divide="ignore", over="ignore"):
-            return self.q * self.b / u / (u + self.b)
-
-    def log_cdf_d3(self, u):
-        # 2q (1/u^3 - 1/(u+b)^3); past u = b in powers of r = b/u, which
-        # neither cancels nor overflows
+    def log_cdf_odd_derivatives(self, u):
+        # g''' = 2q (1/u^3 - 1/(u+b)^3) and g^(5) = 24q (1/u^5 - 1/(u+b)^5);
+        # past u = b in powers of r = b/u, which neither cancels nor
+        # overflows
         u = np.asarray(u, dtype=np.float64)
         b = self.b
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            near = 1.0 / u**3 - 1.0 / (u + b) ** 3
+            d1 = self.q * b / u / (u + b)
             r = b / u
-            far = b * (3.0 + 3.0 * r + r * r) / (u**4 * (1.0 + r) ** 3)
-        return 2.0 * self.q * np.where(u > b, far, near)
-
-    def log_cdf_d5(self, u):
-        # 24q (1/u^5 - 1/(u+b)^5), split as g''' is
-        u = np.asarray(u, dtype=np.float64)
-        b = self.b
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            near = 1.0 / u**5 - 1.0 / (u + b) ** 5
-            r = b / u
+            near3 = 1.0 / u**3 - 1.0 / (u + b) ** 3
+            far3 = b * (3.0 + 3.0 * r + r * r) / (u**4 * (1.0 + r) ** 3)
+            near5 = 1.0 / u**5 - 1.0 / (u + b) ** 5
             poly = 5.0 + r * (10.0 + r * (10.0 + r * (5.0 + r)))
-            far = b * poly / (u**6 * (1.0 + r) ** 5)
-        return 24.0 * self.q * np.where(u > b, far, near)
+            far5 = b * poly / (u**6 * (1.0 + r) ** 5)
+        far = u > b
+        return (d1, 2.0 * self.q * np.where(far, far3, near3),
+                24.0 * self.q * np.where(far, far5, near5))
 
 
 @dataclass(frozen=True)
@@ -428,14 +401,9 @@ class Normal(Distribution):
     def log_cdf_integral(self, u):
         return self.sigma * _special.log_ndtr_integral(self._z(u))
 
-    def log_cdf_d1(self, u):
-        return _special.log_ndtr_d1(self._z(u)) / self.sigma
-
-    def log_cdf_d3(self, u):
-        return _special.log_ndtr_d3(self._z(u)) / self.sigma**3
-
-    def log_cdf_d5(self, u):
-        return _special.log_ndtr_d5(self._z(u)) / self.sigma**5
+    def log_cdf_odd_derivatives(self, u):
+        d1, d3, d5 = _special.log_ndtr_odd_derivatives(self._z(u))
+        return d1 / self.sigma, d3 / self.sigma**3, d5 / self.sigma**5
 
     def log_cdf_d5_variation(self, a, b, d5a, d5b):
         # g^(5) is monotone between its extrema: sum the increments from a
@@ -524,17 +492,10 @@ class Uniform(Distribution):
         d = np.maximum(np.asarray(u, dtype=np.float64) - self.lo, 0.0)
         return xlogy(d, d / (self.hi - self.lo)) - d
 
-    def log_cdf_d1(self, u):
-        with np.errstate(divide="ignore"):
-            return 1.0 / (np.asarray(u, dtype=np.float64) - self.lo)
-
-    def log_cdf_d3(self, u):
-        with np.errstate(divide="ignore"):
-            return 2.0 / (np.asarray(u, dtype=np.float64) - self.lo) ** 3
-
-    def log_cdf_d5(self, u):
+    def log_cdf_odd_derivatives(self, u):
+        d = np.asarray(u, dtype=np.float64) - self.lo
         with np.errstate(divide="ignore", over="ignore"):
-            return 24.0 / (np.asarray(u, dtype=np.float64) - self.lo) ** 5
+            return 1.0 / d, 2.0 / d**3, 24.0 / d**5
 
 
 @dataclass(frozen=True)
@@ -589,23 +550,14 @@ class Exponential(Distribution):
         lu = self.rate * np.asarray(u, dtype=np.float64)
         return spence(-np.expm1(-lu)) / self.rate
 
-    def log_cdf_d1(self, u):
-        lu = self.rate * np.asarray(u, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            return self.rate * np.exp(-lu) / -np.expm1(-lu)
-
-    def log_cdf_d3(self, u):
+    def log_cdf_odd_derivatives(self, u):
         lu = self.rate * np.asarray(u, dtype=np.float64)
         t = np.exp(-lu)
-        with np.errstate(divide="ignore"):
-            return self.rate**3 * t * (1.0 + t) / (-np.expm1(-lu)) ** 3
-
-    def log_cdf_d5(self, u):
-        lu = self.rate * np.asarray(u, dtype=np.float64)
-        t = np.exp(-lu)
+        s = -np.expm1(-lu)
         with np.errstate(divide="ignore"):
             poly = 1.0 + t * (11.0 + t * (11.0 + t))
-            return self.rate**5 * t * poly / (-np.expm1(-lu)) ** 5
+            return (self.rate * t / s, self.rate**3 * t * (1.0 + t) / s**3,
+                    self.rate**5 * t * poly / s**5)
 
 
 _FAMILIES = {

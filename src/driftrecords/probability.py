@@ -15,13 +15,16 @@ integrand call.
 """
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .distributions import Distribution
-from .errors import DriftRecordsError, require_finite, require_int, require_tol
+from .errors import (
+    DriftRecordsError, QuadratureError, require_finite, require_int, require_tol,
+)
 from .quadrature import integrate
 
 DEFAULT_TOL = 1e-8
@@ -180,11 +183,12 @@ def _tail_start(dist, y_lo, c, m, budget):
     """
     if c <= 0.0 or m <= _MIN_TAIL:
         return None
-    end = dist.log_cdf_d5(math.inf)
+    end = dist.log_cdf_odd_derivatives(math.inf)[2]
 
     def fits(k):
         a = y_lo + c * (k + 1.0)
-        tv = dist.log_cdf_d5_variation(a, math.inf, dist.log_cdf_d5(a), end)
+        d5a = dist.log_cdf_odd_derivatives(a)[2]
+        tv = dist.log_cdf_d5_variation(a, math.inf, d5a, end)
         return (k >= m) | (_b6(c, tv) <= budget)
 
     return y_lo + c * (_first_fit(fits, m) + 1.0)
@@ -199,8 +203,8 @@ def _em_tail(dist, y, c, head, m):
         D G / c + (g(a) + g(b)) / 2 + (c/12) D g' - (c^3/720) D g'''
             + (c^5/30240) D g^(5),
 
-    within (c^5/30240) TV(g^(5)) over [a, b].  Each function of g but G
-    is evaluated once, on a and b together; G apart, because the normal G
+    within (c^5/30240) TV(g^(5)) over [a, b].  g and its odd derivatives
+    are evaluated once, on a and b together; G apart, because the normal G
     costs per finite point and b is often infinite.
     """
     top = dist.support[1]
@@ -213,9 +217,8 @@ def _em_tail(dist, y, c, head, m):
     b = np.where(some, y + c * last, a)
     n = y.shape[0]
     ends = np.concatenate((a, b))
-    g, g1, g3, g5 = (
-        h(ends) for h in (dist.log_cdf, dist.log_cdf_d1, dist.log_cdf_d3, dist.log_cdf_d5)
-    )
+    g = dist.log_cdf(ends)
+    g1, g3, g5 = dist.log_cdf_odd_derivatives(ends)
     g5a, g5b = g5[:n], g5[n:]
     s = (
         (dist.log_cdf_integral(b) - dist.log_cdf_integral(a)) / c
@@ -269,7 +272,7 @@ def _record_integral(cfg, m, tol, weights=None, reach=0.0, kinks=()):
     outside it at most the mass f leaves outside [lo, hi].  Each bound
     adds the quadrature gauge (at 0.8 tol), that omitted mass, and what
     the Euler-Maclaurin remainders (each node within tol/10 in log space)
-    add.
+    add.  A ``QuadratureError`` names the caller's tol.
     """
     require_tol(tol)
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
@@ -296,7 +299,14 @@ def _record_integral(cfg, m, tol, weights=None, reach=0.0, kinks=()):
         return out
 
     breaks = np.concatenate((_product_kinks(dist, c, delta, m, lo, hi), kinks))
-    values, errs = integrate(integrand, lo, hi, 0.8 * tol, breaks=breaks)
+    try:
+        values, errs = integrate(integrand, lo, hi, 0.8 * tol, breaks=breaks)
+    except QuadratureError as exc:
+        # name the caller's tol, not the quadrature's share of it
+        raise QuadratureError(
+            f"tol {tol:g} cannot be met: the quadrature gets 0.8 of it, and {exc}",
+            exc.best_estimate, exc.error_bound,
+        ) from None
     # each node's integrand is off by a factor within exp(+-eps), so an
     # integral p is off by at most expm1(eps) p, and p is at most
     # (value + err) / (1 - expm1(eps))
@@ -348,7 +358,8 @@ def p_delta(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> ProbResult:
 
     When the positivity classifier rules the limit out, returns 0 exactly.
     For zero trend (finite upper endpoint, negative delta) the limit equals
-    the closed form 1 - F(x_sup + delta).  For positive trend the infinite
+    the closed form 1 - F(x_sup + delta), whose bound covers the rounding
+    of that form in double precision.  For positive trend the infinite
     product is the same log-product as for p_n with no last factor: its
     Euler-Maclaurin tail runs to infinity, so nothing is truncated.  The
     floor on ``tol`` is that of ``p_n_delta``.
@@ -359,9 +370,15 @@ def p_delta(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> ProbResult:
 
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
     if c == 0.0:
-        hi = dist.support[1]
-        value = float(np.clip(1.0 - dist.cdf(hi + delta), 0.0, 1.0))
-        return ProbResult(value, 0.0, 0)
+        x = dist.support[1] + delta
+        cdf = float(dist.cdf(x))
+        value = min(max(1.0 - cdf, 0.0), 1.0)
+        # rounding x moves F by at most |x| f(x) eps/2; a cdf of a few
+        # roundings, as the uniform one is, and 1 - F add at most 3 eps/2
+        # of F and eps/2 of the value
+        slope = abs(x) * float(dist.pdf(x))
+        bound = sys.float_info.epsilon * (slope + 2.0 * cdf + value)
+        return ProbResult(value, bound, 0)
     return _record_integral(cfg, math.inf, tol)[0]
 
 

@@ -364,9 +364,10 @@ class TestEulerMaclaurinData:
             d1 = float(mp.diff(g, u, 1))
             d3 = float(mp.diff(g, u, 3))
             d5 = float(self._diff(g, u, 5))
-            assert float(dist.log_cdf_d1(u)) == pytest.approx(d1, rel=1e-10), u
-            assert float(dist.log_cdf_d3(u)) == pytest.approx(d3, rel=1e-8), u
-            assert float(dist.log_cdf_d5(u)) == pytest.approx(d5, rel=1e-8), u
+            got1, got3, got5 = dist.log_cdf_odd_derivatives(u)
+            assert float(got1) == pytest.approx(d1, rel=1e-10), u
+            assert float(got3) == pytest.approx(d3, rel=1e-8), u
+            assert float(got5) == pytest.approx(d5, rel=1e-8), u
         for a, b in zip(pts, pts[1:]):
             # G' = g: the antiderivative's increment is the integral of g
             got = float(dist.log_cdf_integral(b) - dist.log_cdf_integral(a))
@@ -387,7 +388,8 @@ class TestEulerMaclaurinData:
                 assert len(signs) == 1, (lo, hi, signs)
                 total += abs(self._diff(g, hi, 5) - self._diff(g, lo, 5))
             bound = float(dist.log_cdf_d5_variation(
-                a, b, dist.log_cdf_d5(a), dist.log_cdf_d5(b)))
+                a, b, dist.log_cdf_odd_derivatives(a)[2],
+                dist.log_cdf_odd_derivatives(b)[2]))
             assert bound >= float(total) * (1.0 - 1e-9), (a, b)
             assert bound <= float(total) * (1.0 + 1e-6) + 1e-300, (a, b)
 
@@ -401,26 +403,25 @@ class TestEulerMaclaurinData:
                              ids=lambda d: d.spec_string())
     def test_tail_limits_at_infinity(self, dist):
         # the engine evaluates these at +inf for the infinite product
-        for meth in (dist.log_cdf_integral, dist.log_cdf_d1, dist.log_cdf_d3,
-                     dist.log_cdf_d5):
-            assert float(meth(math.inf)) == 0.0
+        for value in (dist.log_cdf_integral(math.inf),
+                      *dist.log_cdf_odd_derivatives(math.inf)):
+            assert float(value) == 0.0
         assert float(dist.log_cdf_d5_variation(math.inf, math.inf, 0.0, 0.0)) == 0.0
 
     def test_normal_far_tails_stay_finite(self):
         dist = Normal()
         z = np.array([-1e6, -40.0, -12.5, 12.0, 40.0, 1e6])
-        for meth in (dist.log_cdf_integral, dist.log_cdf_d1, dist.log_cdf_d3,
-                     dist.log_cdf_d5):
-            assert np.all(np.isfinite(meth(z)))
+        for value in (dist.log_cdf_integral(z), *dist.log_cdf_odd_derivatives(z)):
+            assert np.all(np.isfinite(value))
         g = _mp_log_cdf(dist)
         for u in (-40.0, -12.5, -11.5):
-            assert float(dist.log_cdf_d3(u)) == pytest.approx(
+            assert float(dist.log_cdf_odd_derivatives(u)[1]) == pytest.approx(
                 float(mp.diff(g, u, 3)), rel=1e-9
             )
         # just right of the series' switch at z = -12 the closed form of
         # g^(5) cancels to about 1e-6 of its value; the series is exact
         for u, rel in ((-40.0, 1e-14), (-12.5, 1e-14), (-12.0, 2e-6), (-11.5, 1e-7)):
-            assert float(dist.log_cdf_d5(u)) == pytest.approx(
+            assert float(dist.log_cdf_odd_derivatives(u)[2]) == pytest.approx(
                 float(mp.diff(g, u, 5)), rel=rel
             )
             want = mp.quad(g, [u, -3, 0, 3, mp.inf])
@@ -512,9 +513,9 @@ class TestNormQuantile:
         assert np.array(scalars).tobytes() == _special.norm_quantile(p).tobytes()
 
 
-def _all_points_log_ndtr_d3(z):
-    """The previous log_ndtr_d3: the Mills series on every point, then
-    np.where.  Kept as the bit-for-bit reference."""
+def _all_points_log_ndtr_third(z):
+    """The g''' of an earlier log_ndtr_odd_derivatives: the Mills series
+    on every point, then np.where.  Kept as the bit-for-bit reference."""
     zc = np.clip(z, _special._Z_LEFT, 40.0)
     r = _special.log_ndtr_d1(zc)
     d = zc + r
@@ -549,8 +550,9 @@ def _all_points_log_ndtr_integral(z):
 
 
 class TestLogNdtrBranches:
-    """log_ndtr_d3 and log_ndtr_integral run each branch on its own points
-    only; their output is pinned to the all-points form bit for bit."""
+    """log_ndtr_odd_derivatives and log_ndtr_integral run each branch on
+    its own points only; g''' and the integral are pinned to the
+    all-points form bit for bit."""
 
     EDGES = [-12.0, 8.0, 40.0, math.inf, -math.inf,
              np.nextafter(-12.0, -math.inf), np.nextafter(8.0, -math.inf)]
@@ -566,7 +568,15 @@ class TestLogNdtrBranches:
 
     def test_d3_matches_all_points_form_bit_for_bit(self):
         z = self.points()
-        assert _special.log_ndtr_d3(z).tobytes() == _all_points_log_ndtr_d3(z).tobytes()
+        got = _special.log_ndtr_odd_derivatives(z)[1]
+        assert got.tobytes() == _all_points_log_ndtr_third(z).tobytes()
+
+    def test_first_derivative_is_log_ndtr_d1_bit_for_bit(self):
+        # the closed forms take r at z clipped to [-12, 40]; g' itself is
+        # r at z, also left of -12 and past 40
+        z = np.concatenate([self.points(), [math.nan, -1e300, 1e300]])
+        got = _special.log_ndtr_odd_derivatives(z)[0]
+        assert got.tobytes() == _special.log_ndtr_d1(z).tobytes()
 
     def test_integral_matches_all_points_form_bit_for_bit(self):
         # -inf is left out: the all-points form clamps it to -1e100
@@ -583,7 +593,7 @@ class TestLogNdtrBranches:
         monkeypatch.setattr(_special, "_right_tail_integral", fail)
         z = np.random.default_rng(20204).uniform(-11.9, 7.9, 4_000)
         assert np.all(np.isfinite(_special.log_ndtr_integral(z)))
-        assert np.all(_special.log_ndtr_d3(z) > 0.0)
+        assert np.all(_special.log_ndtr_odd_derivatives(z)[1] > 0.0)
 
     def test_integral_nan_and_infinities(self):
         # NaN used to reach the table as an int64 index and raise IndexError
@@ -593,5 +603,5 @@ class TestLogNdtrBranches:
         assert got[2] == math.inf
         assert got[3] == pytest.approx(0.47753533981, rel=1e-10)
         assert math.isnan(_special.log_ndtr_integral(math.nan))
-        assert math.isnan(_special.log_ndtr_d3(math.nan))
+        assert math.isnan(_special.log_ndtr_odd_derivatives(math.nan)[1])
         assert math.isnan(Normal().log_cdf_integral(math.nan))

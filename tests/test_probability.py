@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -144,6 +145,20 @@ def test_tolerance_under_the_rounding_floor_fails_at_once(monkeypatch):
     assert err.best_estimate[0] == pytest.approx(gumbel_p_n_delta(1.0, 0.0, 5), abs=1e-7)
 
 
+def test_quadrature_error_names_the_callers_tol(monkeypatch):
+    # the quadrature runs at 0.8 tol; the message must still name the tol
+    # given, on the floor path and on the panel-budget path alike
+    cfg = LdmConfig(Gumbel(), 1.0, 0.0)
+    with pytest.raises(QuadratureError, match="tol 3e-15 cannot be met.*rounding floor"):
+        p_n_delta(cfg, 5, tol=3e-15)
+    monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 20)
+    with pytest.raises(QuadratureError, match="tol 3e-14 cannot be met.*more than 20") as exc_info:
+        p_n_delta(cfg, 5, tol=3e-14)
+    err = exc_info.value
+    assert err.best_estimate[0] == pytest.approx(gumbel_p_n_delta(1.0, 0.0, 5), abs=1e-7)
+    assert err.error_bound[0] > 0.8 * 3e-14
+
+
 class TestLimitProbability:
     def test_matches_gumbel_closed_form(self):
         for c, delta in [(math.log(2.0), 0.0), (1.0, -0.5), (0.3, 1.5)]:
@@ -190,6 +205,25 @@ class TestLimitProbability:
             0.5, abs=0.05
         )
         assert p_delta(ldm("uniform", -1e-3, -0.5)).value == 0.0
+
+    def test_zero_trend_bound_covers_rounding(self):
+        # 1 - F(hi + delta) is min(-delta / (hi - lo), 1) exactly; in
+        # floats it was 1/3 + 3.7e-17 for Uniform(0, 3) at delta = -1, with
+        # a bound of 0.  Offsets |lo| up to 1e8 times the span make the
+        # rounding of hi + delta the largest part of the error.
+        rng = np.random.default_rng(20261)
+        missed = 0
+        for _ in range(2000):
+            span = 10.0 ** rng.uniform(-6.0, 6.0)
+            lo = float(rng.choice([-1.0, 0.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 8.0))
+            hi = lo + span
+            delta = -span * float(rng.uniform(1e-9, 1.2))
+            res = p_delta(LdmConfig(Uniform(lo, hi), 0.0, delta))
+            exact = min(Fraction(-delta) / (Fraction(hi) - Fraction(lo)), Fraction(1))
+            err = abs(Fraction(res.value) - exact)
+            assert err <= Fraction(res.abs_error_bound), (lo, hi, delta)
+            missed += err > 0
+        assert missed > 1000  # most values are not exact, so the bound matters
 
     def test_positive_trend_threshold_at_span_boundary(self):
         # uniform support span is 1, so delta < 1 + c keeps the limit
