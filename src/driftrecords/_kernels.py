@@ -6,13 +6,30 @@ of that row would make, so stacked and row-by-row flags are identical.
 """
 import numpy as np
 
+# Values per Monte Carlo block (2**16 float64 values make one array
+# 512 KB), and per piece of the loops that work through a longer input
+# piecewise: the record scan's threshold compare and
+# `_special.norm_quantile`.  A block is one piece; shorter pieces leave
+# too little work per numpy call for the threads that run the blocks.
+BLOCK_VALUES = 2**16
+
 
 def record_scan(y, delta):
-    """delta-record flags and running maxima of ``y`` along its last axis."""
+    """delta-record flags and running maxima of ``y`` along its last axis.
+
+    The thresholds running_max + delta are formed a piece of about
+    ``BLOCK_VALUES`` at a time and compared straight into the flags.
+    """
     running_max = np.maximum.accumulate(y, axis=-1)
     flags = np.empty(y.shape, np.bool_)
     flags[..., 0] = True
-    flags[..., 1:] = y[..., 1:] > running_max[..., :-1] + delta
+    n = y.shape[-1]
+    width = max(1, BLOCK_VALUES * n // max(y.size, 1))
+    scratch = np.empty(y.shape[:-1] + (min(width, n - 1),))
+    for lo in range(0, n - 1, width):
+        hi = min(lo + width, n - 1)
+        thresh = np.add(running_max[..., lo:hi], delta, out=scratch[..., :hi - lo])
+        np.greater(y[..., lo + 1:hi + 1], thresh, out=flags[..., lo + 1:hi + 1])
     return flags, running_max
 
 

@@ -3,7 +3,9 @@
 The quantile is Wichura's PPND16 rational approximation (algorithm AS 241),
 accurate to about 1e-15 over (0, 1).  We deliberately use the same quantile
 for inverse-transform sampling and for confidence intervals, so every normal
-variate in the package flows through one deterministic code path.
+variate in the package flows through one deterministic code path.  It works
+through its input one Monte Carlo block at a time, so beside its output it
+holds about two blocks of scratch, and it gathers only the tail points.
 
 ``log_ndtr_odd_derivatives`` gives g = log Phi its first, third and fifth
 derivatives in one call, and ``log_ndtr_integral`` its antiderivative: the
@@ -15,6 +17,8 @@ import math
 
 import numpy as np
 from scipy import special as _sc
+
+from ._kernels import BLOCK_VALUES
 
 _A = np.array([
     3.3871328727963666080e0, 1.3314166789178437745e2,
@@ -54,23 +58,50 @@ _F = np.array([
 ])
 
 
-def _horner(coef, r):
-    """sum of coef[k] r**k, by Horner's rule in place."""
-    acc = np.full_like(r, coef[-1])
-    for c in coef[-2::-1]:
-        acc *= r
-        acc += c
-    return acc
+def _horner(coef, r, out):
+    """sum of coef[k] r**k into out, by Horner's rule."""
+    np.multiply(r, coef[-1], out=out)
+    for c in coef[-2:0:-1]:
+        out += c
+        out *= r
+    out += coef[0]
+    return out
 
 
 def _ratpoly(coef_num, coef_den, r):
-    num = _horner(coef_num, r)
-    num /= _horner(coef_den, r)
+    num = _horner(coef_num, r, np.empty_like(r))
+    num /= _horner(coef_den, r, np.empty_like(r))
     return num
+
+
+def _tails(p, out, tail):
+    """Overwrite out[tail] with the tail branches of PPND16 at p[tail]."""
+    pt = p[tail]
+    with np.errstate(divide="ignore"):
+        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+    # the r <= 5 branch runs on every tail point, with r clamped so that
+    # p = 0 or 1 (r = inf) stays finite; the rare rest (p under 1.4e-11
+    # from an end, and NaN) is overwritten from its own branch
+    x = _ratpoly(_C, _D, np.minimum(r, 5.0) - 1.6)
+    far = np.flatnonzero(~(r <= 5.0))
+    if far.size:
+        rf = r[far]
+        with np.errstate(invalid="ignore"):
+            x[far] = np.where(np.isinf(rf), np.inf, _ratpoly(_E, _F, rf - 5.0))
+    np.negative(x, out=x, where=pt < 0.5)
+    out[tail] = x
 
 
 def norm_quantile(p):
     """Inverse standard normal cdf, vectorized.
+
+    Works through its input in pieces of ``BLOCK_VALUES``.  On a piece,
+    the central rational function runs on every point straight into the
+    output, with two scratch arrays that every piece reuses; then only the
+    tail points (|p - 0.5| > 0.425, and NaN), found by ``np.flatnonzero``,
+    are overwritten.  So a call holds its output and about two pieces,
+    and every point gets the operations, in the same order, that the
+    branch it falls in would give it on its own.
 
     Parameters
     ----------
@@ -82,33 +113,29 @@ def norm_quantile(p):
     float or ndarray
     """
     p_arr = np.asarray(p, dtype=float)
-    scalar = p_arr.ndim == 0
-    p_arr = np.atleast_1d(p_arr)
-    out = np.empty_like(p_arr)
-
-    q = p_arr - 0.5
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        qc = q[central]
-        out[central] = qc * _ratpoly(_A, _B, 0.180625 - qc**2)
-
-    tail = ~central
-    if np.any(tail):
-        pt = p_arr[tail]
-        with np.errstate(divide="ignore"):
-            r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-        # each rational function runs only on the points that select it;
-        # NaN takes the r > 5 branch and r = inf (p at 0 or 1) neither
-        x = np.full_like(r, np.inf)
-        near = r <= 5.0
-        far = ~near & ~np.isinf(r)
-        for sel, num, den, shift in ((near, _C, _D, 1.6), (far, _E, _F, 5.0)):
-            if np.any(sel):
-                x[sel] = _ratpoly(num, den, r[sel] - shift)
-        np.negative(x, out=x, where=pt < 0.5)
-        out[tail] = x
-
-    return float(out[0]) if scalar else out
+    out = np.empty(p_arr.shape)
+    flat_p, flat_out = p_arr.reshape(-1), out.reshape(-1)
+    size = flat_p.shape[0]
+    r_buf, t_buf = np.empty((2, min(size, BLOCK_VALUES)))
+    for lo in range(0, size, BLOCK_VALUES):
+        pp = flat_p[lo:lo + BLOCK_VALUES]
+        q = flat_out[lo:lo + BLOCK_VALUES]
+        r, t = r_buf[:pp.shape[0]], t_buf[:pp.shape[0]]
+        np.subtract(pp, 0.5, out=q)
+        np.abs(q, out=r)
+        tail = np.flatnonzero(~(r <= 0.425))
+        if tail.size < pp.shape[0]:
+            # q (num / den) at r = 0.180625 - q^2; den takes q's place,
+            # and q is formed again after
+            np.multiply(q, q, out=r)
+            np.subtract(0.180625, r, out=r)
+            _horner(_A, r, t)
+            np.divide(t, _horner(_B, r, q), out=t)
+            np.subtract(pp, 0.5, out=q)
+            q *= t
+        if tail.size:
+            _tails(pp, q, tail)
+    return float(out) if p_arr.ndim == 0 else out
 
 
 def norm_pdf(x):

@@ -319,7 +319,10 @@ def bootstrap_histogram(
     sig = fit.sigma_eps
 
     def scan(u):
-        fl, _ = record_scan(trend + sig * norm_quantile(u), delta)
+        x = norm_quantile(u)
+        x *= sig
+        x += trend
+        fl, _ = record_scan(x, delta)
         return fl.sum(axis=1)
 
     counts = np.concatenate(replicate(seed, reps, n, scan, workers))

@@ -23,7 +23,7 @@ from scipy.special import log_ndtr, ndtr, spence, xlogy
 
 from . import _special
 from ._special import norm_pdf, norm_quantile
-from .errors import DriftRecordsError, require_tol
+from .errors import DriftRecordsError, QuadratureError, require_tol
 from .quadrature import integrate
 
 # Right-tail mean of the standard Gumbel law, int_0^inf x f(x) dx.
@@ -88,6 +88,9 @@ class Distribution:
         raise NotImplementedError
 
     def quantile(self, u):
+        """F^-1(u): a new array for an array u, which stays unchanged, and
+        a float for a float.  The Monte Carlo scans add the drift into the
+        returned array in place."""
         raise NotImplementedError
 
     def tail_info(self) -> TailInfo:
@@ -155,9 +158,14 @@ class Gumbel(Distribution):
         return np.exp(-x - np.exp(-x))
 
     def quantile(self, u):
+        # -log(-log u), in one new array; [()] makes a 0-d result a scalar
         u = np.asarray(u, dtype=np.float64)
+        x = np.empty_like(u)
         with np.errstate(divide="ignore"):
-            return -np.log(-np.log(u))
+            np.log(u, out=x)
+            np.negative(x, out=x)
+            np.log(x, out=x)
+        return np.negative(x, out=x)[()]
 
     def tail_info(self):
         # the hazard f/S tends to 1
@@ -346,7 +354,10 @@ class Normal(Distribution):
         return norm_pdf(self._z(x)) / self.sigma
 
     def quantile(self, u):
-        return self.mu + self.sigma * norm_quantile(u)
+        x = norm_quantile(u)
+        x *= self.sigma
+        x += self.mu
+        return x
 
     def tail_info(self):
         z = self.mu / self.sigma
@@ -357,7 +368,7 @@ class Normal(Distribution):
     def zero_trend_integral(self, delta, tol):
         """The survival-ratio integral, to within about tol times its value;
         a tol under about 2.5e-14 is below the quadrature's rounding floor
-        and raises QuadratureError.
+        and raises QuadratureError, which names this tol.
 
         In z = (x - mu) / sigma, with eps = delta / sigma and Q, phi and
         h = phi / Q the standard normal survival function, density and
@@ -396,7 +407,15 @@ class Normal(Distribution):
             return out
 
         estimate, _ = integrate(g, lo, top, math.inf)
-        return integrate(g, lo, top, 0.5 * tol * estimate)[0]
+        try:
+            return integrate(g, lo, top, 0.5 * tol * estimate)[0]
+        except QuadratureError as exc:
+            # name the caller's relative tol, not the quadrature's absolute one
+            raise QuadratureError(
+                f"tol {tol:g} cannot be met: the quadrature gets half of it "
+                f"times the value, and {exc}",
+                exc.best_estimate, exc.error_bound,
+            ) from None
 
     def log_cdf_integral(self, u):
         return self.sigma * _special.log_ndtr_integral(self._z(u))

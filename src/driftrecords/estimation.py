@@ -48,8 +48,9 @@ def variance_estimator(
     """
     if isinstance(flags, RecordFlags):
         flags = flags.flags
-    ind = np.asarray(flags, dtype=np.float64)
-    n = ind.shape[0]
+    # centred in place, on a copy of its own
+    z = np.array(flags, dtype=np.float64)
+    n = z.shape[0]
     if n == 0:
         raise DriftRecordsError("flags must hold at least one indicator")
     if m is None:
@@ -57,7 +58,7 @@ def variance_estimator(
     require_int("m", m, 0)
     if m > n // 2:
         raise DriftRecordsError(f"lag window m={m} outside [0, n//2] = [0, {n // 2}]")
-    z = ind - ind.mean()
+    z -= z.mean()
     gammas = np.empty(m + 1, dtype=np.float64)
     gammas[0] = float(z @ z) / n
     if m >= 1:
@@ -101,7 +102,9 @@ def asymptotic_variance_mc(
     def scan(u):
         # sums of 0/1 indicators and their products are exact integers,
         # so pooling them over blocks cannot depend on the block split
-        fl, _ = record_scan(dist.quantile(u) + drift, delta)
+        x = dist.quantile(u)
+        x += drift
+        fl, _ = record_scan(x, delta)
         ind = fl[:, burn_in:]
         lagged = [np.count_nonzero(ind[:, :-k] & ind[:, k:]) for k in range(1, lag_max + 1)]
         return [np.count_nonzero(ind)] + lagged

@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import record_scan
+from ._kernels import BLOCK_VALUES, record_scan
 from .errors import require_int
 from .probability import LdmConfig
 
-# Uniforms per block: 2**16 float64 values make each block array 512 KB.
-_BLOCK_VALUES = 2**16
 # Rows of at most this many uniforms come from `_stream_block`, at 50 to
 # 60 ns per value on 2 CPUs.  A longer row takes one `replication_rng`
 # draw: 20 to 30 us of stream setup, then about 2 ns per value.  The two
@@ -240,7 +238,7 @@ def replicate(seed: int, reps: int, n: int, scan, workers: int = 1) -> list:
     replication on its own.  Rows of at most ``_VECTOR_MAX_N`` values
     are computed for the whole block at once by `_stream_block`; longer
     rows are drawn one stream at a time.  There are at least
-    ``workers`` blocks, of at most about 2**16 values each (one row when
+    ``workers`` blocks, of at most 2**16 values each (one row when
     a path is longer); they run on a pool of ``workers`` threads and
     come back in replication order, so the output does not depend on
     the worker count.
@@ -250,7 +248,9 @@ def replicate(seed: int, reps: int, n: int, scan, workers: int = 1) -> list:
     require_int("n", n, 1)
     require_int("workers", workers, 1)
     seed = int(seed)
-    blocks = max(workers, math.ceil(reps * n / _BLOCK_VALUES))
+    # whole rows of at most BLOCK_VALUES values, so that a block is one
+    # piece of norm_quantile and of the record scan
+    blocks = max(workers, math.ceil(reps / max(1, BLOCK_VALUES // n)))
     rows = math.ceil(reps / blocks)
 
     def run(lo: int):
@@ -313,7 +313,10 @@ def simulate_ldm(ldm: LdmConfig, n: int, rng: np.random.Generator) -> np.ndarray
     """One path X_j + c*j for j = 1..n."""
     require_int("n", n, 1)
     x = ldm.dist.quantile(rng.random(n))
-    return x + ldm.c * np.arange(1, n + 1, dtype=np.float64)
+    drift = np.arange(1, n + 1, dtype=np.float64)
+    drift *= ldm.c
+    x += drift
+    return x
 
 
 def mc_record_rate(cfg: SimulationConfig, workers: int = 1) -> SimSummary:
@@ -326,7 +329,9 @@ def mc_record_rate(cfg: SimulationConfig, workers: int = 1) -> SimSummary:
     drift = c * np.arange(1, n + 1, dtype=np.float64)
 
     def scan(u):
-        flags, _ = record_scan(dist.quantile(u) + drift, delta)
+        x = dist.quantile(u)
+        x += drift
+        flags, _ = record_scan(x, delta)
         return flags.sum(axis=1), n - np.argmax(flags[:, ::-1], axis=1)
 
     parts = replicate(cfg.seed, cfg.replications, n, scan, workers)

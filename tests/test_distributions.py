@@ -9,6 +9,7 @@ import scipy.special
 import scipy.stats
 
 from driftrecords import _special
+from driftrecords._kernels import BLOCK_VALUES
 from driftrecords.errors import DriftRecordsError
 from driftrecords.distributions import (
     Dagum,
@@ -511,6 +512,73 @@ class TestNormQuantile:
         scalars = [_special.norm_quantile(float(v)) for v in p]
         assert all(type(x) is float for x in scalars)
         assert np.array(scalars).tobytes() == _special.norm_quantile(p).tobytes()
+
+
+def _block_points(n, seed):
+    """n uniforms with the branch edges, both ends of (0, 1), subnormals
+    and NaN on the first, second and last entries of every block of
+    BLOCK_VALUES, so the points next to each piece boundary take every
+    branch in turn."""
+    p = np.random.default_rng(seed).random(n)
+    for lo in range(0, n, BLOCK_VALUES):
+        for at in (lo, min(lo + 1, n - 1), min(lo + BLOCK_VALUES, n) - 1):
+            p[at] = TestNormQuantile.EDGES[(lo + at) % len(TestNormQuantile.EDGES)]
+    return p
+
+
+class TestPiecewiseSampling:
+    """norm_quantile and the Normal and Gumbel quantiles write into one
+    new array, a block at a time; every value keeps the bits of the
+    one-shot expressions they replace."""
+
+    SIZES = [1, BLOCK_VALUES - 1, BLOCK_VALUES, BLOCK_VALUES + 1, 3 * BLOCK_VALUES + 5]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_norm_quantile_pieces_match_the_two_branch_form(self, n):
+        p = _block_points(n, n)
+        got = _special.norm_quantile(p)
+        assert got.tobytes() == _two_branch_norm_quantile(p).tobytes()
+
+    def test_norm_quantile_zero_d_and_two_d(self):
+        for v in TestNormQuantile.EDGES + [0.3, 0.975]:
+            got = _special.norm_quantile(np.array(v))
+            assert type(got) is float
+            want = _two_branch_norm_quantile(np.array([v]))
+            assert np.float64(got).tobytes() == want.tobytes()
+        p = _block_points(3 * BLOCK_VALUES + 5, 7)[5:].reshape(-1, 8)
+        for arr in (p, p[::2, 1:4], p.T):
+            got = _special.norm_quantile(arr)
+            assert got.shape == arr.shape
+            assert got.tobytes() == _two_branch_norm_quantile(np.ascontiguousarray(arr)).tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_normal_and_gumbel_match_the_one_shot_forms(self, n):
+        u = _block_points(n, n + 1)
+        with np.errstate(divide="ignore"):
+            gumbel = -np.log(-np.log(u))
+        assert Gumbel().quantile(u).tobytes() == gumbel.tobytes()
+        normal = 1.0 + 2.0 * _two_branch_norm_quantile(u)
+        assert Normal(1.0, 2.0).quantile(u).tobytes() == normal.tobytes()
+
+
+class TestQuantileContract:
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+    def test_argument_is_left_unchanged(self, dist):
+        u = np.concatenate([np.random.default_rng(8).random(998), [0.0, 0.5, 1.0]])
+        before = u.copy()
+        x = dist.quantile(u)
+        assert u.tobytes() == before.tobytes()
+        assert x.shape == u.shape and not np.shares_memory(x, u)
+        assert dist.quantile(u.reshape(-1, 7)).shape == (143, 7)
+
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+    def test_a_float_gives_a_float(self, dist):
+        # the quadrature window takes float(dist.quantile(1e-12)); a 0-d
+        # array must come back as a scalar, not fail on an out= chain
+        for u in (1e-12, 0.5, 1.0 - 1e-12):
+            x = dist.quantile(u)
+            assert isinstance(x, float) and np.ndim(x) == 0
+            assert np.float64(x).tobytes() == dist.quantile(np.array([u]))[:1].tobytes()
 
 
 def _all_points_log_ndtr_third(z):

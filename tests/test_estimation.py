@@ -83,6 +83,14 @@ class TestVarianceEstimator:
         assert plain.sigma2 == wrapped.sigma2
         np.testing.assert_array_equal(plain.gammas, wrapped.gammas)
 
+    def test_a_float_input_is_left_unchanged(self):
+        # the indicators are centred in place, on a copy of their own
+        bits = (np.random.default_rng(9).random(500) < 0.3).astype(np.float64)
+        before = bits.copy()
+        est = variance_estimator(bits, m=5)
+        assert bits.tobytes() == before.tobytes()
+        assert est.sigma2 == variance_estimator(bits.astype(bool), m=5).sigma2
+
 
 class TestAsymptoticVarianceMc:
     def test_near_independent_indicators_give_bernoulli_variance(self):

@@ -31,6 +31,24 @@ class TestKernelSemantics:
         got = _kernels.lag_products(z, 5)
         np.testing.assert_allclose(got, [2.0, 1.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("shape", [
+        (_kernels.BLOCK_VALUES + 3,), (3 * _kernels.BLOCK_VALUES + 1,),
+        (5, _kernels.BLOCK_VALUES // 2 + 3), (40, 999), (2, 3, 20_001),
+    ])
+    def test_piecewise_compare_matches_the_one_shot_form(self, shape):
+        # the thresholds running_max + delta are formed a piece at a time;
+        # values on a 1/4 grid with delta = 0.25 make many exact ties
+        rng = np.random.default_rng(sum(shape))
+        y = np.round(4.0 * rng.standard_normal(shape)) / 4.0
+        for delta in (0.25, -0.5):
+            flags, running_max = _kernels.record_scan(y, delta)
+            want_rm = np.maximum.accumulate(y, axis=-1)
+            want = np.empty(shape, np.bool_)
+            want[..., 0] = True
+            want[..., 1:] = y[..., 1:] > want_rm[..., :-1] + delta
+            assert flags.tobytes() == want.tobytes()
+            assert running_max.tobytes() == want_rm.tobytes()
+
     def test_single_element(self):
         flags, running_max = _kernels.record_scan(np.array([4.2]), 0.0)
         assert flags.tolist() == [True]

@@ -159,6 +159,19 @@ def test_quadrature_error_names_the_callers_tol(monkeypatch):
     assert err.error_bound[0] > 0.8 * 3e-14
 
 
+def test_zero_trend_quadrature_error_names_the_callers_tol():
+    # the normal survival-ratio integral runs its quadrature at the
+    # absolute 0.5 tol I, with I = 0.6346 here; the message names tol
+    with pytest.raises(
+        QuadratureError, match="^tol 1e-15 cannot be met.*rounding floor"
+    ) as exc_info:
+        classify_finiteness(ldm("normal", 0.0, 1.0), tol=1e-15)
+    err = exc_info.value
+    want = classify_finiteness(ldm("normal", 0.0, 1.0), tol=1e-10).integral_value
+    assert err.best_estimate == pytest.approx(want, rel=1e-9)
+    assert 0.0 < err.error_bound < 1e-6
+
+
 class TestLimitProbability:
     def test_matches_gumbel_closed_form(self):
         for c, delta in [(math.log(2.0), 0.0), (1.0, -0.5), (0.3, 1.5)]:

@@ -13,7 +13,7 @@ from driftrecords import (
     replication_rng,
     simulate_ldm,
 )
-from driftrecords._kernels import record_scan
+from driftrecords._kernels import BLOCK_VALUES, record_scan
 from driftrecords.simulate import (
     _VECTOR_MAX_N,
     _stream_block,
@@ -178,6 +178,17 @@ class TestEngine:
             blocks = replicate(3, 7, 1, lambda u: u[:, 0].tolist(), workers)
             flat = [v for block in blocks for v in block]
             assert flat == [replication_rng(3, r).random() for r in range(7)]
+
+    @pytest.mark.parametrize("reps, n, workers", [
+        (200, 20_000, 2), (200, 6000, 2), (20_000, 20, 1), (5, 20, 3), (3, 70_000, 1),
+    ])
+    def test_a_block_is_at_most_one_piece_of_whole_rows(self, reps, n, workers):
+        # a block of whole rows within BLOCK_VALUES is one norm_quantile
+        # piece; a path longer than that is a block of its own
+        shapes = replicate(0, reps, n, lambda u: u.shape, workers)
+        assert len(shapes) >= workers
+        assert sum(rows for rows, _ in shapes) == reps
+        assert all(rows * n <= max(BLOCK_VALUES, n) for rows, _ in shapes)
 
 
 class TestRecordRate:
