@@ -3,34 +3,45 @@
 The record scan works along the last axis, so a stack of paths is
 scanned in one call; every row gets exactly the comparisons a 1-D scan
 of that row would make, so stacked and row-by-row flags are identical.
+It holds only its flags: the running maximum lives one piece at a time
+and is carried from piece to piece.
 """
 import numpy as np
 
 # Values per Monte Carlo block (2**16 float64 values make one array
 # 512 KB), and per piece of the loops that work through a longer input
-# piecewise: the record scan's threshold compare and
-# `_special.norm_quantile`.  A block is one piece; shorter pieces leave
-# too little work per numpy call for the threads that run the blocks.
+# piecewise: the record scan, `_special.norm_quantile`,
+# `simulate.simulate_ldm` and `records.running_rate`.  A block is one
+# piece; shorter pieces leave too little work per numpy call for the
+# threads that run the blocks.
 BLOCK_VALUES = 2**16
 
 
 def record_scan(y, delta):
-    """delta-record flags and running maxima of ``y`` along its last axis.
+    """delta-record flags of ``y`` along its last axis.
 
-    The thresholds running_max + delta are formed a piece of about
-    ``BLOCK_VALUES`` at a time and compared straight into the flags.
+    Flag j is y[j] > max(y[:j]) + delta, and flag 0 is set.  The running
+    maximum is formed a piece of about ``BLOCK_VALUES`` values at a
+    time, in one reused scratch array: the first piece accumulates from
+    column 0, and each later piece folds in the maximum carried from
+    the one before.  ``max`` is exact, so every threshold has the bits
+    of the one-shot ``np.maximum.accumulate(y) + delta``.
     """
-    running_max = np.maximum.accumulate(y, axis=-1)
     flags = np.empty(y.shape, np.bool_)
     flags[..., 0] = True
     n = y.shape[-1]
     width = max(1, BLOCK_VALUES * n // max(y.size, 1))
-    scratch = np.empty(y.shape[:-1] + (min(width, n - 1),))
+    thresh = np.empty(y.shape[:-1] + (min(width, n - 1),))
+    carry = np.empty(y.shape[:-1] + (1,))
     for lo in range(0, n - 1, width):
         hi = min(lo + width, n - 1)
-        thresh = np.add(running_max[..., lo:hi], delta, out=scratch[..., :hi - lo])
-        np.greater(y[..., lo + 1:hi + 1], thresh, out=flags[..., lo + 1:hi + 1])
-    return flags, running_max
+        piece = np.maximum.accumulate(y[..., lo:hi], axis=-1, out=thresh[..., :hi - lo])
+        if lo:
+            np.maximum(piece, carry, out=piece)
+        carry[...] = piece[..., -1:]
+        np.add(piece, delta, out=piece)
+        np.greater(y[..., lo + 1:hi + 1], piece, out=flags[..., lo + 1:hi + 1])
+    return flags
 
 
 def lag_products(z, lag_max):

@@ -322,7 +322,7 @@ def bootstrap_histogram(
         x = norm_quantile(u)
         x *= sig
         x += trend
-        fl, _ = record_scan(x, delta)
+        fl = record_scan(x, delta)
         return fl.sum(axis=1)
 
     counts = np.concatenate(replicate(seed, reps, n, scan, workers))

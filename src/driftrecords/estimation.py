@@ -104,7 +104,7 @@ def asymptotic_variance_mc(
         # so pooling them over blocks cannot depend on the block split
         x = dist.quantile(u)
         x += drift
-        fl, _ = record_scan(x, delta)
+        fl = record_scan(x, delta)
         ind = fl[:, burn_in:]
         lagged = [np.count_nonzero(ind[:, :-k] & ind[:, k:]) for k in range(1, lag_max + 1)]
         return [np.count_nonzero(ind)] + lagged

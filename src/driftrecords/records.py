@@ -1,9 +1,11 @@
-"""Threshold-record indicators, running maxima and running rates on sequences.
+"""Threshold-record indicators and running rates on sequences.
 
 An observation is a delta-record when it exceeds the running maximum of all
 previous observations by strictly more than delta; the first observation is
 a delta-record by convention.  Ties therefore never count, which keeps the
-scan deterministic on floating-point data.
+scan deterministic on floating-point data.  A scan keeps only the
+indicators; the running maximum it compares against is scratch, formed
+a piece at a time (`_kernels.record_scan`).
 """
 from dataclasses import dataclass
 
@@ -15,10 +17,13 @@ from .errors import DriftRecordsError, require_finite
 
 @dataclass(frozen=True)
 class RecordFlags:
-    """Per-index delta-record indicators with the running maxima."""
+    """Per-index delta-record indicators and the delta they were taken at.
+
+    The running maxima are not kept; ``np.maximum.accumulate(y)`` gives
+    them when they are needed.
+    """
 
     flags: np.ndarray
-    running_max: np.ndarray
     delta: float
 
     def __len__(self):
@@ -38,17 +43,32 @@ def _as_sequence(y):
 def delta_record_flags(y, delta: float) -> RecordFlags:
     """Scan ``y`` once, left to right, and flag every delta-record.
 
-    Returns the indicator array, the running maxima and delta itself.
-    The comparison is strict: y[j] > max(y[:j]) + delta.
+    Returns the indicator array and delta itself.  The comparison is
+    strict: y[j] > max(y[:j]) + delta.  Beside the input and its one
+    byte of flags per value, the scan holds only block-sized scratch.
     """
     require_finite(delta=delta)
     arr = _as_sequence(y)
-    flags, running_max = _kernels.record_scan(arr, float(delta))
-    return RecordFlags(flags=flags, running_max=running_max, delta=float(delta))
+    return RecordFlags(flags=_kernels.record_scan(arr, float(delta)), delta=float(delta))
 
 
 def running_rate(y, delta: float) -> np.ndarray:
-    """Sequence of record rates: k-th entry is (records among first k) / k."""
+    """Sequence of record rates: k-th entry is (records among first k) / k.
+
+    The output is filled a piece of ``BLOCK_VALUES`` at a time: the
+    cumulative count of the piece, plus the count carried from the
+    pieces before, divided in place by k.  Counts below 2**53 are exact
+    in float64, so every rate has the bits of the one-shot
+    ``np.cumsum(flags, dtype=np.float64) / np.arange(1, n + 1)``, and the
+    call holds its output and the flags beside block-sized scratch.
+    """
     flags = delta_record_flags(y, delta).flags
-    n = flags.shape[0]
-    return np.cumsum(flags, dtype=np.float64) / np.arange(1, n + 1, dtype=np.float64)
+    rate = np.empty(flags.shape[0], dtype=np.float64)
+    count = 0.0
+    for lo in range(0, rate.shape[0], _kernels.BLOCK_VALUES):
+        piece = rate[lo:lo + _kernels.BLOCK_VALUES]
+        np.cumsum(flags[lo:lo + _kernels.BLOCK_VALUES], dtype=np.float64, out=piece)
+        piece += count
+        count = piece[-1]
+        piece /= np.arange(lo + 1, lo + 1 + piece.shape[0], dtype=np.float64)
+    return rate

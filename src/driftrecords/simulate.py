@@ -310,12 +310,22 @@ class SimSummary:
 
 
 def simulate_ldm(ldm: LdmConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One path X_j + c*j for j = 1..n."""
+    """One path X_j + c*j for j = 1..n.
+
+    The path is filled a piece of ``BLOCK_VALUES`` at a time: uniforms,
+    then quantiles, then the drift.  ``rng`` draws one double per value,
+    in order, so the path has the bits of the one-shot
+    ``dist.quantile(rng.random(n)) + c * np.arange(1, n + 1)``.
+    """
     require_int("n", n, 1)
-    x = ldm.dist.quantile(rng.random(n))
-    drift = np.arange(1, n + 1, dtype=np.float64)
-    drift *= ldm.c
-    x += drift
+    x = np.empty(n, dtype=np.float64)
+    for lo in range(0, n, BLOCK_VALUES):
+        piece = x[lo:lo + BLOCK_VALUES]
+        rng.random(out=piece)
+        piece[:] = ldm.dist.quantile(piece)
+        drift = np.arange(lo + 1, lo + 1 + piece.shape[0], dtype=np.float64)
+        drift *= ldm.c
+        piece += drift
     return x
 
 
@@ -331,7 +341,7 @@ def mc_record_rate(cfg: SimulationConfig, workers: int = 1) -> SimSummary:
     def scan(u):
         x = dist.quantile(u)
         x += drift
-        flags, _ = record_scan(x, delta)
+        flags = record_scan(x, delta)
         return flags.sum(axis=1), n - np.argmax(flags[:, ::-1], axis=1)
 
     parts = replicate(cfg.seed, cfg.replications, n, scan, workers)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import one_shot_flags
 from driftrecords import _kernels
+
+B = _kernels.BLOCK_VALUES
 
 
 class TestKernelSemantics:
@@ -12,11 +15,10 @@ class TestKernelSemantics:
             c = float(rng.uniform(-1, 1))
             delta = float(rng.uniform(-1, 1))
             y = rng.standard_normal((rows, n)) + c * np.arange(1, n + 1)
-            flags, running_max = _kernels.record_scan(y, delta)
-            for row, fl, rm in zip(y, flags, running_max):
-                want_fl, want_rm = _kernels.record_scan(row, delta)
-                np.testing.assert_array_equal(fl, want_fl)
-                np.testing.assert_array_equal(rm, want_rm)
+            flags = _kernels.record_scan(y, delta)
+            for row, fl in zip(y, flags):
+                np.testing.assert_array_equal(fl, _kernels.record_scan(row, delta))
+                np.testing.assert_array_equal(fl, one_shot_flags(row, delta))
 
     def test_lag_products_matches_naive(self):
         rng = np.random.default_rng(5)
@@ -32,26 +34,35 @@ class TestKernelSemantics:
         np.testing.assert_allclose(got, [2.0, 1.0, 0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("shape", [
-        (_kernels.BLOCK_VALUES + 3,), (3 * _kernels.BLOCK_VALUES + 1,),
-        (5, _kernels.BLOCK_VALUES // 2 + 3), (40, 999), (2, 3, 20_001),
+        (1,), (2,), (B - 1,), (B,), (B + 1,), (3 * B + 5,),
+        (5, B // 2 + 3), (40, 999), (2, 3, 20_001), (3, 2 * B + 7), (4, 1),
     ])
     def test_piecewise_compare_matches_the_one_shot_form(self, shape):
-        # the thresholds running_max + delta are formed a piece at a time;
-        # values on a 1/4 grid with delta = 0.25 make many exact ties
+        # the running maximum is formed a piece at a time and carried
+        # across pieces; values on a 1/4 grid with delta = 0.25 make many
+        # exact ties, and -inf entries sit on and beside piece boundaries
         rng = np.random.default_rng(sum(shape))
         y = np.round(4.0 * rng.standard_normal(shape)) / 4.0
-        for delta in (0.25, -0.5):
-            flags, running_max = _kernels.record_scan(y, delta)
-            want_rm = np.maximum.accumulate(y, axis=-1)
-            want = np.empty(shape, np.bool_)
-            want[..., 0] = True
-            want[..., 1:] = y[..., 1:] > want_rm[..., :-1] + delta
-            assert flags.tobytes() == want.tobytes()
-            assert running_max.tobytes() == want_rm.tobytes()
+        n = shape[-1]
+        for at in {0, min(1, n - 1), n // 2, n - 1} | set(range(B - 1, n, B)):
+            y[..., at] = -np.inf
+        for delta in (0.25, 0.0, -0.5):
+            flags = _kernels.record_scan(y, delta)
+            assert flags.dtype == np.bool_ and flags.shape == shape
+            assert flags.tobytes() == one_shot_flags(y, delta).tobytes()
+
+    def test_carried_maximum_reaches_later_pieces(self):
+        # one early peak is the running maximum of every later piece
+        y = np.zeros(3 * B + 5)
+        y[3] = 10.0
+        y[-1] = 10.5
+        for delta, last in ((0.25, True), (0.5, False), (-0.5, True)):
+            flags = _kernels.record_scan(y, delta)
+            assert flags.tobytes() == one_shot_flags(y, delta).tobytes()
+            assert flags[-1] == last
+            assert np.count_nonzero(flags[4:-1]) == 0
 
     def test_single_element(self):
-        flags, running_max = _kernels.record_scan(np.array([4.2]), 0.0)
-        assert flags.tolist() == [True]
-        assert running_max.tolist() == [4.2]
-        flags, _ = _kernels.record_scan(np.array([[4.2], [-1.0]]), 0.0)
+        assert _kernels.record_scan(np.array([4.2]), 0.0).tolist() == [True]
+        flags = _kernels.record_scan(np.array([[4.2], [-1.0]]), 0.0)
         assert flags.tolist() == [[True], [True]]

@@ -5,6 +5,8 @@ from driftrecords.errors import DriftRecordsError
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_shot_flags
+from driftrecords._kernels import BLOCK_VALUES
 from driftrecords.records import (
     delta_record_flags,
     running_rate,
@@ -43,8 +45,12 @@ class TestFlagExamples:
         ]
 
     def test_running_max(self):
-        out = delta_record_flags([3.0, 1.0, 2.0, 7.0], 0.0)
-        assert out.running_max.tolist() == [3.0, 3.0, 3.0, 7.0]
+        # flags only: the running maximum 3, 3, 3 is scratch of the scan
+        y = np.array([3.0, 1.0, 2.0, 7.0])
+        out = delta_record_flags(y, 0.0)
+        assert out.flags.tolist() == [True, False, False, True]
+        assert out.flags.tobytes() == one_shot_flags(y, 0.0).tobytes()
+        assert not hasattr(out, "running_max")
 
     def test_len(self):
         assert len(delta_record_flags([1.0, 2.0], 0.0)) == 2
@@ -68,6 +74,15 @@ class TestCounts:
         y = rng.standard_normal(100)
         rate = running_rate(y, 0.2)
         assert rate[-1] == pytest.approx(delta_record_flags(y, 0.2).flags.sum() / 100.0)
+
+    @pytest.mark.parametrize("n", [1, 2, BLOCK_VALUES - 1, BLOCK_VALUES + 1, 3 * BLOCK_VALUES + 5])
+    def test_running_rate_pieces_match_the_one_shot_form(self, n):
+        # the count is divided in place a piece at a time; every rate keeps
+        # the bits of one division by a full-length arange
+        y = np.random.default_rng(n).standard_normal(n) + 1e-4 * np.arange(n)
+        flags = one_shot_flags(y, 0.1)
+        want = np.cumsum(flags, dtype=np.float64) / np.arange(1, n + 1, dtype=np.float64)
+        assert running_rate(y, 0.1).tobytes() == want.tobytes()
 
 
 class TestErrors:
@@ -129,7 +144,7 @@ class TestProperties:
     def test_running_max_nondecreasing_and_first_flag(self, y, delta):
         out = delta_record_flags(y, delta)
         assert out.flags[0]
-        assert np.all(np.diff(out.running_max) >= 0)
+        assert out.flags.tobytes() == one_shot_flags(y, delta).tobytes()
 
     @given(sequences, deltas)
     @settings(max_examples=100, deadline=None)

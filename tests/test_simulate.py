@@ -56,6 +56,17 @@ class TestPathGeneration:
             drifted - base, 2.0 * np.arange(1, 21), rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("n", [1, 2, BLOCK_VALUES - 1, BLOCK_VALUES + 1, 3 * BLOCK_VALUES + 5])
+    @pytest.mark.parametrize("spec", ["normal:mu=0.3,sigma=2", "gumbel", "pareto1"])
+    def test_pieces_match_the_one_shot_path(self, spec, n):
+        # the path is filled a piece at a time from one stream; every value
+        # keeps the bits of the one-shot quantile of n uniforms plus drift
+        cfg = ldm(spec, 0.37, 0.0)
+        got = simulate_ldm(cfg, n, replication_rng(5, n))
+        u = replication_rng(5, n).random(n)
+        want = cfg.dist.quantile(u) + 0.37 * np.arange(1, n + 1, dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+
     def test_rejects_empty_horizon(self):
         with pytest.raises(ValueError):
             simulate_ldm(ldm("gumbel", 0.0, 0.0), 0, replication_rng(0, 0))
@@ -164,7 +175,7 @@ class TestEngine:
         want_counts, want_last = [], []
         for rep in range(reps):
             x = cfg.ldm.dist.quantile(replication_rng(seed, rep).random(n))
-            flags, _ = record_scan(x + 0.01 * np.arange(1, n + 1), 0.2)
+            flags = record_scan(x + 0.01 * np.arange(1, n + 1), 0.2)
             want_counts.append(int(flags.sum()))
             want_last.append(int(np.nonzero(flags)[0][-1]) + 1)
         for workers in (1, 2, 3):
