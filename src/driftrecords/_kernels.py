@@ -10,10 +10,9 @@ import numpy as np
 
 # Values per Monte Carlo block (2**16 float64 values make one array
 # 512 KB), and per piece of the loops that work through a longer input
-# piecewise: the record scan, `_special.norm_quantile`,
-# `simulate.simulate_ldm` and `records.running_rate`.  A block is one
-# piece; shorter pieces leave too little work per numpy call for the
-# threads that run the blocks.
+# piecewise: the record scan, `_special.norm_quantile` and
+# `simulate.simulate_ldm`.  A block is one piece; shorter pieces leave
+# too little work per numpy call for the threads that run the blocks.
 BLOCK_VALUES = 2**16
 
 
@@ -24,8 +23,10 @@ def record_scan(y, delta):
     maximum is formed a piece of about ``BLOCK_VALUES`` values at a
     time, in one reused scratch array: the first piece accumulates from
     column 0, and each later piece folds in the maximum carried from
-    the one before.  ``max`` is exact, so every threshold has the bits
-    of the one-shot ``np.maximum.accumulate(y) + delta``.
+    the one before.  Every flag equals the one-shot
+    ``y[..., 1:] > np.maximum.accumulate(y)[..., :-1] + delta``: ``max``
+    picks one of its inputs, and where the carried maximum can differ
+    from the one-shot one (+0.0 against -0.0) the compare cannot tell.
     """
     flags = np.empty(y.shape, np.bool_)
     flags[..., 0] = True

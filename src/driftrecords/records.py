@@ -53,22 +53,7 @@ def delta_record_flags(y, delta: float) -> RecordFlags:
 
 
 def running_rate(y, delta: float) -> np.ndarray:
-    """Sequence of record rates: k-th entry is (records among first k) / k.
-
-    The output is filled a piece of ``BLOCK_VALUES`` at a time: the
-    cumulative count of the piece, plus the count carried from the
-    pieces before, divided in place by k.  Counts below 2**53 are exact
-    in float64, so every rate has the bits of the one-shot
-    ``np.cumsum(flags, dtype=np.float64) / np.arange(1, n + 1)``, and the
-    call holds its output and the flags beside block-sized scratch.
-    """
+    """Sequence of record rates: k-th entry is (records among first k) / k."""
     flags = delta_record_flags(y, delta).flags
-    rate = np.empty(flags.shape[0], dtype=np.float64)
-    count = 0.0
-    for lo in range(0, rate.shape[0], _kernels.BLOCK_VALUES):
-        piece = rate[lo:lo + _kernels.BLOCK_VALUES]
-        np.cumsum(flags[lo:lo + _kernels.BLOCK_VALUES], dtype=np.float64, out=piece)
-        piece += count
-        count = piece[-1]
-        piece /= np.arange(lo + 1, lo + 1 + piece.shape[0], dtype=np.float64)
-    return rate
+    n = flags.shape[0]
+    return np.cumsum(flags, dtype=np.float64) / np.arange(1, n + 1, dtype=np.float64)

@@ -62,6 +62,17 @@ class TestKernelSemantics:
             assert flags[-1] == last
             assert np.count_nonzero(flags[4:-1]) == 0
 
+    def test_signed_zeros_across_pieces(self):
+        # from the second piece on, the carried maximum differs from the
+        # one-shot one in the sign of its zero; the compare cannot tell
+        # them apart, so the flags agree
+        y = np.full(3 * B + 5, -0.0)
+        y[B::2] = 0.0
+        for delta in (-0.0, 0.0):
+            flags = _kernels.record_scan(y, delta)
+            assert flags.tobytes() == one_shot_flags(y, delta).tobytes()
+            assert np.count_nonzero(flags) == 1
+
     def test_single_element(self):
         assert _kernels.record_scan(np.array([4.2]), 0.0).tolist() == [True]
         flags = _kernels.record_scan(np.array([[4.2], [-1.0]]), 0.0)

