@@ -1,0 +1,68 @@
+"""Print sha256 digests of the package's Monte Carlo outputs.
+
+A refactor of the Monte Carlo engine should keep every output bit for
+bit.  Run this script on the code before and after the change and diff
+the two listings:
+
+    PYTHONPATH=src python scripts/mc_digests.py > before.txt
+    (change the code)
+    PYTHONPATH=src python scripts/mc_digests.py > after.txt
+    diff before.txt after.txt
+
+It hashes the `mc_record_rate` summaries of five laws at path lengths on
+both sides of the vectorized-stream cutoff and past one block, on one
+and two workers; two `asymptotic_variance_mc` runs; bootstrap
+histograms at three thresholds; the fixture series at four seeds; and a
+long `simulate_ldm` path.  It takes a few seconds.
+"""
+import hashlib
+import sys
+
+import numpy as np
+
+import driftrecords as dr
+from driftrecords.analysis import FIXTURE_SEED
+
+LAWS = ["normal:mu=0.3,sigma=2", "gumbel", "pareto1", "uniform:lo=-1,hi=2", "exp:rate=1.5"]
+LENGTHS = [20, 513, 700, 2000, 70_000]
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def main() -> None:
+    out = sys.stdout
+    for spec in LAWS:
+        ldm = dr.LdmConfig(dr.parse_spec(spec), c=0.01, delta=0.2)
+        for n in LENGTHS:
+            reps = max(3, 100_000 // n)
+            for workers in (1, 2):
+                s = dr.mc_record_rate(dr.SimulationConfig(ldm, n, reps, seed=11), workers)
+                d = digest(s.counts, s.standardized,
+                           np.array([s.mean_rate, s.rate_stderr, s.stabilization_fraction]))
+                print(f"mc_record_rate {spec} n={n} reps={reps} workers={workers} {d}", file=out)
+    for spec, c, delta in (("gumbel", 1.0, 0.5), ("normal", 0.1, -0.2)):
+        ldm = dr.LdmConfig(dr.parse_spec(spec), c=c, delta=delta)
+        v = dr.asymptotic_variance_mc(ldm, horizon=1500, burn_in=500, lag_max=20, reps=40,
+                                      seed=3, workers=2)
+        print(f"asymptotic_variance_mc {spec} c={c} delta={delta} {v!r}", file=out)
+    series = dr.synthetic_temperature_series()
+    fit = dr.ols_fit(series)
+    for delta in (-1.0, 0.0, 0.5):
+        bs = dr.bootstrap_histogram(fit, series, delta, reps=2000, seed=5)
+        d = digest(bs.histogram, np.array([bs.q025, bs.q975, bs.mean]))
+        print(f"bootstrap_histogram delta={delta} {d}", file=out)
+    for seed in (0, 7, 2**40, FIXTURE_SEED):
+        ts = dr.synthetic_temperature_series(seed)
+        print(f"synthetic_temperature_series seed={seed} {digest(ts.t, ts.value)}", file=out)
+    ldm = dr.LdmConfig(dr.parse_spec("normal"), c=0.1, delta=0.5)
+    path = dr.simulate_ldm(ldm, 200_000, dr.replication_rng(21, 0))
+    print(f"simulate_ldm n=200000 {digest(path)}", file=out)
+
+
+if __name__ == "__main__":
+    main()

@@ -17,7 +17,7 @@ from ._special import norm_quantile
 from .errors import DriftRecordsError, require_finite, require_int
 from .estimation import gaussian_interval, variance_estimator
 from .records import delta_record_flags, running_rate
-from .simulate import replicate, replication_rng
+from .simulate import replicate
 
 FIXTURE_SEED = 165433
 
@@ -296,6 +296,16 @@ def analyze(
     )
 
 
+def _normal_noise(sigma: float):
+    """The quantile u -> sigma * Phi^-1(u), scaled in place; unlike
+    Normal(0, sigma).quantile it also serves sigma = 0, a perfect fit."""
+    def quantile(u):
+        x = norm_quantile(u)
+        x *= sigma
+        return x
+    return quantile
+
+
 def bootstrap_histogram(
     fit: OlsFit,
     ts: TimeSeries,
@@ -316,16 +326,10 @@ def bootstrap_histogram(
     require_finite(delta=delta)
     n = len(ts)
     trend = fit.beta0 + fit.beta1 * ts.t.astype(np.float64)
-    sig = fit.sigma_eps
-
-    def scan(u):
-        x = norm_quantile(u)
-        x *= sig
-        x += trend
-        fl = record_scan(x, delta)
-        return fl.sum(axis=1)
-
-    counts = np.concatenate(replicate(seed, reps, n, scan, workers))
+    counts = np.concatenate(replicate(
+        seed, reps, _normal_noise(fit.sigma_eps), trend,
+        lambda x: record_scan(x, delta).sum(axis=1), workers,
+    ))
     histogram = np.bincount(counts, minlength=n + 1)
     q_lo, q_hi = np.quantile(counts, [0.025, 0.975])
     return BootstrapResult(
@@ -350,14 +354,12 @@ def synthetic_temperature_series(seed: int = FIXTURE_SEED) -> TimeSeries:
 
     Raises DriftRecordsError unless ``seed`` is a non-negative integer.
     """
-    require_int("seed", seed, 0)
     t = np.arange(_FIXTURE_YEAR_LO, _FIXTURE_YEAR_HI + 1, dtype=np.int64)
     n = t.shape[0]
     r2 = 1.0 - (1.0 - _FIXTURE_ADJ_R2) * (n - 1) / (n - 2)
     dt = t.astype(np.float64) - t.astype(np.float64).mean()
     sxx = float(dt @ dt)
     sigma_eps = _FIXTURE_BETA1 * math.sqrt(sxx * (1.0 - r2) / (r2 * (n - 2)))
-    rng = replication_rng(seed, 0)
-    noise = sigma_eps * norm_quantile(rng.random(n))
-    value = _FIXTURE_BETA0 + _FIXTURE_BETA1 * t.astype(np.float64) + noise
+    trend = _FIXTURE_BETA0 + _FIXTURE_BETA1 * t.astype(np.float64)
+    (value,) = replicate(seed, 1, _normal_noise(sigma_eps), trend, lambda x: x[0])
     return TimeSeries(t=t, value=value)

@@ -119,13 +119,6 @@ class Distribution:
         """
         return np.abs(d5a - d5b)
 
-    def spec_string(self):
-        """The ``parse_spec`` string that rebuilds this law."""
-        params = ",".join(
-            f"{f.name}={getattr(self, f.name)}" for f in dataclasses.fields(self)
-        )
-        return f"{self.kind}:{params}" if params else self.kind
-
 
 @dataclass(frozen=True)
 class Gumbel(Distribution):

@@ -95,21 +95,17 @@ def asymptotic_variance_mc(
     require_int("lag_max", lag_max, 0)
     require_int("horizon", horizon, lag_max + 1)
     require_int("burn_in", burn_in, 0)
-    c, delta, dist = ldm.c, ldm.delta, ldm.dist
-    total = burn_in + horizon
-    drift = c * np.arange(1, total + 1, dtype=np.float64)
+    drift = ldm.c * np.arange(1, burn_in + horizon + 1, dtype=np.float64)
 
-    def scan(u):
+    def reduce(x):
         # sums of 0/1 indicators and their products are exact integers,
         # so pooling them over blocks cannot depend on the block split
-        x = dist.quantile(u)
-        x += drift
-        fl = record_scan(x, delta)
-        ind = fl[:, burn_in:]
+        ind = record_scan(x, ldm.delta)[:, burn_in:]
         lagged = [np.count_nonzero(ind[:, :-k] & ind[:, k:]) for k in range(1, lag_max + 1)]
         return [np.count_nonzero(ind)] + lagged
 
-    totals = np.sum(replicate(seed, reps, total, scan, workers), axis=0, dtype=np.float64)
+    parts = replicate(seed, reps, ldm.dist.quantile, drift, reduce, workers)
+    totals = np.sum(parts, axis=0, dtype=np.float64)
     p_hat = float(totals[0]) / (reps * horizon)
     lags = np.arange(1, lag_max + 1)
     r_hat = totals[1:] / (reps * (horizon - lags))

@@ -237,7 +237,8 @@ def _log_product(dist, y, c, m, start):
 
     Returns the sums, the number of leading factors summed directly and
     the largest Euler-Maclaurin remainder bound.  The head is summed
-    directly, chunking the (y, i) grid.  With ``start`` from
+    directly, chunking the (y, i) grid, and for c > 0 it ends where every
+    factor reaches a finite support top.  With ``start`` from
     ``_tail_start``, the factors at arguments from ``start`` on come from
     ``_em_tail`` unless fewer than ``_MIN_TAIL`` of them are left; with
     ``start`` None every factor is summed directly.
@@ -247,6 +248,10 @@ def _log_product(dist, y, c, m, start):
         head = max(math.ceil((start - float(y.min())) / c) - 1, 0)
         if m - head < _MIN_TAIL:
             head = m
+    top = dist.support[1]
+    if c > 0.0 and math.isfinite(top):
+        # factors at arguments at or above the top are exactly 1
+        head = min(head, max(math.ceil((top - float(y.min())) / c), 0))
     out = np.zeros_like(y)
     if head > 0:
         offsets = c * np.arange(1, head + 1, dtype=np.float64)

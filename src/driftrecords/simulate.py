@@ -4,10 +4,13 @@ Every replication owns an independent random stream derived from
 (seed, replication index), so results are identical whether the
 replications run on one worker or many, and any single replication can
 be reproduced in isolation.  `replicate` is the one engine behind every
-Monte Carlo result of the package: it stacks the uniforms of a block of
-replications and hands the block to a vectorized scan.  For short rows
-it computes those uniforms for every row of the block at once
-(`_stream_block`), bit for bit what `replication_rng` would draw.
+Monte Carlo result of the package.  It builds every path the same way,
+the noise law's quantile of the replication's uniforms plus a trend,
+stacks the paths of a block of replications and hands the block to the
+caller's reduction, so a consumer supplies only its quantile, its trend
+and its reduction.  For short rows it computes the uniforms for every
+row of the block at once (`_stream_block`), bit for bit what
+`replication_rng` would draw.
 """
 import functools
 import math
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import BLOCK_VALUES, record_scan
-from .errors import require_int
+from .errors import DriftRecordsError, require_int
 from .probability import LdmConfig
 
 # Rows of at most this many uniforms come from `_stream_block`, at 50 to
@@ -50,8 +53,9 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
 #   * SeedSequence hashes its entropy words (the 32-bit words of seed,
 #     padded with zeros to the pool size 4, then those of rep) into a pool
 #     of 4 uint32 words.  Every step before the first word of rep depends on
-#     the seed alone and runs once per block on Python ints (`_seed_pool`);
-#     the words of rep are mixed in per row.
+#     the seed alone: it leaves the pool of SeedSequence(seed), which pads
+#     the same way, and a hash constant advanced once per step
+#     (`_seed_pool`).  The words of rep are mixed in per row.
 #   * generate_state(4, uint64) turns the pool into the 128-bit numbers s
 #     and q from which PCG64 takes inc = 2q + 1 and the state M (s + inc) +
 #     inc, for the LCG multiplier M.
@@ -68,15 +72,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _BITS32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
-
-
-def _words(value: int) -> list:
-    """Little-endian 32-bit words of a non-negative int; [0] for 0."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
 
 
 def _hashmix(value, h: int, mult: int = _MULT_A):
@@ -103,22 +98,12 @@ def _mix_word(pool: list, word, h: int) -> int:
 
 def _seed_pool(seed: int):
     """SeedSequence's pool after every entropy word of the seed, and the
-    hash constant that the first word of the spawn key meets."""
-    words = _words(seed)
-    words += [0] * (_POOL_SIZE - len(words))
-    h = _INIT_A
-    pool = []
-    for w in words[:_POOL_SIZE]:
-        w, h = _hashmix(w, h)
-        pool.append(w)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                w, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], w)
-    for w in words[_POOL_SIZE:]:
-        h = _mix_word(pool, w, h)
-    return pool, h
+    hash constant that the first word of the spawn key meets.  Each
+    entropy word, padded to at least the pool size, takes one hash step
+    per pool word."""
+    words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    h = _INIT_A * pow(_MULT_A, _POOL_SIZE * words, 2**32) & _MASK32
+    return np.random.SeedSequence(seed).pool, h
 
 
 def _split128(values) -> tuple:
@@ -229,24 +214,28 @@ def _stream_block(seed: int, lo: int, u: np.ndarray) -> None:
         np.multiply(lo_word, 2.0**-53, out=u[part])
 
 
-def replicate(seed: int, reps: int, n: int, scan, workers: int = 1) -> list:
-    """Apply ``scan`` to blocks of stacked uniforms; one result per block.
+def replicate(seed: int, reps: int, quantile, trend, reduce, workers: int = 1) -> list:
+    """Apply ``reduce`` to blocks of stacked paths; one result per block.
 
-    Row i of the block starting at replication lo holds the n uniforms
-    of ``replication_rng(seed, lo + i)``, so a scan that reduces rows
-    independently gives the same per-replication values as drawing each
-    replication on its own.  Rows of at most ``_VECTOR_MAX_N`` values
-    are computed for the whole block at once by `_stream_block`; longer
-    rows are drawn one stream at a time.  There are at least
-    ``workers`` blocks, of at most 2**16 values each (one row when
-    a path is longer); they run on a pool of ``workers`` threads and
-    come back in replication order, so the output does not depend on
-    the worker count.
+    Row i of the block starting at replication lo is the path
+    ``quantile(u) + trend`` of the n = len(trend) uniforms u of
+    ``replication_rng(seed, lo + i)``; the trend is added in place into
+    the array that ``quantile`` returns.  So a reduction that treats
+    rows independently gives the same per-replication values as
+    building each path on its own.  Rows of at most ``_VECTOR_MAX_N``
+    values are drawn for the whole block at once by `_stream_block`;
+    longer rows are drawn one stream at a time.  There are at least
+    ``workers`` blocks, of at most 2**16 values each (one row when a
+    path is longer); they run on a pool of ``workers`` threads and come
+    back in replication order, so the output does not depend on the
+    worker count.
     """
     require_int("seed", seed, 0)
     require_int("reps", reps, 1)
-    require_int("n", n, 1)
     require_int("workers", workers, 1)
+    n = len(trend)
+    if n == 0:
+        raise DriftRecordsError("trend must hold at least one value")
     seed = int(seed)
     # whole rows of at most BLOCK_VALUES values, so that a block is one
     # piece of norm_quantile and of the record scan
@@ -260,7 +249,9 @@ def replicate(seed: int, reps: int, n: int, scan, workers: int = 1) -> list:
         else:
             for i in range(u.shape[0]):
                 replication_rng(seed, lo + i).random(out=u[i])
-        return scan(u)
+        x = quantile(u)
+        x += trend
+        return reduce(x)
 
     starts = range(0, reps, rows)
     if workers == 1:
@@ -335,16 +326,14 @@ def mc_record_rate(cfg: SimulationConfig, workers: int = 1) -> SimSummary:
     mean_rate estimates the asymptotic record probability when it is
     positive; otherwise the rate drifts to 0 as n grows.
     """
-    c, delta, dist, n = cfg.ldm.c, cfg.ldm.delta, cfg.ldm.dist, cfg.n
-    drift = c * np.arange(1, n + 1, dtype=np.float64)
+    ldm, n = cfg.ldm, cfg.n
+    drift = ldm.c * np.arange(1, n + 1, dtype=np.float64)
 
-    def scan(u):
-        x = dist.quantile(u)
-        x += drift
-        flags = record_scan(x, delta)
+    def reduce(x):
+        flags = record_scan(x, ldm.delta)
         return flags.sum(axis=1), n - np.argmax(flags[:, ::-1], axis=1)
 
-    parts = replicate(cfg.seed, cfg.replications, n, scan, workers)
+    parts = replicate(cfg.seed, cfg.replications, ldm.dist.quantile, drift, reduce, workers)
     counts = np.concatenate([p[0] for p in parts]).astype(np.int64)
     last = np.concatenate([p[1] for p in parts]).astype(np.int64)
     rates = counts / float(n)

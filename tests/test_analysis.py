@@ -12,6 +12,8 @@ from driftrecords import (
     ols_fit,
     synthetic_temperature_series,
 )
+from driftrecords import analysis, replication_rng
+from driftrecords._special import norm_quantile
 from driftrecords.analysis import FIXTURE_SEED
 
 from conftest import FIXTURE_CSV
@@ -243,6 +245,17 @@ class TestBootstrap:
         b = bootstrap_histogram(fit, fixture_series, -1.0, reps=1000, seed=42)
         np.testing.assert_array_equal(a.histogram, b.histogram)
 
+    def test_a_perfect_fit_bootstraps_its_trend(self):
+        # value = 2t fits with sigma_eps = 0 exactly, so every path is the
+        # increasing trend and every observation a record
+        t = np.arange(1951, 2020)
+        ts = TimeSeries(t=t, value=2.0 * t)
+        fit = ols_fit(ts)
+        assert fit.sigma_eps == 0.0
+        bs = bootstrap_histogram(fit, ts, 0.0, reps=1000, seed=3)
+        assert bs.histogram[69] == 1000
+        assert bs.q025 == bs.q975 == bs.mean == 69.0
+
     def test_rejects_small_replication_counts(self, fixture_series):
         fit = ols_fit(fixture_series)
         with pytest.raises(ValueError):
@@ -265,6 +278,19 @@ class TestFixtureProvenance:
         # inside numpy without naming the seed
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             synthetic_temperature_series(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40, FIXTURE_SEED])
+    def test_series_is_replication_zero_of_the_engine(self, seed):
+        # trend plus sigma times the normal quantile of the uniforms of
+        # replication 0, bit for bit, with sigma back-solved as documented
+        t = np.arange(1951, 2020)
+        n, b1 = len(t), analysis._FIXTURE_BETA1
+        r2 = 1.0 - (1.0 - analysis._FIXTURE_ADJ_R2) * (n - 1) / (n - 2)
+        dt = t - t.mean()
+        sigma = b1 * math.sqrt(float(dt @ dt) * (1.0 - r2) / (r2 * (n - 2)))
+        noise = sigma * norm_quantile(replication_rng(seed, 0).random(n))
+        want = analysis._FIXTURE_BETA0 + b1 * t.astype(np.float64) + noise
+        assert synthetic_temperature_series(seed).value.tobytes() == want.tobytes()
 
     def test_default_seed_is_the_fixture(self, fixture_series):
         np.testing.assert_array_equal(synthetic_temperature_series().value, fixture_series.value)

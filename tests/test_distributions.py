@@ -46,7 +46,7 @@ def test_cdf_spot_values():
     assert Uniform(lo=0.0, hi=1.0).cdf(0.25) == 0.25
 
 
-@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=repr)
 def test_cdf_quantile_round_trip(dist):
     u = np.linspace(1e-6, 1.0 - 1e-6, 101)
     x = dist.quantile(u)
@@ -55,7 +55,7 @@ def test_cdf_quantile_round_trip(dist):
     np.testing.assert_allclose(dist.quantile(dist.cdf(xs)), xs, rtol=1e-9)
 
 
-@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=repr)
 def test_cdf_monotone_and_bounded(dist):
     lo, hi = dist.support
     xs = np.linspace(
@@ -68,7 +68,7 @@ def test_cdf_monotone_and_bounded(dist):
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
-@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=repr)
 def test_pdf_is_cdf_derivative(dist):
     xs = _interior_grid(dist)
     h = 1e-6 * np.maximum(1.0, np.abs(xs))
@@ -76,7 +76,7 @@ def test_pdf_is_cdf_derivative(dist):
     np.testing.assert_allclose(dist.pdf(xs), numeric, rtol=5e-5, atol=1e-10)
 
 
-@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=repr)
 def test_log_forms_match_linear_forms(dist):
     xs = _interior_grid(dist)
     np.testing.assert_allclose(np.exp(dist.log_cdf(xs)), dist.cdf(xs), rtol=1e-12)
@@ -226,7 +226,7 @@ class TestSampling:
             b = dist.quantile(r2.random(100))
             np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=repr)
     def test_empirical_cdf_matches(self, dist):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(11)))
         n = 40_000
@@ -261,18 +261,6 @@ class TestParseSpec:
         assert parse_spec("exp") == Exponential(rate=1.0)
         assert parse_spec("dagum") == Dagum(b=1.0, q=1.0) == Dagum()
         assert parse_spec("dagum:q=2") == Dagum(b=1.0, q=2.0)
-
-    def test_spec_strings(self):
-        assert Gumbel().spec_string() == "gumbel"
-        assert ParetoUnit().spec_string() == "pareto1"
-        assert Dagum(b=2.0, q=0.5).spec_string() == "dagum:b=2.0,q=0.5"
-        assert Normal().spec_string() == "normal:mu=0.0,sigma=1.0"
-        assert Uniform(lo=-1.0, hi=2.0).spec_string() == "uniform:lo=-1.0,hi=2.0"
-        assert Exponential(rate=0.25).spec_string() == "exp:rate=0.25"
-
-    def test_round_trip_through_spec_string(self):
-        for dist in ALL_DISTS:
-            assert parse_spec(dist.spec_string()) == dist
 
     def test_unknown_kind(self):
         with pytest.raises(DriftRecordsError, match="unknown distribution"):
@@ -357,7 +345,7 @@ class TestEulerMaclaurinData:
         with mp.workdps(60):
             return mp.diff(g, u, order)
 
-    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=repr)
     def test_integral_derivatives_and_variation(self, dist):
         g = _mp_log_cdf(dist)
         pts = _em_points(dist)
@@ -401,7 +389,7 @@ class TestEulerMaclaurinData:
             assert float(self._diff(g, z, 5)) == pytest.approx(peak, rel=1e-15)
 
     @pytest.mark.parametrize("dist", [Gumbel(), Normal(), Exponential()],
-                             ids=lambda d: d.spec_string())
+                             ids=repr)
     def test_tail_limits_at_infinity(self, dist):
         # the engine evaluates these at +inf for the infinite product
         for value in (dist.log_cdf_integral(math.inf),
@@ -562,7 +550,7 @@ class TestPiecewiseSampling:
 
 
 class TestQuantileContract:
-    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=repr)
     def test_argument_is_left_unchanged(self, dist):
         u = np.concatenate([np.random.default_rng(8).random(998), [0.0, 0.5, 1.0]])
         before = u.copy()
@@ -571,7 +559,7 @@ class TestQuantileContract:
         assert x.shape == u.shape and not np.shares_memory(x, u)
         assert dist.quantile(u.reshape(-1, 7)).shape == (143, 7)
 
-    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=repr)
     def test_a_float_gives_a_float(self, dist):
         # the quadrature window takes float(dist.quantile(1e-12)); a 0-d
         # array must come back as a scalar, not fail on an out= chain

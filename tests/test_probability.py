@@ -414,7 +414,7 @@ class TestZeroTrendFiniteness:
             Exponential(rate=3.0)]
     FINITE = (Normal, Uniform)
 
-    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.spec_string())
+    @pytest.mark.parametrize("dist", LAWS, ids=repr)
     @pytest.mark.parametrize(
         "delta", [1e-6, 1e-5, 1e-4, 1e-3, 0.1, 0.5, 2.0, 5.0, 20.0, 30.0, 40.0, 50.0]
     )
@@ -623,6 +623,17 @@ class TestCostDoesNotGrow:
         seen = _count_log_cdf_points(monkeypatch, cls)
         res = p_delta(ldm(spec, c, 0.0))
         assert sum(seen) <= 10_000
+        assert res.value > 0.0
+
+    @pytest.mark.parametrize("tol", [1e-30, 1e-36])
+    def test_direct_head_stops_at_a_finite_top(self, monkeypatch, tol):
+        # about 1.1e4 factors reach the top at 1; a head of 3.8e5 factors
+        # per node made the 1e-36 call run for more than ten minutes
+        seen = _count_log_cdf_points(monkeypatch, Uniform)
+        res = p_delta(ldm("uniform", 1e-4, 0.1), tol=tol)
+        assert res.truncation_n <= 10_000
+        assert sum(seen) <= 25_000_000
+        assert res.abs_error_bound <= tol
         assert res.value > 0.0
 
     def test_zero_trend_verdict_is_read_from_the_tail(self, monkeypatch):

@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 from driftrecords import (
     LdmConfig,
     SimulationConfig,
+    asymptotic_variance_mc,
+    bootstrap_histogram,
     mc_record_rate,
+    ols_fit,
     parse_spec,
     replication_rng,
     simulate_ldm,
+    synthetic_temperature_series,
 )
 from driftrecords._kernels import BLOCK_VALUES, record_scan
+from driftrecords._special import norm_quantile
 from driftrecords.simulate import (
     _VECTOR_MAX_N,
     _stream_block,
@@ -107,12 +112,18 @@ class TestSeedValidation:
     @pytest.mark.parametrize("seed", BAD_SEEDS)
     def test_engine_rejects_a_bad_seed(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            replicate(seed, 4, 5, lambda u: u)
+            uniforms(seed, 4, 5, lambda u: u)
 
     def test_numpy_integer_seed_is_accepted(self):
         a = mc_record_rate(config("gumbel", 0.1, 0.0, 30, 20, seed=np.int64(5)))
         b = mc_record_rate(config("gumbel", 0.1, 0.0, 30, 20, seed=5))
         np.testing.assert_array_equal(a.counts, b.counts)
+
+
+def uniforms(seed, reps, n, reduce, workers=1):
+    # the engine's paths with the identity quantile and a zero trend are
+    # the replications' uniforms
+    return replicate(seed, reps, lambda u: u, np.zeros(n), reduce, workers)
 
 
 def one_stream_per_row(seed, lo, rows, n):
@@ -132,8 +143,8 @@ class TestVectorizedStreams:
     """`_stream_block` must give every row exactly the uniforms that
     replication_rng draws for it."""
 
-    # one to five 32-bit entropy words; SeedSequence's pool holds four
-    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 977]
+    # one to five and ten 32-bit entropy words; SeedSequence's pool holds four
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 977, 2**300]
 
     @pytest.mark.parametrize("seed", SEEDS)
     # the second block holds indices of one and of two 32-bit words
@@ -157,7 +168,7 @@ class TestVectorizedStreams:
     def test_engine_rows_match_on_both_sides_of_the_cutoff(self, n):
         seed, reps = 2**64 + 5, 300
         for workers in (1, 2):
-            got = np.concatenate(replicate(seed, reps, n, lambda u: u.copy(), workers))
+            got = np.concatenate(uniforms(seed, reps, n, lambda u: u, workers))
             assert got.tobytes() == one_stream_per_row(seed, 0, reps, n).tobytes()
 
 
@@ -184,9 +195,52 @@ class TestEngine:
             np.testing.assert_array_equal(s.counts, want_counts)
             assert s.stabilization_fraction == np.mean(2 * np.array(want_last) <= n)
 
+    @pytest.mark.parametrize("n", [7, _VECTOR_MAX_N + 1])
+    def test_a_row_is_the_quantile_of_its_uniforms_plus_the_trend(self, n):
+        dist, seed, reps = parse_spec("gumbel"), 2**40, 5
+        trend = np.linspace(-1.0, 3.0, n)
+        got = np.concatenate(replicate(seed, reps, dist.quantile, trend, lambda x: x, 2))
+        want = [dist.quantile(replication_rng(seed, r).random(n)) + trend for r in range(reps)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 0.5])
+    def test_bootstrap_matches_one_replication_at_a_time(self, delta):
+        # 1200 paths of 69 values make two blocks
+        series = synthetic_temperature_series()
+        fit = ols_fit(series)
+        n, reps, seed = len(series), 1200, 5
+        trend = fit.beta0 + fit.beta1 * series.t.astype(np.float64)
+        counts = []
+        for rep in range(reps):
+            x = fit.sigma_eps * norm_quantile(replication_rng(seed, rep).random(n)) + trend
+            counts.append(int(record_scan(x, delta).sum()))
+        for workers in (1, 2):
+            bs = bootstrap_histogram(fit, series, delta, reps, seed, workers)
+            np.testing.assert_array_equal(bs.histogram, np.bincount(counts, minlength=n + 1))
+            assert bs.mean == np.mean(counts)
+
+    # 400 values per path take the vectorized streams, 700 one stream per row
+    @pytest.mark.parametrize("burn_in, horizon", [(100, 300), (300, 400)])
+    def test_variance_matches_one_replication_at_a_time(self, burn_in, horizon):
+        cfg = ldm("normal:mu=0.3,sigma=2", 0.05, -0.2)
+        reps, seed, lag_max, total = 200, 13, 8, burn_in + horizon
+        drift = 0.05 * np.arange(1, total + 1)
+        hits, lagged = 0, np.zeros(lag_max, dtype=np.int64)
+        for rep in range(reps):
+            x = cfg.dist.quantile(replication_rng(seed, rep).random(total)) + drift
+            ind = record_scan(x, -0.2)[burn_in:]
+            hits += int(ind.sum())
+            lagged += [np.sum(ind[:-k] & ind[k:]) for k in range(1, lag_max + 1)]
+        p = hits / (reps * horizon)
+        r = lagged / (reps * (horizon - np.arange(1, lag_max + 1)))
+        want = max(p - p * p + 2.0 * float(np.sum(r - p * p)), 0.0)
+        for workers in (1, 2):
+            got = asymptotic_variance_mc(cfg, horizon, burn_in, lag_max, reps, seed, workers)
+            assert got == want
+
     def test_blocks_come_back_in_order_and_cover_every_replication(self):
         for workers in (1, 2, 3, 5):
-            blocks = replicate(3, 7, 1, lambda u: u[:, 0].tolist(), workers)
+            blocks = uniforms(3, 7, 1, lambda u: u[:, 0].tolist(), workers)
             flat = [v for block in blocks for v in block]
             assert flat == [replication_rng(3, r).random() for r in range(7)]
 
@@ -196,7 +250,7 @@ class TestEngine:
     def test_a_block_is_at_most_one_piece_of_whole_rows(self, reps, n, workers):
         # a block of whole rows within BLOCK_VALUES is one norm_quantile
         # piece; a path longer than that is a block of its own
-        shapes = replicate(0, reps, n, lambda u: u.shape, workers)
+        shapes = uniforms(0, reps, n, lambda u: u.shape, workers)
         assert len(shapes) >= workers
         assert sum(rows for rows, _ in shapes) == reps
         assert all(rows * n <= max(BLOCK_VALUES, n) for rows, _ in shapes)
