@@ -16,7 +16,7 @@ from math import exp, expm1, gamma, log, log1p, sqrt
 
 import numpy as np
 
-from .errors import DriftRecordsError, require_finite, require_int
+from .errors import DriftRecordsError, require_finite, require_int, require_positive
 
 # ---------------------------------------------------------------------------
 # Gumbel noise, F(x) = exp(-exp(-x))
@@ -150,8 +150,7 @@ def dagum_p_n0(q: float, n: int) -> float:
     trend.
     """
     require_finite(q=q)
-    if not q > 0.0:
-        raise DriftRecordsError(f"q must be positive, got {q}")
+    require_positive(q=q)
     require_int("n", n, 2)
     span = float(n - 1)
 
@@ -165,8 +164,7 @@ def dagum_p_n0(q: float, n: int) -> float:
 def dagum_p_n0_asymptotic(q: float, n: int) -> float:
     """Large-n regime of ``dagum_p_n0``: three ranges split at q = 1."""
     require_finite(q=q)
-    if not q > 0.0:
-        raise DriftRecordsError(f"q must be positive, got {q}")
+    require_positive(q=q)
     require_int("n", n, 2)
     if q < 1.0:
         return float(n) ** (-q) * q * gamma(1.0 - q) * gamma(q)
@@ -189,8 +187,7 @@ def dagum_p_n_delta_eq_c(q: float, n: int) -> float:
     exponent stays below -s/2, so nothing overflows.
     """
     require_finite(q=q)
-    if not q > 0.0:
-        raise DriftRecordsError(f"q must be positive, got {q}")
+    require_positive(q=q)
     require_int("n", n, 3)
     width = float(n - 2)
 
@@ -208,8 +205,7 @@ def dagum_p_n_delta_eq_c_asymptotic(q: float, n: int) -> float:
     Matches the threshold-0 regime for q >= 1 but not for q in (0, 1),
     where the constant changes to Gamma(2q) Gamma(1-q) / Gamma(q)."""
     require_finite(q=q)
-    if not q > 0.0:
-        raise DriftRecordsError(f"q must be positive, got {q}")
+    require_positive(q=q)
     require_int("n", n, 3)
     if q < 1.0:
         return float(n) ** (-q) * gamma(2.0 * q) * gamma(1.0 - q) / gamma(q)

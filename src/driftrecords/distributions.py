@@ -23,7 +23,7 @@ from scipy.special import log_ndtr, ndtr, spence, xlogy
 
 from . import _special
 from ._special import norm_pdf, norm_quantile
-from .errors import DriftRecordsError, QuadratureError, require_tol
+from .errors import DriftRecordsError, QuadratureError, require_positive
 from .quadrature import integrate
 
 # Right-tail mean of the standard Gumbel law, int_0^inf x f(x) dx.
@@ -381,9 +381,7 @@ class Normal(Distribution):
         so the Z below leaves out at most tol/4 of the value.  The quadrature
         gauge is held to tol/2 of a first-pass estimate of the value.
         """
-        require_tol(tol)
-        if not 0.0 < delta < math.inf:
-            raise DriftRecordsError(f"delta must be positive and finite, got {delta}")
+        require_positive(tol=tol, delta=delta)
         eps = delta / self.sigma
         z0 = -self.mu / self.sigma  # x = 0
         top = max(z0, 0.0) + 2.0 * math.log(25.0 * (1.0 + eps) / tol) / eps
@@ -485,9 +483,7 @@ class Uniform(Distribution):
         up to U = hi - max(lo, 0), so with r = 1 - delta/U the value is
         log(U/delta) - r = -log1p(-r) - r when U > delta, and 0 otherwise.
         """
-        require_tol(tol)
-        if not 0.0 < delta < math.inf:
-            raise DriftRecordsError(f"delta must be positive and finite, got {delta}")
+        require_positive(tol=tol, delta=delta)
         span = self.hi - max(self.lo, 0.0)
         if span <= delta:
             return 0.0

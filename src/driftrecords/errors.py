@@ -49,7 +49,8 @@ def require_finite(**values):
             raise DriftRecordsError(f"{name} must be finite, got {value}")
 
 
-def require_tol(tol):
-    """Reject a tolerance outside 0 < tol < inf."""
-    if not 0.0 < tol < math.inf:
-        raise DriftRecordsError(f"tol must be positive and finite, got {tol}")
+def require_positive(**values):
+    """Reject any keyword value outside 0 < value < inf, NaN included."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise DriftRecordsError(f"{name} must be positive and finite, got {value}")

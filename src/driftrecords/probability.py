@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import (
-    DriftRecordsError, QuadratureError, require_finite, require_int, require_tol,
+    DriftRecordsError, QuadratureError, require_finite, require_int, require_positive,
 )
 from .quadrature import integrate
 
@@ -114,20 +114,57 @@ def _product_cutoff(dist, c, delta, n_factors):
     return supp_lo + delta - c * i_min
 
 
+@functools.lru_cache(maxsize=64)
+def _rise_scale(dist):
+    """The law's median less its finite lower support end: the scale over
+    which a factor rises from 0."""
+    return float(dist.quantile(0.5)) - dist.support[0]
+
+
+def _cutoff_edges(dist, lo):
+    """Panel edges lo + s 10^(k/3) for k < 3 log10(lo/s), where the
+    product cutoff has raised the window's low end to lo, s being
+    ``_rise_scale``.
+
+    The product rises from 0 at lo over a few s.  Far above s a first
+    geometric panel, about 0.15 lo wide, would hide that rise from the
+    quadrature's error gauge; these edges resolve it a third of a decade
+    at a time.
+    """
+    s = _rise_scale(dist)
+    if not lo > s:
+        return ()
+    k = np.arange(math.ceil(3.0 * math.log10(lo / s)))
+    return lo + s * 10.0 ** (k / 3.0)
+
+
+def _below_top(dist, c, y):
+    """How many factors F(y + c i), i >= 1, lie below the support top,
+    for c > 0: max(ceil((top - y)/c) - 1, 0), elementwise on floats.
+
+    Every factor from there on is exactly 1.  The count is inf for an
+    unbounded top and wherever the ratio overflows.
+    """
+    top = dist.support[1]
+    if top == math.inf:
+        return math.inf
+    with np.errstate(over="ignore"):
+        return np.maximum(np.ceil((top - y) / c) - 1.0, 0.0)
+
+
 def _product_kinks(dist, c, delta, m, lo, hi):
-    """Points of (lo, hi) where a factor F(x + c i - delta), i <= m,
+    """Points of [lo, hi] where a factor F(x + c i - delta), i <= m,
     reaches a finite upper support endpoint, so the product has a kink.
 
     More than _MAX_KINKS of them are left to adaptive bisection.
     """
-    top = dist.support[1]
-    if not math.isfinite(top) or c <= 0.0:
+    if c <= 0.0:
         return ()
-    i_lo = max(1, math.ceil((top + delta - hi) / c))
-    i_hi = min(m, math.floor((top + delta - lo) / c))
-    if i_hi - i_lo >= _MAX_KINKS:
+    first = _below_top(dist, c, hi - delta) + 1.0
+    last = min(m, _below_top(dist, c, lo - delta))
+    if not first <= last < first + _MAX_KINKS:
         return ()
-    return top + delta - c * np.arange(i_lo, i_hi + 1, dtype=np.float64)
+    return dist.support[1] + delta - c * np.arange(first, last + 1.0)
 
 
 _CHUNK_BUDGET = 1 << 22
@@ -173,7 +210,10 @@ def _b6(c, x):
 def _tail_start(dist, y_lo, c, m, budget):
     """Argument of the first Euler-Maclaurin tail factor such that the
     remainder bound at every node y >= y_lo meets ``budget``, or None
-    when every factor is summed directly (c <= 0 or m <= _MIN_TAIL).
+    when every factor is summed directly: c <= 0, m <= _MIN_TAIL, or no
+    head shorter than m meets the budget.  A start past the last factor
+    would leave the nodes above y_lo a tail whose remainder was never
+    checked.
 
     The sixth-order remainder after K direct factors is at most
     (c^5/30240) TV(g^(5)) over [y + c (K+1), y + c m], and that variation
@@ -191,7 +231,10 @@ def _tail_start(dist, y_lo, c, m, budget):
         tv = dist.log_cdf_d5_variation(a, math.inf, d5a, end)
         return (k >= m) | (_b6(c, tv) <= budget)
 
-    return y_lo + c * (_first_fit(fits, m) + 1.0)
+    head = _first_fit(fits, m)
+    if head >= m:
+        return None
+    return y_lo + c * (head + 1.0)
 
 
 def _em_tail(dist, y, c, head, m):
@@ -207,11 +250,7 @@ def _em_tail(dist, y, c, head, m):
     are evaluated once, on a and b together; G apart, because the normal G
     costs per finite point and b is often infinite.
     """
-    top = dist.support[1]
-    last = np.full(y.shape, float(m))
-    if math.isfinite(top):
-        # factors at arguments >= top are exactly 1
-        last = np.minimum(last, np.ceil((top - y) / c) - 1.0)
+    last = np.minimum(float(m), _below_top(dist, c, y))
     some = last > head
     a = y + c * (head + 1.0)
     b = np.where(some, y + c * last, a)
@@ -248,10 +287,10 @@ def _log_product(dist, y, c, m, start):
         head = max(math.ceil((start - float(y.min())) / c) - 1, 0)
         if m - head < _MIN_TAIL:
             head = m
-    top = dist.support[1]
-    if c > 0.0 and math.isfinite(top):
-        # factors at arguments at or above the top are exactly 1
-        head = min(head, max(math.ceil((top - float(y.min())) / c), 0))
+    if c > 0.0:
+        cap = _below_top(dist, c, float(y.min()))
+        if cap < head:
+            head = int(cap)
     out = np.zeros_like(y)
     if head > 0:
         offsets = c * np.arange(1, head + 1, dtype=np.float64)
@@ -279,14 +318,17 @@ def _record_integral(cfg, m, tol, weights=None, reach=0.0, kinks=()):
     the Euler-Maclaurin remainders (each node within tol/10 in log space)
     add.  A ``QuadratureError`` names the caller's tol.
     """
-    require_tol(tol)
+    require_positive(tol=tol)
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
     ws = (dist.pdf,) if weights is None else tuple(weights)
     lo, hi, cut = _quantile_window(dist)
-    lo = max(lo + min(reach, 0.0), _product_cutoff(dist, c, delta, m))
+    floor = lo + min(reach, 0.0)
+    lo = max(floor, _product_cutoff(dist, c, delta, m))
     hi += max(reach, 0.0)
     if lo >= hi:
-        return tuple(ProbResult(0.0, 0.0, 0) for _ in ws)
+        # the product vanishes on the window, so the value is 0 within
+        # the mass f leaves outside it
+        return tuple(ProbResult(0.0, cut, 0) for _ in ws)
 
     with np.errstate(over="ignore"):
         start = _tail_start(dist, lo - delta, c, m, tol / 10.0)
@@ -303,7 +345,11 @@ def _record_integral(cfg, m, tol, weights=None, reach=0.0, kinks=()):
             np.multiply(product, w(x), out=row)
         return out
 
-    breaks = np.concatenate((_product_kinks(dist, c, delta, m, lo, hi), kinks))
+    breaks = np.concatenate((
+        _product_kinks(dist, c, delta, m, lo, hi),
+        kinks,
+        _cutoff_edges(dist, lo) if lo > floor else (),
+    ))
     try:
         values, errs = integrate(integrand, lo, hi, 0.8 * tol, breaks=breaks)
     except QuadratureError as exc:
@@ -334,7 +380,7 @@ def p_n_delta(cfg: LdmConfig, n: int, tol: float = DEFAULT_TOL) -> ProbResult:
     ``QuadratureError`` after the first quadrature pass.
     """
     require_int("n", n, 1)
-    require_tol(tol)
+    require_positive(tol=tol)
     if n == 1:
         return ProbResult(1.0, 0.0, 0)
     return _record_integral(cfg, n - 1, tol)[0]
@@ -369,7 +415,7 @@ def p_delta(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> ProbResult:
     Euler-Maclaurin tail runs to infinity, so nothing is truncated.  The
     floor on ``tol`` is that of ``p_n_delta``.
     """
-    require_tol(tol)
+    require_positive(tol=tol)
     if not classify_positivity(cfg):
         return ProbResult(0.0, 0.0, 0)
 
@@ -400,7 +446,7 @@ def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessV
     ``integral_value``: exact for uniform noise, and within ``tol`` times
     the value for normal noise.
     """
-    require_tol(tol)
+    require_positive(tol=tol)
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
     lo, hi = dist.support
     tail = dist.tail_info()

@@ -69,6 +69,12 @@ class TestLoadSeries:
         with pytest.raises(DriftRecordsError, match="line 3.*increasing order"):
             load_series(p)
 
+    def test_skips_blank_rows(self, tmp_path):
+        p = write(tmp_path, "t,value\n1951,1.0\n\n  \n1952,2.0\n")
+        ts = load_series(p)
+        assert ts.t.tolist() == [1951, 1952]
+        assert ts.value.tolist() == [1.0, 2.0]
+
     def test_rejects_empty_and_header_only_files(self, tmp_path):
         with pytest.raises(DriftRecordsError, match="empty"):
             load_series(write(tmp_path, ""))

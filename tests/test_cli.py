@@ -46,6 +46,15 @@ class TestProb:
         assert got["value"] == pytest.approx(0.5, abs=1e-6)
         assert got["truncation_n"] >= 1
 
+    def test_tiny_trend_on_a_bounded_law(self, capsys):
+        # the factors' count below the top overflows a float at c = 1e-300;
+        # the value is the c -> 0 one, 0.9^5 / 5
+        got = run_json(
+            capsys, "prob", "--dist", "uniform", "--c", "1e-300", "--delta", "0.1",
+            "--n", "5",
+        )
+        assert got["value"] == pytest.approx(0.9**5 / 5, abs=1e-12)
+
     def test_bad_distribution_exits_nonzero(self, capsys):
         rc, _, err = run(
             capsys, "prob", "--dist", "cauchy", "--c", "1", "--delta", "0",
@@ -373,6 +382,11 @@ class TestVariance:
         rc, _, err = run(capsys, "variance", "--flags", "1,0,2")
         assert rc == 1
         assert "entry 3" in err
+
+    def test_no_flags_exits_nonzero(self, capsys):
+        rc, _, err = run(capsys, "variance", "--flags", ",")
+        assert rc == 1
+        assert err.startswith("error: no indicator values found")
 
 
 class TestSigma2:

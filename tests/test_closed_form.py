@@ -137,6 +137,16 @@ class TestGumbelProbability:
         got = gumbel_p_n_delta(-800.0, 0.0, 3)
         assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
+    def test_zero_trend_at_a_nonpositive_threshold(self):
+        # 1 / ((n-1) e^delta + 1) at c = 0, delta = -0.5, n = 3
+        assert gumbel_p_n_delta(0.0, -0.5, 3) == pytest.approx(
+            0.45186276187760605, rel=1e-15
+        )
+
+    def test_positive_trend_with_an_overflowing_threshold_is_zero(self):
+        # e^delta overflows at delta = 800, where the value underflows
+        assert gumbel_p_n_delta(1.0, 800.0, 5) == 0.0
+
 
 class TestGumbelDependence:
     @pytest.mark.parametrize("key", sorted(GUMBEL_L_INF), ids=str)
@@ -170,6 +180,10 @@ class TestGumbelDependence:
             gumbel_l_inf(0.0, -0.5)
         with pytest.raises(DriftRecordsError):
             gumbel_l_inf(-1.0, -0.5)
+
+    def test_argmax_requires_positive_trend(self):
+        with pytest.raises(DriftRecordsError, match="requires a positive trend"):
+            gumbel_l_inf_argmax(-1.0)
 
     def test_argmax_matches_grid_search(self):
         for c in (0.25, 1.0, 3.0):
@@ -257,6 +271,19 @@ class TestDagum:
             dagum_p_n0(1.0, 1)
         with pytest.raises(DriftRecordsError):
             dagum_p_n0(-1.0, 5)
+
+    @pytest.mark.parametrize("fn", [
+        dagum_p_n0, dagum_p_n0_asymptotic, dagum_p_n_delta_eq_c,
+        dagum_p_n_delta_eq_c_asymptotic,
+    ], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("q", [0.0, -1.0])
+    def test_shape_must_be_positive(self, fn, q):
+        with pytest.raises(DriftRecordsError, match="^q must be positive and finite"):
+            fn(q, 5)
+
+    def test_threshold_equal_trend_asymptotics_at_unit_shape(self):
+        for n in (3, 100, 10**6):
+            assert dagum_p_n_delta_eq_c_asymptotic(1.0, n) == math.log(n) / n
 
     # q = 2 at the n of the benchmark's Dagum anchors, the points where the
     # integer-q binomial sum lost everything to cancellation or overflowed,

@@ -231,6 +231,18 @@ class TestDependenceIndex:
         got = dependence_index_result(ldm("gumbel", 1.0, 0.0), 300, tol=1e-9).value
         assert got == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("c", [1e-20, 1e-300, 5e-324])
+    def test_tiny_trend_on_a_bounded_law_is_the_zero_trend_index(self, c):
+        # the kinks' index range overflowed here; at c = 0 the joint is
+        # 0.0087381333 and the index 0.8353573884
+        flat, tiny = ldm("uniform", 0.0, 0.1), ldm("uniform", c, 0.1)
+        joint = joint_prob_consecutive(flat, 5)
+        index = dependence_index_result(flat, 5)
+        assert joint_prob_consecutive(tiny, 5) == joint
+        assert dependence_index_result(tiny, 5) == index
+        assert joint.value == pytest.approx(0.0087381333, abs=1e-10)
+        assert index.value == pytest.approx(0.8353573884, abs=1e-10)
+
     def test_ill_conditioned_marginals_raise(self):
         # at loose tolerance the tiny marginal cannot support division
         cfg = ldm("pareto1", 1.0, 0.0)

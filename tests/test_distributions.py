@@ -262,6 +262,9 @@ class TestParseSpec:
         assert parse_spec("dagum") == Dagum(b=1.0, q=1.0) == Dagum()
         assert parse_spec("dagum:q=2") == Dagum(b=1.0, q=2.0)
 
+    def test_empty_items_are_skipped(self):
+        assert parse_spec("normal:mu=1,,sigma=2") == Normal(mu=1.0, sigma=2.0)
+
     def test_unknown_kind(self):
         with pytest.raises(DriftRecordsError, match="unknown distribution"):
             parse_spec("cauchy")

@@ -26,7 +26,9 @@ from driftrecords import (
 from driftrecords import distributions, probability, quadrature
 from driftrecords.distributions import Dagum, ParetoUnit, Uniform
 from driftrecords.errors import DriftRecordsError, QuadratureError
-from driftrecords.probability import _log_product, _record_integral, _tail_start
+from driftrecords.probability import (
+    _below_top, _log_product, _record_integral, _tail_start,
+)
 
 from conftest import BAD_INDICES
 
@@ -575,6 +577,99 @@ class TestBoundAudit:
         self._assert_within(
             p_delta(ldm("exp", 0.1, -0.5)), _exponential_reference(0.1, -0.5), "exp"
         )
+
+
+class TestWindowEdges:
+    """Record integrals at the edges of their set-up: trends so small that
+    the count of factors below a finite top overflows, windows that the
+    product cutoff empties or raises far above the law's scale, and heads
+    that no shorter tail can follow."""
+
+    def test_count_of_factors_below_the_top(self):
+        y = np.array([-0.5, 0.0, 0.5, 0.9, 1.0, 2.0])
+        # (1 - y) / 0.25 = 6, 4, 2, 0.4, 0, -4
+        got = _below_top(Uniform(), 0.25, y)
+        assert got.tolist() == [5.0, 3.0, 1.0, 0.0, 0.0, 0.0]
+        assert _below_top(Uniform(), 5e-324, y).tolist() == [math.inf] * 3 + [
+            math.inf, 0.0, 0.0
+        ]
+        assert _below_top(Gumbel(), 0.25, y) == math.inf
+
+    @pytest.mark.parametrize("c", [1e-20, 1e-300, 5e-324])
+    def test_tiny_trend_on_a_bounded_law(self, c):
+        # the kinks' index range and the head cap overflowed here; the
+        # value is the c -> 0 one, the integral of (x - 0.1)^4 over [0.1, 1]
+        res = p_n_delta(ldm("uniform", c, 0.1), 5)
+        assert abs(res.value - 0.9**5 / 5) <= res.abs_error_bound
+        assert res == p_n_delta(ldm("uniform", 0.0, 0.1), 5)
+
+    def test_a_head_that_no_shorter_tail_follows_is_summed_whole(self):
+        # no head shorter than the 3004 factors met the remainder budget;
+        # a tail start past the last factor gave nodes above the window's
+        # low end an unchecked tail, and math.expm1 overflowed
+        c, delta, n = 2.9569521905820055e-05, 248.7788982675509, 3005
+        res = p_n_delta(ldm("gumbel", c, delta), n)
+        assert res.truncation_n == n - 1
+        assert abs(res.value - gumbel_p_n_delta(c, delta, n)) <= res.abs_error_bound
+
+    @pytest.mark.parametrize("spec, delta, want", [
+        ("pareto1", 2e12, pareto_p_n_delta(2e12, 2)),
+        ("exp", 40.0, 0.5 * math.exp(-39.0)),
+    ])
+    def test_an_empty_window_is_bounded_by_the_omitted_mass(self, spec, delta, want):
+        # the cutoff passes the window's top, yet mass lies beyond it
+        res = p_n_delta(ldm(spec, 1.0, delta), 2)
+        assert res.value == 0.0
+        assert want <= res.abs_error_bound == 1e-12
+
+    def test_an_overflowing_cutoff_empties_the_window(self):
+        # supp_lo + delta - c (n - 1) is inf at c = -1e308
+        res = p_n_delta(ldm("pareto1", -1e308, 0.0), 5)
+        assert (res.value, res.abs_error_bound) == (0.0, 1e-12)
+
+    def test_an_empty_window_of_a_bounded_law_is_exact(self):
+        res = p_n_delta(ldm("uniform", 1.0, 2.5), 2)
+        assert (res.value, res.abs_error_bound) == (0.0, 0.0)
+
+    def test_exponential_second_observation(self):
+        # p_2 = e^(-rate (delta - c)) / 2 for delta >= c, over windows the
+        # cutoff raises or empties: 64 of these missed their bound when an
+        # empty window reported a bound of 0
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            rate, c = 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-2, 1)
+            delta = c + rng.uniform(0.0, 60.0) / rate
+            res = p_n_delta(LdmConfig(Exponential(rate), c, delta), 2)
+            want = 0.5 * math.exp(-rate * (delta - c))
+            assert abs(res.value - want) <= res.abs_error_bound, (rate, c, delta)
+
+    def test_pareto_windows_raised_far_above_the_scale(self):
+        # delta up to 8e11 puts the cutoff, and so the window's low end,
+        # up to 8e11 times the median's distance from the support's end;
+        # before the cutoff's own panel edges 19 of these missed their
+        # bound, by up to 2.85 times
+        rng = np.random.default_rng(5)
+        for _ in range(600):
+            delta = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-3, 11.9))
+            n = int(10 ** rng.uniform(0.31, 6))
+            res = p_n_delta(ldm("pareto1", 1.0, delta), n)
+            want = pareto_p_n_delta(delta, n)
+            assert abs(res.value - want) <= res.abs_error_bound, (delta, n)
+
+    def test_dagum_window_raised_far_above_the_scale(self):
+        # F(x) = x / (x + 2): p_3 at c = 1, delta = 5e5 by mpmath, with the
+        # window's low end delta - 1 moved to 0
+        with mp.workdps(30):
+            b, delta = mp.mpf(2), mp.mpf(500000)
+
+            def g(u):
+                return b / (u + delta - 1 + b) ** 2 * u / (u + b) * (u + 1) / (u + 1 + b)
+
+            pts = [0] + [mp.mpf(10) ** k for k in range(-2, 12)] + [mp.inf]
+            want = float(mp.quad(g, pts))
+        assert want == pytest.approx(3.9996457236332145e-06, rel=1e-15)
+        res = p_n_delta(LdmConfig(Dagum(b=2.0, q=1.0), 1.0, 5e5), 3)
+        assert abs(res.value - want) <= res.abs_error_bound
 
 
 def _count_log_cdf_points(monkeypatch, cls):

@@ -289,6 +289,13 @@ class TestRecordRate:
         assert s.mean_rate == pytest.approx(1.0 / 200.0)
         assert s.stabilization_fraction == 1.0
 
+    def test_one_replication_has_no_spread(self):
+        # the sample standard error needs two replications
+        one = mc_record_rate(config("gumbel", 0.3, 0.1, 50, 1, seed=4))
+        many = mc_record_rate(config("gumbel", 0.3, 0.1, 50, 3, seed=4))
+        assert one.rate_stderr == 0.0
+        assert one.counts.tolist() == many.counts[:1].tolist()
+
     def test_mean_rate_tracks_asymptotic_probability(self):
         from driftrecords import gumbel_p_delta
 
