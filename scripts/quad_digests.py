@@ -1,0 +1,62 @@
+"""Print the package's quadrature outputs in full, one call a line.
+
+A refactor of the record integral or of a noise law should keep every
+quadrature output bit for bit.  Run this script on the code before and
+after the change and diff the two listings:
+
+    PYTHONPATH=src python scripts/quad_digests.py > before.txt
+    (change the code)
+    PYTHONPATH=src python scripts/quad_digests.py > after.txt
+    diff before.txt after.txt
+
+Each line is a call and the ``repr`` of its result, which round-trips
+every float, or the type and message of the error it raised.  It covers
+``p_delta``, ``p_n_delta``, ``joint_prob_consecutive``,
+``dependence_index_result`` and ``classify_finiteness`` for the six
+laws, each law with parameters also at a second parameter set, over a
+small (c, delta, n) grid.  It takes a few seconds.
+"""
+import sys
+
+import driftrecords as dr
+
+LAWS = [
+    "gumbel", "pareto1",
+    "dagum", "dagum:b=2,q=0.5",
+    "normal", "normal:mu=0.3,sigma=2",
+    "uniform", "uniform:lo=-1,hi=2",
+    "exp", "exp:rate=1.5",
+]
+TRENDS = [-0.5, 0.0, 0.01, 1.0]
+THRESHOLDS = [-0.5, 0.5, 2.0]
+LENGTHS = [2, 10, 1000]
+
+
+def line(out, label, fn):
+    try:
+        result = repr(fn())
+    except dr.DriftRecordsError as exc:
+        result = f"error: {type(exc).__name__}: {exc}"
+    print(f"{label} {result}", file=out)
+
+
+def main() -> None:
+    out = sys.stdout
+    for spec in LAWS:
+        dist = dr.parse_spec(spec)
+        for c in TRENDS:
+            for delta in THRESHOLDS:
+                cfg = dr.LdmConfig(dist, c, delta)
+                where = f"{spec} c={c} delta={delta}"
+                line(out, f"p_delta {where}", lambda: dr.p_delta(cfg))
+                line(out, f"classify_finiteness {where}", lambda: dr.classify_finiteness(cfg))
+                for n in LENGTHS:
+                    line(out, f"p_n_delta {where} n={n}", lambda: dr.p_n_delta(cfg, n))
+                    line(out, f"joint_prob_consecutive {where} n={n}",
+                         lambda: dr.joint_prob_consecutive(cfg, n))
+                    line(out, f"dependence_index_result {where} n={n}",
+                         lambda: dr.dependence_index_result(cfg, n))
+
+
+if __name__ == "__main__":
+    main()

@@ -23,7 +23,7 @@ from scipy.special import log_ndtr, ndtr, spence, xlogy
 
 from . import _special
 from ._special import norm_pdf, norm_quantile
-from .errors import DriftRecordsError, QuadratureError, require_positive
+from .errors import DriftRecordsError, QuadratureError, require_finite, require_positive
 from .quadrature import integrate
 
 # Right-tail mean of the standard Gumbel law, int_0^inf x f(x) dx.
@@ -56,11 +56,14 @@ class TailInfo:
 class Distribution:
     """Common interface of the built-in noise laws.
 
-    Subclasses provide vectorized ``cdf``, ``log_cdf``, ``pdf``, ``quantile``,
+    Subclasses provide vectorized ``log_cdf``, ``pdf``, ``quantile``,
     plus ``support``, ``tail_info`` and the Euler-Maclaurin data of
     g = log F: ``log_cdf_integral``, ``log_cdf_odd_derivatives`` and,
-    where g^(6) changes sign, ``log_cdf_d5_variation``.
-    A law whose ``tail_info().zero_trend_finite`` holds also provides
+    where g^(6) changes sign, ``log_cdf_d5_variation``.  g', g''' and
+    g^(5) vanish at +inf for every law, so callers take them as 0 there
+    rather than ask.  ``cdf`` defaults to exp(log F), and a support that
+    no parameter moves is a class constant.  A law whose
+    ``tail_info().zero_trend_finite`` holds also provides
     ``zero_trend_integral``.  All of them are immutable frozen dataclasses,
     safe to share across threads; their fields are the spec parameters.
     """
@@ -73,7 +76,7 @@ class Distribution:
         raise NotImplementedError
 
     def cdf(self, x):
-        raise NotImplementedError
+        return np.exp(self.log_cdf(x))
 
     def log_cdf(self, x):
         """log F(x), computed without evaluating F when F underflows."""
@@ -125,13 +128,7 @@ class Gumbel(Distribution):
     """Standard Gumbel law, F(x) = exp(-exp(-x)) on the whole line."""
 
     kind = "gumbel"
-
-    @property
-    def support(self):
-        return (-_INF, _INF)
-
-    def cdf(self, x):
-        return np.exp(-np.exp(-np.asarray(x, dtype=np.float64)))
+    support = (-_INF, _INF)
 
     def log_cdf(self, x):
         return -np.exp(-np.asarray(x, dtype=np.float64))
@@ -178,10 +175,7 @@ class ParetoUnit(Distribution):
     """Pareto law with F(x) = 1 - 1/x on x > 1; infinite right-tail mean."""
 
     kind = "pareto1"
-
-    @property
-    def support(self):
-        return (1.0, _INF)
+    support = (1.0, _INF)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -239,20 +233,10 @@ class Dagum(Distribution):
     b: float = 1.0
     q: float = 1.0
     kind = "dagum"
+    support = (0.0, _INF)
 
     def __post_init__(self):
-        if not (0.0 < self.b < _INF and 0.0 < self.q < _INF):
-            raise DriftRecordsError(
-                "dagum requires finite b > 0 and q > 0, "
-                f"got b={self.b}, q={self.q}"
-            )
-
-    @property
-    def support(self):
-        return (0.0, _INF)
-
-    def cdf(self, x):
-        return np.exp(self.log_cdf(x))
+        require_positive(b=self.b, q=self.q)
 
     def log_cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -319,17 +303,11 @@ class Normal(Distribution):
     mu: float = 0.0
     sigma: float = 1.0
     kind = "normal"
+    support = (-_INF, _INF)
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and 0.0 < self.sigma < _INF):
-            raise DriftRecordsError(
-                "normal requires a finite mu and a finite sigma > 0, "
-                f"got mu={self.mu}, sigma={self.sigma}"
-            )
-
-    @property
-    def support(self):
-        return (-_INF, _INF)
+        require_finite(mu=self.mu)
+        require_positive(sigma=self.sigma)
 
     def _z(self, x):
         return (np.asarray(x, dtype=np.float64) - self.mu) / self.sigma
@@ -384,7 +362,9 @@ class Normal(Distribution):
         require_positive(tol=tol, delta=delta)
         eps = delta / self.sigma
         z0 = -self.mu / self.sigma  # x = 0
-        top = max(z0, 0.0) + 2.0 * math.log(25.0 * (1.0 + eps) / tol) / eps
+        # a sum: 25 (1 + eps) / tol overflows for eps > 7e298 or tol < 1e-307
+        log_ratio = math.log(25.0) + math.log1p(eps) - math.log(tol)
+        top = max(z0, 0.0) + 2.0 * log_ratio / eps
         lo = max(z0, _NORMAL_FLOOR_Z)
 
         def g(z):
@@ -436,10 +416,9 @@ class Uniform(Distribution):
     kind = "uniform"
 
     def __post_init__(self):
-        if not -_INF < self.lo < self.hi < _INF:
-            raise DriftRecordsError(
-                f"uniform requires finite lo < hi, got lo={self.lo}, hi={self.hi}"
-            )
+        require_finite(lo=self.lo, hi=self.hi)
+        if not self.lo < self.hi:
+            raise DriftRecordsError(f"lo must be below hi, got lo={self.lo}, hi={self.hi}")
 
     @property
     def support(self):
@@ -512,16 +491,10 @@ class Exponential(Distribution):
 
     rate: float = 1.0
     kind = "exp"
+    support = (0.0, _INF)
 
     def __post_init__(self):
-        if not 0.0 < self.rate < _INF:
-            raise DriftRecordsError(
-                f"exp requires a finite rate > 0, got {self.rate}"
-            )
-
-    @property
-    def support(self):
-        return (0.0, _INF)
+        require_positive(rate=self.rate)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -223,12 +223,12 @@ def _tail_start(dist, y_lo, c, m, budget):
     """
     if c <= 0.0 or m <= _MIN_TAIL:
         return None
-    end = dist.log_cdf_odd_derivatives(math.inf)[2]
 
     def fits(k):
         a = y_lo + c * (k + 1.0)
         d5a = dist.log_cdf_odd_derivatives(a)[2]
-        tv = dist.log_cdf_d5_variation(a, math.inf, d5a, end)
+        # g^(5)(+inf) = 0 for every law
+        tv = dist.log_cdf_d5_variation(a, math.inf, d5a, 0.0)
         return (k >= m) | (_b6(c, tv) <= budget)
 
     head = _first_fit(fits, m)
@@ -289,8 +289,9 @@ def _log_product(dist, y, c, m, start):
             head = m
     if c > 0.0:
         cap = _below_top(dist, c, float(y.min()))
-        if cap < head:
-            head = int(cap)
+        if cap <= head:
+            # every factor past the cap is 1 at every node: no tail is left
+            head = m = int(cap)
     out = np.zeros_like(y)
     if head > 0:
         offsets = c * np.arange(1, head + 1, dtype=np.float64)

@@ -11,7 +11,7 @@ import pytest
 from driftrecords import closed_form
 from driftrecords.cli import main
 
-from conftest import FIXTURE_CSV
+from conftest import FIXTURE_CSV, LAW_PARAMETER_CASES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -61,6 +61,16 @@ class TestProb:
         )
         assert rc == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("kind, name, value, message",
+                             [case for case in LAW_PARAMETER_CASES if case[3] is not None])
+    def test_bad_law_parameter_names_itself(self, capsys, kind, name, value, message):
+        rc, out, err = run(
+            capsys, "prob", "--dist", f"{kind}:{name}={value}", "--c", "1", "--delta", "0",
+            "--n", "5",
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {message}, got ")
 
 
 class TestClosedForm:

@@ -21,6 +21,8 @@ from driftrecords.distributions import (
     parse_spec,
 )
 
+from conftest import LAW_PARAMETER_CASES
+
 ALL_DISTS = [
     Gumbel(),
     ParetoUnit(),
@@ -283,30 +285,18 @@ class TestParseSpec:
         with pytest.raises(DriftRecordsError):
             parse_spec("pareto1:b=2")
 
-    def test_invalid_shape_values(self):
-        with pytest.raises(DriftRecordsError):
-            Dagum(b=-1.0, q=2.0)
-        with pytest.raises(DriftRecordsError):
-            Dagum(b=1.0, q=0.0)
-        with pytest.raises(DriftRecordsError):
-            Normal(mu=0.0, sigma=0.0)
-        with pytest.raises(DriftRecordsError):
-            Uniform(lo=1.0, hi=1.0)
-        with pytest.raises(DriftRecordsError):
-            Exponential(rate=-2.0)
-
-    def test_non_finite_parameters(self):
-        for make in (
-            lambda: Normal(mu=0.0, sigma=math.inf),
-            lambda: Normal(mu=math.nan, sigma=1.0),
-            lambda: Uniform(lo=-math.inf, hi=1.0),
-            lambda: Exponential(rate=math.inf),
-            lambda: Dagum(b=math.inf, q=1.0),
-            lambda: parse_spec("uniform:hi=inf"),
-            lambda: parse_spec("normal:sigma=nan"),
-        ):
-            with pytest.raises(DriftRecordsError):
-                make()
+    @pytest.mark.parametrize("kind, name, value, message", LAW_PARAMETER_CASES)
+    def test_parameter_rules_name_the_parameter(self, kind, name, value, message):
+        # each law parameter at 0, -1, NaN and +-inf, built directly and
+        # from a spec
+        family = type(parse_spec(kind))
+        for make in (lambda: family(**{name: value}),
+                     lambda: parse_spec(f"{kind}:{name}={value}")):
+            if message is None:
+                assert getattr(make(), name) == value
+            else:
+                with pytest.raises(DriftRecordsError, match=f"^{message}, got "):
+                    make()
 
 
 def _mp_log_cdf(dist):

@@ -13,6 +13,7 @@ from driftrecords import (
     Gumbel,
     LdmConfig,
     Normal,
+    ProbResult,
     classify_finiteness,
     classify_positivity,
     dagum_p_n0,
@@ -463,6 +464,21 @@ class TestZeroTrendFiniteness:
         assert v.verdict == ALMOST_SURELY_FINITE
         assert v.integral_value == 0.0
 
+    @pytest.mark.parametrize("dist, delta", [(Normal(), 1e300), (Normal(0.0, 1e-300), 1.0)],
+                             ids=repr)
+    def test_huge_threshold_in_standard_units_gets_a_verdict(self, dist, delta):
+        # 25 (1 + delta/sigma) in the window's end overflowed, so the
+        # quadrature raised "integration limits must be finite"
+        v = classify_finiteness(LdmConfig(dist, c=0.0, delta=delta))
+        assert v.verdict == ALMOST_SURELY_FINITE
+        assert 0.0 <= v.integral_value < math.inf
+
+    def test_tol_under_the_smallest_normal_double_names_itself(self):
+        # 25 (1 + delta/sigma) / tol overflowed here too, so the error
+        # spoke of infinite limits instead of the tol
+        with pytest.raises(QuadratureError, match="^tol 1e-307 cannot be met"):
+            Normal().zero_trend_integral(1.0, 1e-307)
+
 
 def _exponential_reference(c, delta, n=None):
     """30-digit p (n None) or p_n for unit-rate exponential noise.
@@ -897,3 +913,56 @@ class TestIntegralSetup:
         assert inner and set(inner) == {alone_b}
         assert _record_integral(b, 3000, 1e-8) == alone_b
         assert alone_a[0].truncation_n > 0 and alone_b[0].truncation_n > 0
+
+
+# the law methods that evaluate g, F, f or G at their argument; the
+# d5 variation is left out, as its a and b only bound an interval
+_EVALUATIONS = ("cdf", "log_cdf", "log_sf", "pdf", "log_cdf_integral",
+                "log_cdf_odd_derivatives")
+
+
+class TestLawContract:
+    """The record integral asks a law only for what its contract leaves
+    open."""
+
+    @pytest.mark.parametrize("dist", [Gumbel(), ParetoUnit(), Dagum(b=1.0, q=2.0), Normal(),
+                                      Uniform(), Exponential()], ids=repr)
+    def test_no_law_method_is_called_at_plus_infinity(self, monkeypatch, dist):
+        # g^(5)(+inf) = 0 for every law, and the tail start asked for it
+        # once per search
+        args = []
+        for name in _EVALUATIONS:
+            original = getattr(type(dist), name)
+
+            def counted(self, x, name=name, original=original):
+                args.append((name, x))
+                return original(self, x)
+
+            monkeypatch.setattr(type(dist), name, counted)
+        cfg = LdmConfig(dist, 0.01, 0.5)
+        p_delta(cfg)
+        p_n_delta(cfg, 1000)
+        # the tail start searched, and each Euler-Maclaurin tail ran
+        assert "log_cdf_odd_derivatives" in {name for name, _ in args}
+        assert [name for name, x in args if np.ndim(x) == 0 and x == math.inf] == []
+
+    @pytest.mark.parametrize("c, delta, want, exact", [
+        (0.5, 0.0, ProbResult(0.875, 9.71445146547012e-15, 1), Fraction(7, 8)),
+        (0.5, 0.5, ProbResult(0.47916666666666674, 5.319818659662209e-15, 2),
+         Fraction(23, 48)),
+        (0.1, -0.5, ProbResult(0.8762920000000001, 9.728795546948278e-15, 4),
+         Fraction(219073, 250000)),
+        (0.1, 0.0, ProbResult(0.4129734150151588, 4.584925939079096e-15, 9),
+         Fraction(5203465029191, 12600000000000)),
+    ])
+    def test_no_tail_past_a_top_that_caps_the_head(self, monkeypatch, c, delta, want, exact):
+        # every factor past the head is 1 at every node, and the tail
+        # only added zeros; the results keep their bits
+        tails = []
+        real = probability._em_tail
+        monkeypatch.setattr(probability, "_em_tail", lambda *a: tails.append(a) or real(*a))
+        cfg = LdmConfig(Uniform(), c, delta)
+        for got in (p_delta(cfg), p_n_delta(cfg, 1000)):
+            assert got == want
+            assert abs(Fraction(got.value) - exact) <= Fraction(got.abs_error_bound)
+        assert tails == []
