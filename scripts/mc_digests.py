@@ -11,7 +11,9 @@ the two listings:
 
 It hashes the `mc_record_rate` summaries of five laws at path lengths on
 both sides of the vectorized-stream cutoff and past one block, on one
-and two workers; two `asymptotic_variance_mc` runs; bootstrap
+and two workers; four `asymptotic_variance_mc` runs, one of them with no
+burn-in and one at a threshold where almost every step is a record
+(Normal, c = 1, delta = -2); bootstrap
 histograms at three thresholds; the fixture series at four seeds; and a
 long `simulate_ldm` path.  It takes a few seconds.
 """
@@ -45,11 +47,13 @@ def main() -> None:
                 d = digest(s.counts, s.standardized,
                            np.array([s.mean_rate, s.rate_stderr, s.stabilization_fraction]))
                 print(f"mc_record_rate {spec} n={n} reps={reps} workers={workers} {d}", file=out)
-    for spec, c, delta in (("gumbel", 1.0, 0.5), ("normal", 0.1, -0.2)):
+    for spec, c, delta, burn_in in (("gumbel", 1.0, 0.5, 500), ("normal", 0.1, -0.2, 500),
+                                    ("normal", 0.1, -0.2, 0), ("normal", 1.0, -2.0, 500)):
         ldm = dr.LdmConfig(dr.parse_spec(spec), c=c, delta=delta)
-        v = dr.asymptotic_variance_mc(ldm, horizon=1500, burn_in=500, lag_max=20, reps=40,
+        v = dr.asymptotic_variance_mc(ldm, horizon=1500, burn_in=burn_in, lag_max=20, reps=40,
                                       seed=3, workers=2)
-        print(f"asymptotic_variance_mc {spec} c={c} delta={delta} {v!r}", file=out)
+        print(f"asymptotic_variance_mc {spec} c={c} delta={delta} burn_in={burn_in} {v!r}",
+              file=out)
     series = dr.synthetic_temperature_series()
     fit = dr.ols_fit(series)
     for delta in (-1.0, 0.0, 0.5):

@@ -91,6 +91,12 @@ def asymptotic_variance_mc(
 
     floored at zero: the lag-0 variance plus twice the lag
     covariances, truncated at lag_max.
+
+    Each block of replications returns only its window's record flags,
+    one byte per window value (0.8 MB at the defaults), and the lag
+    pairs are counted once, over all replications, after the pool.
+    The counts are exact integers, so the estimate does not depend on
+    the block split or the worker count.
     """
     require_int("lag_max", lag_max, 0)
     require_int("horizon", horizon, lag_max + 1)
@@ -98,17 +104,20 @@ def asymptotic_variance_mc(
     drift = ldm.c * np.arange(1, burn_in + horizon + 1, dtype=np.float64)
 
     def reduce(x):
-        # sums of 0/1 indicators and their products are exact integers,
-        # so pooling them over blocks cannot depend on the block split
-        ind = record_scan(x, ldm.delta)[:, burn_in:]
-        lagged = [np.count_nonzero(ind[:, :-k] & ind[:, k:]) for k in range(1, lag_max + 1)]
-        return [np.count_nonzero(ind)] + lagged
+        if not burn_in:
+            return record_scan(x, ldm.delta)
+        # the burn-in enters the window's flags only through its maximum,
+        # so column burn_in - 1 takes that maximum and the scan starts
+        # there; max picks one of its inputs, and the compare cannot
+        # tell -0.0 from +0.0, so every flag is the full scan's
+        x[:, burn_in - 1] = x[:, :burn_in].max(axis=1)
+        return record_scan(x[:, burn_in - 1:], ldm.delta)[:, 1:]
 
-    parts = replicate(seed, reps, ldm.dist.quantile, drift, reduce, workers)
-    totals = np.sum(parts, axis=0, dtype=np.float64)
-    p_hat = float(totals[0]) / (reps * horizon)
+    ind = np.concatenate(replicate(seed, reps, ldm.dist.quantile, drift, reduce, workers))
     lags = np.arange(1, lag_max + 1)
-    r_hat = totals[1:] / (reps * (horizon - lags))
+    lagged = np.array([np.count_nonzero(ind[:, :-k] & ind[:, k:]) for k in lags], np.float64)
+    p_hat = float(np.count_nonzero(ind)) / (reps * horizon)
+    r_hat = lagged / (reps * (horizon - lags))
     sigma2 = p_hat - p_hat * p_hat + 2.0 * float(np.sum(r_hat - p_hat * p_hat))
     return max(sigma2, 0.0)
 

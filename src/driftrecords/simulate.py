@@ -10,7 +10,9 @@ stacks the paths of a block of replications and hands the block to the
 caller's reduction, so a consumer supplies only its quantile, its trend
 and its reduction.  For short rows it computes the uniforms for every
 row of the block at once (`_stream_block`), bit for bit what
-`replication_rng` would draw.
+`replication_rng` would draw.  For longer rows it seeds every
+replication in one vectorized pass (`_pcg_seeds`) and sets one
+generator per block to each row's seeded state in turn.
 """
 import functools
 import math
@@ -24,9 +26,10 @@ from .errors import DriftRecordsError, require_int
 from .probability import LdmConfig
 
 # Rows of at most this many uniforms come from `_stream_block`, at 50 to
-# 60 ns per value on 2 CPUs.  A longer row takes one `replication_rng`
-# draw: 20 to 30 us of stream setup, then about 2 ns per value.  The two
-# break even near n = 500.
+# 60 ns per value on 2 CPUs.  A longer row is drawn in C, at about 2 ns
+# per value, after 3 to 4 us to set its seeded state on its block's
+# generator.  The two break even near n = 150, under this cutoff, which
+# was set when a longer row paid 20 to 30 us for its own `replication_rng`.
 _VECTOR_MAX_N = 512
 # `_stream_block` works through a block in chunks of about this many
 # values, so that its uint64 scratch arrays (64 KB each) stay in cache.
@@ -130,16 +133,18 @@ def _jump_tables() -> tuple:
 
 def _pcg_seeds(seed: int, lo: int, rows: int) -> tuple:
     """Per row, s + inc and inc of the PCG64 seeding of replications
-    lo..lo+rows-1, as (high, low) uint64 pairs.  Every index of the range
-    must have the same number of 32-bit words."""
+    lo..lo+rows-1, as (high, low) uint64 pairs, for lo + rows <= 2**64."""
     pool, h = _seed_pool(seed)
     reps = np.arange(lo, lo + rows, dtype=np.uint64)
-    rep_words = [reps & _LOW32]
-    if lo > _MASK32:
-        rep_words.append(reps >> _BITS32)
     pool = [np.full(rows, w, dtype=np.uint32) for w in pool]
-    for word in rep_words:
-        h = _mix_word(pool, word.astype(np.uint32), h)
+    h = _mix_word(pool, (reps & _LOW32).astype(np.uint32), h)
+    if lo + rows - 1 > _MASK32:
+        # an index past 2**32 - 1 has a second 32-bit word, mixed in
+        # after the first; an index below keeps the pool of its one word
+        high = reps >> _BITS32
+        two = list(pool)
+        _mix_word(two, high.astype(np.uint32), h)
+        pool = [np.where(high != 0, w2, w1) for w1, w2 in zip(pool, two)]
     h = _INIT_B
     state = []
     for i in range(2 * _POOL_SIZE):
@@ -151,6 +156,19 @@ def _pcg_seeds(seed: int, lo: int, rows: int) -> tuple:
     t_lo = s_lo + inc_lo
     t_hi = s_hi + inc_hi + (t_lo < s_lo)
     return (t_hi, t_lo), (inc_hi, inc_lo)
+
+
+def _seeded_states(seeds: tuple, lo: int, rows: int):
+    """PCG64's ``state`` just after its seeding, for rows lo..lo+rows-1
+    of the output ``seeds`` of `_pcg_seeds`: the LCG has taken one step
+    from s + inc, to M (s + inc) + inc."""
+    (t_hi, t_lo), (inc_hi, inc_lo) = seeds
+    words = (a[lo:lo + rows].tolist() for a in (t_hi, t_lo, inc_hi, inc_lo))
+    for th, tl, ih, il in zip(*words):
+        inc = ih << 64 | il
+        state = (_PCG_MULT * (th << 64 | tl) + inc) % 2**128
+        yield {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+               "state": {"state": state, "inc": inc}}
 
 
 def _mul_add(hi, lo, x, c, t):
@@ -188,11 +206,6 @@ def _stream_block(seed: int, lo: int, u: np.ndarray) -> None:
     """Fill row i of u with replication_rng(seed, lo + i).random(n), for
     n = u.shape[1] <= _VECTOR_MAX_N and lo + len(u) <= 2**64."""
     rows, n = u.shape
-    if lo <= _MASK32 < lo + rows - 1:  # index words go from one to two
-        split = _MASK32 + 1 - lo
-        _stream_block(seed, lo, u[:split])
-        _stream_block(seed, lo + split, u[split:])
-        return
     base, inc = _pcg_seeds(seed, lo, rows)
     mult, step = (tuple(a[:n] for a in table) for table in _jump_tables())
     chunk = max(1, _CHUNK_VALUES // n)
@@ -223,8 +236,10 @@ def replicate(seed: int, reps: int, quantile, trend, reduce, workers: int = 1) -
     the array that ``quantile`` returns.  So a reduction that treats
     rows independently gives the same per-replication values as
     building each path on its own.  Rows of at most ``_VECTOR_MAX_N``
-    values are drawn for the whole block at once by `_stream_block`;
-    longer rows are drawn one stream at a time.  There are at least
+    values are drawn for the whole block at once by `_stream_block`.
+    Longer rows are seeded for the whole call in one `_pcg_seeds` pass,
+    and each block draws them from one generator whose state it sets
+    to each row's seeded state in turn.  There are at least
     ``workers`` blocks, of at most 2**16 values each (one row when a
     path is longer); they run on a pool of ``workers`` threads and come
     back in replication order, so the output does not depend on the
@@ -241,14 +256,19 @@ def replicate(seed: int, reps: int, quantile, trend, reduce, workers: int = 1) -
     # piece of norm_quantile and of the record scan
     blocks = max(workers, math.ceil(reps / max(1, BLOCK_VALUES // n)))
     rows = math.ceil(reps / blocks)
+    if n > _VECTOR_MAX_N:
+        seeds = _pcg_seeds(seed, 0, reps)
 
     def run(lo: int):
         u = np.empty((min(rows, reps - lo), n), dtype=np.float64)
         if n <= _VECTOR_MAX_N:
             _stream_block(seed, lo, u)
         else:
-            for i in range(u.shape[0]):
-                replication_rng(seed, lo + i).random(out=u[i])
+            # the seed of PCG64(0) is overwritten before every draw
+            rng = np.random.Generator(np.random.PCG64(0))
+            for row, state in zip(u, _seeded_states(seeds, lo, len(u))):
+                rng.bit_generator.state = state
+                rng.random(out=row)
         x = quantile(u)
         x += trend
         return reduce(x)

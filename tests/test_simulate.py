@@ -17,6 +17,7 @@ from driftrecords import (
     simulate_ldm,
     synthetic_temperature_series,
 )
+from driftrecords import simulate
 from driftrecords._kernels import BLOCK_VALUES, record_scan
 from driftrecords._special import norm_quantile
 from driftrecords.simulate import (
@@ -140,8 +141,9 @@ def streamed(seed, lo, rows, n):
 
 
 class TestVectorizedStreams:
-    """`_stream_block` must give every row exactly the uniforms that
-    replication_rng draws for it."""
+    """`_stream_block`, and the engine's rows longer than its cutoff,
+    must give every row exactly the uniforms that replication_rng draws
+    for it."""
 
     # one to five and ten 32-bit entropy words; SeedSequence's pool holds four
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 977, 2**300]
@@ -164,12 +166,31 @@ class TestVectorizedStreams:
         got = streamed(seed, lo, 2, n)
         assert got.tobytes() == one_stream_per_row(seed, lo, 2, n).tobytes()
 
-    @pytest.mark.parametrize("n", [1, _VECTOR_MAX_N, _VECTOR_MAX_N + 1])
-    def test_engine_rows_match_on_both_sides_of_the_cutoff(self, n):
-        seed, reps = 2**64 + 5, 300
+    # 2000 values per row put 32 rows in a block of the long-row path
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**300])
+    @pytest.mark.parametrize("n", [1, _VECTOR_MAX_N, _VECTOR_MAX_N + 1, 2000])
+    def test_engine_rows_match_on_both_sides_of_the_cutoff(self, seed, n):
+        reps = 300
         for workers in (1, 2):
             got = np.concatenate(uniforms(seed, reps, n, lambda u: u, workers))
             assert got.tobytes() == one_stream_per_row(seed, 0, reps, n).tobytes()
+
+    def test_long_rows_are_seeded_in_one_pass(self, monkeypatch):
+        calls = {"_pcg_seeds": 0, "replication_rng": 0}
+
+        def counted(name):
+            fn = getattr(simulate, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(simulate, name, counted(name))
+        # 300 rows of 2000 values make 10 blocks
+        uniforms(7, 300, 2000, lambda u: None, 2)
+        assert calls == {"_pcg_seeds": 1, "replication_rng": 0}
 
 
 LAWS = ["gumbel", "pareto1", "dagum:b=1,q=2", "normal:mu=0.3,sigma=2",
@@ -219,24 +240,33 @@ class TestEngine:
             np.testing.assert_array_equal(bs.histogram, np.bincount(counts, minlength=n + 1))
             assert bs.mean == np.mean(counts)
 
-    # 400 values per path take the vectorized streams, 700 one stream per row
-    @pytest.mark.parametrize("burn_in, horizon", [(100, 300), (300, 400)])
-    def test_variance_matches_one_replication_at_a_time(self, burn_in, horizon):
-        cfg = ldm("normal:mu=0.3,sigma=2", 0.05, -0.2)
-        reps, seed, lag_max, total = 200, 13, 8, burn_in + horizon
-        drift = 0.05 * np.arange(1, total + 1)
+    # 400 values per path take the vectorized streams, 700 and 600 the
+    # long-row path; at c = 1, delta = -2 almost every step is a record
+    @pytest.mark.parametrize("spec, c, delta, burn_in, horizon, lag_max", [
+        ("normal:mu=0.3,sigma=2", 0.05, -0.2, 100, 300, 8),
+        ("normal:mu=0.3,sigma=2", 0.05, -0.2, 300, 400, 8),
+        ("normal", 1.0, -2.0, 300, 400, 8),
+        ("normal:mu=0.3,sigma=2", 0.05, -0.2, 0, 600, 8),
+        ("normal:mu=0.3,sigma=2", 0.05, -0.2, 100, 300, 299),
+    ])
+    def test_variance_matches_one_replication_at_a_time(
+        self, spec, c, delta, burn_in, horizon, lag_max
+    ):
+        cfg = ldm(spec, c, delta)
+        reps, seed, total = 200, 13, burn_in + horizon
+        drift = c * np.arange(1, total + 1)
         hits, lagged = 0, np.zeros(lag_max, dtype=np.int64)
         for rep in range(reps):
             x = cfg.dist.quantile(replication_rng(seed, rep).random(total)) + drift
-            ind = record_scan(x, -0.2)[burn_in:]
+            ind = record_scan(x, delta)[burn_in:]
             hits += int(ind.sum())
             lagged += [np.sum(ind[:-k] & ind[k:]) for k in range(1, lag_max + 1)]
         p = hits / (reps * horizon)
         r = lagged / (reps * (horizon - np.arange(1, lag_max + 1)))
         want = max(p - p * p + 2.0 * float(np.sum(r - p * p)), 0.0)
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             got = asymptotic_variance_mc(cfg, horizon, burn_in, lag_max, reps, seed, workers)
-            assert got == want
+            assert type(got) is float and got == want
 
     def test_blocks_come_back_in_order_and_cover_every_replication(self):
         for workers in (1, 2, 3, 5):
