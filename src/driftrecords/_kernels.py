@@ -10,9 +10,9 @@ import numpy as np
 
 # Values per Monte Carlo block (2**16 float64 values make one array
 # 512 KB), and per piece of the loops that work through a longer input
-# piecewise: the record scan, `_special.norm_quantile` and
-# `simulate.simulate_ldm`.  A block is one piece; shorter pieces leave
-# too little work per numpy call for the threads that run the blocks.
+# piecewise: the record scan and `simulate.simulate_ldm`.  A block is
+# one piece; shorter pieces leave too little work per numpy call for
+# the threads that run the blocks.
 BLOCK_VALUES = 2**16
 
 

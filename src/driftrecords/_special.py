@@ -1,11 +1,11 @@
 """Standard normal helpers used by several modules.
 
-The quantile is Wichura's PPND16 rational approximation (algorithm AS 241),
-accurate to about 1e-15 over (0, 1).  We deliberately use the same quantile
-for inverse-transform sampling and for confidence intervals, so every normal
-variate in the package flows through one deterministic code path.  It works
-through its input one Monte Carlo block at a time, so beside its output it
-holds about two blocks of scratch, and it gathers only the tail points.
+The quantile is scipy's ``ndtri``, within a few units in the last place
+over (0, 1).  We deliberately use the same quantile for
+inverse-transform sampling and for confidence intervals, so every normal
+variate in the package flows through one deterministic code path.  It
+is one ufunc call that holds only its output and releases the GIL for
+the whole array, so the threads of the Monte Carlo pool overlap on it.
 
 ``log_ndtr_odd_derivatives`` gives g = log Phi its first, third and fifth
 derivatives in one call, and ``log_ndtr_integral`` its antiderivative: the
@@ -18,124 +18,24 @@ import math
 import numpy as np
 from scipy import special as _sc
 
-from ._kernels import BLOCK_VALUES
-
-_A = np.array([
-    3.3871328727963666080e0, 1.3314166789178437745e2,
-    1.9715909503065514427e3, 1.3731693765509461125e4,
-    4.5921953931549871457e4, 6.7265770927008700853e4,
-    3.3430575583588128105e4, 2.5090809287301226727e3,
-])
-_B = np.array([
-    1.0, 4.2313330701600911252e1,
-    6.8718700749205790830e2, 5.3941960214247511077e3,
-    2.1213794301586595867e4, 3.9307895800092710610e4,
-    2.8729085735721942674e4, 5.2264952788528545610e3,
-])
-_C = np.array([
-    1.42343711074968357734e0, 4.63033784615654529590e0,
-    5.76949722146069140550e0, 3.64784832476320460504e0,
-    1.27045825245236838258e0, 2.41780725177450611770e-1,
-    2.27238449892691845833e-2, 7.74545014278341407640e-4,
-])
-_D = np.array([
-    1.0, 2.05319162663775882187e0,
-    1.67638483018380384940e0, 6.89767334985100004550e-1,
-    1.48103976427480074590e-1, 1.51986665636164571966e-2,
-    5.47593808499534494600e-4, 1.05075007164441684324e-9,
-])
-_E = np.array([
-    6.65790464350110377720e0, 5.46378491116411436990e0,
-    1.78482653991729133580e0, 2.96560571828504891230e-1,
-    2.65321895265761230930e-2, 1.24266094738807843860e-3,
-    2.71155556874348757815e-5, 2.01033439929228813265e-7,
-])
-_F = np.array([
-    1.0, 5.99832206555887937690e-1,
-    1.36929880922735805310e-1, 1.48753612908506148525e-2,
-    7.86869131145613259100e-4, 1.84631831751005468180e-5,
-    1.42151175831644588870e-7, 2.04426310338993978564e-15,
-])
-
-
-def _horner(coef, r, out):
-    """sum of coef[k] r**k into out, by Horner's rule."""
-    np.multiply(r, coef[-1], out=out)
-    for c in coef[-2:0:-1]:
-        out += c
-        out *= r
-    out += coef[0]
-    return out
-
-
-def _ratpoly(coef_num, coef_den, r):
-    num = _horner(coef_num, r, np.empty_like(r))
-    num /= _horner(coef_den, r, np.empty_like(r))
-    return num
-
-
-def _tails(p, out, tail):
-    """Overwrite out[tail] with the tail branches of PPND16 at p[tail]."""
-    pt = p[tail]
-    with np.errstate(divide="ignore"):
-        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-    # the r <= 5 branch runs on every tail point, with r clamped so that
-    # p = 0 or 1 (r = inf) stays finite; the rare rest (p under 1.4e-11
-    # from an end, and NaN) is overwritten from its own branch
-    x = _ratpoly(_C, _D, np.minimum(r, 5.0) - 1.6)
-    far = np.flatnonzero(~(r <= 5.0))
-    if far.size:
-        rf = r[far]
-        with np.errstate(invalid="ignore"):
-            x[far] = np.where(np.isinf(rf), np.inf, _ratpoly(_E, _F, rf - 5.0))
-    np.negative(x, out=x, where=pt < 0.5)
-    out[tail] = x
-
 
 def norm_quantile(p):
-    """Inverse standard normal cdf, vectorized.
-
-    Works through its input in pieces of ``BLOCK_VALUES``.  On a piece,
-    the central rational function runs on every point straight into the
-    output, with two scratch arrays that every piece reuses; then only the
-    tail points (|p - 0.5| > 0.425, and NaN), found by ``np.flatnonzero``,
-    are overwritten.  So a call holds its output and about two pieces,
-    and every point gets the operations, in the same order, that the
-    branch it falls in would give it on its own.
+    """Inverse standard normal cdf, vectorized: ``scipy.special.ndtri``.
 
     Parameters
     ----------
     p : float or ndarray
-        Probabilities in [0, 1].  Endpoints map to -inf/+inf.
+        Probabilities in [0, 1].  Endpoints map to -inf/+inf, and NaN or
+        a point outside [0, 1] to NaN.
 
     Returns
     -------
     float or ndarray
+        A float for a float or a 0-d array, and a new array otherwise;
+        the input is left unchanged.
     """
-    p_arr = np.asarray(p, dtype=float)
-    out = np.empty(p_arr.shape)
-    flat_p, flat_out = p_arr.reshape(-1), out.reshape(-1)
-    size = flat_p.shape[0]
-    r_buf, t_buf = np.empty((2, min(size, BLOCK_VALUES)))
-    for lo in range(0, size, BLOCK_VALUES):
-        pp = flat_p[lo:lo + BLOCK_VALUES]
-        q = flat_out[lo:lo + BLOCK_VALUES]
-        r, t = r_buf[:pp.shape[0]], t_buf[:pp.shape[0]]
-        np.subtract(pp, 0.5, out=q)
-        np.abs(q, out=r)
-        tail = np.flatnonzero(~(r <= 0.425))
-        if tail.size < pp.shape[0]:
-            # q (num / den) at r = 0.180625 - q^2; den takes q's place,
-            # and q is formed again after
-            np.multiply(q, q, out=r)
-            np.subtract(0.180625, r, out=r)
-            _horner(_A, r, t)
-            np.divide(t, _horner(_B, r, q), out=t)
-            np.subtract(pp, 0.5, out=q)
-            q *= t
-        if tail.size:
-            _tails(pp, q, tail)
-    return float(out) if p_arr.ndim == 0 else out
+    x = _sc.ndtri(np.asarray(p, dtype=np.float64))
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def norm_pdf(x):

@@ -93,7 +93,13 @@ class Distribution:
     def quantile(self, u):
         """F^-1(u): a new array for an array u, which stays unchanged, and
         a float for a float.  The Monte Carlo scans add the drift into the
-        returned array in place."""
+        returned array in place.
+
+        It is monotone non-decreasing in u up to a few units in the last
+        place (the normal quantile steps back by up to 4 ulps next to
+        the branch points of ``ndtri``): ``asymptotic_variance_mc`` skips
+        the burn-in values that cannot be a row's maximum by this rule,
+        with a relative slack far above that."""
         raise NotImplementedError
 
     def tail_info(self) -> TailInfo:

@@ -17,6 +17,11 @@ from .probability import LdmConfig
 from .records import RecordFlags
 from .simulate import replicate
 
+# The relative slack of `_burn_in_pruned`: it covers the rounding of its
+# test and a quantile that steps back by a few ulps, as the normal one
+# does by up to 4; 2**-40 is 4096 ulps.
+_PRUNE_SLACK = 2.0**-40
+
 
 @dataclass(frozen=True)
 class VarianceEstimate:
@@ -70,6 +75,36 @@ def variance_estimator(
     return VarianceEstimate(sigma2=sigma2, m=m, gammas=gammas, floored=floored)
 
 
+def _burn_in_pruned(dist, drift, w):
+    """The quantile of `asymptotic_variance_mc`'s blocks at w = burn_in - 1
+    >= 1 and an increasing drift, exact on columns j >= w, -inf where
+    a column j < w cannot hold its row's maximum.
+
+    The window's quantiles come first, so x[w] = Q(u[w]) + drift[w] is
+    known.  As the quantile Q is monotone, column j < w holds at most
+    Q(top) + drift[j], for top the row's largest burn-in uniform, and
+    below x[w] it cannot be the maximum.  So the columns whose drift is
+    under x[w] - Q(top), less a relative slack of ``_PRUNE_SLACK``, in
+    every row of the block are set to -inf, all but the last of them,
+    which is kept as a guard.  max picks one of its inputs, so every row
+    keeps the bits of its maximum over columns 0..w.
+    """
+    def quantile(u):
+        x = np.empty_like(u)
+        x[:, w:] = dist.quantile(u[:, w:])
+        last = x[:, w] + drift[w]
+        top = dist.quantile(u[:, :w].max(axis=1))
+        # NaN (an infinite drift or top) leaves the whole burn-in in place
+        with np.errstate(invalid="ignore"):
+            lim = np.min(last - top - _PRUNE_SLACK * (np.abs(last) + np.abs(top)))
+        j0 = 0 if np.isnan(lim) else max(int(np.searchsorted(drift[:w], lim)) - 1, 0)
+        x[:, :j0] = -np.inf
+        x[:, j0:w] = dist.quantile(u[:, j0:w])
+        return x
+
+    return quantile
+
+
 def asymptotic_variance_mc(
     ldm: LdmConfig,
     horizon: int = 4000,
@@ -97,10 +132,17 @@ def asymptotic_variance_mc(
     pairs are counted once, over all replications, after the pool.
     The counts are exact integers, so the estimate does not depend on
     the block split or the worker count.
+
+    The burn-in reaches the window only through each row's maximum, so
+    at c > 0 a block takes the burn-in's quantiles only where that
+    maximum can fall (`_burn_in_pruned`): about 4,050 quantiles a row
+    instead of 6,000 at the defaults (Normal, c = 0.1).  Every flag and
+    the estimate keep their bits.
     """
     require_int("lag_max", lag_max, 0)
     require_int("horizon", horizon, lag_max + 1)
     require_int("burn_in", burn_in, 0)
+    dist, w = ldm.dist, burn_in - 1
     drift = ldm.c * np.arange(1, burn_in + horizon + 1, dtype=np.float64)
 
     def reduce(x):
@@ -113,7 +155,8 @@ def asymptotic_variance_mc(
         x[:, burn_in - 1] = x[:, :burn_in].max(axis=1)
         return record_scan(x[:, burn_in - 1:], ldm.delta)[:, 1:]
 
-    ind = np.concatenate(replicate(seed, reps, ldm.dist.quantile, drift, reduce, workers))
+    quantile = _burn_in_pruned(dist, drift, w) if w > 0 and ldm.c > 0.0 else dist.quantile
+    ind = np.concatenate(replicate(seed, reps, quantile, drift, reduce, workers))
     lags = np.arange(1, lag_max + 1)
     lagged = np.array([np.count_nonzero(ind[:, :-k] & ind[:, k:]) for k in lags], np.float64)
     p_hat = float(np.count_nonzero(ind)) / (reps * horizon)

@@ -253,7 +253,7 @@ def replicate(seed: int, reps: int, quantile, trend, reduce, workers: int = 1) -
         raise DriftRecordsError("trend must hold at least one value")
     seed = int(seed)
     # whole rows of at most BLOCK_VALUES values, so that a block is one
-    # piece of norm_quantile and of the record scan
+    # piece of the record scan
     blocks = max(workers, math.ceil(reps / max(1, BLOCK_VALUES // n)))
     rows = math.ceil(reps / blocks)
     if n > _VECTOR_MAX_N:

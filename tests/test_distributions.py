@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import mpmath as mp
@@ -412,134 +411,92 @@ class TestEulerMaclaurinData:
             )
 
 
-def _two_branch_norm_quantile(p):
-    """The previous norm_quantile: both tail rational functions on every
-    tail point, then np.where.  Kept as the bit-for-bit reference."""
-    def ratpoly(num_coef, den_coef, r):
-        num, den = np.zeros_like(r), np.zeros_like(r)
-        for c in num_coef[::-1]:
-            num = num * r + c
-        for c in den_coef[::-1]:
-            den = den * r + c
-        return num / den
-
-    out = np.empty_like(p)
-    q = p - 0.5
-    central = np.abs(q) <= 0.425
-    r = 0.180625 - q[central] ** 2
-    out[central] = q[central] * ratpoly(_special._A, _special._B, r)
-    pt = p[~central]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-        x = np.where(
-            r <= 5.0,
-            ratpoly(_special._C, _special._D, np.minimum(r, 5.0) - 1.6),
-            ratpoly(_special._E, _special._F, np.maximum(r, 5.0) - 5.0),
-        )
-    x = np.where(np.isinf(r), np.inf, x)
-    out[~central] = np.where(pt < 0.5, -x, x)
-    return out
+def _mp_norm_quantile(p):
+    """60-digit inverse normal cdf at the float p: Newton on
+    log Phi(x) = log min(p, 1 - p), from the left of the root, where the
+    concave log Phi makes the iterates rise to it, then the sign."""
+    with mp.workdps(60):
+        lower = mp.mpf(p) if p < 0.5 else 1 - mp.mpf(p)
+        target = mp.log(lower)
+        x = -mp.sqrt(-2 * target)
+        for _ in range(100):
+            cdf = mp.ncdf(x)
+            step = (mp.log(cdf) - target) * cdf / mp.npdf(x)
+            x -= step
+            if abs(step) < mp.mpf(10) ** -45 * (1 + abs(x)):
+                return float(x if p < 0.5 else -x)
+    raise AssertionError(f"no convergence at p = {p!r}")
 
 
 class TestNormQuantile:
-    """Every normal variate of the Monte Carlo engine goes through
-    norm_quantile, so its output is pinned bit for bit."""
+    """norm_quantile is scipy's ndtri; its bits are scipy's, so it is
+    checked against a high-precision reference, not against a digest."""
 
-    # branch edges, both ends of (0, 1), the r = 5 switch, subnormals, NaN
-    EDGES = [0.0, 1.0, 0.075, 0.925, math.exp(-25.0), 5e-324, 1e-310,
-             2.2250738585072014e-308, math.nan]
+    # both ends of (0, 1), the branch points of ndtri, subnormals, NaN
+    EDGES = [0.0, 1.0, 0.5, math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0),
+             5e-324, 1e-310, 2.2250738585072014e-308, math.nan]
 
-    def points(self):
-        u = np.random.default_rng(20201).random(100_000)
-        return np.concatenate([u, self.EDGES])
+    def test_within_8_ulps_of_mpmath(self):
+        rng = np.random.default_rng(20201)
+        p = np.concatenate([
+            rng.uniform(0.02, 0.98, 400),
+            10.0 ** -rng.uniform(1.7, 300.0, 150),
+            1.0 - 10.0 ** -rng.uniform(1.7, 16.0, 150),
+            [1e-300, 1e-310, 1.0 - 1e-16, math.exp(-2.0), 1.0 - math.exp(-2.0),
+             math.exp(-32.0)],
+        ])
+        want = np.array([_mp_norm_quantile(float(v)) for v in p])
+        ulps = np.abs(_special.norm_quantile(p) - want) / np.spacing(np.abs(want))
+        assert ulps.max() <= 8.0, (p[np.argmax(ulps)], ulps.max())
 
-    def test_central_branch_digest(self):
-        # |p - 0.5| <= 0.425 takes +, -, * and / only, so these bits are
-        # the same on every IEEE machine
-        p = self.points()
-        with np.errstate(invalid="ignore"):
-            p = p[np.abs(p - 0.5) <= 0.425]
-        digest = hashlib.sha256(_special.norm_quantile(p).tobytes()).hexdigest()
-        assert digest == (
-            "02bc61534bb5267621ec0db6e4a983ee81a6e2c01d3e9dcd0ce74c90ae6f8156"
-        )
-
-    def test_matches_the_two_branch_form_bit_for_bit(self):
-        # the tails go through np.log, whose last bit depends on the SIMD
-        # path numpy takes on the CPU, so they are checked against the
-        # reference on the same machine rather than against a digest
-        p = self.points()
-        got = _special.norm_quantile(p)
-        assert got.tobytes() == _two_branch_norm_quantile(p).tobytes()
-
-    def test_scalars_and_endpoints(self):
+    def test_endpoints_nan_and_outside_the_unit_interval(self):
         assert _special.norm_quantile(0.0) == -math.inf
         assert _special.norm_quantile(1.0) == math.inf
-        assert math.isnan(_special.norm_quantile(math.nan))
+        assert _special.norm_quantile(0.5) == 0.0
         assert _special.norm_quantile(0.975) == pytest.approx(1.959963984540054, rel=1e-15)
+        for p in (math.nan, -0.1, 1.5, -math.inf, math.inf):
+            assert math.isnan(_special.norm_quantile(p))
+        got = _special.norm_quantile(np.array([0.0, 1.0, math.nan]))
+        assert got[0] == -math.inf and got[1] == math.inf and math.isnan(got[2])
 
-    def test_scalar_path_matches_array_path_bit_for_bit(self):
-        # scalar inputs take the array path as one-element arrays and come
-        # back as floats with the bits that path gives them among many;
-        # the tails get most of the points, as a SIMD np.log is the step
-        # most likely to round one value apart from a long array
-        rng = np.random.default_rng(20202)
-        tiny = 10.0 ** -rng.uniform(0.0, 300.0, 5_000)
-        p = np.concatenate([
-            rng.random(20_000), rng.uniform(0.0, 0.075, 60_000),
-            rng.uniform(0.925, 1.0, 20_000), tiny, 1.0 - tiny,
-            self.EDGES, [0.5, 1e-300, 1.0 - 1e-16],
-        ])
-        scalars = [_special.norm_quantile(float(v)) for v in p]
-        assert all(type(x) is float for x in scalars)
-        assert np.array(scalars).tobytes() == _special.norm_quantile(p).tobytes()
+    def test_a_float_or_zero_d_array_gives_a_float(self):
+        for v in self.EDGES + [0.3, 0.975]:
+            for p in (v, np.array(v), np.float64(v)):
+                got = _special.norm_quantile(p)
+                assert type(got) is float
+                want = _special.norm_quantile(np.array([v]))
+                assert np.float64(got).tobytes() == want.tobytes()
 
-
-def _block_points(n, seed):
-    """n uniforms with the branch edges, both ends of (0, 1), subnormals
-    and NaN on the first, second and last entries of every block of
-    BLOCK_VALUES, so the points next to each piece boundary take every
-    branch in turn."""
-    p = np.random.default_rng(seed).random(n)
-    for lo in range(0, n, BLOCK_VALUES):
-        for at in (lo, min(lo + 1, n - 1), min(lo + BLOCK_VALUES, n) - 1):
-            p[at] = TestNormQuantile.EDGES[(lo + at) % len(TestNormQuantile.EDGES)]
-    return p
-
-
-class TestPiecewiseSampling:
-    """norm_quantile and the Normal and Gumbel quantiles write into one
-    new array, a block at a time; every value keeps the bits of the
-    one-shot expressions they replace."""
-
-    SIZES = [1, BLOCK_VALUES - 1, BLOCK_VALUES, BLOCK_VALUES + 1, 3 * BLOCK_VALUES + 5]
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_norm_quantile_pieces_match_the_two_branch_form(self, n):
-        p = _block_points(n, n)
-        got = _special.norm_quantile(p)
-        assert got.tobytes() == _two_branch_norm_quantile(p).tobytes()
-
-    def test_norm_quantile_zero_d_and_two_d(self):
-        for v in TestNormQuantile.EDGES + [0.3, 0.975]:
-            got = _special.norm_quantile(np.array(v))
-            assert type(got) is float
-            want = _two_branch_norm_quantile(np.array([v]))
-            assert np.float64(got).tobytes() == want.tobytes()
-        p = _block_points(3 * BLOCK_VALUES + 5, 7)[5:].reshape(-1, 8)
+    def test_an_array_gives_a_new_array_and_stays_unchanged(self):
+        p = np.random.default_rng(8).random(3 * 56).reshape(-1, 8)
+        p[0, :len(self.EDGES) - 2] = self.EDGES[:-2]
         for arr in (p, p[::2, 1:4], p.T):
+            before = arr.copy()
             got = _special.norm_quantile(arr)
-            assert got.shape == arr.shape
-            assert got.tobytes() == _two_branch_norm_quantile(np.ascontiguousarray(arr)).tobytes()
+            assert arr.tobytes() == before.tobytes()
+            assert got.shape == arr.shape and not np.shares_memory(got, arr)
+            assert got.tobytes() == scipy.special.ndtri(np.ascontiguousarray(arr)).tobytes()
 
-    @pytest.mark.parametrize("n", SIZES)
-    def test_normal_and_gumbel_match_the_one_shot_forms(self, n):
-        u = _block_points(n, n + 1)
-        with np.errstate(divide="ignore"):
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (1.0, 2.0), (-3.5, 0.25)])
+    def test_normal_quantile_is_mu_plus_sigma_ndtri(self, mu, sigma):
+        u = np.concatenate([np.random.default_rng(9).random(BLOCK_VALUES + 5), self.EDGES])
+        want = mu + sigma * scipy.special.ndtri(u)
+        assert Normal(mu, sigma).quantile(u).tobytes() == want.tobytes()
+        for v in self.EDGES[:-1] + [0.3]:
+            assert Normal(mu, sigma).quantile(v) == mu + sigma * float(scipy.special.ndtri(v))
+
+
+class TestInPlaceQuantiles:
+    """Gumbel's quantile runs its chain of ufuncs in place in one new
+    array; every value keeps the bits of the one-shot expression."""
+
+    @pytest.mark.parametrize("n", [1, 7, BLOCK_VALUES + 5])
+    def test_gumbel_matches_the_one_shot_form(self, n):
+        u = np.random.default_rng(n).random(n)
+        u[:min(n, len(TestNormQuantile.EDGES))] = TestNormQuantile.EDGES[:n]
+        with np.errstate(divide="ignore", invalid="ignore"):
             gumbel = -np.log(-np.log(u))
         assert Gumbel().quantile(u).tobytes() == gumbel.tobytes()
-        normal = 1.0 + 2.0 * _two_branch_norm_quantile(u)
-        assert Normal(1.0, 2.0).quantile(u).tobytes() == normal.tobytes()
 
 
 class TestQuantileContract:

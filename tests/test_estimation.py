@@ -6,12 +6,33 @@ import pytest
 from driftrecords import (
     DriftRecordsError,
     LdmConfig,
+    Normal,
     asymptotic_variance_mc,
     delta_record_flags,
     gaussian_interval,
     parse_spec,
     variance_estimator,
 )
+from driftrecords._kernels import record_scan
+from driftrecords.estimation import _burn_in_pruned
+from driftrecords.simulate import replicate
+
+LAWS = ["gumbel", "pareto1", "dagum:b=1,q=2", "normal:mu=0.3,sigma=2",
+        "uniform:lo=-1,hi=2", "exp:rate=1.5"]
+
+
+def unpruned_sigma2(ldm, horizon, burn_in, lag_max, reps, seed):
+    """asymptotic_variance_mc without its burn-in pruning: the law's own
+    quantile on every value and a record scan of the whole row."""
+    drift = ldm.c * np.arange(1, burn_in + horizon + 1, dtype=np.float64)
+    ind = np.concatenate(replicate(
+        seed, reps, ldm.dist.quantile, drift,
+        lambda x: record_scan(x, ldm.delta)[:, burn_in:]))
+    lags = np.arange(1, lag_max + 1)
+    p = np.count_nonzero(ind) / (reps * horizon)
+    r = np.array([np.count_nonzero(ind[:, :-k] & ind[:, k:]) for k in lags])
+    r = r / (reps * (horizon - lags))
+    return max(p - p * p + 2.0 * float(np.sum(r - p * p)), 0.0)
 
 
 class TestVarianceEstimator:
@@ -122,6 +143,52 @@ class TestAsymptoticVarianceMc:
         b = asymptotic_variance_mc(ldm, **kw)
         c = asymptotic_variance_mc(ldm, workers=4, **kw)
         assert a == b == c
+
+    @pytest.mark.parametrize("c", [1.0, 0.1, 1e-3, 0.0, -0.1])
+    @pytest.mark.parametrize("spec", LAWS)
+    def test_pruned_burn_in_matches_the_full_maximum(self, spec, c):
+        # 24 rows make one block on one worker and two on two; at c = 1
+        # and burn_in = 500 nearly the whole burn-in is pruned
+        horizon, lag_max, reps, seed = 40, 4, 24, 17
+        for delta in (-0.5, 0.0, 0.5):
+            ldm = LdmConfig(parse_spec(spec), c=c, delta=delta)
+            for burn_in in (0, 1, 2, 500):
+                want = unpruned_sigma2(ldm, horizon, burn_in, lag_max, reps, seed)
+                for workers in (1, 2):
+                    got = asymptotic_variance_mc(
+                        ldm, horizon, burn_in, lag_max, reps, seed, workers)
+                    assert got == want, (delta, burn_in, workers)
+
+    @pytest.mark.parametrize("c", [1.0, 0.1, 1e-3])
+    @pytest.mark.parametrize("spec", LAWS)
+    def test_pruned_rows_keep_their_burn_in_maximum(self, spec, c):
+        # one row per call, so no other row of a block loosens its cut:
+        # a column pruned by mistake shows as soon as it holds the maximum
+        dist, burn_in, rows = parse_spec(spec), 60, 400
+        drift = c * np.arange(1, burn_in + 6, dtype=np.float64)
+        quantile = _burn_in_pruned(dist, drift, burn_in - 1)
+        u = np.random.default_rng(23).random((rows, drift.shape[0]))
+        want = (dist.quantile(u) + drift)[:, :burn_in].max(axis=1)
+        got = [(quantile(row[None]) + drift)[0, :burn_in].max() for row in u]
+        assert np.array(got).tobytes() == want.tobytes()
+        whole = quantile(u) + drift
+        assert whole[:, :burn_in].max(axis=1).tobytes() == want.tobytes()
+        assert np.array_equal(whole[:, burn_in - 1:], (dist.quantile(u) + drift)[:, burn_in - 1:])
+
+    def test_burn_in_takes_quantiles_only_where_the_maximum_can_fall(self, monkeypatch):
+        points = []
+        quantile = Normal.quantile
+
+        def counted(self, u):
+            points.append(np.size(u))
+            return quantile(self, u)
+
+        monkeypatch.setattr(Normal, "quantile", counted)
+        ldm = LdmConfig(Normal(), c=0.1, delta=0.5)
+        horizon, burn_in, reps = 100, 2000, 10
+        asymptotic_variance_mc(ldm, horizon, burn_in, lag_max=5, reps=reps)
+        # about 50 of the 2000 burn-in values of a row can be its maximum
+        assert reps * (horizon + 1) < sum(points) < reps * (horizon + 1 + burn_in // 10)
 
     def test_rejects_a_seed_that_is_not_a_non_negative_integer(self):
         ldm = LdmConfig(parse_spec("gumbel"), c=1.0, delta=0.0)

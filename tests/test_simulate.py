@@ -278,7 +278,7 @@ class TestEngine:
         (200, 20_000, 2), (200, 6000, 2), (20_000, 20, 1), (5, 20, 3), (3, 70_000, 1),
     ])
     def test_a_block_is_at_most_one_piece_of_whole_rows(self, reps, n, workers):
-        # a block of whole rows within BLOCK_VALUES is one norm_quantile
+        # a block of whole rows within BLOCK_VALUES is one record-scan
         # piece; a path longer than that is a block of its own
         shapes = uniforms(0, reps, n, lambda u: u.shape, workers)
         assert len(shapes) >= workers
