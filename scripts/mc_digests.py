@@ -11,11 +11,12 @@ the two listings:
 
 It hashes the `mc_record_rate` summaries of five laws at path lengths on
 both sides of the vectorized-stream cutoff and past one block, on one
-and two workers; four `asymptotic_variance_mc` runs, one of them with no
-burn-in and one at a threshold where almost every step is a record
-(Normal, c = 1, delta = -2); bootstrap
-histograms at three thresholds; the fixture series at four seeds; and a
-long `simulate_ldm` path.  It takes a few seconds.
+and two workers; seven `asymptotic_variance_mc` runs: one with no
+burn-in, one with a burn-in of one value, one at a threshold where
+almost every step is a record (Normal, c = 1, delta = -2), one at c < 0,
+where no burn-in value is skipped, and one of a law with a finite top
+(Uniform); bootstrap histograms at three thresholds; the fixture series
+at four seeds; and a long `simulate_ldm` path.  It takes a few seconds.
 """
 import hashlib
 import sys
@@ -48,7 +49,9 @@ def main() -> None:
                            np.array([s.mean_rate, s.rate_stderr, s.stabilization_fraction]))
                 print(f"mc_record_rate {spec} n={n} reps={reps} workers={workers} {d}", file=out)
     for spec, c, delta, burn_in in (("gumbel", 1.0, 0.5, 500), ("normal", 0.1, -0.2, 500),
-                                    ("normal", 0.1, -0.2, 0), ("normal", 1.0, -2.0, 500)):
+                                    ("normal", 0.1, -0.2, 0), ("normal", 0.1, -0.2, 1),
+                                    ("normal", 1.0, -2.0, 500), ("gumbel", -0.001, -2.0, 500),
+                                    ("uniform:lo=-1,hi=2", 0.1, 0.2, 500)):
         ldm = dr.LdmConfig(dr.parse_spec(spec), c=c, delta=delta)
         v = dr.asymptotic_variance_mc(ldm, horizon=1500, burn_in=burn_in, lag_max=20, reps=40,
                                       seed=3, workers=2)

@@ -17,7 +17,7 @@ from ._special import norm_quantile
 from .errors import DriftRecordsError, require_finite, require_int
 from .estimation import gaussian_interval, variance_estimator
 from .records import delta_record_flags, running_rate
-from .simulate import replicate
+from .simulate import replicate, replication_rng
 
 FIXTURE_SEED = 165433
 
@@ -296,14 +296,13 @@ def analyze(
     )
 
 
-def _normal_noise(sigma: float):
-    """The quantile u -> sigma * Phi^-1(u), scaled in place; unlike
+def _normal_paths(u, sigma: float, trend):
+    """The paths sigma * Phi^-1(u) + trend, built in place; unlike
     Normal(0, sigma).quantile it also serves sigma = 0, a perfect fit."""
-    def quantile(u):
-        x = norm_quantile(u)
-        x *= sigma
-        return x
-    return quantile
+    x = norm_quantile(u)
+    x *= sigma
+    x += trend
+    return x
 
 
 def bootstrap_histogram(
@@ -327,8 +326,9 @@ def bootstrap_histogram(
     n = len(ts)
     trend = fit.beta0 + fit.beta1 * ts.t.astype(np.float64)
     counts = np.concatenate(replicate(
-        seed, reps, _normal_noise(fit.sigma_eps), trend,
-        lambda x: record_scan(x, delta).sum(axis=1), workers,
+        seed, reps, n,
+        lambda u: record_scan(_normal_paths(u, fit.sigma_eps, trend), delta).sum(axis=1),
+        workers,
     ))
     histogram = np.bincount(counts, minlength=n + 1)
     q_lo, q_hi = np.quantile(counts, [0.025, 0.975])
@@ -361,5 +361,5 @@ def synthetic_temperature_series(seed: int = FIXTURE_SEED) -> TimeSeries:
     sxx = float(dt @ dt)
     sigma_eps = _FIXTURE_BETA1 * math.sqrt(sxx * (1.0 - r2) / (r2 * (n - 2)))
     trend = _FIXTURE_BETA0 + _FIXTURE_BETA1 * t.astype(np.float64)
-    (value,) = replicate(seed, 1, _normal_noise(sigma_eps), trend, lambda x: x[0])
+    value = _normal_paths(replication_rng(seed, 0).random(n), sigma_eps, trend)
     return TimeSeries(t=t, value=value)

@@ -10,6 +10,7 @@ artifacts next to its report.
 """
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -287,6 +288,7 @@ def _cmd_analyze(args) -> None:
     _emit(payload)
 
 
+@functools.cache  # once per process: 1.6 to 1.8 ms to build, 0.1 ms to parse
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drift-records",

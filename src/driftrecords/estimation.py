@@ -17,9 +17,9 @@ from .probability import LdmConfig
 from .records import RecordFlags
 from .simulate import replicate
 
-# The relative slack of `_burn_in_pruned`: it covers the rounding of its
-# test and a quantile that steps back by a few ulps, as the normal one
-# does by up to 4; 2**-40 is 4096 ulps.
+# The relative slack of `_window`'s burn-in cut: it covers the rounding
+# of its test and a quantile that steps back by a few ulps, as the normal
+# one does by up to 4; 2**-40 is 4096 ulps.
 _PRUNE_SLACK = 2.0**-40
 
 
@@ -75,34 +75,33 @@ def variance_estimator(
     return VarianceEstimate(sigma2=sigma2, m=m, gammas=gammas, floored=floored)
 
 
-def _burn_in_pruned(dist, drift, w):
-    """The quantile of `asymptotic_variance_mc`'s blocks at w = burn_in - 1
-    >= 1 and an increasing drift, exact on columns j >= w, -inf where
-    a column j < w cannot hold its row's maximum.
+def _window(dist, drift, burn_in, u):
+    """`asymptotic_variance_mc`'s paths of the block u from column
+    w = burn_in - 1 >= 0 on, column w raised to its row's burn-in maximum.
 
-    The window's quantiles come first, so x[w] = Q(u[w]) + drift[w] is
-    known.  As the quantile Q is monotone, column j < w holds at most
-    Q(top) + drift[j], for top the row's largest burn-in uniform, and
-    below x[w] it cannot be the maximum.  So the columns whose drift is
-    under x[w] - Q(top), less a relative slack of ``_PRUNE_SLACK``, in
-    every row of the block are set to -inf, all but the last of them,
-    which is kept as a guard.  max picks one of its inputs, so every row
-    keeps the bits of its maximum over columns 0..w.
+    The window comes first, so x[w] = Q(u[w]) + drift[w] is known.  At
+    c = drift[0] > 0, as the quantile Q is monotone, column j < w holds
+    at most Q(top) + drift[j], for top the row's largest burn-in
+    uniform, and below x[w] it cannot be the maximum.  So the columns
+    whose drift is under x[w] - Q(top), less a relative slack of
+    ``_PRUNE_SLACK``, in every row of the block take no quantile.
     """
-    def quantile(u):
-        x = np.empty_like(u)
-        x[:, w:] = dist.quantile(u[:, w:])
-        last = x[:, w] + drift[w]
+    w = burn_in - 1
+    x = dist.quantile(u[:, w:])
+    x += drift[w:]
+    j0 = 0
+    if w > 0 and drift[0] > 0.0:
+        last = x[:, 0]
         top = dist.quantile(u[:, :w].max(axis=1))
         # NaN (an infinite drift or top) leaves the whole burn-in in place
         with np.errstate(invalid="ignore"):
             lim = np.min(last - top - _PRUNE_SLACK * (np.abs(last) + np.abs(top)))
-        j0 = 0 if np.isnan(lim) else max(int(np.searchsorted(drift[:w], lim)) - 1, 0)
-        x[:, :j0] = -np.inf
-        x[:, j0:w] = dist.quantile(u[:, j0:w])
-        return x
-
-    return quantile
+        j0 = 0 if np.isnan(lim) else int(np.searchsorted(drift[:w], lim))
+    if j0 < w:
+        burn = dist.quantile(u[:, j0:w])
+        burn += drift[j0:w]
+        np.maximum(burn.max(axis=1), x[:, 0], out=x[:, 0])
+    return x
 
 
 def asymptotic_variance_mc(
@@ -134,29 +133,26 @@ def asymptotic_variance_mc(
     the block split or the worker count.
 
     The burn-in reaches the window only through each row's maximum, so
-    at c > 0 a block takes the burn-in's quantiles only where that
-    maximum can fall (`_burn_in_pruned`): about 4,050 quantiles a row
-    instead of 6,000 at the defaults (Normal, c = 0.1).  Every flag and
-    the estimate keep their bits.
+    a block builds only the window, from column burn_in - 1 on, folds
+    that maximum into its first column and scans from there (`_window`).
+    At c > 0 the burn-in takes quantiles only where its maximum can
+    fall: about 4,050 a row instead of 6,000 at the defaults (Normal,
+    c = 0.1).  max picks one of its inputs, and the compare cannot tell
+    -0.0 from +0.0, so every flag and the estimate keep their bits.
     """
     require_int("lag_max", lag_max, 0)
     require_int("horizon", horizon, lag_max + 1)
     require_int("burn_in", burn_in, 0)
-    dist, w = ldm.dist, burn_in - 1
     drift = ldm.c * np.arange(1, burn_in + horizon + 1, dtype=np.float64)
 
-    def reduce(x):
+    def reduce(u):
         if not burn_in:
+            x = ldm.dist.quantile(u)
+            x += drift
             return record_scan(x, ldm.delta)
-        # the burn-in enters the window's flags only through its maximum,
-        # so column burn_in - 1 takes that maximum and the scan starts
-        # there; max picks one of its inputs, and the compare cannot
-        # tell -0.0 from +0.0, so every flag is the full scan's
-        x[:, burn_in - 1] = x[:, :burn_in].max(axis=1)
-        return record_scan(x[:, burn_in - 1:], ldm.delta)[:, 1:]
+        return record_scan(_window(ldm.dist, drift, burn_in, u), ldm.delta)[:, 1:]
 
-    quantile = _burn_in_pruned(dist, drift, w) if w > 0 and ldm.c > 0.0 else dist.quantile
-    ind = np.concatenate(replicate(seed, reps, quantile, drift, reduce, workers))
+    ind = np.concatenate(replicate(seed, reps, burn_in + horizon, reduce, workers))
     lags = np.arange(1, lag_max + 1)
     lagged = np.array([np.count_nonzero(ind[:, :-k] & ind[:, k:]) for k in lags], np.float64)
     p_hat = float(np.count_nonzero(ind)) / (reps * horizon)

@@ -4,13 +4,11 @@ Every replication owns an independent random stream derived from
 (seed, replication index), so results are identical whether the
 replications run on one worker or many, and any single replication can
 be reproduced in isolation.  `replicate` is the one engine behind every
-Monte Carlo result of the package.  It builds every path the same way,
-the noise law's quantile of the replication's uniforms plus a trend,
-stacks the paths of a block of replications and hands the block to the
-caller's reduction, so a consumer supplies only its quantile, its trend
-and its reduction.  For short rows it computes the uniforms for every
-row of the block at once (`_stream_block`), bit for bit what
-`replication_rng` would draw.  For longer rows it seeds every
+Monte Carlo result of the package.  It stacks the uniforms of a block
+of replications and hands the block to the caller's reduction, which
+builds its own paths from them.  For short rows it computes the
+uniforms for every row of the block at once (`_stream_block`), bit for
+bit what `replication_rng` would draw.  For longer rows it seeds every
 replication in one vectorized pass (`_pcg_seeds`) and sets one
 generator per block to each row's seeded state in turn.
 """
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import BLOCK_VALUES, record_scan
-from .errors import DriftRecordsError, require_int
+from .errors import require_int
 from .probability import LdmConfig
 
 # Rows of at most this many uniforms come from `_stream_block`, at 50 to
@@ -227,30 +225,27 @@ def _stream_block(seed: int, lo: int, u: np.ndarray) -> None:
         np.multiply(lo_word, 2.0**-53, out=u[part])
 
 
-def replicate(seed: int, reps: int, quantile, trend, reduce, workers: int = 1) -> list:
-    """Apply ``reduce`` to blocks of stacked paths; one result per block.
+def replicate(seed: int, reps: int, n: int, reduce, workers: int = 1) -> list:
+    """Apply ``reduce`` to blocks of stacked uniforms; one result per block.
 
-    Row i of the block starting at replication lo is the path
-    ``quantile(u) + trend`` of the n = len(trend) uniforms u of
-    ``replication_rng(seed, lo + i)``; the trend is added in place into
-    the array that ``quantile`` returns.  So a reduction that treats
-    rows independently gives the same per-replication values as
-    building each path on its own.  Rows of at most ``_VECTOR_MAX_N``
-    values are drawn for the whole block at once by `_stream_block`.
-    Longer rows are seeded for the whole call in one `_pcg_seeds` pass,
-    and each block draws them from one generator whose state it sets
-    to each row's seeded state in turn.  There are at least
-    ``workers`` blocks, of at most 2**16 values each (one row when a
-    path is longer); they run on a pool of ``workers`` threads and come
-    back in replication order, so the output does not depend on the
-    worker count.
+    Row i of the block starting at replication lo holds the n uniforms
+    of ``replication_rng(seed, lo + i)``, and the block is the
+    reduction's to overwrite.  So a reduction that treats rows
+    independently gives the same per-replication values as drawing
+    each stream on its own.  Rows of at most ``_VECTOR_MAX_N`` values
+    are drawn for the whole block at once by `_stream_block`.  Longer
+    rows are seeded for the whole call in one `_pcg_seeds` pass, and
+    each block draws them from one generator whose state it sets to
+    each row's seeded state in turn.  There are at least ``workers``
+    blocks, of at most 2**16 values each (one row when a row is
+    longer); they run on a pool of ``workers`` threads and come back in
+    replication order, so the output does not depend on the worker
+    count.
     """
     require_int("seed", seed, 0)
     require_int("reps", reps, 1)
+    require_int("n", n, 1)
     require_int("workers", workers, 1)
-    n = len(trend)
-    if n == 0:
-        raise DriftRecordsError("trend must hold at least one value")
     seed = int(seed)
     # whole rows of at most BLOCK_VALUES values, so that a block is one
     # piece of the record scan
@@ -269,9 +264,7 @@ def replicate(seed: int, reps: int, quantile, trend, reduce, workers: int = 1) -
             for row, state in zip(u, _seeded_states(seeds, lo, len(u))):
                 rng.bit_generator.state = state
                 rng.random(out=row)
-        x = quantile(u)
-        x += trend
-        return reduce(x)
+        return reduce(u)
 
     starts = range(0, reps, rows)
     if workers == 1:
@@ -349,11 +342,13 @@ def mc_record_rate(cfg: SimulationConfig, workers: int = 1) -> SimSummary:
     ldm, n = cfg.ldm, cfg.n
     drift = ldm.c * np.arange(1, n + 1, dtype=np.float64)
 
-    def reduce(x):
+    def reduce(u):
+        x = ldm.dist.quantile(u)
+        x += drift
         flags = record_scan(x, ldm.delta)
         return flags.sum(axis=1), n - np.argmax(flags[:, ::-1], axis=1)
 
-    parts = replicate(cfg.seed, cfg.replications, ldm.dist.quantile, drift, reduce, workers)
+    parts = replicate(cfg.seed, cfg.replications, n, reduce, workers)
     counts = np.concatenate([p[0] for p in parts]).astype(np.int64)
     last = np.concatenate([p[1] for p in parts]).astype(np.int64)
     rates = counts / float(n)

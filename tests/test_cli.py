@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from driftrecords import closed_form
-from driftrecords.cli import main
+from driftrecords.cli import _build_parser, main
 
 from conftest import FIXTURE_CSV, LAW_PARAMETER_CASES
 
@@ -523,3 +523,22 @@ def test_module_entry_point_runs_in_a_subprocess():
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["value"] == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+def test_successive_calls_print_what_fresh_calls_print(capsys):
+    # the parser is built once per process; a flag given in one call
+    # must not carry over into the next, where closed-form would refuse it
+    calls = [
+        ("closed-form", "--model", "gumbel", "--c", "0.7", "--delta", "0", "--n", "2"),
+        ("simulate", "--dist", "gumbel", "--c", "0.5", "--delta", "0",
+         "--n", "50", "--reps", "5", "--seed", "1", "--workers", "2"),
+        ("closed-form", "--model", "gumbel", "--quantity", "l-inf-argmax", "--c", "0.7"),
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert all(rc == 0 for rc, _, _ in fresh)
+    assert _build_parser() is _build_parser()

@@ -62,9 +62,9 @@ INTEGER_ARGUMENTS = [
     ("simulate_ldm", lambda v: simulate_ldm(LDM, v, replication_rng(0, 0)), "n", 1),
     ("replication_rng.seed", lambda v: replication_rng(v, 0), "seed", 0),
     ("replication_rng.rep", lambda v: replication_rng(0, v), "rep", 0),
-    ("replicate.reps", lambda v: replicate(0, v, np.negative, np.zeros(5), np.sum), "reps", 1),
-    ("replicate.workers",
-     lambda v: replicate(0, 4, np.negative, np.zeros(5), np.sum, v), "workers", 1),
+    ("replicate.reps", lambda v: replicate(0, v, 5, np.sum), "reps", 1),
+    ("replicate.n", lambda v: replicate(0, 4, v, np.sum), "n", 1),
+    ("replicate.workers", lambda v: replicate(0, 4, 5, np.sum, v), "workers", 1),
     ("SimulationConfig.n",
      _keyword(SimulationConfig, "n", ldm=LDM, replications=2, seed=0), "n", 1),
     ("SimulationConfig.replications",
@@ -102,11 +102,6 @@ def _bad_values(least):
 def test_integer_argument_rejects_bad_values(call, name, bad):
     with pytest.raises(DriftRecordsError, match=f"^{name} must be "):
         call(bad)
-
-
-def test_the_engine_rejects_an_empty_trend():
-    with pytest.raises(DriftRecordsError, match="^trend must hold at least one value"):
-        replicate(0, 4, np.negative, np.zeros(0), np.sum)
 
 
 def test_the_package_error_is_a_value_error():

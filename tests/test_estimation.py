@@ -14,7 +14,7 @@ from driftrecords import (
     variance_estimator,
 )
 from driftrecords._kernels import record_scan
-from driftrecords.estimation import _burn_in_pruned
+from driftrecords.estimation import _window
 from driftrecords.simulate import replicate
 
 LAWS = ["gumbel", "pareto1", "dagum:b=1,q=2", "normal:mu=0.3,sigma=2",
@@ -26,8 +26,8 @@ def unpruned_sigma2(ldm, horizon, burn_in, lag_max, reps, seed):
     quantile on every value and a record scan of the whole row."""
     drift = ldm.c * np.arange(1, burn_in + horizon + 1, dtype=np.float64)
     ind = np.concatenate(replicate(
-        seed, reps, ldm.dist.quantile, drift,
-        lambda x: record_scan(x, ldm.delta)[:, burn_in:]))
+        seed, reps, burn_in + horizon,
+        lambda u: record_scan(ldm.dist.quantile(u) + drift, ldm.delta)[:, burn_in:]))
     lags = np.arange(1, lag_max + 1)
     p = np.count_nonzero(ind) / (reps * horizon)
     r = np.array([np.count_nonzero(ind[:, :-k] & ind[:, k:]) for k in lags])
@@ -159,21 +159,22 @@ class TestAsymptoticVarianceMc:
                         ldm, horizon, burn_in, lag_max, reps, seed, workers)
                     assert got == want, (delta, burn_in, workers)
 
-    @pytest.mark.parametrize("c", [1.0, 0.1, 1e-3])
+    @pytest.mark.parametrize("burn_in", [1, 2, 60])
+    @pytest.mark.parametrize("c", [1.0, 0.1, 1e-3, -0.1])
     @pytest.mark.parametrize("spec", LAWS)
-    def test_pruned_rows_keep_their_burn_in_maximum(self, spec, c):
+    def test_pruned_rows_keep_their_burn_in_maximum(self, spec, c, burn_in):
         # one row per call, so no other row of a block loosens its cut:
         # a column pruned by mistake shows as soon as it holds the maximum
-        dist, burn_in, rows = parse_spec(spec), 60, 400
+        dist, rows = parse_spec(spec), 400
         drift = c * np.arange(1, burn_in + 6, dtype=np.float64)
-        quantile = _burn_in_pruned(dist, drift, burn_in - 1)
         u = np.random.default_rng(23).random((rows, drift.shape[0]))
-        want = (dist.quantile(u) + drift)[:, :burn_in].max(axis=1)
-        got = [(quantile(row[None]) + drift)[0, :burn_in].max() for row in u]
+        full = dist.quantile(u) + drift
+        want = full[:, :burn_in].max(axis=1)
+        got = [_window(dist, drift, burn_in, row[None])[0, 0] for row in u]
         assert np.array(got).tobytes() == want.tobytes()
-        whole = quantile(u) + drift
-        assert whole[:, :burn_in].max(axis=1).tobytes() == want.tobytes()
-        assert np.array_equal(whole[:, burn_in - 1:], (dist.quantile(u) + drift)[:, burn_in - 1:])
+        whole = _window(dist, drift, burn_in, u)
+        assert whole[:, 0].tobytes() == want.tobytes()
+        assert whole[:, 1:].tobytes() == full[:, burn_in:].tobytes()
 
     def test_burn_in_takes_quantiles_only_where_the_maximum_can_fall(self, monkeypatch):
         points = []

@@ -56,7 +56,7 @@ CASES = {
     # 200 paths of 2000 burn-in and 3000 window values: 1e6 values in
     # blocks of 2**16.  The window flags cost one byte per window value
     # (0.075 here), held by the blocks and then once more concatenated;
-    # the measured peak was 0.25
+    # the measured peak was 0.22
     "asymptotic_variance_mc": (lambda u, path, fl: asymptotic_variance_mc(
         LDM, horizon=3000, burn_in=2000, reps=200, workers=1), 0.45),
 }

@@ -113,18 +113,12 @@ class TestSeedValidation:
     @pytest.mark.parametrize("seed", BAD_SEEDS)
     def test_engine_rejects_a_bad_seed(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            uniforms(seed, 4, 5, lambda u: u)
+            replicate(seed, 4, 5, lambda u: u)
 
     def test_numpy_integer_seed_is_accepted(self):
         a = mc_record_rate(config("gumbel", 0.1, 0.0, 30, 20, seed=np.int64(5)))
         b = mc_record_rate(config("gumbel", 0.1, 0.0, 30, 20, seed=5))
         np.testing.assert_array_equal(a.counts, b.counts)
-
-
-def uniforms(seed, reps, n, reduce, workers=1):
-    # the engine's paths with the identity quantile and a zero trend are
-    # the replications' uniforms
-    return replicate(seed, reps, lambda u: u, np.zeros(n), reduce, workers)
 
 
 def one_stream_per_row(seed, lo, rows, n):
@@ -172,7 +166,7 @@ class TestVectorizedStreams:
     def test_engine_rows_match_on_both_sides_of_the_cutoff(self, seed, n):
         reps = 300
         for workers in (1, 2):
-            got = np.concatenate(uniforms(seed, reps, n, lambda u: u, workers))
+            got = np.concatenate(replicate(seed, reps, n, lambda u: u, workers))
             assert got.tobytes() == one_stream_per_row(seed, 0, reps, n).tobytes()
 
     def test_long_rows_are_seeded_in_one_pass(self, monkeypatch):
@@ -189,7 +183,7 @@ class TestVectorizedStreams:
         for name in calls:
             monkeypatch.setattr(simulate, name, counted(name))
         # 300 rows of 2000 values make 10 blocks
-        uniforms(7, 300, 2000, lambda u: None, 2)
+        replicate(7, 300, 2000, lambda u: None, 2)
         assert calls == {"_pcg_seeds": 1, "replication_rng": 0}
 
 
@@ -220,7 +214,14 @@ class TestEngine:
     def test_a_row_is_the_quantile_of_its_uniforms_plus_the_trend(self, n):
         dist, seed, reps = parse_spec("gumbel"), 2**40, 5
         trend = np.linspace(-1.0, 3.0, n)
-        got = np.concatenate(replicate(seed, reps, dist.quantile, trend, lambda x: x, 2))
+
+        def paths(u):
+            # the consumers' form: the trend added in place into the quantiles
+            x = dist.quantile(u)
+            x += trend
+            return x
+
+        got = np.concatenate(replicate(seed, reps, n, paths, 2))
         want = [dist.quantile(replication_rng(seed, r).random(n)) + trend for r in range(reps)]
         assert got.tobytes() == np.array(want).tobytes()
 
@@ -270,7 +271,7 @@ class TestEngine:
 
     def test_blocks_come_back_in_order_and_cover_every_replication(self):
         for workers in (1, 2, 3, 5):
-            blocks = uniforms(3, 7, 1, lambda u: u[:, 0].tolist(), workers)
+            blocks = replicate(3, 7, 1, lambda u: u[:, 0].tolist(), workers)
             flat = [v for block in blocks for v in block]
             assert flat == [replication_rng(3, r).random() for r in range(7)]
 
@@ -280,7 +281,7 @@ class TestEngine:
     def test_a_block_is_at_most_one_piece_of_whole_rows(self, reps, n, workers):
         # a block of whole rows within BLOCK_VALUES is one record-scan
         # piece; a path longer than that is a block of its own
-        shapes = uniforms(0, reps, n, lambda u: u.shape, workers)
+        shapes = replicate(0, reps, n, lambda u: u.shape, workers)
         assert len(shapes) >= workers
         assert sum(rows for rows, _ in shapes) == reps
         assert all(rows * n <= max(BLOCK_VALUES, n) for rows, _ in shapes)
