@@ -10,13 +10,17 @@ the two listings:
     diff before.txt after.txt
 
 It hashes the `mc_record_rate` summaries of five laws at path lengths on
-both sides of the vectorized-stream cutoff and past one block, on one
-and two workers; seven `asymptotic_variance_mc` runs: one with no
-burn-in, one with a burn-in of one value, one at a threshold where
-almost every step is a record (Normal, c = 1, delta = -2), one at c < 0,
-where no burn-in value is skipped, and one of a law with a finite top
-(Uniform); bootstrap histograms at three thresholds; the fixture series
-at four seeds; and a long `simulate_ldm` path.  It takes a few seconds.
+both sides of the vectorized-stream cutoff, on both sides of the row
+length from which the record scan takes a block one row at a time (2047
+and 2048, then 4001 and 20000, several rows a block) and past one
+block, on one and two workers; eight `asymptotic_variance_mc` runs: one
+with no burn-in, one with a burn-in of one value, one at a threshold
+where almost every step is a record (Normal, c = 1, delta = -2), one at
+c < 0, where no burn-in value is skipped, one of a law with a finite top
+(Uniform), and one at the default horizon and burn-in, whose 4001-wide
+window is scanned row by row; bootstrap histograms at three thresholds;
+the fixture series at four seeds; and a long `simulate_ldm` path.  It
+takes a few seconds.
 """
 import hashlib
 import sys
@@ -27,7 +31,7 @@ import driftrecords as dr
 from driftrecords.analysis import FIXTURE_SEED
 
 LAWS = ["normal:mu=0.3,sigma=2", "gumbel", "pareto1", "uniform:lo=-1,hi=2", "exp:rate=1.5"]
-LENGTHS = [20, 513, 700, 2000, 70_000]
+LENGTHS = [20, 513, 700, 2000, 2047, 2048, 4001, 20_000, 70_000]
 
 
 def digest(*arrays) -> str:
@@ -48,15 +52,16 @@ def main() -> None:
                 d = digest(s.counts, s.standardized,
                            np.array([s.mean_rate, s.rate_stderr, s.stabilization_fraction]))
                 print(f"mc_record_rate {spec} n={n} reps={reps} workers={workers} {d}", file=out)
-    for spec, c, delta, burn_in in (("gumbel", 1.0, 0.5, 500), ("normal", 0.1, -0.2, 500),
-                                    ("normal", 0.1, -0.2, 0), ("normal", 0.1, -0.2, 1),
-                                    ("normal", 1.0, -2.0, 500), ("gumbel", -0.001, -2.0, 500),
-                                    ("uniform:lo=-1,hi=2", 0.1, 0.2, 500)):
+    for spec, c, delta, burn_in, horizon in (
+            ("gumbel", 1.0, 0.5, 500, 1500), ("normal", 0.1, -0.2, 500, 1500),
+            ("normal", 0.1, -0.2, 0, 1500), ("normal", 0.1, -0.2, 1, 1500),
+            ("normal", 1.0, -2.0, 500, 1500), ("gumbel", -0.001, -2.0, 500, 1500),
+            ("uniform:lo=-1,hi=2", 0.1, 0.2, 500, 1500), ("normal", 0.1, 0.5, 2000, 4000)):
         ldm = dr.LdmConfig(dr.parse_spec(spec), c=c, delta=delta)
-        v = dr.asymptotic_variance_mc(ldm, horizon=1500, burn_in=burn_in, lag_max=20, reps=40,
-                                      seed=3, workers=2)
-        print(f"asymptotic_variance_mc {spec} c={c} delta={delta} burn_in={burn_in} {v!r}",
-              file=out)
+        v = dr.asymptotic_variance_mc(ldm, horizon=horizon, burn_in=burn_in, lag_max=20,
+                                      reps=40, seed=3, workers=2)
+        print(f"asymptotic_variance_mc {spec} c={c} delta={delta} burn_in={burn_in} "
+              f"horizon={horizon} {v!r}", file=out)
     series = dr.synthetic_temperature_series()
     fit = dr.ols_fit(series)
     for delta in (-1.0, 0.0, 0.5):

@@ -4,8 +4,9 @@ The quantile is scipy's ``ndtri``, within a few units in the last place
 over (0, 1).  We deliberately use the same quantile for
 inverse-transform sampling and for confidence intervals, so every normal
 variate in the package flows through one deterministic code path.  It
-is one ufunc call that holds only its output and releases the GIL for
-the whole array, so the threads of the Monte Carlo pool overlap on it.
+is one ufunc call that holds only its output, or writes into the array
+it is given, and releases the GIL for the whole array, so the threads of
+the Monte Carlo pool overlap on it.
 
 ``log_ndtr_odd_derivatives`` gives g = log Phi its first, third and fifth
 derivatives in one call, and ``log_ndtr_integral`` its antiderivative: the
@@ -19,7 +20,7 @@ import numpy as np
 from scipy import special as _sc
 
 
-def norm_quantile(p):
+def norm_quantile(p, out=None):
     """Inverse standard normal cdf, vectorized: ``scipy.special.ndtri``.
 
     Parameters
@@ -27,14 +28,19 @@ def norm_quantile(p):
     p : float or ndarray
         Probabilities in [0, 1].  Endpoints map to -inf/+inf, and NaN or
         a point outside [0, 1] to NaN.
+    out : ndarray, optional
+        A float64 array of p's shape, which may be p itself, to write
+        the quantiles into.
 
     Returns
     -------
     float or ndarray
-        A float for a float or a 0-d array, and a new array otherwise;
-        the input is left unchanged.
+        ``out`` when given.  Otherwise a float for a float or a 0-d
+        array, and a new array for an array, which is left unchanged.
     """
-    x = _sc.ndtri(np.asarray(p, dtype=np.float64))
+    x = _sc.ndtri(np.asarray(p, dtype=np.float64), out=out)
+    if out is not None:
+        return out
     return float(x) if np.ndim(x) == 0 else x
 
 

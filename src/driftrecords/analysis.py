@@ -297,9 +297,9 @@ def analyze(
 
 
 def _normal_paths(u, sigma: float, trend):
-    """The paths sigma * Phi^-1(u) + trend, built in place; unlike
+    """The paths sigma * Phi^-1(u) + trend, built in place in u; unlike
     Normal(0, sigma).quantile it also serves sigma = 0, a perfect fit."""
-    x = norm_quantile(u)
+    x = norm_quantile(u, out=u)
     x *= sigma
     x += trend
     return x

@@ -39,6 +39,19 @@ _INF = math.inf
 _NORMAL_FLOOR_Z = -40.0
 
 
+def _target(u, out):
+    """u as a float64 array, and the array its quantiles go into: out,
+    or a new array of u's shape."""
+    u = np.asarray(u, dtype=np.float64)
+    return u, (np.empty_like(u) if out is None else out)
+
+
+def _result(x, out):
+    """What ``quantile`` returns: out when given, else x, a 0-d x as a
+    scalar."""
+    return x[()] if out is None else out
+
+
 @dataclass(frozen=True)
 class TailInfo:
     """Right-tail facts the finiteness classifiers branch on.
@@ -90,10 +103,15 @@ class Distribution:
     def pdf(self, x):
         raise NotImplementedError
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
         """F^-1(u): a new array for an array u, which stays unchanged, and
-        a float for a float.  The Monte Carlo scans add the drift into the
-        returned array in place.
+        a float for a float.
+
+        ``out``, when given, is a float64 array of u's shape, and may be
+        u itself; the quantiles are written into it and it is returned,
+        with the bits of the new array.  The Monte Carlo reductions take
+        their quantiles this way, in the block of uniforms they own, and
+        add the drift in place.
 
         It is monotone non-decreasing in u up to a few units in the last
         place (the normal quantile steps back by up to 4 ulps next to
@@ -153,15 +171,15 @@ class Gumbel(Distribution):
         x = np.asarray(x, dtype=np.float64)
         return np.exp(-x - np.exp(-x))
 
-    def quantile(self, u):
-        # -log(-log u), in one new array; [()] makes a 0-d result a scalar
-        u = np.asarray(u, dtype=np.float64)
-        x = np.empty_like(u)
+    def quantile(self, u, out=None):
+        # -log(-log u)
+        u, x = _target(u, out)
         with np.errstate(divide="ignore"):
             np.log(u, out=x)
             np.negative(x, out=x)
             np.log(x, out=x)
-        return np.negative(x, out=x)[()]
+        np.negative(x, out=x)
+        return _result(x, out)
 
     def tail_info(self):
         # the hazard f/S tends to 1
@@ -202,10 +220,13 @@ class ParetoUnit(Distribution):
         with np.errstate(divide="ignore"):
             return np.where(x > 1.0, 1.0 / np.square(np.maximum(x, 1.0)), 0.0)
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=np.float64)
+    def quantile(self, u, out=None):
+        # 1 / (1 - u)
+        u, x = _target(u, out)
+        np.subtract(1.0, u, out=x)
         with np.errstate(divide="ignore"):
-            return 1.0 / (1.0 - u)
+            np.divide(1.0, x, out=x)
+        return _result(x, out)
 
     def tail_info(self):
         return TailInfo(_INF, False)
@@ -268,10 +289,16 @@ class Dagum(Distribution):
         )
         return np.where(x > 0.0, val, 0.0)
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=np.float64)
+    def quantile(self, u, out=None):
+        # b / expm1(-log(u) / q)
+        u, x = _target(u, out)
         with np.errstate(divide="ignore"):
-            return self.b / np.expm1(-np.log(u) / self.q)
+            np.log(u, out=x)
+            np.negative(x, out=x)
+            np.divide(x, self.q, out=x)
+            np.expm1(x, out=x)
+            np.divide(self.b, x, out=x)
+        return _result(x, out)
 
     def tail_info(self):
         return TailInfo(_INF, False)
@@ -330,8 +357,8 @@ class Normal(Distribution):
     def pdf(self, x):
         return norm_pdf(self._z(x)) / self.sigma
 
-    def quantile(self, u):
-        x = norm_quantile(u)
+    def quantile(self, u, out=None):
+        x = norm_quantile(u, out=out)
         x *= self.sigma
         x += self.mu
         return x
@@ -448,9 +475,12 @@ class Uniform(Distribution):
         inside = (x >= self.lo) & (x <= self.hi)
         return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        return self.lo + u * (self.hi - self.lo)
+    def quantile(self, u, out=None):
+        # lo + u (hi - lo)
+        u, x = _target(u, out)
+        np.multiply(u, self.hi - self.lo, out=x)
+        np.add(x, self.lo, out=x)
+        return _result(x, out)
 
     def tail_info(self):
         if self.hi <= 0.0:
@@ -520,10 +550,15 @@ class Exponential(Distribution):
         x = np.asarray(x, dtype=np.float64)
         return np.where(x > 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=np.float64)
+    def quantile(self, u, out=None):
+        # -log1p(-u) / rate
+        u, x = _target(u, out)
+        np.negative(u, out=x)
         with np.errstate(divide="ignore"):
-            return -np.log1p(-u) / self.rate
+            np.log1p(x, out=x)
+        np.negative(x, out=x)
+        np.divide(x, self.rate, out=x)
+        return _result(x, out)
 
     def tail_info(self):
         # the hazard f/S is the constant rate

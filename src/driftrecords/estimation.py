@@ -78,6 +78,8 @@ def variance_estimator(
 def _window(dist, drift, burn_in, u):
     """`asymptotic_variance_mc`'s paths of the block u from column
     w = burn_in - 1 >= 0 on, column w raised to its row's burn-in maximum.
+    They are built in place, in a view of u, and every column from j0
+    on (below) is overwritten.
 
     The window comes first, so x[w] = Q(u[w]) + drift[w] is known.  At
     c = drift[0] > 0, as the quantile Q is monotone, column j < w holds
@@ -87,7 +89,7 @@ def _window(dist, drift, burn_in, u):
     ``_PRUNE_SLACK``, in every row of the block take no quantile.
     """
     w = burn_in - 1
-    x = dist.quantile(u[:, w:])
+    x = dist.quantile(u[:, w:], out=u[:, w:])
     x += drift[w:]
     j0 = 0
     if w > 0 and drift[0] > 0.0:
@@ -98,7 +100,7 @@ def _window(dist, drift, burn_in, u):
             lim = np.min(last - top - _PRUNE_SLACK * (np.abs(last) + np.abs(top)))
         j0 = 0 if np.isnan(lim) else int(np.searchsorted(drift[:w], lim))
     if j0 < w:
-        burn = dist.quantile(u[:, j0:w])
+        burn = dist.quantile(u[:, j0:w], out=u[:, j0:w])
         burn += drift[j0:w]
         np.maximum(burn.max(axis=1), x[:, 0], out=x[:, 0])
     return x
@@ -147,7 +149,7 @@ def asymptotic_variance_mc(
 
     def reduce(u):
         if not burn_in:
-            x = ldm.dist.quantile(u)
+            x = ldm.dist.quantile(u, out=u)
             x += drift
             return record_scan(x, ldm.delta)
         return record_scan(_window(ldm.dist, drift, burn_in, u), ldm.delta)[:, 1:]

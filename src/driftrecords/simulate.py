@@ -317,8 +317,9 @@ def simulate_ldm(ldm: LdmConfig, n: int, rng: np.random.Generator) -> np.ndarray
     """One path X_j + c*j for j = 1..n.
 
     The path is filled a piece of ``BLOCK_VALUES`` at a time: uniforms,
-    then quantiles, then the drift.  ``rng`` draws one double per value,
-    in order, so the path has the bits of the one-shot
+    then their quantiles in place, then the drift, so the call holds the
+    path and one piece of drift.  ``rng`` draws one double per value, in
+    order, so the path has the bits of the one-shot
     ``dist.quantile(rng.random(n)) + c * np.arange(1, n + 1)``.
     """
     require_int("n", n, 1)
@@ -326,10 +327,11 @@ def simulate_ldm(ldm: LdmConfig, n: int, rng: np.random.Generator) -> np.ndarray
     for lo in range(0, n, BLOCK_VALUES):
         piece = x[lo:lo + BLOCK_VALUES]
         rng.random(out=piece)
-        piece[:] = ldm.dist.quantile(piece)
+        ldm.dist.quantile(piece, out=piece)
         drift = np.arange(lo + 1, lo + 1 + piece.shape[0], dtype=np.float64)
         drift *= ldm.c
         piece += drift
+        del drift  # freed before the next piece makes its own
     return x
 
 
@@ -343,7 +345,7 @@ def mc_record_rate(cfg: SimulationConfig, workers: int = 1) -> SimSummary:
     drift = ldm.c * np.arange(1, n + 1, dtype=np.float64)
 
     def reduce(u):
-        x = ldm.dist.quantile(u)
+        x = ldm.dist.quantile(u, out=u)
         x += drift
         flags = record_scan(x, ldm.delta)
         return flags.sum(axis=1), n - np.argmax(flags[:, ::-1], axis=1)

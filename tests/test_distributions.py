@@ -486,9 +486,17 @@ class TestNormQuantile:
             assert Normal(mu, sigma).quantile(v) == mu + sigma * float(scipy.special.ndtri(v))
 
 
+QUANTILES = [d.quantile for d in ALL_DISTS] + [_special.norm_quantile]
+QUANTILE_IDS = [repr(d) for d in ALL_DISTS] + ["norm_quantile"]
+
+
 class TestInPlaceQuantiles:
-    """Gumbel's quantile runs its chain of ufuncs in place in one new
-    array; every value keeps the bits of the one-shot expression."""
+    """Every law runs its chain of ufuncs in place, in a new array or in
+    the ``out`` array it is given; every value keeps the bits of the
+    one-shot expression, and ``out`` gets the bits of the new array."""
+
+    # both ends of [0, 1], its middle and the largest uniform below 1
+    EDGES = [0.0, 0.5, 1.0 - 2.0**-53, 1.0]
 
     @pytest.mark.parametrize("n", [1, 7, BLOCK_VALUES + 5])
     def test_gumbel_matches_the_one_shot_form(self, n):
@@ -497,6 +505,39 @@ class TestInPlaceQuantiles:
         with np.errstate(divide="ignore", invalid="ignore"):
             gumbel = -np.log(-np.log(u))
         assert Gumbel().quantile(u).tobytes() == gumbel.tobytes()
+
+    @pytest.mark.parametrize("quantile", QUANTILES, ids=QUANTILE_IDS)
+    def test_out_gets_the_bits_of_a_new_array(self, quantile):
+        u = np.random.default_rng(5).random((6, 40))
+        u[:, :4] = self.EDGES
+        u[2, 20:24] = self.EDGES
+        want = quantile(u)
+        x = u.copy()
+        assert quantile(x, out=x) is x
+        assert x.tobytes() == want.tobytes()
+        out = np.empty_like(u)
+        assert quantile(u, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        # a strided view of the block, as the sigma2 window builder takes
+        # its quantiles: the columns left of the view stay uniforms
+        for w in (1, 17):
+            x = u.copy()
+            view = x[:, w:]
+            assert quantile(view, out=view) is view
+            assert view.tobytes() == want[:, w:].tobytes()
+            assert x[:, :w].tobytes() == u[:, :w].tobytes()
+
+    @pytest.mark.parametrize("quantile", QUANTILES, ids=QUANTILE_IDS)
+    def test_zero_d_out_and_float_inputs(self, quantile):
+        for v in self.EDGES + [0.3]:
+            want = quantile(np.array([v]))
+            assert np.float64(quantile(v)).tobytes() == want.tobytes()
+            x = np.array(v)
+            assert quantile(x, out=x) is x
+            assert x.tobytes() == want.tobytes()
+            out = np.empty(())
+            assert quantile(v, out=out) is out
+            assert out.tobytes() == want.tobytes()
 
 
 class TestQuantileContract:
@@ -508,6 +549,10 @@ class TestQuantileContract:
         assert u.tobytes() == before.tobytes()
         assert x.shape == u.shape and not np.shares_memory(x, u)
         assert dist.quantile(u.reshape(-1, 7)).shape == (143, 7)
+        view = u.reshape(-1, 7)[:, 2:]
+        x = dist.quantile(view)
+        assert u.tobytes() == before.tobytes()
+        assert x.shape == (143, 5) and not np.shares_memory(x, u)
 
     @pytest.mark.parametrize("dist", ALL_DISTS, ids=repr)
     def test_a_float_gives_a_float(self, dist):

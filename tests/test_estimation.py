@@ -164,15 +164,17 @@ class TestAsymptoticVarianceMc:
     @pytest.mark.parametrize("spec", LAWS)
     def test_pruned_rows_keep_their_burn_in_maximum(self, spec, c, burn_in):
         # one row per call, so no other row of a block loosens its cut:
-        # a column pruned by mistake shows as soon as it holds the maximum
+        # a column pruned by mistake shows as soon as it holds the maximum.
+        # _window builds its paths in the block it is given, so each call
+        # gets a copy of the uniforms
         dist, rows = parse_spec(spec), 400
         drift = c * np.arange(1, burn_in + 6, dtype=np.float64)
         u = np.random.default_rng(23).random((rows, drift.shape[0]))
         full = dist.quantile(u) + drift
         want = full[:, :burn_in].max(axis=1)
-        got = [_window(dist, drift, burn_in, row[None])[0, 0] for row in u]
+        got = [_window(dist, drift, burn_in, row[None].copy())[0, 0] for row in u]
         assert np.array(got).tobytes() == want.tobytes()
-        whole = _window(dist, drift, burn_in, u)
+        whole = _window(dist, drift, burn_in, u.copy())
         assert whole[:, 0].tobytes() == want.tobytes()
         assert whole[:, 1:].tobytes() == full[:, burn_in:].tobytes()
 
@@ -180,9 +182,9 @@ class TestAsymptoticVarianceMc:
         points = []
         quantile = Normal.quantile
 
-        def counted(self, u):
+        def counted(self, u, out=None):
             points.append(np.size(u))
-            return quantile(self, u)
+            return quantile(self, u, out=out)
 
         monkeypatch.setattr(Normal, "quantile", counted)
         ldm = LdmConfig(Normal(), c=0.1, delta=0.5)

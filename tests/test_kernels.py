@@ -51,6 +51,34 @@ class TestKernelSemantics:
             assert flags.dtype == np.bool_ and flags.shape == shape
             assert flags.tobytes() == one_shot_flags(y, delta).tobytes()
 
+    @pytest.mark.parametrize("n", [
+        _kernels._ROW_SCAN_MIN - 1, _kernels._ROW_SCAN_MIN, 4001, 20_000, 70_000,
+    ])
+    def test_row_by_row_scan_matches_the_one_shot_form(self, n):
+        # stacks of rows on both sides of the length from which a stack is
+        # scanned row by row.  A slow drift on a 1/4 grid makes many
+        # records and exact ties; row 0 ties -0.0 with +0.0, row 1 holds
+        # -inf and then +inf, after which nothing is a record, and row 2
+        # a NaN, after which nothing is a record either; row 3 on is plain
+        rows = max(4, B // n)
+        rng = np.random.default_rng(n)
+        y = np.round(4.0 * rng.standard_normal((rows, n)) + 8.0 * np.arange(n) / n) / 4.0
+        y[0] = -0.0
+        y[0, n // 3::2] = 0.0
+        y[1, 0] = y[1, n // 2] = -np.inf
+        y[1, 2 * n // 3] = np.inf
+        y[2, n // 2 + 1] = np.nan
+        for delta in (-0.5, -0.0, 0.0, 0.25):
+            flags = _kernels.record_scan(y, delta)
+            assert flags.dtype == np.bool_ and flags.shape == y.shape
+            assert flags.tobytes() == one_shot_flags(y, delta).tobytes()
+            # a strided view, as the sigma2 window is scanned
+            view = y[:, 3:]
+            flags_view = _kernels.record_scan(view, delta)
+            assert flags_view.tobytes() == one_shot_flags(view, delta).tobytes()
+        assert np.count_nonzero(flags[1, 2 * n // 3 + 1:]) == 0
+        assert np.count_nonzero(flags[2, n // 2 + 1:]) == 0
+
     def test_carried_maximum_reaches_later_pieces(self):
         # one early peak is the running maximum of every later piece
         y = np.zeros(3 * B + 5)

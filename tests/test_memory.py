@@ -49,14 +49,15 @@ CASES = {
     "norm_quantile": (lambda u, path, fl: norm_quantile(u), 1.3),
     "Normal.quantile": (lambda u, path, fl: Normal(1.0, 2.0).quantile(u), 1.3),
     "Gumbel.quantile": (lambda u, path, fl: Gumbel().quantile(u), 1.1),
-    "simulate_ldm": (lambda u, path, fl: simulate_ldm(LDM, N, replication_rng(21, 0)), 1.5),
+    # the path and one piece of drift: the measured peak was 1.07
+    "simulate_ldm": (lambda u, path, fl: simulate_ldm(LDM, N, replication_rng(21, 0)), 1.1),
     "delta_record_flags": (lambda u, path, fl: delta_record_flags(path, 0.5), 0.3),
     # a short lag window: the peak does not depend on m, the time does
     "variance_estimator": (lambda u, path, fl: variance_estimator(fl, m=10), 1.1),
     # 200 paths of 2000 burn-in and 3000 window values: 1e6 values in
     # blocks of 2**16.  The window flags cost one byte per window value
     # (0.075 here), held by the blocks and then once more concatenated;
-    # the measured peak was 0.22
+    # the measured peak was 0.16
     "asymptotic_variance_mc": (lambda u, path, fl: asymptotic_variance_mc(
         LDM, horizon=3000, burn_in=2000, reps=200, workers=1), 0.45),
 }

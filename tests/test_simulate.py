@@ -18,7 +18,7 @@ from driftrecords import (
     synthetic_temperature_series,
 )
 from driftrecords import simulate
-from driftrecords._kernels import BLOCK_VALUES, record_scan
+from driftrecords._kernels import _ROW_SCAN_MIN, BLOCK_VALUES, record_scan
 from driftrecords._special import norm_quantile
 from driftrecords.simulate import (
     _VECTOR_MAX_N,
@@ -194,21 +194,24 @@ LAWS = ["gumbel", "pareto1", "dagum:b=1,q=2", "normal:mu=0.3,sigma=2",
 class TestEngine:
     @pytest.mark.parametrize("spec", LAWS)
     def test_counts_match_one_replication_at_a_time(self, spec):
-        # 2**16 values per block: 37 replications of 5000 make 3 blocks
-        # of 13, 13 and 11 rows, so the last block is short
-        n, reps, seed = 5000, 37, 19
-        cfg = config(spec, 0.01, 0.2, n, reps, seed=seed)
-        want_counts, want_last = [], []
-        for rep in range(reps):
-            x = cfg.ldm.dist.quantile(replication_rng(seed, rep).random(n))
-            flags = record_scan(x + 0.01 * np.arange(1, n + 1), 0.2)
-            want_counts.append(int(flags.sum()))
-            want_last.append(int(np.nonzero(flags)[0][-1]) + 1)
-        for workers in (1, 2, 3):
-            s = mc_record_rate(cfg, workers)
-            assert s.counts.dtype == np.int64
-            np.testing.assert_array_equal(s.counts, want_counts)
-            assert s.stabilization_fraction == np.mean(2 * np.array(want_last) <= n)
+        # 2**16 values per block: 37 replications of 5000 make 3 blocks of
+        # 13, 13 and 11 rows, so the last block is short, and are scanned
+        # row by row; rows one value shorter than the row scan's minimum
+        # are scanned as one stack
+        reps, seed = 37, 19
+        for n in (5000, _ROW_SCAN_MIN - 1):
+            cfg = config(spec, 0.01, 0.2, n, reps, seed=seed)
+            want_counts, want_last = [], []
+            for rep in range(reps):
+                x = cfg.ldm.dist.quantile(replication_rng(seed, rep).random(n))
+                flags = record_scan(x + 0.01 * np.arange(1, n + 1), 0.2)
+                want_counts.append(int(flags.sum()))
+                want_last.append(int(np.nonzero(flags)[0][-1]) + 1)
+            for workers in (1, 2, 3):
+                s = mc_record_rate(cfg, workers)
+                assert s.counts.dtype == np.int64
+                np.testing.assert_array_equal(s.counts, want_counts)
+                assert s.stabilization_fraction == np.mean(2 * np.array(want_last) <= n)
 
     @pytest.mark.parametrize("n", [7, _VECTOR_MAX_N + 1])
     def test_a_row_is_the_quantile_of_its_uniforms_plus_the_trend(self, n):
@@ -216,8 +219,9 @@ class TestEngine:
         trend = np.linspace(-1.0, 3.0, n)
 
         def paths(u):
-            # the consumers' form: the trend added in place into the quantiles
-            x = dist.quantile(u)
+            # the consumers' form: the quantiles taken in the block, the
+            # trend added in place into them
+            x = dist.quantile(u, out=u)
             x += trend
             return x
 
@@ -241,9 +245,11 @@ class TestEngine:
             np.testing.assert_array_equal(bs.histogram, np.bincount(counts, minlength=n + 1))
             assert bs.mean == np.mean(counts)
 
-    # 400 values per path take the vectorized streams, 700 and 600 the
-    # long-row path; at c = 1, delta = -2 almost every step is a record
+    # 400 values per path take the vectorized streams, 700, 600 and 2200
+    # the long-row path; at c = 1, delta = -2 almost every step is a
+    # record, and a window of 2101 values is scanned row by row
     @pytest.mark.parametrize("spec, c, delta, burn_in, horizon, lag_max", [
+        ("normal:mu=0.3,sigma=2", 0.05, -0.2, 100, 2100, 8),
         ("normal:mu=0.3,sigma=2", 0.05, -0.2, 100, 300, 8),
         ("normal:mu=0.3,sigma=2", 0.05, -0.2, 300, 400, 8),
         ("normal", 1.0, -2.0, 300, 400, 8),
