@@ -19,7 +19,11 @@ where almost every step is a record (Normal, c = 1, delta = -2), one at
 c < 0, where no burn-in value is skipped, one of a law with a finite top
 (Uniform), and one at the default horizon and burn-in, whose 4001-wide
 window is scanned row by row; bootstrap histograms at three thresholds;
-the fixture series at four seeds; and a long `simulate_ldm` path.  It
+the fixture series at four seeds; a long `simulate_ldm` path; and the
+record flags of single rows on both sides of one block and past three,
+on a 1/4 grid that makes exact ties, through `delta_record_flags` and,
+with -inf at the start and on both sides of each piece edge (which
+`delta_record_flags` refuses), through `_kernels.record_scan`.  It
 takes a few seconds.
 """
 import hashlib
@@ -28,10 +32,12 @@ import sys
 import numpy as np
 
 import driftrecords as dr
+from driftrecords import _kernels
 from driftrecords.analysis import FIXTURE_SEED
 
 LAWS = ["normal:mu=0.3,sigma=2", "gumbel", "pareto1", "uniform:lo=-1,hi=2", "exp:rate=1.5"]
 LENGTHS = [20, 513, 700, 2000, 2047, 2048, 4001, 20_000, 70_000]
+B = _kernels.BLOCK_VALUES
 
 
 def digest(*arrays) -> str:
@@ -74,6 +80,17 @@ def main() -> None:
     ldm = dr.LdmConfig(dr.parse_spec("normal"), c=0.1, delta=0.5)
     path = dr.simulate_ldm(ldm, 200_000, dr.replication_rng(21, 0))
     print(f"simulate_ldm n=200000 {digest(path)}", file=out)
+    for n in (B - 1, B, B + 1, 3 * B + 5):
+        rng = np.random.default_rng(n)
+        y = np.round(4.0 * rng.standard_normal(n) + 8.0 * np.arange(n) / n) / 4.0
+        for delta in (-0.5, 0.0, 0.25):
+            d = digest(dr.delta_record_flags(y, delta).flags)
+            print(f"delta_record_flags n={n} delta={delta} {d}", file=out)
+        for at in (0, *range(B - 1, n, B)):
+            y[at:at + 2] = -np.inf
+        for delta in (-0.5, 0.0, 0.25):
+            d = digest(_kernels.record_scan(y, delta))
+            print(f"record_scan -inf n={n} delta={delta} {d}", file=out)
 
 
 if __name__ == "__main__":

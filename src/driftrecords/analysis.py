@@ -16,7 +16,7 @@ from ._kernels import lag_products, record_scan
 from ._special import norm_quantile
 from .errors import DriftRecordsError, require_finite, require_int
 from .estimation import gaussian_interval, variance_estimator
-from .records import delta_record_flags, running_rate
+from .records import _rates, delta_record_flags
 from .simulate import replicate, replication_rng
 
 FIXTURE_SEED = 165433
@@ -269,13 +269,15 @@ def analyze(
 
     Records are flagged on the observed values themselves, so the
     fitted trend remains in the data; the regression supplies the slope
-    estimate and residual diagnostics, not a detrending step.
+    estimate and residual diagnostics, not a detrending step.  Each
+    threshold, delta and 0 for the plain record count, is scanned once.
     """
     fit = ols_fit(ts)
     n = len(ts)
     flags = delta_record_flags(ts.value, delta)
     count = int(np.sum(flags.flags))
-    record_count = int(np.sum(delta_record_flags(ts.value, 0.0).flags))
+    plain = flags if delta == 0.0 else delta_record_flags(ts.value, 0.0)
+    record_count = int(np.sum(plain.flags))
     p_hat = count / n
     est = variance_estimator(flags, m)
     interval = gaussian_interval(n, p_hat, est.sigma2, level)
@@ -290,7 +292,7 @@ def analyze(
         sigma2_floored=est.floored,
         level=level,
         interval=interval,
-        rate_path=running_rate(ts.value, delta),
+        rate_path=_rates(flags.flags),
         fit=fit,
         diagnostics=_diagnostics(fit, n),
     )

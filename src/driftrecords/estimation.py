@@ -77,9 +77,10 @@ def variance_estimator(
 
 def _window(dist, drift, burn_in, u):
     """`asymptotic_variance_mc`'s paths of the block u from column
-    w = burn_in - 1 >= 0 on, column w raised to its row's burn-in maximum.
-    They are built in place, in a view of u, and every column from j0
-    on (below) is overwritten.
+    max(w, 0) on, for w = burn_in - 1 >= -1, column w raised to its
+    row's burn-in maximum; with no burn-in (w = -1) they are the whole
+    paths.  They are built in place, in a view of u, and every column
+    from j0 on (below) is overwritten.
 
     The window comes first, so x[w] = Q(u[w]) + drift[w] is known.  At
     c = drift[0] > 0, as the quantile Q is monotone, column j < w holds
@@ -89,8 +90,8 @@ def _window(dist, drift, burn_in, u):
     ``_PRUNE_SLACK``, in every row of the block take no quantile.
     """
     w = burn_in - 1
-    x = dist.quantile(u[:, w:], out=u[:, w:])
-    x += drift[w:]
+    x = dist.quantile(u[:, max(w, 0):], out=u[:, max(w, 0):])
+    x += drift[max(w, 0):]
     j0 = 0
     if w > 0 and drift[0] > 0.0:
         last = x[:, 0]
@@ -135,8 +136,9 @@ def asymptotic_variance_mc(
     the block split or the worker count.
 
     The burn-in reaches the window only through each row's maximum, so
-    a block builds only the window, from column burn_in - 1 on, folds
-    that maximum into its first column and scans from there (`_window`).
+    a block builds only the window, from column burn_in - 1 on (the
+    whole path with no burn-in), folds that maximum into its first
+    column and scans from there (`_window`).
     At c > 0 the burn-in takes quantiles only where its maximum can
     fall: about 4,050 a row instead of 6,000 at the defaults (Normal,
     c = 0.1).  max picks one of its inputs, and the compare cannot tell
@@ -148,11 +150,7 @@ def asymptotic_variance_mc(
     drift = ldm.c * np.arange(1, burn_in + horizon + 1, dtype=np.float64)
 
     def reduce(u):
-        if not burn_in:
-            x = ldm.dist.quantile(u, out=u)
-            x += drift
-            return record_scan(x, ldm.delta)
-        return record_scan(_window(ldm.dist, drift, burn_in, u), ldm.delta)[:, 1:]
+        return record_scan(_window(ldm.dist, drift, burn_in, u), ldm.delta)[:, -horizon:]
 
     ind = np.concatenate(replicate(seed, reps, burn_in + horizon, reduce, workers))
     lags = np.arange(1, lag_max + 1)

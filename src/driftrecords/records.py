@@ -4,8 +4,8 @@ An observation is a delta-record when it exceeds the running maximum of all
 previous observations by strictly more than delta; the first observation is
 a delta-record by convention.  Ties therefore never count, which keeps the
 scan deterministic on floating-point data.  A scan keeps only the
-indicators; the running maximum it compares against is scratch, formed
-a piece at a time (`_kernels.record_scan`).
+indicators; the running maximum it compares against is scratch, at
+most a block of it at a time (`_kernels.record_scan`).
 """
 from dataclasses import dataclass
 
@@ -54,6 +54,9 @@ def delta_record_flags(y, delta: float) -> RecordFlags:
 
 def running_rate(y, delta: float) -> np.ndarray:
     """Sequence of record rates: k-th entry is (records among first k) / k."""
-    flags = delta_record_flags(y, delta).flags
-    n = flags.shape[0]
-    return np.cumsum(flags, dtype=np.float64) / np.arange(1, n + 1, dtype=np.float64)
+    return _rates(delta_record_flags(y, delta).flags)
+
+
+def _rates(flags: np.ndarray) -> np.ndarray:
+    """`running_rate` of the flags of a scan already made."""
+    return np.cumsum(flags, dtype=np.float64) / np.arange(1, len(flags) + 1, dtype=np.float64)

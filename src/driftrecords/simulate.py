@@ -247,8 +247,8 @@ def replicate(seed: int, reps: int, n: int, reduce, workers: int = 1) -> list:
     require_int("n", n, 1)
     require_int("workers", workers, 1)
     seed = int(seed)
-    # whole rows of at most BLOCK_VALUES values, so that a block is one
-    # piece of the record scan
+    # whole rows of at most BLOCK_VALUES values, so that the stacked
+    # scan holds one block
     blocks = max(workers, math.ceil(reps / max(1, BLOCK_VALUES // n)))
     rows = math.ceil(reps / blocks)
     if n > _VECTOR_MAX_N:

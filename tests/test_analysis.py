@@ -8,11 +8,13 @@ from driftrecords import (
     TimeSeries,
     analyze,
     bootstrap_histogram,
+    delta_record_flags,
     load_series,
     ols_fit,
+    running_rate,
     synthetic_temperature_series,
 )
-from driftrecords import analysis, replication_rng
+from driftrecords import _kernels, analysis, replication_rng
 from driftrecords._special import norm_quantile
 from driftrecords.analysis import FIXTURE_SEED
 
@@ -172,6 +174,25 @@ class TestAnalyze:
         assert lo < rep.count < hi
         assert len(rep.rate_path) == 69
         assert rep.rate_path[-1] == pytest.approx(rep.p_hat)
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, -0.0, 0.5])
+    def test_scans_each_threshold_once(self, fixture_series, monkeypatch, delta):
+        # the rate path comes from the flags at delta, and at delta = 0
+        # those flags also give the plain record count
+        scans = []
+        scan = _kernels.record_scan
+
+        def counted(y, d):
+            scans.append(d)
+            return scan(y, d)
+
+        want_rate = running_rate(fixture_series.value, delta)
+        want_records = int(np.sum(delta_record_flags(fixture_series.value, 0.0).flags))
+        monkeypatch.setattr(_kernels, "record_scan", counted)
+        rep = analyze(fixture_series, delta)
+        assert len(scans) == (1 if delta == 0.0 else 2)
+        assert rep.rate_path.tobytes() == want_rate.tobytes()
+        assert rep.record_count == want_records
 
     def test_variance_window_stability_on_fixture(self, fixture_series):
         vals = [analyze(fixture_series, -1.0, m=m).sigma2_tilde for m in (6, 7, 8)]

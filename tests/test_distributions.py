@@ -477,6 +477,7 @@ class TestNormQuantile:
             assert got.shape == arr.shape and not np.shares_memory(got, arr)
             assert got.tobytes() == scipy.special.ndtri(np.ascontiguousarray(arr)).tobytes()
 
+    @pytest.mark.bit_identity
     @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (1.0, 2.0), (-3.5, 0.25)])
     def test_normal_quantile_is_mu_plus_sigma_ndtri(self, mu, sigma):
         u = np.concatenate([np.random.default_rng(9).random(BLOCK_VALUES + 5), self.EDGES])
@@ -490,6 +491,7 @@ QUANTILES = [d.quantile for d in ALL_DISTS] + [_special.norm_quantile]
 QUANTILE_IDS = [repr(d) for d in ALL_DISTS] + ["norm_quantile"]
 
 
+@pytest.mark.bit_identity
 class TestInPlaceQuantiles:
     """Every law runs its chain of ufuncs in place, in a new array or in
     the ``out`` array it is given; every value keeps the bits of the
@@ -540,6 +542,7 @@ class TestInPlaceQuantiles:
             assert out.tobytes() == want.tobytes()
 
 
+@pytest.mark.bit_identity
 class TestQuantileContract:
     @pytest.mark.parametrize("dist", ALL_DISTS, ids=repr)
     def test_argument_is_left_unchanged(self, dist):
@@ -600,6 +603,7 @@ def _all_points_log_ndtr_integral(z):
     )
 
 
+@pytest.mark.bit_identity
 class TestLogNdtrBranches:
     """log_ndtr_odd_derivatives and log_ndtr_integral run each branch on
     its own points only; g''' and the integral are pinned to the

@@ -33,14 +33,17 @@ class TestKernelSemantics:
         got = _kernels.lag_products(z, 5)
         np.testing.assert_allclose(got, [2.0, 1.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.bit_identity
     @pytest.mark.parametrize("shape", [
         (1,), (2,), (B - 1,), (B,), (B + 1,), (3 * B + 5,),
-        (5, B // 2 + 3), (40, 999), (2, 3, 20_001), (3, 2 * B + 7), (4, 1),
+        (5, B // 2 + 3), (40, 999), (2, 3, 20_001), (3, 2 * B + 7), (4, 1), (40, 2047),
     ])
     def test_piecewise_compare_matches_the_one_shot_form(self, shape):
-        # the running maximum is formed a piece at a time and carried
-        # across pieces; values on a 1/4 grid with delta = 0.25 make many
-        # exact ties, and -inf entries sit on and beside piece boundaries
+        # a row longer than a block is scanned a piece at a time, the
+        # running maximum carried across pieces, and a stack of short rows
+        # wider than one block in one piece; values on a 1/4 grid with
+        # delta = 0.25 make many exact ties, and -inf entries sit on and
+        # beside piece boundaries
         rng = np.random.default_rng(sum(shape))
         y = np.round(4.0 * rng.standard_normal(shape)) / 4.0
         n = shape[-1]
@@ -51,6 +54,7 @@ class TestKernelSemantics:
             assert flags.dtype == np.bool_ and flags.shape == shape
             assert flags.tobytes() == one_shot_flags(y, delta).tobytes()
 
+    @pytest.mark.bit_identity
     @pytest.mark.parametrize("n", [
         _kernels._ROW_SCAN_MIN - 1, _kernels._ROW_SCAN_MIN, 4001, 20_000, 70_000,
     ])

@@ -223,6 +223,7 @@ def test_single_function_call_per_refinement_round():
     assert calls[0] == 16 * 15
 
 
+@pytest.mark.bit_identity
 def test_first_pass_is_kept_exactly_when_its_gauge_meets_the_tolerance():
     # integrate keeps its first pass for tol >= the summed gauge and
     # refines below it; an infinite tol returns the first pass.

@@ -62,6 +62,7 @@ class TestPathGeneration:
             drifted - base, 2.0 * np.arange(1, 21), rtol=0, atol=1e-12
         )
 
+    @pytest.mark.bit_identity
     @pytest.mark.parametrize("n", [1, 2, BLOCK_VALUES - 1, BLOCK_VALUES + 1, 3 * BLOCK_VALUES + 5])
     @pytest.mark.parametrize("spec", ["normal:mu=0.3,sigma=2", "gumbel", "pareto1"])
     def test_pieces_match_the_one_shot_path(self, spec, n):
@@ -134,6 +135,7 @@ def streamed(seed, lo, rows, n):
     return u
 
 
+@pytest.mark.bit_identity
 class TestVectorizedStreams:
     """`_stream_block`, and the engine's rows longer than its cutoff,
     must give every row exactly the uniforms that replication_rng draws
@@ -192,6 +194,7 @@ LAWS = ["gumbel", "pareto1", "dagum:b=1,q=2", "normal:mu=0.3,sigma=2",
 
 
 class TestEngine:
+    @pytest.mark.bit_identity
     @pytest.mark.parametrize("spec", LAWS)
     def test_counts_match_one_replication_at_a_time(self, spec):
         # 2**16 values per block: 37 replications of 5000 make 3 blocks of
@@ -248,6 +251,7 @@ class TestEngine:
     # 400 values per path take the vectorized streams, 700, 600 and 2200
     # the long-row path; at c = 1, delta = -2 almost every step is a
     # record, and a window of 2101 values is scanned row by row
+    @pytest.mark.bit_identity
     @pytest.mark.parametrize("spec, c, delta, burn_in, horizon, lag_max", [
         ("normal:mu=0.3,sigma=2", 0.05, -0.2, 100, 2100, 8),
         ("normal:mu=0.3,sigma=2", 0.05, -0.2, 100, 300, 8),
