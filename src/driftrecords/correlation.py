@@ -4,22 +4,23 @@ The joint probability P[observations n and n+1 are both delta-records]
 is one record integral for either sign of delta.  For delta >= 0 the
 later observation must top the earlier one by delta.  For delta < 0 a
 second term appears where observation n+1 lands inside the
-length-|delta| window below observation n; its integral over
-observation n is a difference of survival functions, and shifting its
-variable by the trend makes both terms share one product.  So the joint
-probability is ``probability._record_integral`` with its own weight, and
-its bound has the same three parts as that of p_n.  The dependence index
-divides the joint probability by the product of the marginal record
+length-|delta| window below observation n; its integral over observation
+n is a difference of survival functions, and shifting its variable by
+the trend makes both terms share one product.  So the joint probability
+is ``probability._record_integral`` with its own weight, and its bound
+has the same three parts as that of p_n.  The dependence index divides
+the joint probability by the product of the marginal record
 probabilities, which share its product, so all three come from one
-quadrature: values above 1 mean attraction, below 1 repulsion.
+quadrature over the union of their windows: values above 1 mean
+attraction, below 1 repulsion.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import IllConditionedError, require_int
-from .probability import DEFAULT_TOL, LdmConfig, ProbResult, _record_integral
+from .probability import DEFAULT_TOL, LdmConfig, ProbResult, _density_weight, _record_integral
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,8 @@ class DependenceIndexResult:
 
 
 def _joint_weight(cfg):
-    """The joint probability's weight, window reach and weight kinks."""
+    """The joint probability's ``Weight``: the bracket, on f's window
+    widened by c where delta < 0, kinked at finite support ends."""
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
     window = delta < 0.0
     d_plus = max(delta, 0.0)
@@ -46,9 +48,12 @@ def _joint_weight(cfg):
             out += pdf(u - c) * (np.exp(log_sf(u)) - np.exp(log_sf(u - delta)))
         return out
 
+    f = _density_weight(dist)
+    reach = c if window else 0.0
     shifts = [c - d_plus] + ([c, 0.0, delta] if window else [])
-    kinks = [e + s for e in dist.support if math.isfinite(e) for s in shifts]
-    return weight, (c if window else 0.0), kinks
+    kinks = tuple(e + s for e in dist.support if math.isfinite(e) for s in shifts)
+    return replace(f, fn=weight, lo=min(f.lo, f.lo + reach), hi=max(f.hi, f.hi + reach),
+                   kinks=kinks)
 
 
 def joint_prob_consecutive(
@@ -66,15 +71,14 @@ def joint_prob_consecutive(
     less than |delta| below observation n; the integral over observation
     n is done in closed form and u is observation n+1 plus the trend.  So
     this is the record integral of ``p_n_delta`` with the bracket as its
-    weight, over a quantile window widened by c to cover f(u - c), with
-    the weight's kinks as panel edges.  Its bound has the same three
-    parts: the quadrature gauge, the mass outside the window (the bracket
-    is a conditional probability of observation n), and what the
-    Euler-Maclaurin remainders add.
+    weight, ``_joint_weight``.  Its bound has the same three parts: the
+    quadrature gauge, the mass the weight leaves outside its window (at
+    most what f leaves outside its own, as the bracket is a conditional
+    probability of observation n), and what the Euler-Maclaurin
+    remainders add.
     """
     require_int("n", n, 1)
-    weight, reach, kinks = _joint_weight(cfg)
-    (res,) = _record_integral(cfg, n - 1, tol, (weight,), reach, kinks)
+    (res,) = _record_integral(cfg, n - 1, tol, (_joint_weight(cfg),))
     return res
 
 
@@ -87,20 +91,20 @@ def dependence_index_result(
     P(x) = prod_{i=1..n-1} F(x + c i - delta), so they are one record
     integral with three weights: f for p_n, f F(x + c n - delta) for
     p_{n+1}, and the bracket of ``joint_prob_consecutive`` for the joint.
-    One quadrature and one log-product per integrand evaluation serve
-    all three.  Where the extra factor of p_{n+1} switches on or reaches
-    1 (a finite support endpoint minus c n - delta) is a panel edge.
-    p_1 is 1 exactly.  The bound adds the joint's relative bound to the
-    relative bounds of both marginals, to first order.
+    One quadrature over the union of their windows and one log-product per
+    integrand evaluation serve all three.  The weight of p_{n+1} is kinked
+    where its extra factor switches on or reaches 1 (a finite support
+    endpoint minus c n - delta).  p_1 is 1 exactly.  The bound adds the
+    joint's relative bound to the relative bounds of both marginals, to
+    first order.
     """
     require_int("n", n, 1)
     dist, shift = cfg.dist, cfg.c * n - cfg.delta
     pdf, cdf = dist.pdf, dist.cdf
-    weight, reach, kinks = _joint_weight(cfg)
-    kinks += [e - shift for e in dist.support if math.isfinite(e)]
-    pn, pn1, joint = _record_integral(
-        cfg, n - 1, tol, (pdf, lambda x: pdf(x) * cdf(x + shift), weight), reach, kinks
-    )
+    f = _density_weight(dist)
+    ends = tuple(e - shift for e in dist.support if math.isfinite(e))
+    f_next = replace(f, fn=lambda x: pdf(x) * cdf(x + shift), kinks=ends)
+    pn, pn1, joint = _record_integral(cfg, n - 1, tol, (f, f_next, _joint_weight(cfg)))
     if n == 1:
         pn = ProbResult(1.0, 0.0, 0)
     floor = 10.0 * tol

@@ -17,7 +17,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -85,9 +85,21 @@ class FinitenessVerdict:
     integral_value: Optional[float] = None
 
 
+@dataclass(frozen=True)
+class Weight:
+    """A record-integral weight w >= 0: ``fn`` on the window [lo, hi], the
+    mass it leaves ``outside`` that window, and its ``kinks`` (panel edges)."""
+
+    fn: Callable
+    lo: float
+    hi: float
+    outside: float
+    kinks: tuple = ()
+
+
 @functools.lru_cache(maxsize=64)
-def _quantile_window(dist):
-    """Finite integration window covering all but ~2e-12 of the mass,
+def _density_weight(dist):
+    """f on a finite window that leaves out at most 2e-12 of the mass,
     kept for the most recent laws (they are frozen, so they hash)."""
     lo, hi = dist.support
     cut = 0.0
@@ -97,7 +109,7 @@ def _quantile_window(dist):
     if not math.isfinite(hi):
         hi = float(dist.quantile(1.0 - _QUANTILE_CUT))
         cut += _QUANTILE_CUT
-    return lo, hi, cut
+    return Weight(dist.pdf, lo, hi, cut)
 
 
 def _product_cutoff(dist, c, delta, n_factors):
@@ -306,30 +318,29 @@ def _log_product(dist, y, c, m, start):
     return out, head, eps
 
 
-def _record_integral(cfg, m, tol, weights=None, reach=0.0, kinks=()):
+def _record_integral(cfg, m, tol, weights=None):
     """int w(x) prod_{i=1..m} F(x + c i - delta) dx for m >= 0 or m = inf,
-    one ``ProbResult`` per weight w in ``weights``.
+    one ``ProbResult`` per ``Weight`` w in ``weights``.
 
-    The weights w >= 0 default to ``(dist.pdf,)``, and ``kinks`` are their
-    panel edges.  All of them share one quadrature, and each integrand
-    evaluation one log-product.  The quantile window [lo, hi] is widened
-    to [lo + min(reach, 0), hi + max(reach, 0)]; a weight must leave
-    outside it at most the mass f leaves outside [lo, hi].  Each bound
-    adds the quadrature gauge (at 0.8 tol), that omitted mass, and what
-    the Euler-Maclaurin remainders (each node within tol/10 in log space)
-    add.  A ``QuadratureError`` names the caller's tol.
+    The weights default to ``_density_weight``, f on its quantile window.
+    All of them share one quadrature over the union of their windows, cut
+    below where the product vanishes, with every weight's kinks as panel
+    edges, and each integrand evaluation one log-product.  Each bound adds
+    the quadrature gauge (at 0.8 tol), the mass its own weight leaves
+    outside its window, and what the Euler-Maclaurin remainders (each node
+    within tol/10 in log space) add.  A ``QuadratureError`` names the
+    caller's tol.
     """
     require_positive(tol=tol)
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
-    ws = (dist.pdf,) if weights is None else tuple(weights)
-    lo, hi, cut = _quantile_window(dist)
-    floor = lo + min(reach, 0.0)
+    ws = (_density_weight(dist),) if weights is None else tuple(weights)
+    floor = min(w.lo for w in ws)
     lo = max(floor, _product_cutoff(dist, c, delta, m))
-    hi += max(reach, 0.0)
+    hi = max(w.hi for w in ws)
     if lo >= hi:
-        # the product vanishes on the window, so the value is 0 within
-        # the mass f leaves outside it
-        return tuple(ProbResult(0.0, cut, 0) for _ in ws)
+        # the product vanishes on the window, so each value is 0 within
+        # the mass its weight leaves outside its own window
+        return tuple(ProbResult(0.0, w.outside, 0) for w in ws)
 
     with np.errstate(over="ignore"):
         start = _tail_start(dist, lo - delta, c, m, tol / 10.0)
@@ -343,12 +354,12 @@ def _record_integral(cfg, m, tol, weights=None, reach=0.0, kinks=()):
         head, eps = max(head, h), max(eps, e)
         out = np.empty((len(ws),) + x.shape)
         for row, w in zip(out, ws):
-            np.multiply(product, w(x), out=row)
+            np.multiply(product, w.fn(x), out=row)
         return out
 
     breaks = np.concatenate((
         _product_kinks(dist, c, delta, m, lo, hi),
-        kinks,
+        *(w.kinks for w in ws),
         _cutoff_edges(dist, lo) if lo > floor else (),
     ))
     try:
@@ -364,9 +375,9 @@ def _record_integral(cfg, m, tol, weights=None, reach=0.0, kinks=()):
     # (value + err) / (1 - expm1(eps))
     grow = math.expm1(eps)
     out = []
-    for value, err in zip(values.tolist(), errs.tolist()):
+    for w, value, err in zip(ws, values.tolist(), errs.tolist()):
         value = min(max(value, 0.0), 1.0)
-        out.append(ProbResult(value, err + cut + (value + err) * grow / (1.0 - grow), head))
+        out.append(ProbResult(value, err + w.outside + (value + err) * grow / (1.0 - grow), head))
     return tuple(out)
 
 

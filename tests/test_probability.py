@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -28,7 +28,8 @@ from driftrecords import distributions, probability, quadrature
 from driftrecords.distributions import Dagum, ParetoUnit, Uniform
 from driftrecords.errors import DriftRecordsError, QuadratureError
 from driftrecords.probability import (
-    _below_top, _log_product, _record_integral, _tail_start,
+    DEFAULT_TOL, Weight, _below_top, _density_weight, _log_product, _record_integral,
+    _tail_start,
 )
 
 from conftest import BAD_INDICES
@@ -889,7 +890,7 @@ class TestIntegralSetup:
         monkeypatch.setattr(
             Normal, "quantile", lambda self, u: calls.append(u) or real(self, u)
         )
-        probability._quantile_window.cache_clear()
+        probability._density_weight.cache_clear()
         dist = Normal(mu=0.25, sigma=1.5)
         for _ in range(3):
             for c, delta in [(0.3, 0.0), (0.01, -0.4), (7e-4, 0.6)]:
@@ -909,10 +910,73 @@ class TestIntegralSetup:
             inner.append(_record_integral(b, 3000, 1e-8))
             return a.dist.pdf(x)
 
-        assert _record_integral(a, math.inf, 1e-8, (weight,)) == alone_a
+        assert _record_integral(
+            a, math.inf, 1e-8, (replace(_density_weight(a.dist), fn=weight),)
+        ) == alone_a
         assert inner and set(inner) == {alone_b}
         assert _record_integral(b, 3000, 1e-8) == alone_b
         assert alone_a[0].truncation_n > 0 and alone_b[0].truncation_n > 0
+
+
+# 30-digit mpmath values of dp/dδ = int f'(x) prod_{i>=1} Phi(x + c i - δ)
+# dx for standard normal noise, keyed by (c, δ): the direct product of
+# every factor up to argument 13, integrated by mp.quad over [-12, 12];
+# 40 digits, factors up to 15 and [-14, 14] agree to 25 digits.
+NORMAL_SLOPE_REFERENCE = {
+    (1.0, 0.0): -0.2513652455975314744523044,
+    (0.5, 0.5): -0.3000984511331962318518167,
+}
+
+
+def _shifted(f, s, dist):
+    """f(x - s): the density weight moved right by s, kinked at the
+    finite support ends + s."""
+    return Weight(lambda x: f.fn(x - s), f.lo + s, f.hi + s, f.outside,
+                  tuple(e + s for e in dist.support if math.isfinite(e)))
+
+
+class TestWeights:
+    """Each weight of a record integral states its own window, kinks and
+    outside mass; one quadrature covers the union of the windows, and
+    each bound carries its own weight's outside mass."""
+
+    @pytest.mark.parametrize("spec", ["normal", "gumbel", "exp"])
+    @pytest.mark.parametrize("c,delta,m", [
+        (0.3, 0.5, 50), (0.05, 0.2, math.inf), (1.0, -0.4, 10),
+    ])
+    def test_delta_grid_from_one_quadrature(self, spec, c, delta, m):
+        # with y = x - s, f(x - s) under the product at delta is f under
+        # the product at delta - s: three thresholds from one call, whose
+        # window reaches 0.7 past f's on both sides
+        cfg = ldm(spec, c, delta)
+        f = _density_weight(cfg.dist)
+        shifts = (0.0, 0.7, -0.7)
+        got = _record_integral(
+            cfg, m, DEFAULT_TOL, [_shifted(f, s, cfg.dist) for s in shifts]
+        )
+        for s, res in zip(shifts, got):
+            one = LdmConfig(cfg.dist, c, delta - s)
+            want = p_delta(one) if m == math.inf else p_n_delta(one, m + 1)
+            assert abs(res.value - want.value) <= res.abs_error_bound + want.abs_error_bound, (
+                s, res, want)
+
+    @pytest.mark.parametrize("key", sorted(NORMAL_SLOPE_REFERENCE), ids=str)
+    def test_normal_slope_carries_its_outside_mass(self, key):
+        # f' >= 0 below the mode and <= 0 above it, so dp/dδ is the
+        # integral of f'+ less that of f'-, each weight kinked at the
+        # mode; |f'| leaves phi(lo) below the window and phi(hi) above
+        # it, 7.2e-12 each against f's 1e-12, and with f's outside mass
+        # the bound at (1, 0) misses the reference by 1.6 times
+        c, delta = key
+        cfg = ldm("normal", c, delta)
+        f, phi = _density_weight(cfg.dist), cfg.dist.pdf
+        rise = Weight(lambda x: np.maximum(-x, 0.0) * phi(x), f.lo, 0.0,
+                      float(phi(f.lo)), (0.0,))
+        fall = Weight(lambda x: np.maximum(x, 0.0) * phi(x), 0.0, f.hi,
+                      float(phi(f.hi)), (0.0,))
+        up, down = _record_integral(cfg, math.inf, 1e-10, (rise, fall))
+        err = abs(up.value - down.value - NORMAL_SLOPE_REFERENCE[key])
+        assert err <= up.abs_error_bound + down.abs_error_bound, (up, down, err)
 
 
 # the law methods that evaluate g, F, f or G at their argument; the
