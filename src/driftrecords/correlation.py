@@ -15,12 +15,14 @@ quadrature over the union of their windows: values above 1 mean
 attraction, below 1 repulsion.
 """
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IllConditionedError, require_int
-from .probability import DEFAULT_TOL, LdmConfig, ProbResult, _density_weight, _record_integral
+from .probability import (
+    DEFAULT_TOL, LdmConfig, ProbResult, Weight, _density_weight, _record_integral,
+)
 
 
 @dataclass(frozen=True)
@@ -48,12 +50,11 @@ def _joint_weight(cfg):
             out += pdf(u - c) * (np.exp(log_sf(u)) - np.exp(log_sf(u - delta)))
         return out
 
-    f = _density_weight(dist)
+    f, _ = _density_weight(dist)
     reach = c if window else 0.0
     shifts = [c - d_plus] + ([c, 0.0, delta] if window else [])
     kinks = tuple(e + s for e in dist.support if math.isfinite(e) for s in shifts)
-    return replace(f, fn=weight, lo=min(f.lo, f.lo + reach), hi=max(f.hi, f.hi + reach),
-                   kinks=kinks)
+    return Weight(weight, min(f.lo, f.lo + reach), max(f.hi, f.hi + reach), kinks)
 
 
 def joint_prob_consecutive(
@@ -72,10 +73,9 @@ def joint_prob_consecutive(
     n is done in closed form and u is observation n+1 plus the trend.  So
     this is the record integral of ``p_n_delta`` with the bracket as its
     weight, ``_joint_weight``.  Its bound has the same three parts: the
-    quadrature gauge, the mass the weight leaves outside its window (at
-    most what f leaves outside its own, as the bracket is a conditional
-    probability of observation n), and what the Euler-Maclaurin
-    remainders add.
+    quadrature gauge, the mass f leaves outside its window (the bracket,
+    a conditional probability of observation n, leaves no more outside
+    its own), and what the Euler-Maclaurin remainders add.
     """
     require_int("n", n, 1)
     (res,) = _record_integral(cfg, n - 1, tol, (_joint_weight(cfg),))
@@ -91,19 +91,19 @@ def dependence_index_result(
     P(x) = prod_{i=1..n-1} F(x + c i - delta), so they are one record
     integral with three weights: f for p_n, f F(x + c n - delta) for
     p_{n+1}, and the bracket of ``joint_prob_consecutive`` for the joint.
-    One quadrature over the union of their windows and one log-product per
-    integrand evaluation serve all three.  The weight of p_{n+1} is kinked
-    where its extra factor switches on or reaches 1 (a finite support
-    endpoint minus c n - delta).  p_1 is 1 exactly.  The bound adds the
-    joint's relative bound to the relative bounds of both marginals, to
-    first order.
+    One quadrature over the union of their windows and one log-product
+    per node serve all three.  The weight of p_{n+1} is kinked where its
+    extra factor switches on or reaches 1 (a finite support endpoint
+    minus c n - delta).  p_1 is 1 exactly.  The bound adds the joint's
+    relative bound to the relative bounds of both marginals, to first
+    order.
     """
     require_int("n", n, 1)
     dist, shift = cfg.dist, cfg.c * n - cfg.delta
     pdf, cdf = dist.pdf, dist.cdf
-    f = _density_weight(dist)
+    f, _ = _density_weight(dist)
     ends = tuple(e - shift for e in dist.support if math.isfinite(e))
-    f_next = replace(f, fn=lambda x: pdf(x) * cdf(x + shift), kinks=ends)
+    f_next = Weight(lambda x: pdf(x) * cdf(x + shift), f.lo, f.hi, ends)
     pn, pn1, joint = _record_integral(cfg, n - 1, tol, (f, f_next, _joint_weight(cfg)))
     if n == 1:
         pn = ProbResult(1.0, 0.0, 0)

@@ -87,20 +87,21 @@ class FinitenessVerdict:
 
 @dataclass(frozen=True)
 class Weight:
-    """A record-integral weight w >= 0: ``fn`` on the window [lo, hi], the
-    mass it leaves ``outside`` that window, and its ``kinks`` (panel edges)."""
+    """A record-integral weight w >= 0, ``fn`` on the window [lo, hi], with
+    its ``kinks`` as panel edges.  It leaves outside its window at most the
+    mass f leaves outside f's, and its integral against the product is at
+    most 1, as values are clamped to [0, 1]."""
 
     fn: Callable
     lo: float
     hi: float
-    outside: float
     kinks: tuple = ()
 
 
 @functools.lru_cache(maxsize=64)
 def _density_weight(dist):
-    """f on a finite window that leaves out at most 2e-12 of the mass,
-    kept for the most recent laws (they are frozen, so they hash)."""
+    """f's ``Weight`` on a finite window and the mass it leaves out (at
+    most 2e-12), kept for the most recent laws (frozen, so they hash)."""
     lo, hi = dist.support
     cut = 0.0
     if not math.isfinite(lo):
@@ -109,7 +110,7 @@ def _density_weight(dist):
     if not math.isfinite(hi):
         hi = float(dist.quantile(1.0 - _QUANTILE_CUT))
         cut += _QUANTILE_CUT
-    return Weight(dist.pdf, lo, hi, cut)
+    return Weight(dist.pdf, lo, hi), cut
 
 
 def _product_cutoff(dist, c, delta, n_factors):
@@ -326,21 +327,22 @@ def _record_integral(cfg, m, tol, weights=None):
     All of them share one quadrature over the union of their windows, cut
     below where the product vanishes, with every weight's kinks as panel
     edges, and each integrand evaluation one log-product.  Each bound adds
-    the quadrature gauge (at 0.8 tol), the mass its own weight leaves
-    outside its window, and what the Euler-Maclaurin remainders (each node
-    within tol/10 in log space) add.  A ``QuadratureError`` names the
-    caller's tol.
+    the quadrature gauge (at 0.8 tol), the mass f leaves outside its
+    window, and what the Euler-Maclaurin remainders (each node within
+    tol/10 in log space) add.  A ``QuadratureError`` names the caller's
+    tol.
     """
     require_positive(tol=tol)
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
-    ws = (_density_weight(dist),) if weights is None else tuple(weights)
+    f, cut = _density_weight(dist)
+    ws = (f,) if weights is None else tuple(weights)
     floor = min(w.lo for w in ws)
     lo = max(floor, _product_cutoff(dist, c, delta, m))
     hi = max(w.hi for w in ws)
     if lo >= hi:
         # the product vanishes on the window, so each value is 0 within
-        # the mass its weight leaves outside its own window
-        return tuple(ProbResult(0.0, w.outside, 0) for w in ws)
+        # the mass f leaves outside its window
+        return tuple(ProbResult(0.0, cut, 0) for _ in ws)
 
     with np.errstate(over="ignore"):
         start = _tail_start(dist, lo - delta, c, m, tol / 10.0)
@@ -375,9 +377,9 @@ def _record_integral(cfg, m, tol, weights=None):
     # (value + err) / (1 - expm1(eps))
     grow = math.expm1(eps)
     out = []
-    for w, value, err in zip(ws, values.tolist(), errs.tolist()):
+    for value, err in zip(values.tolist(), errs.tolist()):
         value = min(max(value, 0.0), 1.0)
-        out.append(ProbResult(value, err + w.outside + (value + err) * grow / (1.0 - grow), head))
+        out.append(ProbResult(value, err + cut + (value + err) * grow / (1.0 - grow), head))
     return tuple(out)
 
 

@@ -911,34 +911,23 @@ class TestIntegralSetup:
             return a.dist.pdf(x)
 
         assert _record_integral(
-            a, math.inf, 1e-8, (replace(_density_weight(a.dist), fn=weight),)
+            a, math.inf, 1e-8, (replace(_density_weight(a.dist)[0], fn=weight),)
         ) == alone_a
         assert inner and set(inner) == {alone_b}
         assert _record_integral(b, 3000, 1e-8) == alone_b
         assert alone_a[0].truncation_n > 0 and alone_b[0].truncation_n > 0
 
 
-# 30-digit mpmath values of dp/dδ = int f'(x) prod_{i>=1} Phi(x + c i - δ)
-# dx for standard normal noise, keyed by (c, δ): the direct product of
-# every factor up to argument 13, integrated by mp.quad over [-12, 12];
-# 40 digits, factors up to 15 and [-14, 14] agree to 25 digits.
-NORMAL_SLOPE_REFERENCE = {
-    (1.0, 0.0): -0.2513652455975314744523044,
-    (0.5, 0.5): -0.3000984511331962318518167,
-}
-
-
 def _shifted(f, s, dist):
     """f(x - s): the density weight moved right by s, kinked at the
     finite support ends + s."""
-    return Weight(lambda x: f.fn(x - s), f.lo + s, f.hi + s, f.outside,
+    return Weight(lambda x: f.fn(x - s), f.lo + s, f.hi + s,
                   tuple(e + s for e in dist.support if math.isfinite(e)))
 
 
 class TestWeights:
-    """Each weight of a record integral states its own window, kinks and
-    outside mass; one quadrature covers the union of the windows, and
-    each bound carries its own weight's outside mass."""
+    """Each weight of a record integral states its own window and kinks,
+    and one quadrature covers the union of the windows."""
 
     @pytest.mark.parametrize("spec", ["normal", "gumbel", "exp"])
     @pytest.mark.parametrize("c,delta,m", [
@@ -949,7 +938,7 @@ class TestWeights:
         # the product at delta - s: three thresholds from one call, whose
         # window reaches 0.7 past f's on both sides
         cfg = ldm(spec, c, delta)
-        f = _density_weight(cfg.dist)
+        f, _ = _density_weight(cfg.dist)
         shifts = (0.0, 0.7, -0.7)
         got = _record_integral(
             cfg, m, DEFAULT_TOL, [_shifted(f, s, cfg.dist) for s in shifts]
@@ -959,24 +948,6 @@ class TestWeights:
             want = p_delta(one) if m == math.inf else p_n_delta(one, m + 1)
             assert abs(res.value - want.value) <= res.abs_error_bound + want.abs_error_bound, (
                 s, res, want)
-
-    @pytest.mark.parametrize("key", sorted(NORMAL_SLOPE_REFERENCE), ids=str)
-    def test_normal_slope_carries_its_outside_mass(self, key):
-        # f' >= 0 below the mode and <= 0 above it, so dp/dδ is the
-        # integral of f'+ less that of f'-, each weight kinked at the
-        # mode; |f'| leaves phi(lo) below the window and phi(hi) above
-        # it, 7.2e-12 each against f's 1e-12, and with f's outside mass
-        # the bound at (1, 0) misses the reference by 1.6 times
-        c, delta = key
-        cfg = ldm("normal", c, delta)
-        f, phi = _density_weight(cfg.dist), cfg.dist.pdf
-        rise = Weight(lambda x: np.maximum(-x, 0.0) * phi(x), f.lo, 0.0,
-                      float(phi(f.lo)), (0.0,))
-        fall = Weight(lambda x: np.maximum(x, 0.0) * phi(x), 0.0, f.hi,
-                      float(phi(f.hi)), (0.0,))
-        up, down = _record_integral(cfg, math.inf, 1e-10, (rise, fall))
-        err = abs(up.value - down.value - NORMAL_SLOPE_REFERENCE[key])
-        assert err <= up.abs_error_bound + down.abs_error_bound, (up, down, err)
 
 
 # the law methods that evaluate g, F, f or G at their argument; the
