@@ -10,8 +10,10 @@ all i >= 1.  This module evaluates both by adaptive quadrature of one
 integrand, whose log-product sums a head of factors directly and the rest
 in Euler-Maclaurin form with a bounded remainder, and classifies when the
 limit is positive and when the total number of records stays finite.
-Each integral's window and tail start are set up once, before its first
-integrand call.
+Each integral's window and tail start are set up before its first
+integrand call, from two things kept across integrals: f's window, per
+law, and the Euler-Maclaurin tail threshold, which depends on neither
+delta nor n, per law, trend and tolerance.
 """
 import functools
 import math
@@ -182,8 +184,8 @@ def _product_kinks(dist, c, delta, m, lo, hi):
 
 _CHUNK_BUDGET = 1 << 22
 
-# Heads past 2**52 factors are never needed: the doubling search for the
-# first head that meets the budget stops there.
+# The lattice of tail thresholds reaches 2**52 steps of c either side of
+# its anchor, and no head is longer than 2**52 factors.
 _MAX_HEAD = 1 << 52
 
 # A tail shorter than this is summed directly: evaluating the
@@ -191,19 +193,25 @@ _MAX_HEAD = 1 << 52
 _MIN_TAIL = 64
 
 
-def _first_fit(fits, m):
-    """Smallest integer k in [0, m] with fits(k), for fits monotone in k
-    and true at m; fits maps an integer array to a boolean array."""
-    ladder = np.concatenate(([0], 1 << np.arange(53, dtype=np.int64)))
-    ks = np.unique(np.minimum(ladder, min(m, _MAX_HEAD)))
+def _never_met():
+    return DriftRecordsError(
+        "the Euler-Maclaurin remainder of the infinite product never met its budget"
+    )
+
+
+def _first_fit(fits, lo, hi):
+    """Smallest integer k in [lo, hi] with fits(k), for fits monotone in k,
+    -2**52 <= lo <= hi <= 2**52; fits maps an integer array to a boolean
+    array.  Doubles out from 0, then splits the bracket 64 ways."""
+    doubling = 1 << np.arange(53, dtype=np.int64)
+    ks = np.unique(np.clip(np.concatenate((-doubling, [0], doubling)), lo, hi))
     ok = fits(ks)
     if not ok.any():
-        raise DriftRecordsError(
-            "the Euler-Maclaurin remainder of the infinite product never met "
-            "its budget"
-        )
+        raise _never_met()
     j = int(np.argmax(ok))
-    lo, hi = (int(ks[j - 1]) if j else -1), int(ks[j])
+    if j == 0:
+        return lo
+    lo, hi = int(ks[j - 1]), int(ks[j])
     while hi - lo > 1:
         # 64-way split of (lo, hi]: fits(lo) is false and fits(hi) true
         ks = np.unique(lo + (hi - lo) * np.arange(1, 65, dtype=np.int64) // 64)
@@ -220,34 +228,73 @@ def _b6(c, x):
         return x * c * c * c * c * c / 30240.0
 
 
-def _tail_start(dist, y_lo, c, m, budget):
-    """Argument of the first Euler-Maclaurin tail factor such that the
-    remainder bound at every node y >= y_lo meets ``budget``, or None
-    when every factor is summed directly: c <= 0, m <= _MIN_TAIL, or no
-    head shorter than m meets the budget.  A start past the last factor
-    would leave the nodes above y_lo a tail whose remainder was never
-    checked.
+def _tail_fits(dist, c, budget, a):
+    """Whether (c^5/30240) TV(g^(5)) over [a, +inf) meets ``budget``, for
+    each first tail argument a; g^(5)(+inf) = 0 for every law."""
+    d5a = dist.log_cdf_odd_derivatives(a)[2]
+    return _b6(c, dist.log_cdf_d5_variation(a, math.inf, d5a, 0.0)) <= budget
 
-    The sixth-order remainder after K direct factors is at most
-    (c^5/30240) TV(g^(5)) over [y + c (K+1), y + c m], and that variation
-    shrinks as the interval's left end moves right.  The smallest K for
-    y = y_lo puts the first tail factor at the returned start; every node
-    then starts its tail there or just after.
+
+@functools.lru_cache
+def _tail_threshold(dist, c, budget):
+    """Smallest first tail argument a from which every Euler-Maclaurin
+    tail of step c > 0 meets ``budget``, or -inf when every tail does.
+
+    The remainder's variation shrinks as a moves right, so the answer
+    depends on the law, c and the budget alone, and is kept for the 128
+    most recent.  a runs over the lattice w + c j, j an integer in
+    [-2**52, 2**52], anchored at the low end w of f's window, and lies
+    above the support's lower end: j starts at 1 for a finite one.  The
+    anchor keeps the lattice in reach of a support far from 0.  With an
+    unbounded lower end, -inf stands for the lattice's lowest point when
+    that already fits.  Found by ``_first_fit``; raises
+    ``DriftRecordsError``, which is not kept, when no point fits.
+    """
+    anchor = _density_weight(dist)[0].lo
+    supp_lo = dist.support[0]
+
+    def fits(j):
+        a = anchor + c * j
+        ok = a > supp_lo
+        ok[ok] = _tail_fits(dist, c, budget, a[ok])
+        return ok
+
+    with np.errstate(over="ignore"):
+        j = _first_fit(fits, -_MAX_HEAD if supp_lo == -math.inf else 1, _MAX_HEAD)
+    return -math.inf if j == -_MAX_HEAD else anchor + c * j
+
+
+def _tail_start(dist, y_lo, c, m, budget):
+    """Argument from which the factors of every node y >= y_lo come from
+    the Euler-Maclaurin tail, each remainder bound meeting ``budget``, or
+    None when every factor is summed directly: c <= 0, m <= _MIN_TAIL, or
+    a head of at least m factors.
+
+    It is the ``_tail_threshold`` a, or y_lo when a lies below it, so
+    each call is O(1).  The lowest node's head is then
+    K = max(ceil((a - y_lo)/c) - 1, 0), the first whose tail starts at or
+    past a: at most one longer than the shortest head that meets the
+    budget at y_lo.  A first factor y_lo + c out of the lattice's reach,
+    past its top when no point fits or below its bottom when every point
+    does, is checked on its own.  A head of more than 2**52 factors,
+    direct or not, raises ``DriftRecordsError``.
     """
     if c <= 0.0 or m <= _MIN_TAIL:
         return None
-
-    def fits(k):
-        a = y_lo + c * (k + 1.0)
-        d5a = dist.log_cdf_odd_derivatives(a)[2]
-        # g^(5)(+inf) = 0 for every law
-        tv = dist.log_cdf_d5_variation(a, math.inf, d5a, 0.0)
-        return (k >= m) | (_b6(c, tv) <= budget)
-
-    head = _first_fit(fits, m)
-    if head >= m:
+    try:
+        a = _tail_threshold(dist, c, budget)
+    except DriftRecordsError:
+        a = math.inf
+    first = y_lo + c
+    below = a == -math.inf and first < _density_weight(dist)[0].lo - c * _MAX_HEAD
+    if a == math.inf or below:
+        a = first if _tail_fits(dist, c, budget, np.array([first]))[0] else math.inf
+    q = (a - y_lo) / c
+    if q > _MAX_HEAD + 1 and m > _MAX_HEAD:
+        raise _never_met()
+    if q > m:
         return None
-    return y_lo + c * (head + 1.0)
+    return max(a, y_lo)
 
 
 def _em_tail(dist, y, c, head, m):
@@ -261,22 +308,30 @@ def _em_tail(dist, y, c, head, m):
 
     within (c^5/30240) TV(g^(5)) over [a, b].  g and its odd derivatives
     are evaluated once, on a and b together; G apart, because the normal G
-    costs per finite point and b is often infinite.
+    costs per finite point and b is often infinite.  When every b is +inf,
+    as for p with an unbounded top, only a is evaluated: G, g and its odd
+    derivatives are exactly 0 at +inf for every law.
     """
     last = np.minimum(float(m), _below_top(dist, c, y))
-    some = last > head
     a = y + c * (head + 1.0)
-    b = np.where(some, y + c * last, a)
     n = y.shape[0]
-    ends = np.concatenate((a, b))
-    g = dist.log_cdf(ends)
-    g1, g3, g5 = dist.log_cdf_odd_derivatives(ends)
-    g5a, g5b = g5[:n], g5[n:]
+    at_inf = bool(np.all(last == math.inf))
+    if at_inf:
+        some, b, ends = True, math.inf, a
+    else:
+        some = last > head
+        b = np.where(some, y + c * last, a)
+        ends = np.concatenate((a, b))
+    g, (g1, g3, g5) = dist.log_cdf(ends), dist.log_cdf_odd_derivatives(ends)
+    ga, g1a, g3a, g5a = (v[:n] for v in (g, g1, g3, g5))
+    gb, g1b, g3b, g5b = (0.0,) * 4 if at_inf else (v[n:] for v in (g, g1, g3, g5))
+    G_b = 0.0 if at_inf else dist.log_cdf_integral(b)
+    G_a = dist.log_cdf_integral(a)
     s = (
-        (dist.log_cdf_integral(b) - dist.log_cdf_integral(a)) / c
-        + 0.5 * (g[:n] + g[n:])
-        + c / 12.0 * (g1[n:] - g1[:n])
-        - (g3[n:] - g3[:n]) * c * c * c / 720.0
+        (G_b - G_a) / c
+        + 0.5 * (ga + gb)
+        + c / 12.0 * (g1b - g1a)
+        - (g3b - g3a) * c * c * c / 720.0
         + _b6(c, g5b - g5a)
     )
     tv = dist.log_cdf_d5_variation(a, b, g5a, g5b)

@@ -880,9 +880,95 @@ class TestLogProduct:
         assert got == pytest.approx(want, rel=1e-13)
 
 
+def _remainder_fits(dist, c, a, budget):
+    """Whether (c^5/30240) TV(g^(5)) over [a, +inf) meets budget, for each
+    first tail argument a, with g^(5)(+inf) = 0."""
+    with np.errstate(over="ignore", divide="ignore"):
+        d5 = dist.log_cdf_odd_derivatives(a)[2]
+        tv = dist.log_cdf_d5_variation(a, math.inf, d5, 0.0)
+        return tv * c**5 / 30240.0 <= budget
+
+
+class TestTailThreshold:
+    """The tail threshold is a property of the law, c and the budget: it
+    is searched for once, and every integral reads its head from it."""
+
+    def test_one_search_per_law_trend_and_tol(self):
+        probability._tail_threshold.cache_clear()
+        for delta in np.linspace(-0.5, 1.5, 41):
+            p_delta(ldm("normal", 0.3, float(delta)))
+        for n in (100, 10**3, 10**4):
+            p_n_delta(ldm("normal", 0.3, 0.5), n)
+        info = probability._tail_threshold.cache_info()
+        assert info.misses == 1
+        assert info.hits == 43
+
+    @pytest.mark.parametrize("delta", [-0.5, 0.0, 1.0])
+    @pytest.mark.parametrize("spec,c,m", TestLogProduct.CASES)
+    def test_head_meets_the_budget_and_is_near_the_shortest(self, spec, c, m, delta):
+        # the shortest head that meets the budget at the window's low end,
+        # by a scan over every k < m, against the head _log_product reads
+        # from the tail start
+        dist = parse_spec(spec)
+        budget = DEFAULT_TOL / 10.0
+        lo = max(_density_weight(dist)[0].lo, probability._product_cutoff(dist, c, delta, m))
+        y_lo = lo - delta
+        fits = _remainder_fits(dist, c, y_lo + c * np.arange(1.0, m + 1.0), budget)
+        shortest = int(np.argmax(fits)) if fits.any() else m
+        start = _tail_start(dist, y_lo, c, m, budget)
+        if start is None:
+            assert shortest + 1 >= m
+            return
+        head = max(math.ceil((start - y_lo) / c) - 1, 0)
+        assert start >= probability._tail_threshold(dist, c, budget)
+        assert _remainder_fits(dist, c, np.array([start]), budget)[0]
+        assert shortest <= head <= shortest + 1
+
+    @pytest.mark.parametrize("spec", ["normal", "gumbel", "exp"])
+    def test_call_order_cannot_change_a_value(self, spec):
+        probability._tail_threshold.cache_clear()
+        cold = p_delta(ldm(spec, 0.3, 0.5))
+        probability._tail_threshold.cache_clear()
+        p_delta(ldm(spec, 0.3, -0.3))
+        warm = p_delta(ldm(spec, 0.3, 0.5))
+        assert repr(warm) == repr(cold)
+
+    @pytest.mark.parametrize("spec,c,delta,want", [
+        # 2**52 c below the window the lattice ends, and every point of it
+        # fits; the first factor at about -803 does not, as g^(5) = e^803
+        ("gumbel", 1e-14, 800.0, None),
+        ("normal", 1e-15, 10.0, 0.0),
+        # g^(5) overflows at every lattice point, all within 5e-64 of the
+        # support's low end, while the first factor at 0.5 fits; the
+        # value is the c -> 0 limit 1 - F(1 + delta)
+        ("uniform", 1e-80, -0.5, 0.5),
+    ])
+    def test_a_first_factor_out_of_the_lattices_reach_is_checked(self, spec, c, delta, want):
+        cfg = ldm(spec, c, delta)
+        if want is None:
+            with pytest.raises(DriftRecordsError, match="never met its budget"):
+                p_delta(cfg)
+            return
+        res = p_delta(cfg)
+        assert res.truncation_n == 0
+        assert abs(res.value - want) <= res.abs_error_bound <= 1e-11
+
+    @pytest.mark.parametrize("spec,c", [("uniform", 1e-80), ("exp", 1e-100)])
+    def test_a_failed_search_is_not_kept(self, spec, c):
+        # g^(5) overflows at every lattice point, so no threshold exists
+        probability._tail_threshold.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DriftRecordsError, match="never met its budget"):
+                p_delta(ldm(spec, c, 0.1))
+        info = probability._tail_threshold.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+
 class TestIntegralSetup:
-    """The window and the tail start are set up once per integral, and no
-    state passes from one integral to another."""
+    """The window and the tail start are set up once per integral.  The
+    only state that passes from one integral to another is what depends
+    on neither delta nor n: f's window, kept per law, and the tail
+    threshold, kept per (law, c, tol)."""
 
     def test_window_is_computed_once_per_law(self, monkeypatch):
         calls = []
