@@ -13,14 +13,14 @@ It hashes the `mc_record_rate` summaries of five laws at path lengths on
 both sides of the vectorized-stream cutoff, on both sides of the row
 length from which the record scan takes a block one row at a time (2047
 and 2048, then 4001 and 20000, several rows a block) and past one
-block, on one and two workers; eight `asymptotic_variance_mc` runs: one
+record-scan piece, on one and two workers; eight `asymptotic_variance_mc` runs: one
 with no burn-in, one with a burn-in of one value, one at a threshold
 where almost every step is a record (Normal, c = 1, delta = -2), one at
 c < 0, where no burn-in value is skipped, one of a law with a finite top
 (Uniform), and one at the default horizon and burn-in, whose 4001-wide
 window is scanned row by row; bootstrap histograms at three thresholds;
 the fixture series at four seeds; a long `simulate_ldm` path; and the
-record flags of single rows on both sides of one block and past three,
+record flags of single rows on both sides of one piece and past three,
 on a 1/4 grid that makes exact ties, through `delta_record_flags` and,
 with -inf at the start and on both sides of each piece edge (which
 `delta_record_flags` refuses), through `_kernels.record_scan`.  It

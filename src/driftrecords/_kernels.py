@@ -13,11 +13,11 @@ the rows cost 1.2 ns a value more at 2047 and 0.6 more at 4001.
 """
 import numpy as np
 
-# Values per Monte Carlo block (2**16 float64 values make one array
-# 512 KB), and per piece of the loops that work through a longer row
-# piecewise: the record scan and `simulate.simulate_ldm`.  Shorter
-# pieces leave too little work per numpy call for the threads that run
-# the blocks.
+# Values per piece of the loops that work through a long row piecewise:
+# the record scan and `simulate.simulate_ldm` (2**16 float64 values make
+# one array 512 KB).  Shorter pieces leave too little work per numpy
+# call for the threads that run the Monte Carlo blocks, which hold up
+# to twice as many values (`simulate._BLOCK_BUDGET`).
 BLOCK_VALUES = 2**16
 # Rows of at least this many values are scanned one at a time, in 1-D
 # calls that release the GIL; a stack of shorter rows is scanned whole.

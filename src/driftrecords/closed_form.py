@@ -30,7 +30,9 @@ def gumbel_p_n_delta(c: float, delta: float, n: int) -> float:
 
         (1 - e^(-c)) / (1 - e^(-c) + e^delta (e^(-c) - e^(-nc))),
 
-    and for zero trend to 1 / ((n-1) e^delta + 1).  The c < 0 branch
+    and for zero trend to 1 / ((n-1) e^delta + 1).  The c > 0 branch
+    writes e^(-c) - e^(-nc) as e^(-c) (1 - e^(-(n-1)c)) with expm1, so
+    it tends to the zero-trend value as c -> 0.  The c < 0 branch
     evaluates the same ratio scaled by e^((n-1)c), with numerator and
     denominator both positive, so nothing overflows and an underflowed
     value is +0.0.
@@ -50,7 +52,7 @@ def gumbel_p_n_delta(c: float, delta: float, n: int) -> float:
         except OverflowError:
             return 0.0
         num = -expm1(-c)
-        return num / (num + ed * (exp(-c) - exp(-n * c)))
+        return num / (num + ed * (exp(-c) * -expm1(-(n - 1) * c)))
     num = exp((n - 1) * c) * -expm1(c)
     try:
         den = num - exp(delta) * expm1((n - 1) * c)

@@ -107,6 +107,45 @@ def _window(dist, drift, burn_in, u):
     return x
 
 
+def _lag_counts_bytes(ind, lag_max):
+    """The ones of the (reps, horizon) window flags ind, and for each lag
+    k = 1..lag_max the pairs ind[i, j] & ind[i, j + k]: one `&` and one
+    `count_nonzero` per lag, a byte per flag."""
+    pairs = [np.count_nonzero(ind[:, :-k] & ind[:, k:]) for k in range(1, lag_max + 1)]
+    return int(np.count_nonzero(ind)), pairs
+
+
+def _lag_counts_packed(ind, lag_max):
+    """`_lag_counts_bytes` on 64 flags a word, for numpy >= 2.
+
+    Each row's flags go little-endian into uint64 words, followed by
+    lag_max // 64 + 1 zero words, so no pair crosses rows and the rows
+    can be counted as one flat array w.  Lag k = 64q + r pairs bit b of
+    w[i] with bit b + r of the 128-bit word (w[i+q+1], w[i+q]), a shift
+    and a `bitwise_count` per lag on an eighth of the bytes.
+    """
+    reps, horizon = ind.shape
+    nbytes = -(-horizon // 8)
+    packed = np.zeros((reps, 8 * (-(-horizon // 64) + lag_max // 64 + 1)), np.uint8)
+    packed[:, :nbytes] = np.packbits(ind, axis=1, bitorder="little")
+    w = packed.view("<u8").ravel()
+    n = w.shape[0]
+    pairs = []
+    for k in range(1, lag_max + 1):
+        q, r = divmod(k, 64)
+        # the words past n - q - 1 are the last row's zero padding
+        pair = w[q:n - 1] >> r
+        if r:
+            pair |= w[q + 1:] << (64 - r)
+        pair &= w[:n - q - 1]
+        pairs.append(int(np.bitwise_count(pair).sum()))
+    return int(np.bitwise_count(w).sum()), pairs
+
+
+# numpy < 2 has no popcount ufunc
+_lag_counts = _lag_counts_packed if hasattr(np, "bitwise_count") else _lag_counts_bytes
+
+
 def asymptotic_variance_mc(
     ldm: LdmConfig,
     horizon: int = 4000,
@@ -130,10 +169,14 @@ def asymptotic_variance_mc(
     covariances, truncated at lag_max.
 
     Each block of replications returns only its window's record flags,
-    one byte per window value (0.8 MB at the defaults), and the lag
-    pairs are counted once, over all replications, after the pool.
-    The counts are exact integers, so the estimate does not depend on
-    the block split or the worker count.
+    one byte per window value (0.8 MB at the defaults), and the ones
+    and lag pairs are counted once, over all replications, after the
+    pool.  Under numpy >= 2 they are counted on the flags packed 64 to
+    a word (0.1 MB), a shift and a popcount per lag
+    (`_lag_counts_packed`); older numpy has no popcount ufunc and
+    counts them a byte per flag (`_lag_counts_bytes`).  The counts are
+    exact integers, so the estimate does not depend on the path, the
+    block split or the worker count.
 
     The burn-in reaches the window only through each row's maximum, so
     a block builds only the window, from column burn_in - 1 on (the
@@ -153,10 +196,9 @@ def asymptotic_variance_mc(
         return record_scan(_window(ldm.dist, drift, burn_in, u), ldm.delta)[:, -horizon:]
 
     ind = np.concatenate(replicate(seed, reps, burn_in + horizon, reduce, workers))
-    lags = np.arange(1, lag_max + 1)
-    lagged = np.array([np.count_nonzero(ind[:, :-k] & ind[:, k:]) for k in lags], np.float64)
-    p_hat = float(np.count_nonzero(ind)) / (reps * horizon)
-    r_hat = lagged / (reps * (horizon - lags))
+    ones, pairs = _lag_counts(ind, lag_max)
+    p_hat = float(ones) / (reps * horizon)
+    r_hat = np.array(pairs, np.float64) / (reps * (horizon - np.arange(1, lag_max + 1)))
     sigma2 = p_hat - p_hat * p_hat + 2.0 * float(np.sum(r_hat - p_hat * p_hat))
     return max(sigma2, 0.0)
 

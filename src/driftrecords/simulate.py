@@ -5,12 +5,16 @@ Every replication owns an independent random stream derived from
 replications run on one worker or many, and any single replication can
 be reproduced in isolation.  `replicate` is the one engine behind every
 Monte Carlo result of the package.  It stacks the uniforms of a block
-of replications and hands the block to the caller's reduction, which
-builds its own paths from them.  For short rows it computes the
-uniforms for every row of the block at once (`_stream_block`), bit for
-bit what `replication_rng` would draw.  For longer rows it seeds every
-replication in one vectorized pass (`_pcg_seeds`) and sets one
-generator per block to each row's seeded state in turn.
+of replications, whole rows within 2**17 values, and hands the block to
+the caller's reduction, which builds its own paths from them.  A block
+holds twice the values of a piece of the record scan and `simulate_ldm`
+(`_kernels.BLOCK_VALUES`): a block pays a fixed setup, and
+`simulate_ldm`'s memory has no room for larger pieces.  For short rows
+it computes the uniforms for every row of the block at once
+(`_stream_block`), bit for bit what `replication_rng` would draw.  For
+longer rows it seeds every replication in one vectorized pass
+(`_pcg_seeds`) and sets one generator per block to each row's seeded
+state in turn.
 """
 import functools
 import math
@@ -29,6 +33,13 @@ from .probability import LdmConfig
 # generator.  The two break even near n = 150, under this cutoff, which
 # was set when a longer row paid 20 to 30 us for its own `replication_rng`.
 _VECTOR_MAX_N = 512
+# Values per `replicate` block: whole rows within 2**17 (1 MB of
+# float64), one row when a row is longer.  A block pays a fixed setup:
+# a generator, a pool hand-off and the reduction's numpy calls (about 15
+# for the sigma2 window and its scan).  The record scan and
+# `simulate_ldm` keep pieces of BLOCK_VALUES = 2**16, as `simulate_ldm`'s
+# memory (its path and one piece of drift) has no room for 1 MB pieces.
+_BLOCK_BUDGET = 2**17
 # `_stream_block` works through a block in chunks of about this many
 # values, so that its uint64 scratch arrays (64 KB each) stay in cache.
 _CHUNK_VALUES = 2**13
@@ -237,19 +248,18 @@ def replicate(seed: int, reps: int, n: int, reduce, workers: int = 1) -> list:
     rows are seeded for the whole call in one `_pcg_seeds` pass, and
     each block draws them from one generator whose state it sets to
     each row's seeded state in turn.  There are at least ``workers``
-    blocks, of at most 2**16 values each (one row when a row is
-    longer); they run on a pool of ``workers`` threads and come back in
-    replication order, so the output does not depend on the worker
-    count.
+    blocks, of at most ``_BLOCK_BUDGET`` = 2**17 values each (one row
+    when a row is longer), so that each block's fixed setup is paid
+    for few values; they run on a pool of ``workers`` threads and come
+    back in replication order, so the output does not depend on the
+    block split or the worker count.
     """
     require_int("seed", seed, 0)
     require_int("reps", reps, 1)
     require_int("n", n, 1)
     require_int("workers", workers, 1)
     seed = int(seed)
-    # whole rows of at most BLOCK_VALUES values, so that the stacked
-    # scan holds one block
-    blocks = max(workers, math.ceil(reps / max(1, BLOCK_VALUES // n)))
+    blocks = max(workers, math.ceil(reps / max(1, _BLOCK_BUDGET // n)))
     rows = math.ceil(reps / blocks)
     if n > _VECTOR_MAX_N:
         seeds = _pcg_seeds(seed, 0, reps)

@@ -143,6 +143,13 @@ class TestGumbelProbability:
             0.45186276187760605, rel=1e-15
         )
 
+    @pytest.mark.parametrize("c", [1e-20, 1e-16])
+    def test_tiny_positive_trend_is_the_zero_trend_limit(self, c):
+        # e^(-c) - e^(-nc) cancels to 0 at c = 1e-20, where the value
+        # read 1.0, and lost 2e-4 relative at c = 1e-16
+        limit = 1.0 / (1.0 + 999.0 * math.exp(0.3))
+        assert gumbel_p_n_delta(c, 0.3, 1000) == pytest.approx(limit, rel=1e-12)
+
     def test_positive_trend_with_an_overflowing_threshold_is_zero(self):
         # e^delta overflows at delta = 800, where the value underflows
         assert gumbel_p_n_delta(1.0, 800.0, 5) == 0.0

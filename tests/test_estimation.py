@@ -14,7 +14,7 @@ from driftrecords import (
     variance_estimator,
 )
 from driftrecords._kernels import record_scan
-from driftrecords.estimation import _window
+from driftrecords.estimation import _lag_counts_bytes, _lag_counts_packed, _window
 from driftrecords.simulate import replicate
 
 LAWS = ["gumbel", "pareto1", "dagum:b=1,q=2", "normal:mu=0.3,sigma=2",
@@ -181,6 +181,21 @@ class TestAsymptoticVarianceMc:
         whole = _window(dist, drift, burn_in, u.copy())
         assert whole[:, 0].tobytes() == want.tobytes()
         assert whole[:, 1:].tobytes() == full[:, start:].tobytes()
+
+    @pytest.mark.bit_identity
+    @pytest.mark.skipif(not hasattr(np, "bitwise_count"), reason="numpy < 2 has no bitwise_count")
+    @pytest.mark.parametrize("horizon", [1, 2, 63, 64, 65, 127, 128, 129, 640, 4000])
+    def test_packed_lag_counts_match_the_byte_wise_counts(self, horizon):
+        # horizons of 0, 1 and 63 modulo the 64 flags of a word; two
+        # adjacent all-one rows show any pair that crosses rows, and an
+        # all-zero row any stray bit of the padding
+        density = np.array([1.0, 1.0, 0.0, 0.08, 0.5, 1.0, 0.0])
+        ind = np.random.default_rng(horizon).random((7, horizon)) < density[:, None]
+        for lag_max in {0, 1, 63, 64, 65, 128, horizon - 1}:
+            if lag_max < horizon:
+                ones, pairs = _lag_counts_packed(ind, lag_max)
+                want_ones, want_pairs = _lag_counts_bytes(ind, lag_max)
+                assert (ones, pairs) == (want_ones, want_pairs), lag_max
 
     def test_burn_in_takes_quantiles_only_where_the_maximum_can_fall(self, monkeypatch):
         points = []

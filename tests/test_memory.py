@@ -55,9 +55,11 @@ CASES = {
     # a short lag window: the peak does not depend on m, the time does
     "variance_estimator": (lambda u, path, fl: variance_estimator(fl, m=10), 1.1),
     # 200 paths of 2000 burn-in and 3000 window values: 1e6 values in
-    # blocks of 2**16.  The window flags cost one byte per window value
-    # (0.075 here), held by the blocks and then once more concatenated;
-    # the measured peak was 0.16
+    # blocks of 26 rows, within 2**17 values (0.13 each).  The window
+    # flags cost one byte per window value (0.075 here), held by the
+    # blocks and then once more concatenated, and their packed words an
+    # eighth of that; the measured peak was 0.21 (0.16 with blocks of
+    # 2**16)
     "asymptotic_variance_mc": (lambda u, path, fl: asymptotic_variance_mc(
         LDM, horizon=3000, burn_in=2000, reps=200, workers=1), 0.45),
 }

@@ -162,7 +162,7 @@ class TestVectorizedStreams:
         got = streamed(seed, lo, 2, n)
         assert got.tobytes() == one_stream_per_row(seed, lo, 2, n).tobytes()
 
-    # 2000 values per row put 32 rows in a block of the long-row path
+    # 2000 values per row put 65 rows in a block of the long-row path
     @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**300])
     @pytest.mark.parametrize("n", [1, _VECTOR_MAX_N, _VECTOR_MAX_N + 1, 2000])
     def test_engine_rows_match_on_both_sides_of_the_cutoff(self, seed, n):
@@ -184,7 +184,7 @@ class TestVectorizedStreams:
 
         for name in calls:
             monkeypatch.setattr(simulate, name, counted(name))
-        # 300 rows of 2000 values make 10 blocks
+        # 300 rows of 2000 values make 5 blocks
         replicate(7, 300, 2000, lambda u: None, 2)
         assert calls == {"_pcg_seeds": 1, "replication_rng": 0}
 
@@ -197,10 +197,11 @@ class TestEngine:
     @pytest.mark.bit_identity
     @pytest.mark.parametrize("spec", LAWS)
     def test_counts_match_one_replication_at_a_time(self, spec):
-        # 2**16 values per block: 37 replications of 5000 make 3 blocks of
-        # 13, 13 and 11 rows, so the last block is short, and are scanned
-        # row by row; rows one value shorter than the row scan's minimum
-        # are scanned as one stack
+        # 2**17 values per block: 37 replications of 5000 make 2 blocks of
+        # 19 and 18 rows, and 3 blocks of 13, 13 and 11 on 3 workers, so
+        # the last block is short, and are scanned row by row; rows one
+        # value shorter than the row scan's minimum are scanned as one
+        # stack
         reps, seed = 37, 19
         for n in (5000, _ROW_SCAN_MIN - 1):
             cfg = config(spec, 0.01, 0.2, n, reps, seed=seed)
@@ -234,7 +235,7 @@ class TestEngine:
 
     @pytest.mark.parametrize("delta", [-1.0, 0.0, 0.5])
     def test_bootstrap_matches_one_replication_at_a_time(self, delta):
-        # 1200 paths of 69 values make two blocks
+        # 1200 paths of 69 values make one block, and two on two workers
         series = synthetic_temperature_series()
         fit = ols_fit(series)
         n, reps, seed = len(series), 1200, 5
@@ -248,9 +249,11 @@ class TestEngine:
             np.testing.assert_array_equal(bs.histogram, np.bincount(counts, minlength=n + 1))
             assert bs.mean == np.mean(counts)
 
-    # 400 values per path take the vectorized streams, 700, 600 and 2200
-    # the long-row path; at c = 1, delta = -2 almost every step is a
-    # record, and a window of 2101 values is scanned row by row
+    # 400 values per path take the vectorized streams, 700, 600, 740 and
+    # 2200 the long-row path; at c = 1, delta = -2 almost every step is a
+    # record, and a window of 2101 values is scanned row by row.  A window
+    # of 640 values is 10 words of 64 flags, and lags 63, 64, 65 and 128
+    # pair flags on both sides of a word boundary and two words apart
     @pytest.mark.bit_identity
     @pytest.mark.parametrize("spec, c, delta, burn_in, horizon, lag_max", [
         ("normal:mu=0.3,sigma=2", 0.05, -0.2, 100, 2100, 8),
@@ -259,6 +262,10 @@ class TestEngine:
         ("normal", 1.0, -2.0, 300, 400, 8),
         ("normal:mu=0.3,sigma=2", 0.05, -0.2, 0, 600, 8),
         ("normal:mu=0.3,sigma=2", 0.05, -0.2, 100, 300, 299),
+        ("normal:mu=0.3,sigma=2", 0.05, -0.2, 100, 640, 63),
+        ("normal:mu=0.3,sigma=2", 0.05, -0.2, 100, 640, 64),
+        ("normal:mu=0.3,sigma=2", 0.05, -0.2, 100, 640, 65),
+        ("normal:mu=0.3,sigma=2", 0.05, -0.2, 100, 640, 128),
     ])
     def test_variance_matches_one_replication_at_a_time(
         self, spec, c, delta, burn_in, horizon, lag_max
@@ -287,14 +294,17 @@ class TestEngine:
 
     @pytest.mark.parametrize("reps, n, workers", [
         (200, 20_000, 2), (200, 6000, 2), (20_000, 20, 1), (5, 20, 3), (3, 70_000, 1),
+        (2, 2**17 + 1, 1),
     ])
     def test_a_block_is_at_most_one_piece_of_whole_rows(self, reps, n, workers):
-        # a block of whole rows within BLOCK_VALUES is one record-scan
-        # piece; a path longer than that is a block of its own
+        # a block holds whole rows within 2**17 values, and a path longer
+        # than that is a block of its own.  Blocks are twice the record
+        # scan's pieces (BLOCK_VALUES): a block pays a fixed setup, and
+        # simulate_ldm's memory leaves no room for 1 MB pieces
         shapes = replicate(0, reps, n, lambda u: u.shape, workers)
         assert len(shapes) >= workers
         assert sum(rows for rows, _ in shapes) == reps
-        assert all(rows * n <= max(BLOCK_VALUES, n) for rows, _ in shapes)
+        assert all(rows * n <= max(2**17, n) for rows, _ in shapes)
 
 
 class TestRecordRate:
