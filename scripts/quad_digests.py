@@ -14,7 +14,8 @@ every float, or the type and message of the error it raised.  It covers
 ``p_delta``, ``p_n_delta``, ``joint_prob_consecutive``,
 ``dependence_index_result`` and ``classify_finiteness`` for the six
 laws, each law with parameters also at a second parameter set, over a
-small (c, delta, n) grid.  It takes a few seconds.
+small (c, delta, n) grid, then ``p_delta`` and ``p_n_delta`` at the
+edges of the Euler-Maclaurin tail.  It takes a few seconds.
 """
 import sys
 
@@ -30,6 +31,17 @@ LAWS = [
 TRENDS = [-0.5, 0.0, 0.01, 1.0]
 THRESHOLDS = [-0.5, 0.5, 2.0]
 LENGTHS = [2, 10, 1000]
+# (law, c, delta): trends so small that g^(5) overflows near the
+# support's low end, a head past 2**52 factors (an error line), a tail
+# from the first factor, and a support far from 0
+EDGES = [
+    ("uniform", 1e-80, 0.1), ("uniform", 1e-100, 0.1),
+    ("exp", 1e-80, 0.1), ("exp", 1e-100, 0.1),
+    ("gumbel", 1e-14, 800.0),
+    ("normal", 1e-15, 10.0),
+    ("uniform:lo=1e6,hi=1000001", 0.01, -0.5), ("uniform:lo=1e6,hi=1000001", 0.01, 0.5),
+    ("uniform:lo=1e6,hi=1000001", 1e-12, -0.5), ("uniform:lo=1e6,hi=1000001", 1e-12, 0.5),
+]
 
 
 def line(out, label, fn):
@@ -56,6 +68,11 @@ def main() -> None:
                          lambda: dr.joint_prob_consecutive(cfg, n))
                     line(out, f"dependence_index_result {where} n={n}",
                          lambda: dr.dependence_index_result(cfg, n))
+    for spec, c, delta in EDGES:
+        cfg = dr.LdmConfig(dr.parse_spec(spec), c, delta)
+        where = f"{spec} c={c} delta={delta}"
+        line(out, f"p_delta {where}", lambda: dr.p_delta(cfg))
+        line(out, f"p_n_delta {where} n=1000", lambda: dr.p_n_delta(cfg, 1000))
 
 
 if __name__ == "__main__":

@@ -10,10 +10,11 @@ all i >= 1.  This module evaluates both by adaptive quadrature of one
 integrand, whose log-product sums a head of factors directly and the rest
 in Euler-Maclaurin form with a bounded remainder, and classifies when the
 limit is positive and when the total number of records stays finite.
-Each integral's window and tail start are set up before its first
+Each integral's window and tail threshold are set up before its first
 integrand call, from two things kept across integrals: f's window, per
 law, and the Euler-Maclaurin tail threshold, which depends on neither
-delta nor n, per law, trend and tolerance.
+delta nor n, per law, trend and tolerance.  Each integrand call reads
+its head from the threshold at its lowest node.
 """
 import functools
 import math
@@ -184,40 +185,12 @@ def _product_kinks(dist, c, delta, m, lo, hi):
 
 _CHUNK_BUDGET = 1 << 22
 
-# The lattice of tail thresholds reaches 2**52 steps of c either side of
-# its anchor, and no head is longer than 2**52 factors.
+# No head is longer than 2**52 factors.
 _MAX_HEAD = 1 << 52
 
 # A tail shorter than this is summed directly: evaluating the
 # Euler-Maclaurin terms costs about as much as that many factors.
 _MIN_TAIL = 64
-
-
-def _never_met():
-    return DriftRecordsError(
-        "the Euler-Maclaurin remainder of the infinite product never met its budget"
-    )
-
-
-def _first_fit(fits, lo, hi):
-    """Smallest integer k in [lo, hi] with fits(k), for fits monotone in k,
-    -2**52 <= lo <= hi <= 2**52; fits maps an integer array to a boolean
-    array.  Doubles out from 0, then splits the bracket 64 ways."""
-    doubling = 1 << np.arange(53, dtype=np.int64)
-    ks = np.unique(np.clip(np.concatenate((-doubling, [0], doubling)), lo, hi))
-    ok = fits(ks)
-    if not ok.any():
-        raise _never_met()
-    j = int(np.argmax(ok))
-    if j == 0:
-        return lo
-    lo, hi = int(ks[j - 1]), int(ks[j])
-    while hi - lo > 1:
-        # 64-way split of (lo, hi]: fits(lo) is false and fits(hi) true
-        ks = np.unique(lo + (hi - lo) * np.arange(1, 65, dtype=np.int64) // 64)
-        j = int(np.argmax(fits(ks)))
-        lo, hi = (int(ks[j - 1]) if j else lo), int(ks[j])
-    return hi
 
 
 def _b6(c, x):
@@ -228,73 +201,49 @@ def _b6(c, x):
         return x * c * c * c * c * c / 30240.0
 
 
-def _tail_fits(dist, c, budget, a):
-    """Whether (c^5/30240) TV(g^(5)) over [a, +inf) meets ``budget``, for
-    each first tail argument a; g^(5)(+inf) = 0 for every law."""
-    d5a = dist.log_cdf_odd_derivatives(a)[2]
-    return _b6(c, dist.log_cdf_d5_variation(a, math.inf, d5a, 0.0)) <= budget
+def _key(x):
+    """The search key of a finite double x: its bits for x >= 0, minus
+    the bits of -x for x < 0, so that keys and doubles share one order."""
+    bits = int(np.float64(abs(x)).view(np.int64))
+    return -bits if x < 0.0 else bits
 
 
 @functools.lru_cache
 def _tail_threshold(dist, c, budget):
-    """Smallest first tail argument a from which every Euler-Maclaurin
-    tail of step c > 0 meets ``budget``, or -inf when every tail does.
+    """Smallest finite double a above the support's lower end from which
+    every Euler-Maclaurin tail of step c > 0 meets ``budget``, or +inf
+    when none does.
 
-    The remainder's variation shrinks as a moves right, so the answer
-    depends on the law, c and the budget alone, and is kept for the 128
-    most recent.  a runs over the lattice w + c j, j an integer in
-    [-2**52, 2**52], anchored at the low end w of f's window, and lies
-    above the support's lower end: j starts at 1 for a finite one.  The
-    anchor keeps the lattice in reach of a support far from 0.  With an
-    unbounded lower end, -inf stands for the lattice's lowest point when
-    that already fits.  Found by ``_first_fit``; raises
-    ``DriftRecordsError``, which is not kept, when no point fits.
+    A tail whose first argument is a has a remainder within
+    (c^5/30240) TV(g^(5)) over [a, +inf), as g^(5)(+inf) = 0 for every
+    law.  That shrinks as a moves right, so the answer depends on the
+    law, c and the budget alone, and is kept for the 128 most recent.
+    The search runs over the finite doubles in the order of their
+    ``_key``: it doubles out from key 0, then splits the bracket 64 ways
+    until it is at most c wide or one key wide, and returns its top.  So a
+    head read from a is at most one longer than the shortest head that
+    meets the budget.
     """
-    anchor = _density_weight(dist)[0].lo
-    supp_lo = dist.support[0]
-
-    def fits(j):
-        a = anchor + c * j
-        ok = a > supp_lo
-        ok[ok] = _tail_fits(dist, c, budget, a[ok])
-        return ok
-
-    with np.errstate(over="ignore"):
-        j = _first_fit(fits, -_MAX_HEAD if supp_lo == -math.inf else 1, _MAX_HEAD)
-    return -math.inf if j == -_MAX_HEAD else anchor + c * j
-
-
-def _tail_start(dist, y_lo, c, m, budget):
-    """Argument from which the factors of every node y >= y_lo come from
-    the Euler-Maclaurin tail, each remainder bound meeting ``budget``, or
-    None when every factor is summed directly: c <= 0, m <= _MIN_TAIL, or
-    a head of at least m factors.
-
-    It is the ``_tail_threshold`` a, or y_lo when a lies below it, so
-    each call is O(1).  The lowest node's head is then
-    K = max(ceil((a - y_lo)/c) - 1, 0), the first whose tail starts at or
-    past a: at most one longer than the shortest head that meets the
-    budget at y_lo.  A first factor y_lo + c out of the lattice's reach,
-    past its top when no point fits or below its bottom when every point
-    does, is checked on its own.  A head of more than 2**52 factors,
-    direct or not, raises ``DriftRecordsError``.
-    """
-    if c <= 0.0 or m <= _MIN_TAIL:
-        return None
-    try:
-        a = _tail_threshold(dist, c, budget)
-    except DriftRecordsError:
-        a = math.inf
-    first = y_lo + c
-    below = a == -math.inf and first < _density_weight(dist)[0].lo - c * _MAX_HEAD
-    if a == math.inf or below:
-        a = first if _tail_fits(dist, c, budget, np.array([first]))[0] else math.inf
-    q = (a - y_lo) / c
-    if q > _MAX_HEAD + 1 and m > _MAX_HEAD:
-        raise _never_met()
-    if q > m:
-        return None
-    return max(a, y_lo)
+    lo, hi = _key(math.nextafter(dist.support[0], math.inf)), _key(sys.float_info.max)
+    ladder = 1 << np.arange(63, dtype=np.int64)
+    ks = np.clip(np.concatenate(([lo], -ladder[::-1], [0], ladder, [hi])), lo, hi)
+    split = np.arange(65, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            a = np.copysign(np.abs(ks).view(np.float64), ks)
+            d5a = dist.log_cdf_odd_derivatives(a)[2]
+            fits = _b6(c, dist.log_cdf_d5_variation(a, math.inf, d5a, 0.0)) <= budget
+            if not fits[-1]:
+                return math.inf
+            j = int(np.argmax(fits))
+            if j == 0:
+                return float(a[0])
+            lo, hi = int(ks[j - 1]), int(ks[j])
+            if hi - lo == 1 or a[j] - a[j - 1] <= c:
+                return float(a[j])
+            # split (lo, hi] 64 ways, exactly and within int64
+            q, r = divmod(hi - lo, 64)
+            ks = lo + q * split + r * split // 64
 
 
 def _em_tail(dist, y, c, head, m):
@@ -343,23 +292,32 @@ def _log_product(dist, y, c, m, start):
     """sum_{i=1..m} log F(y + c i) for each y; m may be math.inf.
 
     Returns the sums, the number of leading factors summed directly and
-    the largest Euler-Maclaurin remainder bound.  The head is summed
-    directly, chunking the (y, i) grid, and for c > 0 it ends where every
-    factor reaches a finite support top.  With ``start`` from
-    ``_tail_start``, the factors at arguments from ``start`` on come from
-    ``_em_tail`` unless fewer than ``_MIN_TAIL`` of them are left; with
-    ``start`` None every factor is summed directly.
+    the largest Euler-Maclaurin remainder bound.  The factors at arguments
+    from ``start``, the ``_tail_threshold`` or +inf for none, on come from
+    ``_em_tail``: the head is K = max(ceil((start - y0)/c) - 1, 0) at the
+    lowest node y0, the first whose tail starts at or past ``start``, and
+    every factor is summed directly when fewer than ``_MIN_TAIL`` would be
+    left.  The head is summed directly, chunking the (y, i) grid, and for
+    c > 0 it ends where every factor reaches a finite support top.  A head
+    of more than 2**52 factors raises ``DriftRecordsError``.
     """
+    y0 = float(y.min())
     head = m
-    if start is not None:
-        head = max(math.ceil((start - float(y.min())) / c) - 1, 0)
-        if m - head < _MIN_TAIL:
-            head = m
+    if start < math.inf:
+        # q may overflow; a head clamped past 2**52 still raises below
+        q = (start - y0) / c
+        k = math.ceil(min(q, _MAX_HEAD + 2.0)) - 1 if q > 1.0 else 0
+        if m - k >= _MIN_TAIL:
+            head = k
     if c > 0.0:
-        cap = _below_top(dist, c, float(y.min()))
+        cap = _below_top(dist, c, y0)
         if cap <= head:
             # every factor past the cap is 1 at every node: no tail is left
             head = m = int(cap)
+    if head > _MAX_HEAD:
+        raise DriftRecordsError(
+            "the Euler-Maclaurin remainder of the infinite product never met its budget"
+        )
     out = np.zeros_like(y)
     if head > 0:
         offsets = c * np.arange(1, head + 1, dtype=np.float64)
@@ -381,7 +339,9 @@ def _record_integral(cfg, m, tol, weights=None):
     The weights default to ``_density_weight``, f on its quantile window.
     All of them share one quadrature over the union of their windows, cut
     below where the product vanishes, with every weight's kinks as panel
-    edges, and each integrand evaluation one log-product.  Each bound adds
+    edges, and each integrand evaluation one log-product, whose tail
+    starts at the ``_tail_threshold`` for c > 0 and m > ``_MIN_TAIL``
+    (with none, every factor is summed directly).  Each bound adds
     the quadrature gauge (at 0.8 tol), the mass f leaves outside its
     window, and what the Euler-Maclaurin remainders (each node within
     tol/10 in log space) add.  A ``QuadratureError`` names the caller's
@@ -399,8 +359,9 @@ def _record_integral(cfg, m, tol, weights=None):
         # the mass f leaves outside its window
         return tuple(ProbResult(0.0, cut, 0) for _ in ws)
 
-    with np.errstate(over="ignore"):
-        start = _tail_start(dist, lo - delta, c, m, tol / 10.0)
+    start = math.inf
+    if c > 0.0 and m > _MIN_TAIL:
+        start = _tail_threshold(dist, c, tol / 10.0)
     head, eps = 0, 0.0
 
     def integrand(x):

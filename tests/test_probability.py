@@ -29,7 +29,7 @@ from driftrecords.distributions import Dagum, ParetoUnit, Uniform
 from driftrecords.errors import DriftRecordsError, QuadratureError
 from driftrecords.probability import (
     DEFAULT_TOL, Weight, _below_top, _density_weight, _log_product, _record_integral,
-    _tail_start,
+    _tail_threshold,
 )
 
 from conftest import BAD_INDICES
@@ -828,8 +828,7 @@ class TestLogProduct:
     def _run(spec, c, m, budget):
         dist = parse_spec(spec)
         y = dist.quantile(np.array([0.01, 0.3, 0.7, 0.99]))
-        start = _tail_start(dist, float(y.min()), c, m, budget)
-        got, head, eps = _log_product(dist, y, c, m, start)
+        got, head, eps = _log_product(dist, y, c, m, _tail_threshold(dist, c, budget))
         want = np.array([
             math.fsum(dist.log_cdf(v + c * np.arange(1, m + 1))) for v in y
         ])
@@ -870,11 +869,12 @@ class TestLogProduct:
 
     @pytest.mark.parametrize("c,m", [(-0.01, 1000), (0.0, 1000), (0.5, 64)])
     def test_without_a_tail_every_factor_is_summed(self, c, m):
-        # no tail start for c <= 0 or m <= 64: the head is the whole product
+        # no tail threshold for c <= 0 or m <= 64: the head is the whole
+        # product
         dist = parse_spec("gumbel")
+        assert _record_integral(LdmConfig(dist, c, 0.0), m, 1e-8)[0].truncation_n == m
         y = dist.quantile(np.array([0.01, 0.5, 0.99]))
-        assert _tail_start(dist, float(y.min()), c, m, 1e-9) is None
-        got, head, eps = _log_product(dist, y, c, m, None)
+        got, head, eps = _log_product(dist, y, c, m, math.inf)
         assert (head, eps) == (m, 0.0)
         want = [math.fsum(dist.log_cdf(v + c * np.arange(1, m + 1))) for v in y]
         assert got == pytest.approx(want, rel=1e-13)
@@ -904,24 +904,28 @@ class TestTailThreshold:
         assert info.hits == 43
 
     @pytest.mark.parametrize("delta", [-0.5, 0.0, 1.0])
-    @pytest.mark.parametrize("spec,c,m", TestLogProduct.CASES)
+    @pytest.mark.parametrize("spec,c,m", TestLogProduct.CASES + [
+        # a support far from 0, and a trend at which the threshold lies
+        # about 15 c above the support's low end
+        ("uniform:lo=1e6,hi=1000001", 0.01, 5000),
+        ("exp", 1e-12, 1000),
+    ])
     def test_head_meets_the_budget_and_is_near_the_shortest(self, spec, c, m, delta):
         # the shortest head that meets the budget at the window's low end,
         # by a scan over every k < m, against the head _log_product reads
-        # from the tail start
+        # from the tail threshold there
         dist = parse_spec(spec)
         budget = DEFAULT_TOL / 10.0
         lo = max(_density_weight(dist)[0].lo, probability._product_cutoff(dist, c, delta, m))
         y_lo = lo - delta
         fits = _remainder_fits(dist, c, y_lo + c * np.arange(1.0, m + 1.0), budget)
         shortest = int(np.argmax(fits)) if fits.any() else m
-        start = _tail_start(dist, y_lo, c, m, budget)
-        if start is None:
-            assert shortest + 1 >= m
+        _, head, _ = _log_product(dist, np.array([y_lo]), c, m, _tail_threshold(dist, c, budget))
+        if head + 64 > m:
+            # every factor is summed directly: fewer than 64 would be left
+            assert shortest + 64 >= m
             return
-        head = max(math.ceil((start - y_lo) / c) - 1, 0)
-        assert start >= probability._tail_threshold(dist, c, budget)
-        assert _remainder_fits(dist, c, np.array([start]), budget)[0]
+        assert _remainder_fits(dist, c, np.array([y_lo + c * (head + 1.0)]), budget)[0]
         assert shortest <= head <= shortest + 1
 
     @pytest.mark.parametrize("spec", ["normal", "gumbel", "exp"])
@@ -934,16 +938,19 @@ class TestTailThreshold:
         assert repr(warm) == repr(cold)
 
     @pytest.mark.parametrize("spec,c,delta,want", [
-        # 2**52 c below the window the lattice ends, and every point of it
-        # fits; the first factor at about -803 does not, as g^(5) = e^803
+        # the threshold, about -151, lies more than 2**52 steps of c above
+        # the window's low end at about -803, where g^(5) = e^803: the
+        # head is too long to sum
         ("gumbel", 1e-14, 800.0, None),
+        # every finite double meets the budget, so no factor is summed
+        # directly
         ("normal", 1e-15, 10.0, 0.0),
-        # g^(5) overflows at every lattice point, all within 5e-64 of the
-        # support's low end, while the first factor at 0.5 fits; the
-        # value is the c -> 0 limit 1 - F(1 + delta)
+        # g^(5) overflows within about 4e-62 of the support's low end, and
+        # the threshold lies just past that, below the first factor at
+        # 0.5; the value is the c -> 0 limit 1 - F(1 + delta)
         ("uniform", 1e-80, -0.5, 0.5),
     ])
-    def test_a_first_factor_out_of_the_lattices_reach_is_checked(self, spec, c, delta, want):
+    def test_tiny_trend_heads_are_read_from_the_threshold(self, spec, c, delta, want):
         cfg = ldm(spec, c, delta)
         if want is None:
             with pytest.raises(DriftRecordsError, match="never met its budget"):
@@ -953,15 +960,19 @@ class TestTailThreshold:
         assert res.truncation_n == 0
         assert abs(res.value - want) <= res.abs_error_bound <= 1e-11
 
-    @pytest.mark.parametrize("spec,c", [("uniform", 1e-80), ("exp", 1e-100)])
-    def test_a_failed_search_is_not_kept(self, spec, c):
-        # g^(5) overflows at every lattice point, so no threshold exists
+    @pytest.mark.parametrize("spec,bound", [("uniform", 0.0), ("exp", 1e-12)])
+    def test_a_threshold_lies_past_where_g5_overflows(self, spec, bound):
+        # g^(5) overflows within about 4e-62 of the support's low end, and
+        # the doubles past that meet the budget at any c: p at delta = 0.1
+        # reads 0 with the bound it has at c = 1e-76, each trend searched
+        # once
         probability._tail_threshold.cache_clear()
-        for _ in range(2):
-            with pytest.raises(DriftRecordsError, match="never met its budget"):
-                p_delta(ldm(spec, c, 0.1))
+        trends = (1e-76, 1e-80, 1e-100, 1e-150, 1e-300)
+        for c in trends:
+            for _ in range(2):
+                assert p_delta(ldm(spec, c, 0.1)) == ProbResult(0.0, bound, 0)
         info = probability._tail_threshold.cache_info()
-        assert (info.misses, info.currsize) == (2, 0)
+        assert (info.misses, info.hits) == (len(trends), len(trends))
 
 
 class TestIntegralSetup:
@@ -1049,8 +1060,8 @@ class TestLawContract:
     @pytest.mark.parametrize("dist", [Gumbel(), ParetoUnit(), Dagum(b=1.0, q=2.0), Normal(),
                                       Uniform(), Exponential()], ids=repr)
     def test_no_law_method_is_called_at_plus_infinity(self, monkeypatch, dist):
-        # g^(5)(+inf) = 0 for every law, and the tail start asked for it
-        # once per search
+        # g^(5)(+inf) = 0 for every law, and the tail threshold asked for
+        # it once per search
         args = []
         for name in _EVALUATIONS:
             original = getattr(type(dist), name)
@@ -1063,7 +1074,7 @@ class TestLawContract:
         cfg = LdmConfig(dist, 0.01, 0.5)
         p_delta(cfg)
         p_n_delta(cfg, 1000)
-        # the tail start searched, and each Euler-Maclaurin tail ran
+        # the tail threshold searched, and each Euler-Maclaurin tail ran
         assert "log_cdf_odd_derivatives" in {name for name, _ in args}
         assert [name for name, x in args if np.ndim(x) == 0 and x == math.inf] == []
 
