@@ -297,23 +297,27 @@ def _log_product(dist, y, c, m, start):
     ``_em_tail``: the head is K = max(ceil((start - y0)/c) - 1, 0) at the
     lowest node y0, the first whose tail starts at or past ``start``, and
     every factor is summed directly when fewer than ``_MIN_TAIL`` would be
-    left.  The head is summed directly, chunking the (y, i) grid, and for
-    c > 0 it ends where every factor reaches a finite support top.  A head
-    of more than 2**52 factors raises ``DriftRecordsError``.
+    left or when the tail's first and last arguments round together at
+    the node of largest magnitude.  The head is summed directly, chunking
+    the (y, i) grid, and for c > 0 it ends where every factor reaches a
+    finite support top.  A head of more than 2**52 factors raises
+    ``DriftRecordsError``.
     """
     y0 = float(y.min())
+    cap = _below_top(dist, c, y0) if c > 0.0 else math.inf
     head = m
     if start < math.inf:
         # q may overflow; a head clamped past 2**52 still raises below
         q = (start - y0) / c
         k = math.ceil(min(q, _MAX_HEAD + 2.0)) - 1 if q > 1.0 else 0
-        if m - k >= _MIN_TAIL:
+        # where the tail's first and last arguments round together at the
+        # node of largest magnitude, D G / c has lost its main term
+        s = max(abs(y0), abs(float(y.max())))
+        if m - k >= _MIN_TAIL and s + c * (k + 1.0) < s + c * min(m, cap):
             head = k
-    if c > 0.0:
-        cap = _below_top(dist, c, y0)
-        if cap <= head:
-            # every factor past the cap is 1 at every node: no tail is left
-            head = m = int(cap)
+    if cap <= head:
+        # every factor past the cap is 1 at every node: no tail is left
+        head = m = int(cap)
     if head > _MAX_HEAD:
         raise DriftRecordsError(
             "the Euler-Maclaurin remainder of the infinite product never met its budget"

@@ -920,13 +920,18 @@ class TestTailThreshold:
         y_lo = lo - delta
         fits = _remainder_fits(dist, c, y_lo + c * np.arange(1.0, m + 1.0), budget)
         shortest = int(np.argmax(fits)) if fits.any() else m
-        _, head, _ = _log_product(dist, np.array([y_lo]), c, m, _tail_threshold(dist, c, budget))
-        if head + 64 > m:
-            # every factor is summed directly: fewer than 64 would be left
-            assert shortest + 64 >= m
+        a = _tail_threshold(dist, c, budget)
+        q = (a - y_lo) / c  # -inf where every finite double meets the budget
+        K = m if q > m else math.ceil(q) - 1 if q > 1.0 else 0
+        _, head, _ = _log_product(dist, np.array([y_lo]), c, m, a)
+        # every factor is summed directly when fewer than 64 would be left,
+        # and none past a finite support top
+        assert head == min(K if m - K >= 64 else m, _below_top(dist, c, y_lo))
+        if K >= m:
+            assert shortest + 1 >= m
             return
-        assert _remainder_fits(dist, c, np.array([y_lo + c * (head + 1.0)]), budget)[0]
-        assert shortest <= head <= shortest + 1
+        assert _remainder_fits(dist, c, np.array([y_lo + c * (K + 1.0)]), budget)[0]
+        assert shortest <= K <= shortest + 1
 
     @pytest.mark.parametrize("spec", ["normal", "gumbel", "exp"])
     def test_call_order_cannot_change_a_value(self, spec):
@@ -973,6 +978,24 @@ class TestTailThreshold:
                 assert p_delta(ldm(spec, c, 0.1)) == ProbResult(0.0, bound, 0)
         info = probability._tail_threshold.cache_info()
         assert (info.misses, info.hits) == (len(trends), len(trends))
+
+    @pytest.mark.parametrize("spec,c,delta", [
+        ("uniform", 1e-22, 0.1), ("uniform", 1e-80, 0.1), ("uniform", 1e-100, 0.1),
+        ("exp", 1e-20, 0.1), ("exp", 1e-80, 0.1), ("exp", 1e-100, 0.1),
+        ("normal", 1e-20, 0.1), ("pareto1", 1e-17, 0.5),
+    ])
+    def test_a_tail_whose_ends_round_together_is_summed_directly(self, spec, c, delta):
+        # the threshold lies below the first factor, but at the node of
+        # largest magnitude y + c and y + 999 c round together, so the
+        # tail's D G / c would lose its main term: every factor is summed
+        # directly, and p_n reads its c -> 0 value
+        res = p_n_delta(ldm(spec, c, delta), 1000)
+        flat = p_n_delta(ldm(spec, 0.0, delta), 1000)
+        assert res.truncation_n == 999
+        assert abs(res.value - flat.value) <= flat.abs_error_bound
+        exact = {"uniform": 0.9**1000 / 1000, "exp": math.exp(-0.1) / 1000}.get(spec)
+        if exact is not None:
+            assert abs(res.value - exact) <= res.abs_error_bound
 
 
 class TestIntegralSetup:
