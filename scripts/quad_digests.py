@@ -15,7 +15,16 @@ every float, or the type and message of the error it raised.  It covers
 ``dependence_index_result`` and ``classify_finiteness`` for the six
 laws, each law with parameters also at a second parameter set, over a
 small (c, delta, n) grid, then ``p_delta`` and ``p_n_delta`` at the
-edges of the Euler-Maclaurin tail.  It takes a few seconds.
+edges of the Euler-Maclaurin tail and at extreme scales.  It takes a few
+seconds.
+
+A refactor keeps every line.  A change to the numerics may move a value
+line, but only to within the abs_error_bound that the line had before
+it, and moves no verdict, exact zero or error line.  Every record
+integral runs on the law's standard member, so a line of a law that is
+its own member (the six laws at their defaults) moves only with the
+record integral, and one of a law with a location or a scale may also
+move with how c and delta are put in its member's units.
 """
 import sys
 
@@ -33,7 +42,9 @@ THRESHOLDS = [-0.5, 0.5, 2.0]
 LENGTHS = [2, 10, 1000]
 # (law, c, delta): trends so small that g^(5) overflows near the
 # support's low end, a head past 2**52 factors (an error line), a tail
-# from the first factor, and a support far from 0
+# from the first factor, a support far from 0, normal scales whose fifth
+# power overflows or underflows a double, and one at which c / sigma
+# underflows to 0
 EDGES = [
     ("uniform", 1e-80, 0.1), ("uniform", 1e-100, 0.1),
     ("exp", 1e-80, 0.1), ("exp", 1e-100, 0.1),
@@ -41,6 +52,8 @@ EDGES = [
     ("normal", 1e-15, 10.0),
     ("uniform:lo=1e6,hi=1000001", 0.01, -0.5), ("uniform:lo=1e6,hi=1000001", 0.01, 0.5),
     ("uniform:lo=1e6,hi=1000001", 1e-12, -0.5), ("uniform:lo=1e6,hi=1000001", 1e-12, 0.5),
+    ("normal:sigma=1e62", 1e61, 5e61), ("normal:sigma=1e-66", 1e-66, 5e-67),
+    ("normal:sigma=1e300", 1e-30, 0.5),
 ]
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import IllConditionedError, require_int
 from .probability import (
     DEFAULT_TOL, LdmConfig, ProbResult, Weight, _density_weight, _record_integral,
+    _standard,
 )
 
 
@@ -78,6 +79,7 @@ def joint_prob_consecutive(
     its own), and what the Euler-Maclaurin remainders add.
     """
     require_int("n", n, 1)
+    cfg = _standard(cfg)
     (res,) = _record_integral(cfg, n - 1, tol, (_joint_weight(cfg),))
     return res
 
@@ -99,6 +101,7 @@ def dependence_index_result(
     order.
     """
     require_int("n", n, 1)
+    cfg = _standard(cfg)
     dist, shift = cfg.dist, cfg.c * n - cfg.delta
     pdf, cdf = dist.pdf, dist.cdf
     f, _ = _density_weight(dist)

@@ -8,11 +8,11 @@ exact finiteness.  The two families whose zero-trend survival-ratio
 integral converges also compute its value.
 
 Each family also gives g = log F what the Euler-Maclaurin tail of the
-record-probability log-product needs: the antiderivative G, the odd
-derivatives g', g''' and g^(5), and a bound on the total variation of
-g^(5) over an interval.  These follow g's analytic form on the interior
-of the support; at and above a finite upper endpoint every factor F is
-exactly 1, and the tail stops before it.
+record-probability log-product needs, for its standard member alone: the
+antiderivative G, the odd derivatives g', g''' and g^(5), and a bound on
+the total variation of g^(5) over an interval.  These follow g's analytic
+form on the interior of the support; at and above a finite upper
+endpoint every factor F is exactly 1, and the tail stops before it.
 """
 import dataclasses
 import math
@@ -72,13 +72,13 @@ class Distribution:
     Subclasses provide vectorized ``log_cdf``, ``pdf``, ``quantile``,
     plus ``support``, ``tail_info`` and the Euler-Maclaurin data of
     g = log F: ``log_cdf_integral``, ``log_cdf_odd_derivatives`` and,
-    where g^(6) changes sign, ``log_cdf_d5_variation``.  g', g''' and
-    g^(5) vanish at +inf for every law, so callers take them as 0 there
-    rather than ask.  ``cdf`` defaults to exp(log F), and a support that
-    no parameter moves is a class constant.  A law whose
-    ``tail_info().zero_trend_finite`` holds also provides
-    ``zero_trend_integral``.  All of them are immutable frozen dataclasses,
-    safe to share across threads; their fields are the spec parameters.
+    where g^(6) changes sign, ``log_cdf_d5_variation``, all of the
+    ``standard`` member.  g', g''' and g^(5) vanish at +inf for every law,
+    so callers take them as 0 there rather than ask.  ``cdf`` defaults to
+    exp(log F), and a support that no parameter moves is a class constant.
+    A law whose ``tail_info().zero_trend_finite`` holds also provides
+    ``zero_trend_integral``.  All are immutable frozen dataclasses, safe
+    to share across threads; their fields are the spec parameters.
     """
 
     kind = "abstract"
@@ -128,18 +128,23 @@ class Distribution:
         to within tol; only laws whose integral converges provide it."""
         raise NotImplementedError
 
+    def standard(self):
+        """(member, scale): the law is a location plus scale times the member,
+        whose record probabilities at c/scale and delta/scale are the law's."""
+        return self, 1.0
+
     def log_cdf_integral(self, u):
-        """G(u), an antiderivative of g = log F, with G(+inf) = 0 whenever
-        g is integrable at +inf."""
+        """G(u), an antiderivative of the standard member's g = log F, with
+        G(+inf) = 0 whenever g is integrable at +inf."""
         raise NotImplementedError
 
     def log_cdf_odd_derivatives(self, u):
-        """(g'(u), g'''(u), g^(5)(u)), where g' = pdf / cdf."""
+        """(g'(u), g'''(u), g^(5)(u)) of the standard member, g' = pdf / cdf."""
         raise NotImplementedError
 
     def log_cdf_d5_variation(self, a, b, d5a, d5b):
-        """Upper bound on the total variation of g^(5) over [a, b], given
-        d5a = g^(5)(a) and d5b = g^(5)(b).
+        """Upper bound on the total variation of the member's g^(5) over
+        [a, b], given d5a = g^(5)(a) and d5b = g^(5)(b).
 
         This default is exact when g^(6) keeps one sign, as it does for
         every built-in family except the normal one.
@@ -303,28 +308,30 @@ class Dagum(Distribution):
     def tail_info(self):
         return TailInfo(_INF, False)
 
+    def standard(self):
+        return Dagum(1.0, self.q), self.b
+
     def log_cdf_integral(self, u):
-        # q (-u log(1 + b/u) - b log(u + b))
+        # q (-u log(1 + 1/u) - log(u + 1))
         u = np.maximum(np.asarray(u, dtype=np.float64), 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            head = np.where(u > 0.0, u * np.log1p(self.b / u), 0.0)
-        return -self.q * (head + self.b * np.log(u + self.b))
+            head = np.where(u > 0.0, u * np.log1p(1.0 / u), 0.0)
+        return -self.q * (head + np.log(u + 1.0))
 
     def log_cdf_odd_derivatives(self, u):
-        # g''' = 2q (1/u^3 - 1/(u+b)^3) and g^(5) = 24q (1/u^5 - 1/(u+b)^5);
-        # past u = b in powers of r = b/u, which neither cancels nor
+        # g''' = 2q (1/u^3 - 1/(u+1)^3) and g^(5) = 24q (1/u^5 - 1/(u+1)^5);
+        # past u = 1 in powers of r = 1/u, which neither cancels nor
         # overflows
         u = np.asarray(u, dtype=np.float64)
-        b = self.b
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d1 = self.q * b / u / (u + b)
-            r = b / u
-            near3 = 1.0 / u**3 - 1.0 / (u + b) ** 3
-            far3 = b * (3.0 + 3.0 * r + r * r) / (u**4 * (1.0 + r) ** 3)
-            near5 = 1.0 / u**5 - 1.0 / (u + b) ** 5
+            d1 = self.q / u / (u + 1.0)
+            r = 1.0 / u
+            near3 = 1.0 / u**3 - 1.0 / (u + 1.0) ** 3
+            far3 = (3.0 + 3.0 * r + r * r) / (u**4 * (1.0 + r) ** 3)
+            near5 = 1.0 / u**5 - 1.0 / (u + 1.0) ** 5
             poly = 5.0 + r * (10.0 + r * (10.0 + r * (5.0 + r)))
-            far5 = b * poly / (u**6 * (1.0 + r) ** 5)
-        far = u > b
+            far5 = poly / (u**6 * (1.0 + r) ** 5)
+        far = u > 1.0
         return (d1, 2.0 * self.q * np.where(far, far3, near3),
                 24.0 * self.q * np.where(far, far5, near5))
 
@@ -421,21 +428,22 @@ class Normal(Distribution):
                 exc.best_estimate, exc.error_bound,
             ) from None
 
+    def standard(self):
+        return Normal(), self.sigma
+
     def log_cdf_integral(self, u):
-        return self.sigma * _special.log_ndtr_integral(self._z(u))
+        return _special.log_ndtr_integral(u)
 
     def log_cdf_odd_derivatives(self, u):
-        d1, d3, d5 = _special.log_ndtr_odd_derivatives(self._z(u))
-        return d1 / self.sigma, d3 / self.sigma**3, d5 / self.sigma**5
+        return _special.log_ndtr_odd_derivatives(u)
 
     def log_cdf_d5_variation(self, a, b, d5a, d5b):
         # g^(5) is monotone between its extrema: sum the increments from a
         # through the extrema inside (a, b) to b.  An extremum left of a
         # takes a's value and one right of b takes b's, adding nothing.
-        za, zb = self._z(a), self._z(b)
         tv, prev = 0.0, d5a
         for z, peak in zip(_special.D5_EXTREMA_Z, _special.D5_EXTREMA):
-            v = np.where(z <= za, d5a, np.where(z >= zb, d5b, peak / self.sigma**5))
+            v = np.where(z <= a, d5a, np.where(z >= b, d5b, peak))
             tv, prev = tv + np.abs(v - prev), v
         return tv + np.abs(d5b - prev)
 
@@ -509,16 +517,19 @@ class Uniform(Distribution):
         # and each term here is at most a quarter of the one before
         return math.fsum(r**k / k for k in range(2, 30))
 
-    # g = log((u - lo) / (hi - lo)), continued past hi
+    def standard(self):
+        return Uniform(), self.hi - self.lo
+
+    # the member's g = log u, continued past 1
 
     def log_cdf_integral(self, u):
-        d = np.maximum(np.asarray(u, dtype=np.float64) - self.lo, 0.0)
-        return xlogy(d, d / (self.hi - self.lo)) - d
+        u = np.maximum(np.asarray(u, dtype=np.float64), 0.0)
+        return xlogy(u, u) - u
 
     def log_cdf_odd_derivatives(self, u):
-        d = np.asarray(u, dtype=np.float64) - self.lo
+        u = np.asarray(u, dtype=np.float64)
         with np.errstate(divide="ignore", over="ignore"):
-            return 1.0 / d, 2.0 / d**3, 24.0 / d**5
+            return 1.0 / u, 2.0 / u**3, 24.0 / u**5
 
 
 @dataclass(frozen=True)
@@ -564,22 +575,22 @@ class Exponential(Distribution):
         # the hazard f/S is the constant rate
         return TailInfo(1.0 / self.rate, False)
 
-    # With t = e^(-rate u): g = log(1 - t).  The derivatives are written in
-    # t, because the e^(+rate u) forms overflow to nan.
+    def standard(self):
+        return Exponential(), 1.0 / self.rate
+
+    # With t = e^(-u): the member's g = log(1 - t).  The derivatives are
+    # written in t, because the e^(+u) forms overflow to nan.
 
     def log_cdf_integral(self, u):
-        # Li2(t) / rate, where Li2(t) = spence(1 - t)
-        lu = self.rate * np.asarray(u, dtype=np.float64)
-        return spence(-np.expm1(-lu)) / self.rate
+        # Li2(t), where Li2(t) = spence(1 - t)
+        return spence(-np.expm1(-np.asarray(u, dtype=np.float64)))
 
     def log_cdf_odd_derivatives(self, u):
-        lu = self.rate * np.asarray(u, dtype=np.float64)
-        t = np.exp(-lu)
-        s = -np.expm1(-lu)
+        u = np.asarray(u, dtype=np.float64)
+        t, s = np.exp(-u), -np.expm1(-u)
         with np.errstate(divide="ignore"):
             poly = 1.0 + t * (11.0 + t * (11.0 + t))
-            return (self.rate * t / s, self.rate**3 * t * (1.0 + t) / s**3,
-                    self.rate**5 * t * poly / s**5)
+            return t / s, t * (1.0 + t) / s**3, t * poly / s**5
 
 
 _FAMILIES = {

@@ -10,11 +10,11 @@ all i >= 1.  This module evaluates both by adaptive quadrature of one
 integrand, whose log-product sums a head of factors directly and the rest
 in Euler-Maclaurin form with a bounded remainder, and classifies when the
 limit is positive and when the total number of records stays finite.
-Each integral's window and tail threshold are set up before its first
-integrand call, from two things kept across integrals: f's window, per
-law, and the Euler-Maclaurin tail threshold, which depends on neither
-delta nor n, per law, trend and tolerance.  Each integrand call reads
-its head from the threshold at its lowest node.
+Every integral runs on the law's standard member.  Its window and tail
+threshold are set up before its first integrand call, from f's window,
+kept per law, and the Euler-Maclaurin tail threshold, which depends on
+neither delta nor n, kept per law, trend and tolerance.  Each integrand
+call reads its head from the threshold at its lowest node.
 """
 import functools
 import math
@@ -62,6 +62,15 @@ class LdmConfig:
 
     def __post_init__(self):
         require_finite(c=self.c, delta=self.delta)
+
+
+def _standard(cfg):
+    """cfg on its law's standard member, with c and delta over its scale."""
+    member, scale = cfg.dist.standard()
+    c, delta = cfg.c / scale, cfg.delta / scale
+    if math.isinf(c) or math.isinf(delta):
+        raise DriftRecordsError(f"c or delta over the law's scale {scale:g} overflows")
+    return LdmConfig(member, c, delta)
 
 
 @dataclass(frozen=True)
@@ -417,7 +426,7 @@ def p_n_delta(cfg: LdmConfig, n: int, tol: float = DEFAULT_TOL) -> ProbResult:
     require_positive(tol=tol)
     if n == 1:
         return ProbResult(1.0, 0.0, 0)
-    return _record_integral(cfg, n - 1, tol)[0]
+    return _record_integral(_standard(cfg), n - 1, tol)[0]
 
 
 def classify_positivity(cfg: LdmConfig) -> bool:
@@ -442,14 +451,15 @@ def p_delta(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> ProbResult:
     """Limiting delta-record rate, the n -> infinity limit of p_n.
 
     When the positivity classifier rules the limit out, returns 0 exactly.
-    For zero trend (finite upper endpoint, negative delta) the limit equals
-    the closed form 1 - F(x_sup + delta), whose bound covers the rounding
-    of that form in double precision.  For positive trend the infinite
-    product is the same log-product as for p_n with no last factor: its
-    Euler-Maclaurin tail runs to infinity, so nothing is truncated.  The
-    floor on ``tol`` is that of ``p_n_delta``.
+    For zero trend on the law's standard member (finite upper endpoint,
+    negative delta) the limit equals the closed form 1 - F(x_sup + delta),
+    whose bound covers the rounding of that form in double precision.  For
+    positive trend the infinite product is the same log-product as for p_n
+    with no last factor: its Euler-Maclaurin tail runs to infinity, so
+    nothing is truncated.  The floor on ``tol`` is that of ``p_n_delta``.
     """
     require_positive(tol=tol)
+    cfg = _standard(cfg)
     if not classify_positivity(cfg):
         return ProbResult(0.0, 0.0, 0)
 
@@ -478,7 +488,8 @@ def classify_finiteness(cfg: LdmConfig, tol: float = DEFAULT_TOL) -> FinitenessV
     ``tail_info().zero_trend_finite``.  Only a Finite verdict asks the law
     for the integral, its ``zero_trend_integral``, to report as
     ``integral_value``: exact for uniform noise, and within ``tol`` times
-    the value for normal noise.
+    the value for normal noise.  It asks the law itself, not its member:
+    that integral's limit x >= 0 moves with the law's location.
     """
     require_positive(tol=tol)
     dist, c, delta = cfg.dist, cfg.c, cfg.delta

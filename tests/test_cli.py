@@ -55,6 +55,19 @@ class TestProb:
         )
         assert got["value"] == pytest.approx(0.9**5 / 5, abs=1e-12)
 
+    @pytest.mark.parametrize("law, member", [
+        (("--dist", "normal:sigma=1e62", "--c", "1e61", "--delta", "5e61"),
+         ("--dist", "normal", "--c", "0.1", "--delta", "0.5")),
+        (("--dist", "normal:sigma=1e-65", "--c", "1e-66", "--delta", "0", "--n", "1000"),
+         ("--dist", "normal", "--c", "0.1", "--delta", "0", "--n", "1000")),
+    ])
+    def test_extreme_normal_scales_print_the_members_value(self, capsys, law, member):
+        # sigma^5 overflows or underflows a double; the record integral
+        # runs on the standard normal law and never forms it
+        got, want = run_json(capsys, "prob", *law), run_json(capsys, "prob", *member)
+        assert abs(got["value"] - want["value"]) <= (
+            got["abs_error_bound"] + want["abs_error_bound"])
+
     def test_bad_distribution_exits_nonzero(self, capsys):
         rc, _, err = run(
             capsys, "prob", "--dist", "cauchy", "--c", "1", "--delta", "0",

@@ -25,6 +25,7 @@ from driftrecords import (
     parse_spec,
 )
 from driftrecords import distributions, probability, quadrature
+from driftrecords.correlation import dependence_index_result, joint_prob_consecutive
 from driftrecords.distributions import Dagum, ParetoUnit, Uniform
 from driftrecords.errors import DriftRecordsError, QuadratureError
 from driftrecords.probability import (
@@ -37,6 +38,13 @@ from conftest import BAD_INDICES
 
 def ldm(spec, c, delta):
     return LdmConfig(parse_spec(spec), c=c, delta=delta)
+
+
+def _member(spec, *xs):
+    """spec's standard member and xs in its units: the record integral's
+    Euler-Maclaurin tail and log-product only ever see members."""
+    member, scale = parse_spec(spec).standard()
+    return (member, *(x / scale for x in xs))
 
 
 class TestFiniteSampleProbability:
@@ -811,7 +819,9 @@ class TestCostDoesNotGrow:
 
 
 class TestLogProduct:
-    """The head-plus-tail engine against the direct sum of every factor."""
+    """The head-plus-tail engine against the direct sum of every factor.
+    A case of a law with a scale runs on its standard member, at c over
+    the scale, as the record integral runs it."""
 
     CASES = [
         ("gumbel", 0.01, 5000),
@@ -826,7 +836,7 @@ class TestLogProduct:
 
     @staticmethod
     def _run(spec, c, m, budget):
-        dist = parse_spec(spec)
+        dist, c = _member(spec, c)
         y = dist.quantile(np.array([0.01, 0.3, 0.7, 0.99]))
         got, head, eps = _log_product(dist, y, c, m, _tail_threshold(dist, c, budget))
         want = np.array([
@@ -914,7 +924,7 @@ class TestTailThreshold:
         # the shortest head that meets the budget at the window's low end,
         # by a scan over every k < m, against the head _log_product reads
         # from the tail threshold there
-        dist = parse_spec(spec)
+        dist, c, delta = _member(spec, c, delta)
         budget = DEFAULT_TOL / 10.0
         lo = max(_density_weight(dist)[0].lo, probability._product_cutoff(dist, c, delta, m))
         y_lo = lo - delta
@@ -1070,10 +1080,21 @@ class TestWeights:
                 s, res, want)
 
 
+# the four entries that run a record integral, each as a function of
+# the model alone
+ENTRIES = {
+    "p_delta": p_delta,
+    "p_n_delta": lambda cfg: p_n_delta(cfg, 1000),
+    "joint_prob_consecutive": lambda cfg: joint_prob_consecutive(cfg, 50),
+    "dependence_index_result": lambda cfg: dependence_index_result(cfg, 5),
+}
+
 # the law methods that evaluate g, F, f or G at their argument; the
 # d5 variation is left out, as its a and b only bound an interval
 _EVALUATIONS = ("cdf", "log_cdf", "log_sf", "pdf", "log_cdf_integral",
                 "log_cdf_odd_derivatives")
+# and every law method that a record integral may call
+_LAW_METHODS = _EVALUATIONS + ("quantile", "tail_info", "log_cdf_d5_variation")
 
 
 class TestLawContract:
@@ -1101,6 +1122,27 @@ class TestLawContract:
         assert "log_cdf_odd_derivatives" in {name for name, _ in args}
         assert [name for name, x in args if np.ndim(x) == 0 and x == math.inf] == []
 
+    @pytest.mark.parametrize("dist", [Normal(0.3, 2.0), Uniform(-1.0, 2.0), Exponential(1.5),
+                                      Dagum(2.0, 0.5)], ids=repr)
+    def test_no_entry_calls_a_method_of_the_law_itself(self, monkeypatch, dist):
+        # the four entries ask only the law's standard member, which f's
+        # window, kept per law, then shares with every law of its family
+        member = dist.standard()[0]
+        callers = set()
+        for name in _LAW_METHODS:
+            original = getattr(type(dist), name)
+
+            def counted(self, *args, original=original, **kwargs):
+                callers.add(self)
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(type(dist), name, counted)
+        probability._density_weight.cache_clear()
+        cfg = LdmConfig(dist, 0.01, 0.5)
+        for fn in ENTRIES.values():
+            fn(cfg)
+        assert callers == {member}
+
     @pytest.mark.parametrize("c, delta, want, exact", [
         (0.5, 0.0, ProbResult(0.875, 9.71445146547012e-15, 1), Fraction(7, 8)),
         (0.5, 0.5, ProbResult(0.47916666666666674, 5.319818659662209e-15, 2),
@@ -1121,3 +1163,86 @@ class TestLawContract:
             assert got == want
             assert abs(Fraction(got.value) - exact) <= Fraction(got.abs_error_bound)
         assert tails == []
+
+
+class TestStandardMember:
+    """Every record integral runs on its law's standard member, at c and
+    delta over the law's scale: a location-scale family has the record
+    probabilities of its member there."""
+
+    @pytest.mark.parametrize("dist, member, scale", [
+        (Gumbel(), Gumbel(), 1.0), (ParetoUnit(), ParetoUnit(), 1.0),
+        (Normal(0.3, 2.0), Normal(), 2.0), (Uniform(-1.0, 2.0), Uniform(), 3.0),
+        (Exponential(1.5), Exponential(), 1.0 / 1.5), (Dagum(2.0, 0.5), Dagum(1.0, 0.5), 2.0),
+    ], ids=repr)
+    def test_each_law_names_its_member_and_scale(self, dist, member, scale):
+        assert dist.standard() == (member, scale)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_a_trend_that_underflows_is_the_members_zero_trend(self, entry):
+        # c / sigma = 1e-330 is 0 in doubles: the member's c = 0 answer,
+        # not an infinite head
+        fn = ENTRIES[entry]
+        got = fn(LdmConfig(Normal(0.0, 1e300), 1e-30, 0.5e300))
+        assert got == fn(LdmConfig(Normal(), 0.0, 0.5))
+
+    @pytest.mark.parametrize("dist, delta, want", [
+        (Normal(0.0, 1e300), 0.5, 0.0),
+        # 1 - F(1 + delta / sigma) for the member
+        (Uniform(0.0, 1e300), -0.25e300, 0.25),
+    ], ids=repr)
+    def test_limit_at_an_underflowing_trend(self, dist, delta, want):
+        res = p_delta(LdmConfig(dist, 1e-30, delta))
+        assert res.truncation_n == 0
+        assert abs(res.value - want) <= res.abs_error_bound
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("c, delta", [(1e10, 0.1), (1e-300, 1e10)])
+    def test_an_overflowing_ratio_names_the_scale(self, entry, c, delta):
+        with pytest.raises(DriftRecordsError, match="scale 1e-300 overflow"):
+            ENTRIES[entry](LdmConfig(Uniform(0.0, 1e-300), c, delta))
+
+    # p_1000 of Uniform(1e6, 1e6 + 1): exact values by 60-digit
+    # polynomial integration between the kinks
+    @pytest.mark.parametrize("c, delta, exact", [
+        (0.01, -0.5, 0.62699789933978544),
+        (0.01, 0.5, 4.3135741305071399e-09),
+        (1e-12, 0.5, 9.3326455176730339e-305),
+        pytest.param(1e-12, -0.5, 0.5010000005, marks=pytest.mark.xfail(
+            strict=True, reason="the member's own miss at tiny c m, ROADMAP item 20")),
+    ])
+    def test_a_support_far_from_zero(self, c, delta, exact):
+        res = p_n_delta(LdmConfig(Uniform(1e6, 1e6 + 1.0), c, delta), 1000)
+        assert abs(res.value - exact) <= res.abs_error_bound, res
+
+    @pytest.mark.parametrize("sigma", [1e62, 1e-66])
+    @pytest.mark.parametrize("key", sorted(NORMAL_REFERENCE, key=str), ids=str)
+    def test_normal_at_extreme_scales(self, sigma, key):
+        # sigma^5 overflows or underflows a double; the member does not
+        # see it
+        c, delta, n = key
+        law = LdmConfig(Normal(0.0, sigma), c * sigma, delta * sigma)
+        member = LdmConfig(Normal(), law.c / sigma, law.delta / sigma)
+        if n is None:
+            res, want = p_delta(law), p_delta(member)
+        else:
+            res, want = p_n_delta(law, n), p_n_delta(member, n)
+        assert res == want
+        assert abs(res.value - NORMAL_REFERENCE[key]) <= res.abs_error_bound
+
+    def test_invariance_over_a_seeded_grid(self):
+        # each law at a random location and scale, against its member
+        # at c and delta in member units
+        rng = np.random.default_rng(21)
+        for _ in range(6):
+            scale = 10.0 ** rng.uniform(-40.0, 40.0)
+            loc = scale * rng.uniform(-3.0, 3.0)
+            c, delta = rng.choice([0.01, 0.3, 1.0]), rng.uniform(-0.5, 1.0)
+            for law in (Normal(loc, scale), Uniform(loc, loc + scale),
+                        Exponential(1.0 / scale), Dagum(scale, rng.uniform(0.5, 2.0))):
+                member, s = law.standard()
+                for entry, fn in (("p_delta", p_delta), ("p_n_delta", ENTRIES["p_n_delta"])):
+                    got = fn(LdmConfig(law, c * s, delta * s))
+                    want = fn(LdmConfig(member, c, delta))
+                    assert abs(got.value - want.value) <= (
+                        got.abs_error_bound + want.abs_error_bound), (law, c, delta, entry)
