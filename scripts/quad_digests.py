@@ -60,7 +60,7 @@ EDGES = [
 def line(out, label, fn):
     try:
         result = repr(fn())
-    except dr.DriftRecordsError as exc:
+    except Exception as exc:
         result = f"error: {type(exc).__name__}: {exc}"
     print(f"{label} {result}", file=out)
 

@@ -9,10 +9,10 @@ integral converges also compute its value.
 
 Each family also gives g = log F what the Euler-Maclaurin tail of the
 record-probability log-product needs, for its standard member alone: the
-antiderivative G, the odd derivatives g', g''' and g^(5), and a bound on
-the total variation of g^(5) over an interval.  These follow g's analytic
-form on the interior of the support; at and above a finite upper
-endpoint every factor F is exactly 1, and the tail stops before it.
+antiderivative G and the odd derivatives g', g''' and g^(5), and the
+extrema of g^(5).  These follow g's analytic form on the interior of the
+support; at and above a finite upper endpoint every factor F is exactly
+1, and the tail stops before it.
 """
 import dataclasses
 import math
@@ -71,17 +71,19 @@ class Distribution:
 
     Subclasses provide vectorized ``log_cdf``, ``pdf``, ``quantile``,
     plus ``support``, ``tail_info`` and the Euler-Maclaurin data of
-    g = log F: ``log_cdf_integral``, ``log_cdf_odd_derivatives`` and,
-    where g^(6) changes sign, ``log_cdf_d5_variation``, all of the
-    ``standard`` member.  g', g''' and g^(5) vanish at +inf for every law,
-    so callers take them as 0 there rather than ask.  ``cdf`` defaults to
-    exp(log F), and a support that no parameter moves is a class constant.
+    g = log F of the ``standard`` member: ``log_cdf_em``, and
+    ``d5_extrema``, the (u, g^(5)(u)) where g^(6) changes sign, from
+    which the engine bounds g^(5)'s variation.  G, g', g''' and g^(5)
+    vanish at +inf for every law, so callers take them as 0 there rather
+    than ask.  ``cdf`` defaults to exp(log F), and a support that no
+    parameter moves is a class constant.
     A law whose ``tail_info().zero_trend_finite`` holds also provides
     ``zero_trend_integral``.  All are immutable frozen dataclasses, safe
     to share across threads; their fields are the spec parameters.
     """
 
     kind = "abstract"
+    d5_extrema = ()
 
     @property
     def support(self):
@@ -133,23 +135,11 @@ class Distribution:
         whose record probabilities at c/scale and delta/scale are the law's."""
         return self, 1.0
 
-    def log_cdf_integral(self, u):
-        """G(u), an antiderivative of the standard member's g = log F, with
-        G(+inf) = 0 whenever g is integrable at +inf."""
+    def log_cdf_em(self, u):
+        """(G(u), g'(u), g'''(u), g^(5)(u)) of the standard member's
+        g = log F: G an antiderivative of g with G(+inf) = 0 whenever g is
+        integrable at +inf, and g' = pdf / cdf."""
         raise NotImplementedError
-
-    def log_cdf_odd_derivatives(self, u):
-        """(g'(u), g'''(u), g^(5)(u)) of the standard member, g' = pdf / cdf."""
-        raise NotImplementedError
-
-    def log_cdf_d5_variation(self, a, b, d5a, d5b):
-        """Upper bound on the total variation of the member's g^(5) over
-        [a, b], given d5a = g^(5)(a) and d5b = g^(5)(b).
-
-        This default is exact when g^(6) keeps one sign, as it does for
-        every built-in family except the normal one.
-        """
-        return np.abs(d5a - d5b)
 
 
 @dataclass(frozen=True)
@@ -190,13 +180,10 @@ class Gumbel(Distribution):
         # the hazard f/S tends to 1
         return TailInfo(GUMBEL_MU_PLUS, False)
 
-    def log_cdf_integral(self, u):
+    def log_cdf_em(self, u):
         # g = -e^(-u): its antiderivative and its odd derivatives are e^(-u)
-        return np.exp(-np.asarray(u, dtype=np.float64))
-
-    def log_cdf_odd_derivatives(self, u):
-        t = self.log_cdf_integral(u)
-        return t, t, t
+        t = np.exp(-np.asarray(u, dtype=np.float64))
+        return t, t, t, t
 
 
 @dataclass(frozen=True)
@@ -236,23 +223,18 @@ class ParetoUnit(Distribution):
     def tail_info(self):
         return TailInfo(_INF, False)
 
-    def log_cdf_integral(self, u):
-        # (u - 1) log(1 - 1/u) - log u
-        u = np.maximum(np.asarray(u, dtype=np.float64), 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            head = np.where(u > 1.0, (u - 1.0) * np.log1p(-1.0 / u), 0.0)
-        return head - np.log(u)
-
-    def log_cdf_odd_derivatives(self, u):
+    def log_cdf_em(self, u):
+        # G = (v - 1) log(1 - 1/v) - log v at v = max(u, 1);
         # g''' = 2/(u-1)^3 - 2/u^3 and g^(5) = 24/(u-1)^5 - 24/u^5, in
         # powers of w = 1/u: no cancellation at large u, no overflow
         u = np.asarray(u, dtype=np.float64)
-        w = 1.0 / u
-        with np.errstate(divide="ignore", over="ignore"):
+        v, w = np.maximum(u, 1.0), 1.0 / u
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            head = np.where(v > 1.0, (v - 1.0) * np.log1p(-1.0 / v), 0.0)
             d1 = 1.0 / u / (u - 1.0)
             d3 = 2.0 * (3.0 - 3.0 * w + w * w) / (u**4 * (1.0 - w) ** 3)
             poly = 5.0 - w * (10.0 - w * (10.0 - w * (5.0 - w)))
-            return d1, d3, 24.0 * poly / (u**6 * (1.0 - w) ** 5)
+            return head - np.log(v), d1, d3, 24.0 * poly / (u**6 * (1.0 - w) ** 5)
 
 
 @dataclass(frozen=True)
@@ -311,19 +293,15 @@ class Dagum(Distribution):
     def standard(self):
         return Dagum(1.0, self.q), self.b
 
-    def log_cdf_integral(self, u):
-        # q (-u log(1 + 1/u) - log(u + 1))
-        u = np.maximum(np.asarray(u, dtype=np.float64), 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            head = np.where(u > 0.0, u * np.log1p(1.0 / u), 0.0)
-        return -self.q * (head + np.log(u + 1.0))
-
-    def log_cdf_odd_derivatives(self, u):
-        # g''' = 2q (1/u^3 - 1/(u+1)^3) and g^(5) = 24q (1/u^5 - 1/(u+1)^5);
+    def log_cdf_em(self, u):
+        # G = q (-v log(1 + 1/v) - log(v + 1)) at v = max(u, 0);
+        # g''' = 2q (1/u^3 - 1/(u+1)^3) and g^(5) = 24q (1/u^5 - 1/(u+1)^5),
         # past u = 1 in powers of r = 1/u, which neither cancels nor
         # overflows
         u = np.asarray(u, dtype=np.float64)
+        v = np.maximum(u, 0.0)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            head = np.where(v > 0.0, v * np.log1p(1.0 / v), 0.0)
             d1 = self.q / u / (u + 1.0)
             r = 1.0 / u
             near3 = 1.0 / u**3 - 1.0 / (u + 1.0) ** 3
@@ -332,7 +310,8 @@ class Dagum(Distribution):
             poly = 5.0 + r * (10.0 + r * (10.0 + r * (5.0 + r)))
             far5 = poly / (u**6 * (1.0 + r) ** 5)
         far = u > 1.0
-        return (d1, 2.0 * self.q * np.where(far, far3, near3),
+        return (-self.q * (head + np.log(v + 1.0)), d1,
+                2.0 * self.q * np.where(far, far3, near3),
                 24.0 * self.q * np.where(far, far5, near5))
 
 
@@ -344,6 +323,7 @@ class Normal(Distribution):
     sigma: float = 1.0
     kind = "normal"
     support = (-_INF, _INF)
+    d5_extrema = tuple(zip(_special.D5_EXTREMA_Z, _special.D5_EXTREMA))
 
     def __post_init__(self):
         require_finite(mu=self.mu)
@@ -431,21 +411,8 @@ class Normal(Distribution):
     def standard(self):
         return Normal(), self.sigma
 
-    def log_cdf_integral(self, u):
-        return _special.log_ndtr_integral(u)
-
-    def log_cdf_odd_derivatives(self, u):
-        return _special.log_ndtr_odd_derivatives(u)
-
-    def log_cdf_d5_variation(self, a, b, d5a, d5b):
-        # g^(5) is monotone between its extrema: sum the increments from a
-        # through the extrema inside (a, b) to b.  An extremum left of a
-        # takes a's value and one right of b takes b's, adding nothing.
-        tv, prev = 0.0, d5a
-        for z, peak in zip(_special.D5_EXTREMA_Z, _special.D5_EXTREMA):
-            v = np.where(z <= a, d5a, np.where(z >= b, d5b, peak))
-            tv, prev = tv + np.abs(v - prev), v
-        return tv + np.abs(d5b - prev)
+    def log_cdf_em(self, u):
+        return (_special.log_ndtr_integral(u), *_special.log_ndtr_odd_derivatives(u))
 
 
 @dataclass(frozen=True)
@@ -522,14 +489,11 @@ class Uniform(Distribution):
 
     # the member's g = log u, continued past 1
 
-    def log_cdf_integral(self, u):
-        u = np.maximum(np.asarray(u, dtype=np.float64), 0.0)
-        return xlogy(u, u) - u
-
-    def log_cdf_odd_derivatives(self, u):
+    def log_cdf_em(self, u):
         u = np.asarray(u, dtype=np.float64)
+        v = np.maximum(u, 0.0)
         with np.errstate(divide="ignore", over="ignore"):
-            return 1.0 / u, 2.0 / u**3, 24.0 / u**5
+            return xlogy(v, v) - v, 1.0 / u, 2.0 / u**3, 24.0 / u**5
 
 
 @dataclass(frozen=True)
@@ -581,16 +545,13 @@ class Exponential(Distribution):
     # With t = e^(-u): the member's g = log(1 - t).  The derivatives are
     # written in t, because the e^(+u) forms overflow to nan.
 
-    def log_cdf_integral(self, u):
-        # Li2(t), where Li2(t) = spence(1 - t)
-        return spence(-np.expm1(-np.asarray(u, dtype=np.float64)))
-
-    def log_cdf_odd_derivatives(self, u):
+    def log_cdf_em(self, u):
+        # G = Li2(t), where Li2(t) = spence(1 - t) = spence(s)
         u = np.asarray(u, dtype=np.float64)
         t, s = np.exp(-u), -np.expm1(-u)
         with np.errstate(divide="ignore"):
             poly = 1.0 + t * (11.0 + t * (11.0 + t))
-            return t / s, t * (1.0 + t) / s**3, t * poly / s**5
+            return spence(s), t / s, t * (1.0 + t) / s**3, t * poly / s**5
 
 
 _FAMILIES = {

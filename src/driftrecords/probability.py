@@ -80,7 +80,7 @@ class ProbResult:
     ``truncation_n`` is the largest number of leading product factors
     summed one by one at any quadrature node; the factors after them come
     from the Euler-Maclaurin tail.  It is 0 when no factor needed a direct
-    sum, including when the value is exact without quadrature.
+    sum, including when the value is exact without quadrature or c = 0.
     """
 
     value: float
@@ -240,8 +240,8 @@ def _tail_threshold(dist, c, budget):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
             a = np.copysign(np.abs(ks).view(np.float64), ks)
-            d5a = dist.log_cdf_odd_derivatives(a)[2]
-            fits = _b6(c, dist.log_cdf_d5_variation(a, math.inf, d5a, 0.0)) <= budget
+            tv = _d5_variation(dist, a, math.inf, dist.log_cdf_em(a)[3], 0.0)
+            fits = _b6(c, tv) <= budget
             if not fits[-1]:
                 return math.inf
             j = int(np.argmax(fits))
@@ -255,6 +255,18 @@ def _tail_threshold(dist, c, budget):
             ks = lo + q * split + r * split // 64
 
 
+def _d5_variation(dist, a, b, d5a, d5b):
+    """Upper bound on the total variation of the member's g^(5) over
+    [a, b] from d5a = g^(5)(a) and d5b = g^(5)(b): g^(5) is monotone
+    between the law's ``d5_extrema``, so the increments from a through
+    the extrema inside (a, b) to b; one outside adds nothing."""
+    tv, prev = 0.0, d5a
+    for z, peak in dist.d5_extrema:
+        v = np.where(z <= a, d5a, np.where(z >= b, d5b, peak))
+        tv, prev = tv + np.abs(v - prev), v
+    return tv + np.abs(d5b - prev)
+
+
 def _em_tail(dist, y, c, head, m):
     """sum_{i=head+1..m} log F(y + c i) by Euler-Maclaurin with three
     correction terms, and the largest remainder bound over y.
@@ -264,11 +276,10 @@ def _em_tail(dist, y, c, head, m):
         D G / c + (g(a) + g(b)) / 2 + (c/12) D g' - (c^3/720) D g'''
             + (c^5/30240) D g^(5),
 
-    within (c^5/30240) TV(g^(5)) over [a, b].  g and its odd derivatives
-    are evaluated once, on a and b together; G apart, because the normal G
-    costs per finite point and b is often infinite.  When every b is +inf,
-    as for p with an unbounded top, only a is evaluated: G, g and its odd
-    derivatives are exactly 0 at +inf for every law.
+    within (c^5/30240) TV(g^(5)) over [a, b].  g, G and its odd
+    derivatives are evaluated once, on a and b together.  When every b is
+    +inf, as for p with an unbounded top, only a is evaluated: G, g and
+    its odd derivatives are exactly 0 at +inf for every law.
     """
     last = np.minimum(float(m), _below_top(dist, c, y))
     a = y + c * (head + 1.0)
@@ -280,20 +291,17 @@ def _em_tail(dist, y, c, head, m):
         some = last > head
         b = np.where(some, y + c * last, a)
         ends = np.concatenate((a, b))
-    g, (g1, g3, g5) = dist.log_cdf(ends), dist.log_cdf_odd_derivatives(ends)
-    ga, g1a, g3a, g5a = (v[:n] for v in (g, g1, g3, g5))
-    gb, g1b, g3b, g5b = (0.0,) * 4 if at_inf else (v[n:] for v in (g, g1, g3, g5))
-    G_b = 0.0 if at_inf else dist.log_cdf_integral(b)
-    G_a = dist.log_cdf_integral(a)
+    values = (dist.log_cdf(ends), *dist.log_cdf_em(ends))
+    ga, Ga, g1a, g3a, g5a = (v[:n] for v in values)
+    gb, Gb, g1b, g3b, g5b = (0.0,) * 5 if at_inf else (v[n:] for v in values)
     s = (
-        (G_b - G_a) / c
+        (Gb - Ga) / c
         + 0.5 * (ga + gb)
         + c / 12.0 * (g1b - g1a)
         - (g3b - g3a) * c * c * c / 720.0
         + _b6(c, g5b - g5a)
     )
-    tv = dist.log_cdf_d5_variation(a, b, g5a, g5b)
-    eps = np.where(some, _b6(c, tv), 0.0)
+    eps = np.where(some, _b6(c, _d5_variation(dist, a, b, g5a, g5b)), 0.0)
     return np.where(some, s, 0.0), float(eps.max())
 
 
@@ -310,8 +318,12 @@ def _log_product(dist, y, c, m, start):
     the node of largest magnitude.  The head is summed directly, chunking
     the (y, i) grid, and for c > 0 it ends where every factor reaches a
     finite support top.  A head of more than 2**52 factors raises
-    ``DriftRecordsError``.
+    ``DriftRecordsError``.  At c = 0 every factor is F(y), and the sum is
+    m log F(y), with no head and no remainder.
     """
+    if c == 0.0:
+        # m = 0 is the empty product, as 0 log F(y) is nan where F(y) = 0
+        return (m * dist.log_cdf(y) if m else np.zeros_like(y)), 0, 0.0
     y0 = float(y.min())
     cap = _below_top(dist, c, y0) if c > 0.0 else math.inf
     head = m

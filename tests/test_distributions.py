@@ -8,6 +8,7 @@ import scipy.special
 import scipy.stats
 
 from driftrecords import _special
+from driftrecords.probability import _d5_variation
 from driftrecords._kernels import BLOCK_VALUES
 from driftrecords.errors import DriftRecordsError
 from driftrecords.distributions import (
@@ -349,38 +350,36 @@ class TestEulerMaclaurinData:
             d1 = float(mp.diff(g, u, 1))
             d3 = float(mp.diff(g, u, 3))
             d5 = float(self._diff(g, u, 5))
-            got1, got3, got5 = dist.log_cdf_odd_derivatives(u)
+            _, got1, got3, got5 = dist.log_cdf_em(u)
             assert float(got1) == pytest.approx(d1, rel=1e-10), u
             assert float(got3) == pytest.approx(d3, rel=1e-8), u
             assert float(got5) == pytest.approx(d5, rel=1e-8), u
         for a, b in zip(pts, pts[1:]):
             # G' = g: the antiderivative's increment is the integral of g
-            got = float(dist.log_cdf_integral(b) - dist.log_cdf_integral(a))
+            got = float(dist.log_cdf_em(b)[0] - dist.log_cdf_em(a)[0])
             want = mp.quad(g, [a, b])
-            scale = abs(float(dist.log_cdf_integral(a))) + abs(float(want))
+            scale = abs(float(dist.log_cdf_em(a)[0])) + abs(float(want))
             assert abs(got - float(want)) <= 1e-13 * scale, (a, b)
         # the last interval spans every interior extremum of the normal g^(5)
         for a, b in list(zip(pts, pts[1:])) + [(pts[0], pts[-1])]:
             # int_a^b |g^(6)|: g^(6) keeps one sign on each piece, checked
             # on a grid, so the integral is the sum of |g^(5)| increments
-            extrema = []
-            if dist.kind == "normal":
-                extrema = list(_special.D5_EXTREMA_Z)
+            extrema = [z for z, _ in dist.d5_extrema]
             pieces = [a] + [e for e in extrema if a < e < b] + [b]
             total = mp.mpf(0)
             for lo, hi in zip(pieces, pieces[1:]):
                 signs = {mp.sign(self._diff(g, t, 6)) for t in mp.linspace(lo, hi, 9)[1:-1]}
                 assert len(signs) == 1, (lo, hi, signs)
                 total += abs(self._diff(g, hi, 5) - self._diff(g, lo, 5))
-            bound = float(dist.log_cdf_d5_variation(
-                a, b, dist.log_cdf_odd_derivatives(a)[2],
-                dist.log_cdf_odd_derivatives(b)[2]))
+            bound = float(_d5_variation(
+                dist, a, b, dist.log_cdf_em(a)[3], dist.log_cdf_em(b)[3]))
             assert bound >= float(total) * (1.0 - 1e-9), (a, b)
             assert bound <= float(total) * (1.0 + 1e-6) + 1e-300, (a, b)
 
     def test_normal_extrema_constants(self):
         g = _mp_log_cdf(Normal())
-        for z, peak in zip(_special.D5_EXTREMA_Z, _special.D5_EXTREMA):
+        assert len(Normal.d5_extrema) == 3
+        for z, peak in Normal.d5_extrema:
             assert abs(self._diff(g, z, 6)) < 1e-15
             assert float(self._diff(g, z, 5)) == pytest.approx(peak, rel=1e-15)
 
@@ -388,29 +387,28 @@ class TestEulerMaclaurinData:
                              ids=repr)
     def test_tail_limits_at_infinity(self, dist):
         # the engine evaluates these at +inf for the infinite product
-        for value in (dist.log_cdf_integral(math.inf),
-                      *dist.log_cdf_odd_derivatives(math.inf)):
+        for value in dist.log_cdf_em(math.inf):
             assert float(value) == 0.0
-        assert float(dist.log_cdf_d5_variation(math.inf, math.inf, 0.0, 0.0)) == 0.0
+        assert float(_d5_variation(dist, math.inf, math.inf, 0.0, 0.0)) == 0.0
 
     def test_normal_far_tails_stay_finite(self):
         dist = Normal()
         z = np.array([-1e6, -40.0, -12.5, 12.0, 40.0, 1e6])
-        for value in (dist.log_cdf_integral(z), *dist.log_cdf_odd_derivatives(z)):
+        for value in dist.log_cdf_em(z):
             assert np.all(np.isfinite(value))
         g = _mp_log_cdf(dist)
         for u in (-40.0, -12.5, -11.5):
-            assert float(dist.log_cdf_odd_derivatives(u)[1]) == pytest.approx(
+            assert float(dist.log_cdf_em(u)[2]) == pytest.approx(
                 float(mp.diff(g, u, 3)), rel=1e-9
             )
         # just right of the series' switch at z = -12 the closed form of
         # g^(5) cancels to about 1e-6 of its value; the series is exact
         for u, rel in ((-40.0, 1e-14), (-12.5, 1e-14), (-12.0, 2e-6), (-11.5, 1e-7)):
-            assert float(dist.log_cdf_odd_derivatives(u)[2]) == pytest.approx(
+            assert float(dist.log_cdf_em(u)[3]) == pytest.approx(
                 float(mp.diff(g, u, 5)), rel=rel
             )
             want = mp.quad(g, [u, -3, 0, 3, mp.inf])
-            assert float(dist.log_cdf_integral(u)) == pytest.approx(
+            assert float(dist.log_cdf_em(u)[0]) == pytest.approx(
                 float(-want), rel=1e-13
             )
 
@@ -663,4 +661,4 @@ class TestLogNdtrBranches:
         assert got[3] == pytest.approx(0.47753533981, rel=1e-10)
         assert math.isnan(_special.log_ndtr_integral(math.nan))
         assert math.isnan(_special.log_ndtr_odd_derivatives(math.nan)[1])
-        assert math.isnan(Normal().log_cdf_integral(math.nan))
+        assert math.isnan(Normal().log_cdf_em(math.nan)[0])
