@@ -43,8 +43,9 @@ LENGTHS = [2, 10, 1000]
 # (law, c, delta): trends so small that g^(5) overflows near the
 # support's low end, a head past 2**52 factors (an error line), a tail
 # from the first factor, a support far from 0, normal scales whose fifth
-# power overflows or underflows a double, and one at which c / sigma
-# underflows to 0
+# power overflows or underflows a double, one at which c / sigma
+# underflows to 0, and the band of tiny trends where the tail's
+# (G(b) - G(a))/c cancels and p_n takes the midpoint sum
 EDGES = [
     ("uniform", 1e-80, 0.1), ("uniform", 1e-100, 0.1),
     ("exp", 1e-80, 0.1), ("exp", 1e-100, 0.1),
@@ -54,6 +55,8 @@ EDGES = [
     ("uniform:lo=1e6,hi=1000001", 1e-12, -0.5), ("uniform:lo=1e6,hi=1000001", 1e-12, 0.5),
     ("normal:sigma=1e62", 1e61, 5e61), ("normal:sigma=1e-66", 1e-66, 5e-67),
     ("normal:sigma=1e300", 1e-30, 0.5),
+    ("gumbel", 1e-13, 0.0), ("normal", 1e-16, 0.1), ("exp", 1e-15, 0.1),
+    ("uniform", 1e-12, -0.5),
 ]
 
 

@@ -7,14 +7,14 @@ delta-record with probability
 
 and the limiting rate p is the same integral with the product taken over
 all i >= 1.  This module evaluates both by adaptive quadrature of one
-integrand, whose log-product sums a head of factors directly and the rest
-in Euler-Maclaurin form with a bounded remainder, and classifies when the
-limit is positive and when the total number of records stays finite.
-Every integral runs on the law's standard member.  Its window and tail
-threshold are set up before its first integrand call, from f's window,
-kept per law, and the Euler-Maclaurin tail threshold, which depends on
-neither delta nor n, kept per law, trend and tolerance.  Each integrand
-call reads its head from the threshold at its lowest node.
+integrand, whose log-product is an Euler-Maclaurin tail after a direct
+head, a midpoint sum or a direct sum, whichever comes first with an error
+in budget, and classifies when the limit is positive and when the total
+number of records stays finite.  Every integral runs on the law's standard
+member.  f's window, kept per law, and the Euler-Maclaurin tail threshold,
+which depends on neither delta nor n, kept per law, trend and tolerance,
+are set up before its first integrand call, which reads its head from the
+threshold at its lowest node.
 """
 import functools
 import math
@@ -79,8 +79,8 @@ class ProbResult:
 
     ``truncation_n`` is the largest number of leading product factors
     summed one by one at any quadrature node; the factors after them come
-    from the Euler-Maclaurin tail.  It is 0 when no factor needed a direct
-    sum, including when the value is exact without quadrature or c = 0.
+    from the Euler-Maclaurin tail or its midpoint sum, which sums none
+    directly.  It is 0 for a value exact without quadrature and at c = 0.
     """
 
     value: float
@@ -201,6 +201,8 @@ _MAX_HEAD = 1 << 52
 # Euler-Maclaurin terms costs about as much as that many factors.
 _MIN_TAIL = 64
 
+_EPS, _LOG_MIN = sys.float_info.epsilon, math.log(sys.float_info.min)
+
 
 def _b6(c, x):
     """(c^5 / 30240) x, the sixth-order Euler-Maclaurin coefficient for a
@@ -269,7 +271,9 @@ def _d5_variation(dist, a, b, d5a, d5b):
 
 def _em_tail(dist, y, c, head, m):
     """sum_{i=head+1..m} log F(y + c i) by Euler-Maclaurin with three
-    correction terms, and the largest remainder bound over y.
+    correction terms; per node its error, the remainder bound plus the
+    cancellation term eps (|G(a)| + |G(b)|)/c; and its count of factors
+    and -D g', from which ``_log_product`` forms the tail's midpoint sum.
 
     With a = y + c (head+1), b = y + c last and D h = h(b) - h(a):
 
@@ -301,60 +305,80 @@ def _em_tail(dist, y, c, head, m):
         - (g3b - g3a) * c * c * c / 720.0
         + _b6(c, g5b - g5a)
     )
-    eps = np.where(some, _b6(c, _d5_variation(dist, a, b, g5a, g5b)), 0.0)
-    return np.where(some, s, 0.0), float(eps.max())
+    rem = _b6(c, _d5_variation(dist, a, b, g5a, g5b))
+    cancel = _EPS / c * (np.abs(Ga) + np.abs(Gb))
+    return np.where(some, s, 0.0), rem + cancel * some, (last - head) * some, g1a - g1b
 
 
-def _log_product(dist, y, c, m, start):
-    """sum_{i=1..m} log F(y + c i) for each y; m may be math.inf.
-
-    Returns the sums, the number of leading factors summed directly and
-    the largest Euler-Maclaurin remainder bound.  The factors at arguments
-    from ``start``, the ``_tail_threshold`` or +inf for none, on come from
-    ``_em_tail``: the head is K = max(ceil((start - y0)/c) - 1, 0) at the
-    lowest node y0, the first whose tail starts at or past ``start``, and
-    every factor is summed directly when fewer than ``_MIN_TAIL`` would be
-    left or when the tail's first and last arguments round together at
-    the node of largest magnitude.  The head is summed directly, chunking
-    the (y, i) grid, and for c > 0 it ends where every factor reaches a
-    finite support top.  A head of more than 2**52 factors raises
-    ``DriftRecordsError``.  At c = 0 every factor is F(y), and the sum is
-    m log F(y), with no head and no remainder.
-    """
-    if c == 0.0:
-        # m = 0 is the empty product, as 0 log F(y) is nan where F(y) = 0
-        return (m * dist.log_cdf(y) if m else np.zeros_like(y)), 0, 0.0
-    y0 = float(y.min())
-    cap = _below_top(dist, c, y0) if c > 0.0 else math.inf
-    head = m
-    if start < math.inf:
-        # q may overflow; a head clamped past 2**52 still raises below
-        q = (start - y0) / c
-        k = math.ceil(min(q, _MAX_HEAD + 2.0)) - 1 if q > 1.0 else 0
-        # where the tail's first and last arguments round together at the
-        # node of largest magnitude, D G / c has lost its main term
-        s = max(abs(y0), abs(float(y.max())))
-        if m - k >= _MIN_TAIL and s + c * (k + 1.0) < s + c * min(m, cap):
-            head = k
-    if cap <= head:
-        # every factor past the cap is 1 at every node: no tail is left
-        head = m = int(cap)
-    if head > _MAX_HEAD:
-        raise DriftRecordsError(
-            "the Euler-Maclaurin remainder of the infinite product never met its budget"
-        )
+def _direct(dist, y, c, k):
+    """sum_{i=1..k} log F(y + c i), factor by factor in chunks of (y, i)."""
+    if k > _MAX_HEAD:
+        raise DriftRecordsError("the Euler-Maclaurin remainder of the infinite product"
+                                " never met its budget")
     out = np.zeros_like(y)
-    if head > 0:
-        offsets = c * np.arange(1, head + 1, dtype=np.float64)
-        step = max(1, _CHUNK_BUDGET // head)
+    if k > 0:
+        offsets = c * np.arange(1, k + 1, dtype=np.float64)
+        step = max(1, _CHUNK_BUDGET // int(k))
         for i in range(0, y.shape[0], step):
             block = y[i:i + step]
             out[i:i + step] = dist.log_cdf(block[:, None] + offsets[None, :]).sum(axis=1)
-    eps = 0.0
-    if head < m:
-        tail, eps = _em_tail(dist, y, c, head, m)
-        out += tail
-    return out, head, eps
+    return out
+
+
+def _live_max(up, x, tol):
+    """The largest x over the live nodes, where e^up, a bound on the product,
+    is at least eps tol times its largest value or the least normal double."""
+    live = up >= max(np.fmax.reduce(up), _LOG_MIN) + math.log(_EPS * tol)
+    return np.maximum.reduce(x, where=live, initial=0.0)
+
+
+def _log_product(dist, y, c, m, start, tol):
+    """sum_{i=1..m} log F(y + c i) for each y; m may be math.inf.
+
+    Returns the sums, the number of leading factors summed directly and
+    the largest log-space error bound over the ``_live_max`` nodes.  The
+    head is the K = max(ceil((start - y0)/c) - 1, 0) factors below
+    ``start`` (the ``_tail_threshold``, or +inf for none) at the lowest
+    node y0, none at c = 0.  For c > 0 and at least ``_MIN_TAIL`` factors
+    past K below a finite top, ``_em_tail`` sums them, unless its remainder
+    and cancellation term pass tol/5 at a live node, m is finite and the
+    midpoint sum k g(t) of its k factors at their mean argument t, which
+    sums none of them directly, has a smaller error: the spread
+    (c k^2/4)(g'(a) - g'(b)) at the tail's ends, a bound as g = log F is
+    concave for every law.  At c = 0, with k = m, that sum is exact.
+    Other products are summed directly, over 2**52 factors raising
+    ``DriftRecordsError``; direct and midpoint sums S add eps |S|.
+    """
+    y0 = float(y.min())
+    cap = _below_top(dist, c, y0) if c > 0.0 else math.inf
+    # at c = 0 every argument is y, and the midpoint sum is exact
+    head, mid = (0, (0.0, float(m), np.zeros_like(y), math.inf)) if c == 0.0 else (m, None)
+    if start < math.inf:
+        # q may overflow; a head clamped past 2**52 still raises below
+        q = min(max((start - y0) / c, 1.0), _MAX_HEAD + 2.0)
+        head = min(m, math.ceil(q) - 1)
+    if c > 0.0 and m - head >= _MIN_TAIL and head < cap:
+        direct = _direct(dist, y, c, head)
+        tail, err, count, dg1 = _em_tail(dist, y, c, head, m)
+        s = direct + tail
+        worst = err.max()
+        if worst > tol / 5.0:
+            worst = _live_max(s + err, err, tol)
+        if worst <= tol / 5.0 or m == math.inf:
+            return s, head, worst
+        mid = direct, count, dg1, worst
+    if mid is not None and m > 0:
+        direct, count, dg1, worst = mid
+        t = direct + count * dist.log_cdf(y + c * (head + 0.5 * (count + 1.0)))
+        spread = 0.25 * c * count * count * dg1
+        # t <= 0: t + eps |t| is (1 - eps) t, also where t = -inf
+        up = (1.0 - _EPS) * t + spread
+        if _live_max(up, spread, tol) < worst:
+            return t, head, _live_max(up, spread - _EPS * t, tol)
+        return s, head, worst
+    m = min(m, cap)  # every factor past the cap is 1 at every node
+    s = _direct(dist, y, c, m)
+    return s, int(m), _live_max((1.0 - _EPS) * s, -_EPS * s, tol)
 
 
 def _record_integral(cfg, m, tol, weights=None):
@@ -364,13 +388,11 @@ def _record_integral(cfg, m, tol, weights=None):
     The weights default to ``_density_weight``, f on its quantile window.
     All of them share one quadrature over the union of their windows, cut
     below where the product vanishes, with every weight's kinks as panel
-    edges, and each integrand evaluation one log-product, whose tail
-    starts at the ``_tail_threshold`` for c > 0 and m > ``_MIN_TAIL``
-    (with none, every factor is summed directly).  Each bound adds
-    the quadrature gauge (at 0.8 tol), the mass f leaves outside its
-    window, and what the Euler-Maclaurin remainders (each node within
-    tol/10 in log space) add.  A ``QuadratureError`` names the caller's
-    tol.
+    edges, and each integrand evaluation one ``_log_product``, its tail
+    from the ``_tail_threshold`` for c > 0 and m > ``_MIN_TAIL``.  Each
+    bound adds the quadrature gauge (at 0.8 tol), the mass f leaves
+    outside its window, and what the log-product's errors add.  A
+    ``QuadratureError`` names the caller's tol.
     """
     require_positive(tol=tol)
     dist, c, delta = cfg.dist, cfg.c, cfg.delta
@@ -384,15 +406,13 @@ def _record_integral(cfg, m, tol, weights=None):
         # the mass f leaves outside its window
         return tuple(ProbResult(0.0, cut, 0) for _ in ws)
 
-    start = math.inf
-    if c > 0.0 and m > _MIN_TAIL:
-        start = _tail_threshold(dist, c, tol / 10.0)
+    start = _tail_threshold(dist, c, tol / 10.0) if c > 0.0 and m > _MIN_TAIL else math.inf
     head, eps = 0, 0.0
 
     def integrand(x):
         nonlocal head, eps
         with np.errstate(over="ignore"):
-            log_product, h, e = _log_product(dist, x - delta, c, m, start)
+            log_product, h, e = _log_product(dist, x - delta, c, m, start, tol)
             product = np.exp(log_product)
         head, eps = max(head, h), max(eps, e)
         out = np.empty((len(ws),) + x.shape)

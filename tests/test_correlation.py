@@ -247,6 +247,16 @@ class TestDependenceIndex:
         assert joint.value == pytest.approx(0.0087381333, abs=1e-10)
         assert index.value == pytest.approx(0.8353573884, abs=1e-10)
 
+    @pytest.mark.parametrize("spec", ["pareto1", "exp", "uniform"])
+    def test_tiny_trend_index_after_a_direct_head(self, spec):
+        # at c = 1e-13 the weights' union window puts 15 factors in the
+        # direct head; the tail after them cancels, and the midpoint sum
+        # of its factors keeps the index and its bound those of c = 0
+        tiny, flat = (dependence_index_result(ldm(spec, c, 0.0), 1000) for c in (1e-13, 0.0))
+        assert tiny.joint.truncation_n > 0
+        assert abs(tiny.value - flat.value) <= tiny.abs_error_bound + flat.abs_error_bound
+        assert tiny.abs_error_bound <= 2.0 * flat.abs_error_bound
+
     def test_ill_conditioned_marginals_raise(self):
         # at loose tolerance the tiny marginal cannot support division
         cfg = ldm("pareto1", 1.0, 0.0)

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -5,6 +6,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.special
 
 from driftrecords import (
     ALMOST_SURELY_FINITE,
@@ -538,6 +541,39 @@ EXPONENTIAL_REFERENCE = {
 }
 
 
+# The standard laws of the first-order checks: pdf, log cdf and an
+# integration window, in scipy and the math module only.
+FIRST_ORDER_LAWS = {
+    "normal": (lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+               scipy.special.log_ndtr, -9.0, 9.0),
+    "gumbel": (lambda x: math.exp(-x - math.exp(-x)), lambda u: -math.exp(-u), -4.0, 40.0),
+    "exp": (lambda x: math.exp(-x),
+            lambda u: math.log(-math.expm1(-u)) if u > 0.0 else -math.inf, 0.0, 40.0),
+    "uniform": (lambda x: 1.0, lambda u: math.log(u) if u > 0.0 else -math.inf, 0.0, 1.0),
+}
+
+
+@functools.lru_cache
+def _first_order_reference(spec, delta, m):
+    """p_{m+1} at c = 0 and its c-derivative, p'(0) = integral of
+    f(x) F(x - delta)^m m (m + 1)/2 g'(x - delta), g' = f/F, both by
+    QUADPACK over 59 panels, independently of the package."""
+    pdf, log_cdf, lo, hi = FIRST_ORDER_LAWS[spec]
+    lo = max(lo, delta) if spec in ("exp", "uniform") else lo
+
+    def p0(x):
+        return pdf(x) * math.exp(m * log_cdf(x - delta))
+
+    def slope(x):
+        g = log_cdf(x - delta)
+        if g < -700.0:
+            return 0.0
+        return pdf(x) * math.exp((m - 1) * g) * m * (m + 1) / 2.0 * pdf(x - delta)
+
+    kw = dict(epsabs=1e-17, epsrel=1e-13, limit=500, points=np.linspace(lo, hi, 60)[1:-1])
+    return scipy.integrate.quad(p0, lo, hi, **kw)[0], scipy.integrate.quad(slope, lo, hi, **kw)[0]
+
+
 class TestBoundAudit:
     """|value - reference| <= abs_error_bound over grids of inputs."""
 
@@ -617,15 +653,36 @@ class TestBoundAudit:
         # p is about 0.5 + sqrt(pi c / 2) = 0.5000125 at c = 1e-10
         assert p_delta(LdmConfig(Uniform(), 1e-10, -0.5)).value > 0.5 + 1e-5
 
-    @pytest.mark.parametrize("c, n", [
-        pytest.param(c, n, marks=pytest.mark.xfail(strict=True, reason=(
-            "the bound has no term for the rounding of the factor "
-            "arguments y + c i at tiny c, ROADMAP item 20")))
-        for c, n in ((1e-15, 10**3), (1e-15, 10**5), (1e-13, 10**3))
-    ])
+    @pytest.mark.parametrize("n", [100, 10**3, 10**5, 10**7])
+    @pytest.mark.parametrize("c", [1e-9, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-17])
     def test_gumbel_finite_n_at_tiny_trend(self, c, n):
+        # (G(b) - G(a))/c of the tail lost its main term to cancellation
+        # here, by up to 104 times the bound at n = 1000, or raised
+        # QuadratureError; the midpoint sum has no cancellation
         res = p_n_delta(ldm("gumbel", c, 0.0), n)
         self._assert_within(res, gumbel_p_n_delta(c, 0.0, n), (c, n))
+
+    @pytest.mark.parametrize("c", [10.0**-k for k in range(10, 20)])
+    @pytest.mark.parametrize("spec", sorted(FIRST_ORDER_LAWS))
+    def test_first_order_in_a_tiny_trend(self, spec, c):
+        # p_1000 at delta = 0.1 against p(0) + c p'(0); the second-order
+        # term is far below every bound at these c.  The tail's
+        # cancellation missed by up to 210 times the bound in this band,
+        # or raised QuadratureError
+        p0, slope = _first_order_reference(spec, 0.1, 999)
+        res = p_n_delta(ldm(spec, c, 0.1), 1000)
+        self._assert_within(res, p0 + c * slope, (spec, c))
+
+    @pytest.mark.parametrize("c, exact", [
+        (1e-9, 0.50100049995842077), (1e-12, 0.50100000049999996),
+    ])
+    def test_uniform_with_its_kinks_past_the_cap(self, c, exact):
+        # p_1000 at delta = -0.5 puts 999 kinks in [0.5 - 999 c, 0.5],
+        # more than become panel edges; exact values from a 40-digit
+        # Gauss-Legendre sum over the pieces.  The tail missed by 1.95
+        # and 5.5 times the bound
+        res = p_n_delta(LdmConfig(Uniform(), c, -0.5), 1000)
+        self._assert_within(res, exact, c)
 
     def test_exponential_reference_is_live(self):
         # one frozen value recomputed, and one fresh case at a larger trend
@@ -775,6 +832,18 @@ class TestCostDoesNotGrow:
             assert res.truncation_n == 0
         assert work[1] <= 3 * work[0]
 
+    def test_tiny_trend_cost_flat_in_n(self, monkeypatch):
+        # the midpoint sum takes every factor at one argument, as at c = 0
+        seen = _count_log_cdf_points(monkeypatch, Gumbel)
+        cfg = ldm("gumbel", 1e-15, 0.0)
+        work = []
+        for n in (10**3, 10**7):
+            seen.clear()
+            res = p_n_delta(cfg, n)
+            work.append(sum(seen))
+            assert res.truncation_n == 0
+        assert work[1] <= 3 * work[0]
+
     def test_normal_limit_at_small_trend_needs_a_short_head(self):
         # the fourth-order tail needed 593 direct factors per node here;
         # the sixth-order one starts at the first factor
@@ -887,7 +956,8 @@ class TestLogProduct:
     def _run(spec, c, m, budget):
         dist, c = _member(spec, c)
         y = dist.quantile(np.array([0.01, 0.3, 0.7, 0.99]))
-        got, head, eps = _log_product(dist, y, c, m, _tail_threshold(dist, c, budget))
+        got, head, eps = _log_product(dist, y, c, m, _tail_threshold(dist, c, budget),
+                                      10.0 * budget)
         want = np.array([
             math.fsum(dist.log_cdf(v + c * np.arange(1, m + 1))) for v in y
         ])
@@ -926,6 +996,21 @@ class TestLogProduct:
         assert head == 0
         assert err.max() <= 0.1 * eps
 
+    @pytest.mark.parametrize("c, most", [(1e-8, 1e-10), (1e-10, 3e-9), (1e-13, 1e-13)])
+    def test_each_path_within_its_bound(self, c, most):
+        # one Gumbel node, y = 7 and m = 1e5, where S = -91.  At c = 1e-8
+        # the tail's error is its cancellation term, 4e-11; at 1e-13 the
+        # tail is 4e-6 off, and the midpoint sum, whose spread is 2.3e-15,
+        # is exact to rounding; at 1e-10 neither meets tol/5, and the
+        # midpoint's spread, 2.3e-9, is the smaller error (the tail's is
+        # 4e-9)
+        dist, m = Gumbel(), 10**5
+        got, head, eps = _log_product(dist, np.array([7.0]), c, m,
+                                      _tail_threshold(dist, c, 1e-9), 1e-8)
+        want = math.fsum(dist.log_cdf(7.0 + c * np.arange(1, m + 1)))
+        assert head == 0
+        assert abs(got[0] - want) <= eps < most
+
     @pytest.mark.parametrize("c,m", [(-0.01, 1000), (0.5, 64)])
     def test_without_a_tail_every_factor_is_summed(self, c, m):
         # no tail threshold for c < 0 or m <= 64: the head is the whole
@@ -933,25 +1018,29 @@ class TestLogProduct:
         dist = parse_spec("gumbel")
         assert _record_integral(LdmConfig(dist, c, 0.0), m, 1e-8)[0].truncation_n == m
         y = dist.quantile(np.array([0.01, 0.5, 0.99]))
-        got, head, eps = _log_product(dist, y, c, m, math.inf)
-        assert (head, eps) == (m, 0.0)
+        got, head, eps = _log_product(dist, y, c, m, math.inf, DEFAULT_TOL)
         want = [math.fsum(dist.log_cdf(v + c * np.arange(1, m + 1))) for v in y]
         assert got == pytest.approx(want, rel=1e-13)
+        # the error is the rounding of the sum, eps |S|, at live nodes
+        assert head == m
+        assert eps <= np.finfo(float).eps * np.abs(got).max()
 
     def test_zero_trend_is_one_factor_to_the_power_m(self):
-        # at c = 0 every factor is F(y): the sum is m log F(y), with no
-        # head and no remainder, and the empty product is 1 even where
-        # F(y) = 0, as 0 log F(y) would be nan
+        # at c = 0 every factor is F(y): the midpoint sum is m log F(y),
+        # with no head and only its rounding for an error, and the empty
+        # product is 1 even where F(y) = 0, as 0 log F(y) would be nan
         dist = ParetoUnit()
         y = np.array([0.5, 1.5, 3.0, 1e6])
         assert _record_integral(LdmConfig(dist, 0.0, 0.0), 1000, 1e-8)[0].truncation_n == 0
         for m in (1, 1000, 10**7):
-            got, head, eps = _log_product(dist, y, 0.0, m, math.inf)
-            assert (head, eps) == (0, 0.0)
+            got, head, eps = _log_product(dist, y, 0.0, m, math.inf, DEFAULT_TOL)
+            assert got.tolist() == (m * dist.log_cdf(y)).tolist()
+            assert head == 0
+            assert 0.0 < eps <= np.finfo(float).eps * np.abs(got[1:]).max()
             assert got[0] == -math.inf
             want = [math.fsum(np.full(m, dist.log_cdf(v))) for v in y[1:]]
             assert got[1:] == pytest.approx(want, rel=1e-13)
-        got, head, eps = _log_product(dist, y, 0.0, 0, math.inf)
+        got, head, eps = _log_product(dist, y, 0.0, 0, math.inf, DEFAULT_TOL)
         assert got.tolist() == [0.0] * 4
         assert (head, eps) == (0, 0.0)
 
@@ -999,7 +1088,7 @@ class TestTailThreshold:
         a = _tail_threshold(dist, c, budget)
         q = (a - y_lo) / c  # -inf where every finite double meets the budget
         K = m if q > m else math.ceil(q) - 1 if q > 1.0 else 0
-        _, head, _ = _log_product(dist, np.array([y_lo]), c, m, a)
+        _, head, _ = _log_product(dist, np.array([y_lo]), c, m, a, 10.0 * budget)
         # every factor is summed directly when fewer than 64 would be left,
         # and none past a finite support top
         assert head == min(K if m - K >= 64 else m, _below_top(dist, c, y_lo))
@@ -1060,14 +1149,15 @@ class TestTailThreshold:
         ("exp", 1e-20, 0.1), ("exp", 1e-80, 0.1), ("exp", 1e-100, 0.1),
         ("normal", 1e-20, 0.1), ("pareto1", 1e-17, 0.5),
     ])
-    def test_a_tail_whose_ends_round_together_is_summed_directly(self, spec, c, delta):
-        # the threshold lies below the first factor, but at the node of
-        # largest magnitude y + c and y + 999 c round together, so the
-        # tail's D G / c would lose its main term: every factor is summed
-        # directly, and p_n reads its c -> 0 value
+    def test_a_tail_whose_ends_round_together_takes_the_midpoint_sum(self, spec, c, delta):
+        # the threshold lies below the first factor, but y + c and
+        # y + 999 c round together, so the tail's D G / c would lose its
+        # main term: its cancellation term is far past the budget, and
+        # the midpoint sum, which sums no factor directly, reads the
+        # c -> 0 value
         res = p_n_delta(ldm(spec, c, delta), 1000)
         flat = p_n_delta(ldm(spec, 0.0, delta), 1000)
-        assert res.truncation_n == 999
+        assert res.truncation_n == 0
         assert abs(res.value - flat.value) <= flat.abs_error_bound
         exact = {"uniform": 0.9**1000 / 1000, "exp": math.exp(-0.1) / 1000}.get(spec)
         if exact is not None:
@@ -1208,17 +1298,18 @@ class TestLawContract:
         assert callers == {member}
 
     @pytest.mark.parametrize("c, delta, want, exact", [
-        (0.5, 0.0, ProbResult(0.875, 9.71445146547012e-15, 1), Fraction(7, 8)),
-        (0.5, 0.5, ProbResult(0.47916666666666674, 5.319818659662209e-15, 2),
+        (0.5, 0.0, ProbResult(0.875, 9.84901862806705e-15, 1), Fraction(7, 8)),
+        (0.5, 0.5, ProbResult(0.47916666666666674, 6.268959593889328e-15, 2),
          Fraction(23, 48)),
-        (0.1, -0.5, ProbResult(0.8762920000000001, 9.728795546948278e-15, 4),
+        (0.1, -0.5, ProbResult(0.8762920000000001, 9.961225803187159e-15, 4),
          Fraction(219073, 250000)),
-        (0.1, 0.0, ProbResult(0.4129734150151588, 4.584925939079096e-15, 9),
+        (0.1, 0.0, ProbResult(0.4129734150151588, 5.310617924131635e-15, 9),
          Fraction(5203465029191, 12600000000000)),
     ])
     def test_no_tail_past_a_top_that_caps_the_head(self, monkeypatch, c, delta, want, exact):
         # every factor past the head is 1 at every node, and the tail
-        # only added zeros; the results keep their bits
+        # only added zeros; the results keep their bits, and each bound
+        # counts eps |S| for the rounding of the direct sum S
         tails = []
         real = probability._em_tail
         monkeypatch.setattr(probability, "_em_tail", lambda *a: tails.append(a) or real(*a))
@@ -1272,8 +1363,7 @@ class TestStandardMember:
         (0.01, -0.5, 0.62699789933978544),
         (0.01, 0.5, 4.3135741305071399e-09),
         (1e-12, 0.5, 9.3326455176730339e-305),
-        pytest.param(1e-12, -0.5, 0.5010000005, marks=pytest.mark.xfail(
-            strict=True, reason="the member's own miss at tiny c m, ROADMAP item 20")),
+        (1e-12, -0.5, 0.50100000049999996),
     ])
     def test_a_support_far_from_zero(self, c, delta, exact):
         res = p_n_delta(LdmConfig(Uniform(1e6, 1e6 + 1.0), c, delta), 1000)
