@@ -45,7 +45,9 @@ LENGTHS = [2, 10, 1000]
 # from the first factor, a support far from 0, normal scales whose fifth
 # power overflows or underflows a double, one at which c / sigma
 # underflows to 0, and the band of tiny trends where the tail's
-# (G(b) - G(a))/c cancels and p_n takes the midpoint sum
+# (G(b) - G(a))/c cancels and p_n takes the midpoint sum, and Pareto and
+# Dagum at trends that take g''' and g^(5) from next to the support's low
+# end out to their far tail
 EDGES = [
     ("uniform", 1e-80, 0.1), ("uniform", 1e-100, 0.1),
     ("exp", 1e-80, 0.1), ("exp", 1e-100, 0.1),
@@ -57,6 +59,8 @@ EDGES = [
     ("normal:sigma=1e300", 1e-30, 0.5),
     ("gumbel", 1e-13, 0.0), ("normal", 1e-16, 0.1), ("exp", 1e-15, 0.1),
     ("uniform", 1e-12, -0.5),
+    ("dagum", 1e-12, 0.5), ("dagum", 100.0, 0.5),
+    ("pareto1", 1e-12, 0.5), ("pareto1", 100.0, 0.5),
 ]
 
 

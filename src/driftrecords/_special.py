@@ -11,12 +11,16 @@ the Monte Carlo pool overlap on it.
 ``log_ndtr_odd_derivatives`` gives g = log Phi its first, third and fifth
 derivatives in one call, and ``log_ndtr_integral`` its antiderivative: the
 Euler-Maclaurin tail of the record-probability log-product needs both for
-normal noise.  ``log_ndtr_d1`` is g' alone.
+normal noise.  ``log_ndtr_d1`` is g' alone.  Left of z = -12, g''', g^(5)
+and the antiderivative each come from the Mills-ratio series in one
+Horner pass in w = z^-2; the antiderivative's table on [-12, 8) runs on
+its own points only, so a point's bits do not depend on the call's others.
 """
 import functools
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy import special as _sc
 
 
@@ -69,19 +73,23 @@ _Z_RIGHT = 8.0
 _PANEL = 0.25
 
 
-def _mills_log_series(terms):
-    """b_1..b_terms of log(1 + sum_k a_k w^k), a_k = (-1)^k (2k-1)!!."""
-    a = [1.0]
+def _mills_rows(terms):
+    """Coefficients in w = s^-2 of s^3 g''', s^5 g^(5) and the left tail's
+    sum_k b_k w^k / (2k - 1), for g = -s^2/2 - log s - log sqrt(2 pi)
+    + sum_k b_k w^k at z = -s, with sum_k b_k w^k = log(1 + sum_k a_k w^k)
+    and a_k = (-1)^k (2k-1)!!."""
+    a, b = [1.0], [0.0]
+    d3, d5, prim = [2.0], [24.0], [0.0]
     for k in range(1, terms + 1):
         a.append(-a[-1] * (2 * k - 1))
-    b = [0.0]
-    for k in range(1, terms + 1):
-        acc = k * a[k] - sum(j * b[j] * a[k - j] for j in range(1, k))
-        b.append(acc / k)
-    return b[1:]
+        b.append((k * a[k] - sum(j * b[j] * a[k - j] for j in range(1, k))) / k)
+        d3.append(b[k] * math.prod(range(2 * k, 2 * k + 3)))
+        d5.append(b[k] * math.prod(range(2 * k, 2 * k + 5)))
+        prim.append(b[k] / (2 * k - 1))
+    return d3, d5, prim
 
 
-_MILLS_LOG = _mills_log_series(22)
+_MILLS_D3, _MILLS_D5, _MILLS_PRIM = _mills_rows(22)
 
 
 def log_ndtr_d1(z):
@@ -116,22 +124,11 @@ def log_ndtr_odd_derivatives(z):
     ))
     left = z < _Z_LEFT
     if left.any():
-        s = -z[left]
-
-        def series(order):
-            def term(k, bk):
-                for i in range(order):
-                    bk = bk * (2 * k + i)
-                return bk / s ** (2 * k + order)
-
-            return math.factorial(order - 1) / s**order + sum(
-                term(k, bk) for k, bk in enumerate(_MILLS_LOG, start=1)
-            )
-
+        t = -1.0 / z[left]
+        w = t * t
         r[left] = log_ndtr_d1(z[left])
-        with np.errstate(over="ignore"):
-            d3[left] = series(3)
-            d5[left] = series(5)
+        d3[left] = t * w * polyval(w, _MILLS_D3)
+        d5[left] = t * w * w * polyval(w, _MILLS_D5)
     return r, d3, d5
 
 
@@ -146,8 +143,7 @@ def _left_tail_integral(s0, s):
     def prim(v):
         return (
             v**3 / 6.0 + v * np.log(v) - v + 0.5 * math.log(2.0 * math.pi) * v
-            - sum(bk * v ** (1 - 2 * k) / (1 - 2 * k)
-                  for k, bk in enumerate(_MILLS_LOG, start=1))
+            + v * polyval(1.0 / (v * v), _MILLS_PRIM)
         )
 
     return prim(s) - prim(s0)
@@ -182,14 +178,13 @@ def log_ndtr_integral(z):
     out = np.full(z.shape, np.nan)
     table = (z >= _Z_LEFT) & (z < _Z_RIGHT)
     if table.any():
-        # all points go through the matrix product, the others parked at
-        # the left edge, because its last bit can depend on the row count
-        zt = np.where(table, z, _Z_LEFT)
+        zt = z[table]
         k = np.minimum(((zt - _Z_LEFT) / _PANEL).astype(np.int64), edges.shape[0] - 2)
         right = edges[k + 1]
         half = 0.5 * (right - zt)
-        pts = (0.5 * (right + zt))[..., None] + half[..., None] * x
-        np.copyto(out, cum[k + 1] - half * (_sc.log_ndtr(pts) @ w), where=table)
+        pts = (0.5 * (right + zt))[:, None] + half[:, None] * x
+        # a row sum, unlike `@ w`, keeps a row's bits whatever the row count
+        out[table] = cum[k + 1] - half * (_sc.log_ndtr(pts) * w).sum(axis=1)
     right = z >= _Z_RIGHT
     if right.any():
         out[right] = _right_tail_integral(z[right])

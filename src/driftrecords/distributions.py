@@ -52,6 +52,16 @@ def _result(x, out):
     return x[()] if out is None else out
 
 
+def _log_ratio_odd_derivatives(a, b):
+    """(g', g''', g^(5)) = (a - b, 2 (a^3 - b^3), 24 (a^5 - b^5)) of
+    g = log(u - t) - log(u - t + 1), a = 1/(u - t) and b = 1/(u - t + 1),
+    each as d = a - b = ab times a sum of positive terms, which cannot
+    cancel: Pareto's g at t = 1, and Dagum's over q at t = 0."""
+    d = a * b
+    s = a * a + d + b * b
+    return d, 2.0 * d * s, 24.0 * d * (a * a * a * a + d * s + b * b * b * b)
+
+
 @dataclass(frozen=True)
 class TailInfo:
     """Right-tail facts the finiteness classifiers branch on.
@@ -138,7 +148,9 @@ class Distribution:
     def log_cdf_em(self, u):
         """(G(u), g'(u), g'''(u), g^(5)(u)) of the standard member's
         g = log F: G an antiderivative of g with G(+inf) = 0 whenever g is
-        integrable at +inf, and g' = pdf / cdf."""
+        integrable at +inf, and g' = pdf / cdf.  Each quantity is one
+        formula on each branch of u, and no derivative's terms cancel but
+        the normal closed forms' just right of z = -12 (see ``_special``)."""
         raise NotImplementedError
 
 
@@ -224,17 +236,13 @@ class ParetoUnit(Distribution):
         return TailInfo(_INF, False)
 
     def log_cdf_em(self, u):
-        # G = (v - 1) log(1 - 1/v) - log v at v = max(u, 1);
-        # g''' = 2/(u-1)^3 - 2/u^3 and g^(5) = 24/(u-1)^5 - 24/u^5, in
-        # powers of w = 1/u: no cancellation at large u, no overflow
+        # G = (v - 1) log(1 - 1/v) - log v at v = max(u, 1)
         u = np.asarray(u, dtype=np.float64)
-        v, w = np.maximum(u, 1.0), 1.0 / u
+        v = np.maximum(u, 1.0)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             head = np.where(v > 1.0, (v - 1.0) * np.log1p(-1.0 / v), 0.0)
-            d1 = 1.0 / u / (u - 1.0)
-            d3 = 2.0 * (3.0 - 3.0 * w + w * w) / (u**4 * (1.0 - w) ** 3)
-            poly = 5.0 - w * (10.0 - w * (10.0 - w * (5.0 - w)))
-            return head - np.log(v), d1, d3, 24.0 * poly / (u**6 * (1.0 - w) ** 5)
+            odd = _log_ratio_odd_derivatives(1.0 / (u - 1.0), 1.0 / u)
+        return (head - np.log(v), *odd)
 
 
 @dataclass(frozen=True)
@@ -294,25 +302,13 @@ class Dagum(Distribution):
         return Dagum(1.0, self.q), self.b
 
     def log_cdf_em(self, u):
-        # G = q (-v log(1 + 1/v) - log(v + 1)) at v = max(u, 0);
-        # g''' = 2q (1/u^3 - 1/(u+1)^3) and g^(5) = 24q (1/u^5 - 1/(u+1)^5),
-        # past u = 1 in powers of r = 1/u, which neither cancels nor
-        # overflows
+        # G = q (-v log(1 + 1/v) - log(v + 1)) at v = max(u, 0)
         u = np.asarray(u, dtype=np.float64)
         v = np.maximum(u, 0.0)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             head = np.where(v > 0.0, v * np.log1p(1.0 / v), 0.0)
-            d1 = self.q / u / (u + 1.0)
-            r = 1.0 / u
-            near3 = 1.0 / u**3 - 1.0 / (u + 1.0) ** 3
-            far3 = (3.0 + 3.0 * r + r * r) / (u**4 * (1.0 + r) ** 3)
-            near5 = 1.0 / u**5 - 1.0 / (u + 1.0) ** 5
-            poly = 5.0 + r * (10.0 + r * (10.0 + r * (5.0 + r)))
-            far5 = poly / (u**6 * (1.0 + r) ** 5)
-        far = u > 1.0
-        return (-self.q * (head + np.log(v + 1.0)), d1,
-                2.0 * self.q * np.where(far, far3, near3),
-                24.0 * self.q * np.where(far, far5, near5))
+            odd = _log_ratio_odd_derivatives(1.0 / u, 1.0 / (u + 1.0))
+        return (-self.q * (head + np.log(v + 1.0)), *(self.q * x for x in odd))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -376,6 +377,32 @@ class TestEulerMaclaurinData:
             assert bound >= float(total) * (1.0 - 1e-9), (a, b)
             assert bound <= float(total) * (1.0 + 1e-6) + 1e-300, (a, b)
 
+    @pytest.mark.parametrize("dist", [ParetoUnit(), Dagum(q=2.0), Dagum(q=0.5)], ids=repr)
+    def test_reciprocal_power_laws_to_the_last_digits(self, dist):
+        # g = q (log(u - t) - log(u - t + 1)), t = 1 for Pareto and 0 for
+        # Dagum, so g^(k) = (k-1)! q ((u - t)^-k - (u - t + 1)^-k) for odd
+        # k, taken with enough digits that 30 survive the difference; from
+        # the support's low end to 1e300, across Dagum's old switch at 1
+        t, q = dist.support[0], getattr(dist, "q", 1.0)
+        us = [math.nextafter(t, math.inf), t + 1e-300, t + 1e-62, t + 1e-15,
+              0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.0,
+              *np.geomspace(3.0, 1e300, 60).tolist()]
+        for u in (u for u in us if u > t):
+            got = [float(v) for v in dist.log_cdf_em(u)[1:]]
+            with mp.workdps(40 + max(0, int(math.log10(u)))):
+                x = mp.mpf(u) - t
+                want = [float(mp.factorial(k - 1) * q * (x**-k - (x + 1) ** -k))
+                        for k in (1, 3, 5)]
+            for k, g, w in zip((1, 3, 5), got, want):
+                if w == math.inf:
+                    assert g == math.inf, (u, k)
+                elif w >= sys.float_info.min:
+                    assert abs(g - w) <= 1e-14 * w, (u, k, g, w)
+                else:
+                    # below the least normal double: within one subnormal unit
+                    assert abs(g - w) <= 5e-324, (u, k, g, w)
+        assert not np.any(np.isnan(dist.log_cdf_em(sys.float_info.max)))
+
     def test_normal_extrema_constants(self):
         g = _mp_log_cdf(Normal())
         assert len(Normal.d5_extrema) == 3
@@ -570,25 +597,23 @@ class TestQuantileContract:
 
 
 def _all_points_log_ndtr_third(z):
-    """The g''' of an earlier log_ndtr_odd_derivatives: the Mills series
-    on every point, then np.where.  Kept as the bit-for-bit reference."""
+    """The g''' of log_ndtr_odd_derivatives with the Mills series, one
+    Horner pass in w = s^-2, on every point, then np.where.  Kept as the
+    bit-for-bit reference."""
     zc = np.clip(z, _special._Z_LEFT, 40.0)
     r = _special.log_ndtr_d1(zc)
     d = zc + r
     inner = r * (d * (d + r) - 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        s = -np.minimum(z, _special._Z_LEFT)
-        left = 2.0 / s**3 + sum(
-            bk * (2 * k) * (2 * k + 1) * (2 * k + 2) / s ** (2 * k + 3)
-            for k, bk in enumerate(_special._MILLS_LOG, start=1)
-        )
+    t = 1.0 / -np.minimum(z, _special._Z_LEFT)
+    w = t * t
+    left = t * w * np.polynomial.polynomial.polyval(w, _special._MILLS_D3)
     return np.where(z < _special._Z_LEFT, left, inner)
 
 
 def _all_points_log_ndtr_integral(z):
-    """The previous log_ndtr_integral: table, left series and right tail
-    on every point, then np.where.  Kept as the bit-for-bit reference; it
-    fails on NaN."""
+    """log_ndtr_integral with the table's elementwise row sum, the left
+    series and the right tail on every point, then np.where.  Kept as the
+    bit-for-bit reference; it fails on NaN."""
     lo, hi = _special._Z_LEFT, _special._Z_RIGHT
     edges, cum, (x, w) = _special._integral_table()
     zt = np.clip(z, lo, hi)
@@ -596,7 +621,7 @@ def _all_points_log_ndtr_integral(z):
     right = edges[k + 1]
     half = 0.5 * (right - zt)
     pts = (0.5 * (right + zt))[..., None] + half[..., None] * x
-    table = cum[k + 1] - half * (scipy.special.log_ndtr(pts) @ w)
+    table = cum[k + 1] - half * (scipy.special.log_ndtr(pts) * w).sum(axis=-1)
     with np.errstate(invalid="ignore", over="ignore"):
         s = -np.clip(z, -1e100, lo)
         left = cum[0] + _special._left_tail_integral(-lo, s)
@@ -641,6 +666,17 @@ class TestLogNdtrBranches:
         z = z[z > -math.inf]
         got = _special.log_ndtr_integral(z)
         assert got.tobytes() == _all_points_log_ndtr_integral(z).tobytes()
+
+    def test_table_points_keep_their_bits_in_any_subset(self):
+        # a matrix product's last bit can depend on its row count; the
+        # table's row sum gives a point the bits it has in the full call
+        rng = np.random.default_rng(20205)
+        z = rng.uniform(_special._Z_LEFT, _special._Z_RIGHT, 30_000)
+        full = _special.log_ndtr_integral(z)
+        for size in rng.integers(1, z.shape[0], 60):
+            pick = rng.choice(z.shape[0], size, replace=False)
+            got = _special.log_ndtr_integral(z[pick])
+            assert got.tobytes() == full[pick].tobytes(), size
 
     def test_all_central_points_skip_both_tails(self, monkeypatch):
         def fail(*args):
